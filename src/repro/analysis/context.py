@@ -36,16 +36,20 @@ keyed by the *structural subtree fingerprint*
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from ..arch import Architecture
 from ..errors import ForeignNodeError
 from ..ir import TensorAccess
+from ..tile.coverage import apply_loops
 from ..tile.tree import AnalysisTree, FusionNode, OpTile, TileNode
 from .fingerprint import cache_namespace, node_fingerprints
-from .slices import box_volume, merged_extents, slice_extents
+from .slices import box_volume, merged_extents
 
 AccessPairs = List[Tuple[OpTile, TensorAccess]]
+#: ``id(node) -> slice_coverage(node, leaf)`` along one leaf's path
+#: (:meth:`AnalysisContext.path_coverage`).
+PathCoverage = Dict[int, Dict[str, int]]
 
 
 class NodeSlices:
@@ -66,23 +70,26 @@ class NodeSlices:
 
     __slots__ = ("readers", "writers", "tensors", "extents", "staged_words")
 
-    def __init__(self, node: TileNode):
+    def __init__(self, node: TileNode,
+                 path_coverage: Callable[[OpTile], PathCoverage]):
         self.readers: Dict[str, AccessPairs] = {}
         self.writers: Dict[str, AccessPairs] = {}
+        boxes: Dict[str, List[Tuple[int, ...]]] = {}
         for leaf in node.leaves():
-            for access in leaf.op.inputs:
-                self.readers.setdefault(access.tensor.name, []).append(
-                    (leaf, access))
-            out = leaf.op.output
-            self.writers.setdefault(out.tensor.name, []).append((leaf, out))
-        self.tensors: Tuple[str, ...] = tuple(
-            sorted(set(self.readers) | set(self.writers)))
+            # One coverage per leaf serves all of its accesses.
+            cov = path_coverage(leaf)[id(node)]
+            for pairs, accesses in ((self.readers, leaf.op.inputs),
+                                    (self.writers, (leaf.op.output,))):
+                for access in accesses:
+                    name = access.tensor.name
+                    pairs.setdefault(name, []).append((leaf, access))
+                    boxes.setdefault(name, []).append(
+                        access.extents_over(cov))
+        self.tensors: Tuple[str, ...] = tuple(sorted(boxes))
         self.extents: Dict[str, Tuple[int, ...]] = {}
         self.staged_words: Dict[str, float] = {}
         for name in self.tensors:
-            pairs = self.readers.get(name, []) + self.writers.get(name, [])
-            extents = merged_extents(
-                [slice_extents(node, leaf, access) for leaf, access in pairs])
+            extents = merged_extents(boxes[name])
             self.extents[name] = extents
             self.staged_words[name] = float(box_volume(extents))
 
@@ -167,6 +174,10 @@ class AnalysisContext:
         #: (id(node), tensor) -> crossing? — id-keyed like homes, so
         #: :meth:`invalidate` must clear it (levels/homes may shift).
         self._crossing: Dict[Tuple[int, str], bool] = {}
+        #: id(leaf) -> path coverage; id(home) -> strict descendant ids.
+        #: Both span whole paths, so :meth:`invalidate` drops them.
+        self._path_cov: Dict[int, PathCoverage] = {}
+        self._descendants: Dict[int, FrozenSet[int]] = {}
 
     # -- artifacts -------------------------------------------------------
     def put(self, name: str, value: Any) -> None:
@@ -282,6 +293,8 @@ class AnalysisContext:
         self._homes = {}
         self._homes_built = False
         self._crossing.clear()
+        self._path_cov.clear()
+        self._descendants.clear()
 
     # -- memoized per-node intermediates ---------------------------------
     def node_slices(self, node: TileNode) -> NodeSlices:
@@ -290,12 +303,33 @@ class AnalysisContext:
         if cached is None:
             cached = self.shared_get("slices", fp)
             if cached is None:
-                cached = NodeSlices(node)
+                cached = NodeSlices(node, self.path_coverage)
                 self.shared_put("slices", fp, cached)
             self._slices[fp] = cached
         else:
             self.memo_hits += 1
         return cached
+
+    def path_coverage(self, leaf: OpTile) -> PathCoverage:
+        """:func:`slice_coverage` of ``leaf`` at every node on its path.
+
+        One upward walk per leaf per context, instead of one walk per
+        (node, access) pair: the coverage strictly below a node is the
+        coverage below its child plus the child's loops.
+        """
+        covs = self._path_cov.get(id(leaf))
+        if covs is None:
+            dims = leaf.op.dims
+            covs = self._path_cov[id(leaf)] = {}
+            below: Dict[str, int] = {d: 1 for d in dims}
+            node: Optional[TileNode] = leaf
+            while node is not None:
+                lanes = [lp for lp in node.spatial_loops if lp.step == 1]
+                covs[id(node)] = (apply_loops(below, lanes, dims) if lanes
+                                  else below)
+                below = apply_loops(below, node.loops, dims)
+                node = node.parent
+        return covs
 
     def num_pe(self, node: TileNode) -> Tuple[int, int]:
         fp = self.fingerprint(node)
@@ -383,8 +417,8 @@ class AnalysisContext:
         hit = self._crossing.get(key)
         if hit is None:
             home = self.home(tensor_name)
-            if home is not None and not any(
-                    a is home for a in node.ancestors()):
+            if home is not None and (node.parent is None
+                                     or id(node) not in self._below(home)):
                 hit = False
             else:
                 source_level = (node.parent.level if node.parent is not None
@@ -392,6 +426,14 @@ class AnalysisContext:
                 hit = node.level < source_level
             self._crossing[key] = hit
         return hit
+
+    def _below(self, home: TileNode) -> FrozenSet[int]:
+        """Ids of ``home``'s strict descendants (lazy, per home node)."""
+        below = self._descendants.get(id(home))
+        if below is None:
+            below = self._descendants[id(home)] = frozenset(
+                id(n) for n in home.walk() if n is not home)
+        return below
 
     def staged_bytes_lower_bound(self, node: TileNode) -> float:
         """Byte floor of one buffer instance of ``node``.

@@ -60,14 +60,13 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..arch import Architecture
-from ..ir import Operator, TensorAccess
+from ..ir import TensorAccess
 from ..tile.bindings import Binding
 from ..tile.loops import Loop
-from ..tile.tree import AnalysisTree, FusionNode, OpTile, TileNode
+from ..tile.tree import AnalysisTree, FusionNode, TileNode
 from .context import AnalysisContext
 from .metrics import LevelTraffic
-from .slices import (box_volume, delta_volume, loop_displacement,
-                     movement_recursion)
+from .slices import box_volume
 
 
 @dataclass
@@ -114,10 +113,6 @@ class _Walk:
         #: (dim, count) of loops folded into the multiplier.
         self.multiplied = multiplied
 
-    @property
-    def multiplied_dims(self) -> List[str]:
-        return [d for d, _ in self.multiplied]
-
 
 class DataMovementAnalysis:
     """Runs the §5.1 analysis over a validated tree.
@@ -143,8 +138,6 @@ class DataMovementAnalysis:
             tree, arch, model_eviction=model_eviction, model_rmw=model_rmw)
         self.model_eviction = self.ctx.model_eviction
         self.model_rmw = self.ctx.model_rmw
-        #: Per-run memo: (id(access), dim, step) -> displaces slice?
-        self._displaces: Dict[Tuple[int, str, int], bool] = {}
         #: Per-run memo: (id(parent), id(child), tensor) -> Seq-evicted?
         self._evictions: Dict[Tuple[int, int, str], bool] = {}
         #: Bound "walkvol" store of the shared artifact cache (or None);
@@ -334,14 +327,9 @@ class DataMovementAnalysis:
         return _Walk(walk_inner_to_outer, multiplier, multiplied)
 
     def _loop_displaces(self, access: TensorAccess, lp: Loop) -> bool:
-        """Whether one step of ``lp`` moves the access's slice (memoized)."""
-        key = (id(access), lp.dim, lp.step)
-        hit = self._displaces.get(key)
-        if hit is None:
-            disp = access.displacement({lp.dim: lp.step})
-            hit = any(d != 0 for d in disp)
-            self._displaces[key] = hit
-        return hit
+        """Whether one step of ``lp`` moves the access's slice."""
+        # Steps are positive, so the slice moves iff some coefficient does.
+        return any(access.coefficients(lp.dim))
 
     def _self_evicts(self, node: TileNode, tensor_name: str) -> bool:
         """Seq eviction applied to the node's own iterations (§5.1.2)."""
@@ -407,15 +395,29 @@ class DataMovementAnalysis:
             moved = self._recursion_volume(extents, access, walk.loops)
         return moved * walk.multiplier
 
-    def _recursion_volume(self, extents: Sequence[int], access: TensorAccess,
+    @staticmethod
+    def _recursion_volume(extents: Sequence[int], access: TensorAccess,
                           loops: Sequence[Loop]) -> int:
+        """The §5.1.1 boundary recursion in one inner→outer pass.
+
+        Equals ``movement_recursion(box_volume(extents), counts,
+        [delta_volume(extents, loop_displacement(access, lp, inner))])``
+        exactly: displacement is linear, so the inner loops' wrap-around
+        is a running ``back`` sum instead of a re-summed suffix per loop.
+        """
         volume = box_volume(extents)
-        counts = [lp.count for lp in loops]
-        deltas = []
-        for i, lp in enumerate(loops):
-            disp = loop_displacement(access, lp, loops[i + 1:])
-            deltas.append(delta_volume(extents, disp))
-        return movement_recursion(volume, counts, deltas)
+        back = [0] * len(extents)
+        s = 0
+        for lp in reversed(loops):
+            coeffs = access.coefficients(lp.dim)
+            step, count = lp.step, lp.count
+            overlap = 1
+            for e, c, b in zip(extents, coeffs, back):
+                overlap *= max(0, e - abs(c * step - b))
+            s = (count - 1) * (volume - overlap + s) + s
+            wrap = (count - 1) * step
+            back = [b + c * wrap for b, c in zip(back, coeffs)]
+        return volume + s
 
     def _projected_walk(self, access: TensorAccess,
                         loops: Sequence[Loop]) -> str:

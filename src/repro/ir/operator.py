@@ -22,7 +22,7 @@ from .tensor import Tensor
 class TensorAccess:
     """An affine access of a tensor: one expression per tensor dimension."""
 
-    __slots__ = ("tensor", "exprs", "_info")
+    __slots__ = ("tensor", "exprs", "_info", "_coeffs")
 
     def __init__(self, tensor: Tensor, exprs: Sequence[AffineExpr]):
         exprs = tuple(exprs)
@@ -33,6 +33,7 @@ class TensorAccess:
         self.tensor = tensor
         self.exprs = exprs
         self._info: Optional[Tuple[str, frozenset]] = None
+        self._coeffs: Dict[str, Tuple[int, ...]] = {}
 
     @property
     def dims(self) -> Tuple[str, ...]:
@@ -51,6 +52,15 @@ class TensorAccess:
         if info is None:
             info = self._info = (repr(self), frozenset(self.dims))
         return info
+
+    def coefficients(self, dim_name: str) -> Tuple[int, ...]:
+        """``displacement({dim_name: 1})``, memoized (accesses are
+        immutable); a step of ``s`` displaces by ``s`` times this."""
+        coeffs = self._coeffs.get(dim_name)
+        if coeffs is None:
+            coeffs = self._coeffs[dim_name] = tuple(
+                e.coeff(dim_name) for e in self.exprs)
+        return coeffs
 
     def extents_over(self, dim_extents: Mapping[str, int]) -> Tuple[int, ...]:
         """Slice extents per tensor dim when iteration dims span a box."""

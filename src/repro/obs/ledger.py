@@ -92,7 +92,12 @@ class RunLedger:
 
     # -- writing ---------------------------------------------------------
     def new_run_id(self, salt: str = "") -> str:
-        """A collision-free ``<timestamp>-<salt>`` run id."""
+        """A collision-free ``<timestamp>-<salt>`` run id.
+
+        Path separators in ``salt`` (``ViT/16-B``) become ``-``.
+        """
+        for sep in filter(None, (os.sep, os.altsep)):
+            salt = salt.replace(sep, "-")
         stamp = time.strftime("%Y%m%dT%H%M%S", time.localtime())
         base = f"{stamp}-{salt}" if salt else stamp
         run_id, n = base, 1

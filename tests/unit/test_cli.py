@@ -55,6 +55,16 @@ class TestCommands:
         assert main(["validate", "--mappings", "40"]) == 0
         assert "Figure 8" in capsys.readouterr().out
 
+    def test_search_ledger_accepts_slashed_workload(self, tmp_path):
+        from repro.obs.ledger import RunLedger
+        root = str(tmp_path / "runs")
+        assert main(["search", "ViT/16-B", "--generations", "1",
+                     "--population", "4", "--samples", "3",
+                     "--ledger", root, "--quiet"]) == 0
+        [run_id] = RunLedger(root).run_ids()
+        assert "ViT-16-B" in run_id
+        assert RunLedger(root).load(run_id)["command"] == "search"
+
 
 class TestJsonOutput:
     def test_evaluate_json(self, capsys):

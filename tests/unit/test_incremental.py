@@ -22,7 +22,7 @@ import pytest
 
 from repro import arch as arch_mod
 from repro import obs
-from repro.analysis import AnalysisContext, TileFlowModel
+from repro.analysis import AnalysisContext, TileFlowModel, slice_coverage
 from repro.engine import EvaluationEngine
 from repro.engine.cache import SubtreeArtifactCache
 from repro.errors import ForeignNodeError
@@ -103,6 +103,42 @@ def test_invalidate_keeps_untouched_sibling_memos():
     # equality); the mutated group got fresh geometry.
     assert ctx.node_slices(untouched) is sibling_slices
     assert ctx.node_slices(mutated) is not mutated_slices
+
+
+def test_invalidate_recomputes_path_coverage_and_crossing():
+    """Id-keyed geometry memos never survive an in-place mutation."""
+    tree1, tree2 = _genome_trees()
+    ctx = AnalysisContext(tree1, SPEC)
+    leaves = list(tree1.root.leaves())
+    tensors = [t.name for t in WL.tensors()]
+
+    def snapshot(context):
+        nodes = list(tree1.root.walk())
+        covs = [[context.path_coverage(leaf)[id(n)] for n in nodes
+                 if id(n) in context.path_coverage(leaf)]
+                for leaf in leaves]
+        crossing = [[context.tensor_crossing(n, t) for t in tensors]
+                    for n in nodes]
+        return covs, crossing
+
+    before = snapshot(ctx)
+    # A mapper move (loops) plus a level change that stops every tensor
+    # crossing into the moved node's buffer.
+    for n1, n2 in zip(tree1.root.walk(), tree2.root.walk()):
+        n1.loops = n2.loops
+    node = next(n for n in tree1.root.walk()
+                if n.parent is not None and n.level < n.parent.level
+                and any(ctx.tensor_crossing(n, t) for t in tensors))
+    node.level = node.parent.level
+    ctx.invalidate()
+
+    after = snapshot(ctx)
+    assert after == snapshot(AnalysisContext(tree1, SPEC))
+    assert after[0] != before[0] and after[1] != before[1]
+    for leaf in leaves:
+        for anc in [leaf] + list(leaf.ancestors()):
+            assert ctx.path_coverage(leaf)[id(anc)] == slice_coverage(
+                anc, leaf)
 
 
 def test_invalidate_rejects_foreign_subtree():

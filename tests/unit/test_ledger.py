@@ -48,6 +48,13 @@ class TestLedger:
         second = ledger.new_run_id(salt="x")
         assert second != first
 
+    def test_new_run_id_replaces_path_separators(self, tmp_path):
+        ledger = ledger_mod.RunLedger(str(tmp_path / "runs"))
+        run_id = ledger.new_run_id(salt="ViT/16-B-job7")
+        assert run_id.endswith("-ViT-16-B-job7")
+        ledger.record(_manifest(run_id, 1.0))
+        assert ledger.run_ids() == [run_id]
+
     def test_bad_run_id_rejected(self, tmp_path):
         ledger = ledger_mod.RunLedger(str(tmp_path))
         with pytest.raises(ledger_mod.LedgerError):

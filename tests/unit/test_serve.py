@@ -485,6 +485,23 @@ class TestExplainServiceRun:
         finally:
             svc.stop(timeout=5)
 
+    def test_slashed_workload_job_is_recorded(self, tmp_path):
+        from repro.obs.ledger import RunLedger
+
+        svc = EvaluationService(workers=1,
+                                ledger_root=str(tmp_path / "runs")).start()
+        try:
+            job = svc.submit("evaluate", {"workload": "ViT/16-B",
+                                          "arch": "edge",
+                                          "dataflow": "layerwise"})
+            assert svc.wait_drained(timeout=30)
+            assert job.state == "done", job.error
+            assert "ViT-16-B" in job.run_id
+            assert RunLedger(str(tmp_path / "runs")).run_ids() == [
+                job.run_id]
+        finally:
+            svc.stop(timeout=5)
+
     def test_explain_search_run_matches_champion(self, tmp_path):
         from repro.obs import explain as explain_mod
         from repro.obs import ledger as ledger_mod
