@@ -123,7 +123,8 @@ def mapper_run(args: argparse.Namespace, batched: bool
 def oracle_through_batched_engines() -> Dict[str, object]:
     """Recompute the frozen oracle through batched-enabled engines.
 
-    Same entry recipe as ``bench_incremental.py``, but every tree is
+    Same entry recipe as ``tests/property/test_prop_pipeline.py``'s
+    ``oracle_entries``, but every tree is
     evaluated by an ``EvaluationEngine(batched=True)`` (one per
     workload/arch pair, all sharing one ``SubtreeArtifactCache``) —
     proving the batched layer leaves the engine's evaluation results

@@ -155,7 +155,10 @@ def cmd_search(args) -> int:
             result=result, generations=args.generations,
             population=args.population, samples=args.samples,
             workers=args.workers, seed=args.seed, wall_s=wall_s)
-        path = ledger.record(manifest)
+        try:
+            path = ledger.record(manifest)
+        except ledger_mod.LedgerError as exc:
+            raise SystemExit(str(exc))
         w.emit(f"run recorded: {run_id} -> {path}")
     w.emit_json(result.to_dict())
     w.emit(f"best ordering/binding: "

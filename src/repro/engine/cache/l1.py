@@ -3,8 +3,7 @@
 :class:`LRUCache` is a thin :class:`collections.OrderedDict` wrapper with
 move-to-end-on-hit semantics and a hard entry bound.  ``maxsize <= 0``
 disables the cache entirely (every ``get`` misses, ``put`` is a no-op) so
-callers can switch memoization off — the benchmark's uncached baseline —
-without branching at every call site.
+callers can switch memoization off without branching at every call site.
 
 :class:`SubtreeArtifactCache` holds per-*subtree* analysis artifacts
 (slice geometry, NumPE demands, boundary-recursion volumes, validation
@@ -22,9 +21,9 @@ insert lands in a store's probationary segment, a re-hit (reported via
 search drains probationary entries across all stores before it touches
 protected ones.  High-reuse artifact kinds (``walkvol``, ``groupflows``)
 therefore survive pressure from churny one-shot slice geometry, which the
-old insertion-order policy evicted them to make room for.  Pass
-``policy="insertion"`` to get the old behaviour back (the benchmark's
-baseline arm).
+old insertion-order policy evicted them to make room for.
+``policy="insertion"`` keeps that old policy as the comparison point
+of the eviction tests.
 
 The cache optionally fronts two lower tiers (attached, not owned):
 

@@ -3,8 +3,7 @@
 :class:`DiskArtifactStore` persists tiered artifact kinds between
 processes and runs so CI reruns, sensitivity sweeps, and ``repro
 serve`` restarts warm-start instead of recomputing every subtree from
-scratch — the same discipline the ``BENCH_*`` baselines use for
-measurements.
+scratch.
 
 Layout under the cache dir::
 

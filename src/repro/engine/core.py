@@ -128,6 +128,13 @@ class EngineStats:
 class EvaluationEngine:
     """Evaluates mappings for one (workload, architecture) pair.
 
+    Search-path evaluations are partial: an infeasible candidate stops
+    at the resource pass (``respect_memory`` only — with memory
+    violations tolerated, latency is still needed), and passes the
+    objective never reads (energy, for the latency objective) are
+    skipped.  Champion lookups (``full=True``) run the whole pipeline.
+    Costs are identical to a full evaluation (property-tested).
+
     Parameters
     ----------
     workload, arch:
@@ -139,17 +146,9 @@ class EvaluationEngine:
         Process-pool width for :meth:`tune_population`.  ``1`` (default)
         keeps everything in-process.
     cache_size:
-        LRU bound; ``0`` disables memoization (benchmark baseline).
+        Entry bound of the whole-mapping memo; ``0`` disables it.
     prescreen:
         Run the cheap feasibility screen before full evaluations.
-    partial:
-        Use partial evaluation on the search path: stop at the resource
-        pass when a candidate is infeasible (``respect_memory`` only —
-        with memory violations tolerated, latency is still needed), and
-        skip passes the search objective never reads (energy, for the
-        latency objective).  Champion lookups (``full=True``) always run
-        the full pipeline.  Search trajectories are unchanged; only
-        wasted passes are skipped.
     model_eviction, model_rmw:
         Forwarded to :class:`TileFlowModel` (ablation switches).
     objective:
@@ -162,6 +161,11 @@ class EvaluationEngine:
         recomputes the mutated path to the root.  Results are
         byte-identical either way (oracle- and property-tested); this
         is purely a performance knob, on by default.
+    batched:
+        Price sibling factor candidates of long MCTS tunes in vectorized
+        cohort sweeps (:mod:`repro.analysis.batched`); engaged only for
+        the latency objective under ``respect_memory`` with NumPy
+        available.  Costs are bit-identical to the scalar path.
     subtree_cache_size:
         Entry bound of that cache; ``0`` disables it (equivalent to
         ``incremental=False``).
@@ -187,7 +191,7 @@ class EvaluationEngine:
     def __init__(self, workload: Workload, arch: Architecture, *,
                  respect_memory: bool = True, workers: int = 1,
                  cache_size: int = DEFAULT_CACHE_SIZE,
-                 prescreen: bool = True, partial: bool = True,
+                 prescreen: bool = True,
                  model_eviction: bool = True,
                  model_rmw: bool = True, objective: str = "latency",
                  incremental: bool = True, batched: bool = True,
@@ -203,7 +207,6 @@ class EvaluationEngine:
         self.respect_memory = respect_memory
         self.workers = max(1, int(workers))
         self.prescreen_enabled = prescreen
-        self.partial_enabled = partial
         self.objective = objective
         # The latency objective never reads energy; EDP needs both.
         self._until = "latency" if objective == "latency" else None
@@ -261,7 +264,6 @@ class EvaluationEngine:
             "respect_memory": self.respect_memory,
             "cache_size": self._cache_size,
             "prescreen": self.prescreen_enabled,
-            "partial": self.partial_enabled,
             "model_eviction": self.model.model_eviction,
             "model_rmw": self.model.model_rmw,
             "objective": self.objective,
@@ -329,7 +331,7 @@ class EvaluationEngine:
                 result = rejected_result(tree, self.arch, violations)
         if result is None:
             self._bump("evaluations")
-            if full or not self.partial_enabled:
+            if full:
                 result = self.model.evaluate(tree, context=ctx)
             elif self.objective == "edp" and not self.respect_memory:
                 # EDP with violations tolerated: memory-violating

@@ -8,18 +8,15 @@ offspring are produced by single-point crossover plus mutation.
 
 Fitness is carried forward: a genome tuned in an earlier generation
 (surviving elites, re-created offspring) keeps its ``(cost, factors)``
-instead of being re-tuned from scratch — re-tuning was pure waste and the
-source of the non-monotone per-generation traces that
-``MapperResult.normalized_trace`` has to cummin around.  Set
-``reuse_elites=False`` to restore the old re-tune-everything behaviour
-(the perf benchmark's baseline).
+instead of being re-tuned from scratch, so the per-generation best cost
+never regresses.
 
-Tuning itself is pluggable: pass ``tuner`` (a batch callable, e.g.
-:meth:`repro.engine.EvaluationEngine.tune_population`) to evaluate a whole
-generation through the memoized/parallel evaluation engine; without it the
-GA falls back to in-process per-genome MCTS over the ``evaluate`` callback.
-Per-genome MCTS seeds are drawn up front from the generation RNG, so the
-outcome is deterministic regardless of how the batch is executed.
+Tuning goes through a batch ``tuner`` callable, normally
+:meth:`repro.engine.EvaluationEngine.tune_population`, which evaluates a
+whole generation through the memoized, possibly parallel evaluation
+engine.  Per-genome MCTS seeds are drawn up front from the generation
+RNG, so the outcome is deterministic regardless of how the batch is
+executed.
 """
 
 from __future__ import annotations
@@ -29,14 +26,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
-from ..arch import Architecture
 from ..ir import Workload
 from ..obs import events
 from .cost import INFEASIBLE, Cost
-from .encoding import Genome, build_genome_tree, genome_factor_space
-from .mcts import MCTSTuner
+from .encoding import Genome
 
-TreeEvaluator = Callable[["Genome", Dict[str, int]], Cost]
 #: Batch fitness: (genomes, per-genome MCTS seeds, samples) -> [(cost,
 #: factors)] in input order.
 BatchTuner = Callable[[Sequence[Genome], Sequence[int], int],
@@ -57,20 +51,14 @@ class GenerationStats:
 class GeneticExplorer:
     """GA over genomes with per-candidate MCTS factor tuning."""
 
-    def __init__(self, workload: Workload,
-                 evaluate: Optional[TreeEvaluator] = None,
+    def __init__(self, workload: Workload, tuner: BatchTuner,
                  population: int = 12, survivors: int = 4,
                  mcts_samples: int = 40, mutation_rate: float = 0.25,
-                 seed: int = 0, tuner: Optional[BatchTuner] = None,
-                 reuse_elites: bool = True):
+                 seed: int = 0):
         if survivors < 1 or survivors > population:
             raise ValueError("survivors must be in [1, population]")
-        if evaluate is None and tuner is None:
-            raise ValueError("need an evaluate callback or a batch tuner")
         self.workload = workload
-        self.evaluate = evaluate
         self.tuner = tuner
-        self.reuse_elites = reuse_elites
         self.population_size = population
         self.survivors = survivors
         self.mcts_samples = mcts_samples
@@ -86,21 +74,6 @@ class GeneticExplorer:
         while len(seeds) < self.population_size:
             seeds.append(Genome.random(self.workload, self.rng))
         return seeds[:self.population_size]
-
-    def _fitness(self, genome: Genome,
-                 seed: int) -> Tuple[Cost, Dict[str, int]]:
-        space = genome_factor_space(self.workload, genome)
-        tuner = MCTSTuner(space,
-                          lambda point: self.evaluate(genome, point),
-                          seed=seed)
-        point, cost = tuner.search(self.mcts_samples)
-        return cost, (point or {})
-
-    def _tune_batch(self, genomes: Sequence[Genome], seeds: Sequence[int]
-                    ) -> List[Tuple[Cost, Dict[str, int]]]:
-        if self.tuner is not None:
-            return self.tuner(genomes, seeds, self.mcts_samples)
-        return [self._fitness(g, s) for g, s in zip(genomes, seeds)]
 
     # ------------------------------------------------------------------
     def run(self, generations: int) -> Tuple[Genome, Dict[str, int], Cost]:
@@ -119,8 +92,8 @@ class GeneticExplorer:
                 if reused:
                     obs.count("ga.fitness_reused", reused)
                 seeds = [self.rng.randrange(1 << 30) for _ in pending]
-                for genome, outcome in zip(pending,
-                                           self._tune_batch(pending, seeds)):
+                outcomes = self.tuner(pending, seeds, self.mcts_samples)
+                for genome, outcome in zip(pending, outcomes):
                     scores[genome] = outcome
                 scored = [(scores[g][0], g, scores[g][1])
                           for g in population]
@@ -144,9 +117,6 @@ class GeneticExplorer:
                         total=generations,
                         best_cost=events.jsonable_cost(self.best[0]))
                 parents = [g for _, g, _ in scored[:self.survivors]]
-                if not self.reuse_elites:
-                    # Old behaviour: survivors are re-tuned next generation.
-                    scores = {}
                 population = list(parents)
                 while len(population) < self.population_size:
                     mother = self.rng.choice(parents)

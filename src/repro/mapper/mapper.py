@@ -23,14 +23,14 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional
 
 from .. import obs
-from ..analysis import EvaluationResult, TileFlowModel
+from ..analysis import EvaluationResult
 from ..arch import Architecture
 from ..ir import Workload
 from ..tile.tree import AnalysisTree
-from .cost import INFEASIBLE, Cost, latency_cost
+from .cost import INFEASIBLE, Cost
 from .encoding import Genome, build_genome_tree
 from .factors import FactorSpace
-from .genetic import GenerationStats, GeneticExplorer
+from .genetic import GeneticExplorer
 from .mcts import MCTSTuner
 
 TemplateFn = Callable[..., AnalysisTree]
@@ -66,11 +66,9 @@ class MapperResult:
     def normalized_trace(self) -> List[float]:
         """Best-so-far trace normalized so the final value is 1 (Fig. 9).
 
-        The raw trace is not guaranteed monotone (per-generation best
-        costs can regress when survivors' MCTS re-tuning gets a worse
-        seed — only possible with ``reuse_elites=False``), so a
-        best-so-far cummin is applied first; the final cummin entry is
-        then the global best by construction.
+        A best-so-far cummin is applied first, so the final entry is
+        the global best by construction (GA traces already are
+        monotone; MCTS per-sample traces of ``tune_template`` are not).
         """
         trace = self.cummin_trace()
         finite = [c for c in trace if c != INFEASIBLE]
@@ -119,7 +117,6 @@ class TileFlowMapper:
                  batched: bool = True, engine=None):
         self.workload = workload
         self.arch = arch
-        self.model = TileFlowModel(arch)
         self.respect_memory = respect_memory
         self.seed = seed
         self.workers = workers
@@ -144,27 +141,8 @@ class TileFlowMapper:
             prescreen=self.prescreen, incremental=self.incremental,
             batched=self.batched)
 
-    def _evaluate_genome(self, genome: Genome,
-                         factors: Dict[str, int]) -> Cost:
-        """Direct (engine-less) evaluation; kept for custom callers.
-
-        Runs the pipeline only as far as the latency cost needs: the
-        energy pass is skipped, and candidates with resource violations
-        stop at the resource pass when violations mean rejection.
-        """
-        tree = build_genome_tree(self.workload, self.arch, genome, factors)
-        result = self.model.evaluate(
-            tree, until="latency",
-            stop_on_violation=self.respect_memory)
-        cost = latency_cost(result, self.respect_memory)
-        obs.count("mapper.evaluations")
-        if cost == INFEASIBLE:
-            obs.count("mapper.infeasible")
-        return cost
-
     def explore(self, generations: int = 8, population: int = 12,
-                mcts_samples: int = 30,
-                reuse_elites: bool = True) -> MapperResult:
+                mcts_samples: int = 30) -> MapperResult:
         """Run the combined GA+MCTS search (§6)."""
         engine = self._engine if self._engine is not None else (
             self._make_engine())
@@ -176,10 +154,9 @@ class TileFlowMapper:
                                  workload=self.workload.name,
                                  arch=self.arch.name):
                 explorer = GeneticExplorer(
-                    self.workload,
+                    self.workload, engine.tune_population,
                     population=population, mcts_samples=mcts_samples,
-                    seed=self.seed, tuner=engine.tune_population,
-                    reuse_elites=reuse_elites)
+                    seed=self.seed)
                 genome, factors, cost = explorer.run(generations)
                 tree = build_genome_tree(self.workload, self.arch, genome,
                                          factors)

@@ -38,7 +38,8 @@ DEFAULT_RUNS_ROOT = "runs"
 
 
 class LedgerError(Exception):
-    """A ledger directory or manifest is missing or malformed."""
+    """A ledger directory or manifest is missing, malformed or cannot be
+    written."""
 
 
 def build_manifest(*, run_id: str, command: str,
@@ -115,11 +116,18 @@ class RunLedger:
         os.makedirs(run_dir, exist_ok=True)
         path = os.path.join(run_dir, MANIFEST_NAME)
         tmp = path + ".tmp"
-        with open(tmp, "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True,
-                      allow_nan=False)
-            fh.write("\n")
-        os.replace(tmp, path)  # readers never see a half-written manifest
+        try:
+            with open(tmp, "w") as fh:
+                json.dump(manifest, fh, indent=2, sort_keys=True,
+                          allow_nan=False)
+                fh.write("\n")
+            os.replace(tmp, path)  # readers never see a half-written one
+        except OSError as exc:  # e.g. a full disk
+            try:
+                os.remove(tmp)
+            except OSError:
+                pass
+            raise LedgerError(f"cannot write {path}: {exc}") from exc
         return path
 
     # -- reading ---------------------------------------------------------

@@ -7,7 +7,9 @@ same point, bit for bit.  Three angles, over hypothesis-randomized
 genomes and cohorts:
 
 * **element-for-element equality** — each cohort member's batched cost
-  equals a fresh scalar engine's cost for the identical factor point;
+  equals a fresh scalar engine's cost for the identical factor point,
+  and every ``walkvol`` artifact the sweep published equals the scalar
+  engine's artifact under the same cache key;
 * **cohort-order invariance** — permuting the member order changes
   nothing (slice geometry and walk recursions are computed per lane in
   exact int64; lane order is just array layout);
@@ -70,6 +72,15 @@ def test_batched_costs_equal_scalar_element_for_element(seed, count):
         expected = scalar.cost_of(scalar.evaluate_genome(
             genome, evaluator.planner.point_at(member)))
         assert float(cost) == float(expected), member
+    if priced:
+        swept = engine.subtree_cache.store(engine._subtree_ns,
+                                           "walkvol").data
+        plain = scalar.subtree_cache.store(scalar._subtree_ns,
+                                           "walkvol").data
+        shared = [key for key in swept if key in plain]
+        assert shared
+        for key in shared:
+            assert swept[key] == plain[key], key
 
 
 @given(st.integers(0, 2 ** 31), st.integers(2, 16))

@@ -1,10 +1,14 @@
 """Property tests for the evaluation engine.
 
-Two contracts from docs/PERFORMANCE.md:
+Contracts from docs/PERFORMANCE.md:
 
 * **Prescreen soundness** — the cheap feasibility screen never rejects a
   mapping the full model would accept, over randomized genomes, factor
   points, and shrunk architectures.
+* **Search-path transparency** — with the prescreen on or off, the
+  engine's partial evaluation prices every mapping exactly as the
+  objective of a plain full evaluation, for both objectives and both
+  ``respect_memory`` settings.
 * **Configuration transparency** — memoization and worker pools are pure
   performance knobs: for a fixed seed, ``MapperResult.to_dict()`` is
   byte-identical with the cache on or off and with 1 or 2 workers.
@@ -24,12 +28,13 @@ from repro import arch
 from repro.analysis import TileFlowModel
 from repro.engine import EvaluationEngine, prescreen
 from repro.mapper import (INFEASIBLE, Genome, TileFlowMapper,
-                          build_genome_tree, genome_factor_space,
+                          build_genome_tree, edp_cost, genome_factor_space,
                           latency_cost)
 from repro.obs import events
 from repro.workloads import self_attention
 
 WL = self_attention(2, 32, 64, expand_softmax=False)
+OBJECTIVES = {"latency": latency_cost, "edp": edp_cost}
 
 #: Shrunk Edge variants that make both compute and memory rejections
 #: reachable (the stock Edge fits almost every random point).
@@ -57,19 +62,29 @@ def test_prescreen_never_rejects_a_feasible_mapping(seed, arch_index):
         assert latency_cost(result, True) == INFEASIBLE
 
 
-@given(st.integers(0, 2 ** 31))
+@pytest.mark.parametrize("respect_memory", [True, False])
+@pytest.mark.parametrize("objective", ["latency", "edp"])
+@given(seed=st.integers(0, 2 ** 31),
+       arch_index=st.integers(0, len(ARCHS) - 1))
 @settings(max_examples=25, deadline=None)
-def test_prescreen_is_invisible_to_the_search(seed):
-    """Engine cost is identical with the prescreen on or off."""
-    spec = ARCHS[3]
+def test_prescreen_is_invisible_to_the_search(objective, respect_memory,
+                                              seed, arch_index):
+    """Engine cost is identical with the prescreen on or off, and equals
+    the objective of a plain full evaluation: the search path's partial
+    evaluation never changes a cost."""
+    spec = ARCHS[arch_index]
     rng = random.Random(seed)
     genome = Genome.random(WL, rng)
     factors = genome_factor_space(WL, genome).random_point(rng)
-    screened = EvaluationEngine(WL, spec, prescreen=True)
-    unscreened = EvaluationEngine(WL, spec, prescreen=False)
-    assert (screened.cost_of(screened.evaluate_genome(genome, factors))
-            == unscreened.cost_of(unscreened.evaluate_genome(genome,
-                                                             factors)))
+    full = TileFlowModel(spec).evaluate(
+        build_genome_tree(WL, spec, genome, factors))
+    expected = OBJECTIVES[objective](full, respect_memory)
+    for screen in (True, False):
+        engine = EvaluationEngine(WL, spec, prescreen=screen,
+                                  objective=objective,
+                                  respect_memory=respect_memory)
+        assert engine.cost_of(engine.evaluate_genome(genome,
+                                                     factors)) == expected
 
 
 def _explore(seed, **mapper_kwargs):

@@ -6,7 +6,9 @@ pipeline:
 * ``tests/data/analysis_oracle.json`` — 58 ``EvaluationResult.to_dict()``
   payloads (every named attention/conv dataflow on Edge/Cloud plus 30
   random genome trees) frozen from the pre-refactor monolith.  The full
-  pipeline must reproduce the file **byte-for-byte**.  Regenerate after
+  pipeline must reproduce the file **byte-for-byte**, also through one
+  shared subtree cache and through a cold L1 in front of a warm disk
+  tier (L3).  Regenerate after
   an intentional model change with
   ``PYTHONPATH=src python tests/property/test_prop_pipeline.py``.
 * A hypothesis sweep comparing the pipeline against an *independent*
@@ -89,6 +91,8 @@ def test_frozen_oracle_byte_identity_incremental():
     All 58 entries run through a *single shared* subtree artifact cache,
     so later entries are served from artifacts cached by earlier ones —
     cache hits included, the serialized output must not move by a bit.
+    The same holds through a small cache that evicts, under both
+    eviction policies.
     """
     from repro.engine.cache import SubtreeArtifactCache
 
@@ -99,6 +103,41 @@ def test_frozen_oracle_byte_identity_incremental():
                          sort_keys=True, indent=1)
     assert cache.hits > 0  # the cache actually served artifacts
     assert current == frozen
+
+    # Under eviction pressure either L1 policy still reproduces it.
+    for policy in ("segmented", "insertion"):
+        small = SubtreeArtifactCache(256, policy=policy)
+        assert json.dumps(oracle_entries(artifact_cache=small),
+                          sort_keys=True, indent=1) == frozen
+        assert small.eviction_count > 0
+
+
+def test_frozen_oracle_byte_identity_through_l3(tmp_path):
+    """A cold L1 fronting a warm disk tier reproduces the frozen oracle.
+
+    One pass through an L3-backed cache seeds the disk store; a second
+    pass through a fresh L1 on the same directory is served from disk.
+    Both serialize byte-identically to the frozen file.
+    """
+    from repro.engine.cache import DiskArtifactStore, SubtreeArtifactCache
+
+    with open(ORACLE_PATH) as fh:
+        frozen = fh.read()
+    store_dir = str(tmp_path / "l3")
+    seed_cache = SubtreeArtifactCache()
+    seed_cache.attach_l3(DiskArtifactStore(store_dir))
+    seeded = json.dumps(oracle_entries(artifact_cache=seed_cache),
+                        sort_keys=True, indent=1)
+    seed_cache.flush_l3()
+
+    warm_cache = SubtreeArtifactCache()
+    warm_cache.attach_l3(DiskArtifactStore(store_dir))
+    warm = json.dumps(oracle_entries(artifact_cache=warm_cache),
+                      sort_keys=True, indent=1)
+    _l2_hits, l3_hits = warm_cache.tier_counts()
+    assert l3_hits > 0, "the disk tier served nothing"
+    assert seeded == frozen
+    assert warm == frozen
 
 
 # ----------------------------------------------------------------------

@@ -356,9 +356,11 @@ def test_cold_l1_warm_l3_is_byte_identical(tmp_path):
 
     # Cold run with an L3-backed engine; shutdown flushes the tiers.
     cache_dir = str(tmp_path / "cache")
+    genome = Genome.random(WL, random.Random(3))
     with EvaluationEngine(WL, SPEC, cache_dir=cache_dir) as cold:
         cold_out = [json.dumps(cold.evaluate_tree(t).to_dict(),
                                sort_keys=True) for t in trees]
+        champion = cold.tune_genome(genome, seed=7, samples=40)
     assert cold.stats.subtree_l3_hits == 0
 
     # Fresh process-equivalent: new engine, empty L1, same cache dir.
@@ -368,6 +370,16 @@ def test_cold_l1_warm_l3_is_byte_identical(tmp_path):
     assert warm.stats.subtree_l3_hits > 0, "L3 never consulted"
     assert cold_out == reference
     assert warm_out == reference
+
+    # A warm-started rerun of the cold tune finds the same champion, and
+    # the disk tier serves every L1 miss of a tiered kind.
+    with EvaluationEngine(WL, SPEC, cache_dir=cache_dir) as rerun:
+        assert rerun.tune_genome(genome, seed=7, samples=40) == champion
+    tiered_misses = sum(
+        misses for kind, (_, misses, _) in
+        rerun.subtree_cache.counts_by_kind().items() if kind in TIERED_KINDS)
+    assert tiered_misses > 0
+    assert rerun.stats.subtree_l3_hits == tiered_misses
 
 
 def test_cache_persist_off_leaves_disk_untouched(tmp_path):

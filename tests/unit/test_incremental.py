@@ -267,6 +267,14 @@ def test_engine_subtree_counters_track_the_cache():
     assert engine.stats.subtree_hits + engine.stats.subtree_misses == sum(
         engine.subtree_cache.counts())
 
+    # A second engine on the same cache re-runs a tune the first one
+    # already made: every subtree artifact is served, none recomputed.
+    champion = engine.tune_genome(genome, seed=7, samples=40)
+    rerun = EvaluationEngine(WL, SPEC, subtree_cache=engine.subtree_cache)
+    assert rerun.tune_genome(genome, seed=7, samples=40) == champion
+    assert rerun.stats.subtree_hits > 0
+    assert rerun.stats.subtree_misses == 0
+
     plain = EvaluationEngine(WL, SPEC, incremental=False)
     for point in points:
         plain.evaluate_genome(genome, point)

@@ -1,5 +1,6 @@
 """Unit tests for the run ledger, diff, Chrome export, and explain."""
 
+import errno
 import json
 
 import pytest
@@ -61,6 +62,21 @@ class TestLedger:
             ledger.record(_manifest("../escape", 1.0))
         with pytest.raises(ledger_mod.LedgerError):
             ledger.record(_manifest("", 1.0))
+
+    def test_full_disk_raises_ledger_error_and_leaves_nothing(
+            self, tmp_path, monkeypatch):
+        def full_disk(*args, **kwargs):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        ledger = ledger_mod.RunLedger(str(tmp_path / "runs"))
+        monkeypatch.setattr(ledger_mod.json, "dump", full_disk)
+        with pytest.raises(ledger_mod.LedgerError) as info:
+            ledger.record(_manifest("runA", 100.0))
+        assert info.value.__cause__.errno == errno.ENOSPC
+        run_dir = tmp_path / "runs" / "runA"
+        assert not (run_dir / "manifest.json.tmp").exists()
+        assert not (run_dir / "manifest.json").exists()
+        assert ledger.run_ids() == []
 
     def test_load_missing_run_lists_known(self, tmp_path):
         ledger = ledger_mod.RunLedger(str(tmp_path))

@@ -189,8 +189,8 @@ class TestGeneticExplorer:
     def test_survivor_bounds(self):
         wl = self_attention(2, 64, 64, expand_softmax=False)
         with pytest.raises(ValueError):
-            GeneticExplorer(wl, lambda g, f: 1.0, population=4,
-                            survivors=9)
+            GeneticExplorer(wl, lambda genomes, seeds, samples: [],
+                            population=4, survivors=9)
 
 
 class TestMapperResult:
