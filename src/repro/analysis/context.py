@@ -246,7 +246,7 @@ class AnalysisContext:
             return None
         value = store.data.get(key)
         if value is None:
-            # Counts the L1 miss, then falls through to the L2/L3 tiers
+            # Counts the L1 miss, then falls through to the L3 tier
             # for tiered kinds (tier hits re-enter L1 and return here).
             return store.miss_through(key)
         store.touch(key)

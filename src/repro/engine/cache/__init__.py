@@ -1,13 +1,11 @@
 """Tiered subtree artifact store.
 
 The persistent half of the incremental evaluation layer, split across
-three tiers (each its own module, composed by
+two tiers (each its own module, composed by
 :class:`~repro.engine.cache.l1.SubtreeArtifactCache`):
 
 * :mod:`~repro.engine.cache.l1` — in-process bounded dicts with
   segmented (probationary/protected) eviction; the lock-free hot path.
-* :mod:`~repro.engine.cache.l2` — cross-process mmap-backed shared
-  store consulted on L1 miss by ``tune_population`` pool workers.
 * :mod:`~repro.engine.cache.l3` — disk-backed schema-versioned shards
   keyed by namespace fingerprints; warm-starts reruns.
 
@@ -18,17 +16,14 @@ public surface (``LRUCache``, ``KindStore``, ``SubtreeArtifactCache``,
 
 from .l1 import (DEFAULT_SUBTREE_CACHE_SIZE, TIERED_KINDS, KindStore,
                  LRUCache, SubtreeArtifactCache)
-from .l2 import DEFAULT_L2_BYTES, SharedArtifactStore
 from .l3 import L3_SCHEMA, DiskArtifactStore
 
 __all__ = [
     "DEFAULT_SUBTREE_CACHE_SIZE",
-    "DEFAULT_L2_BYTES",
     "L3_SCHEMA",
     "TIERED_KINDS",
     "LRUCache",
     "KindStore",
     "SubtreeArtifactCache",
-    "SharedArtifactStore",
     "DiskArtifactStore",
 ]

@@ -25,17 +25,13 @@ old insertion-order policy evicted them to make room for.
 ``policy="insertion"`` keeps that old policy as the comparison point
 of the eviction tests.
 
-The cache optionally fronts two lower tiers (attached, not owned):
+The cache optionally fronts a disk-backed lower tier, L3 (attached, not
+owned): :class:`~repro.engine.cache.l3.DiskArtifactStore` is consulted
+on L1 miss and written back by :meth:`flush_l3`, so reruns warm-start.
+``tune_population`` pool workers each run on their own L1 and share
+nothing.
 
-* **L2** — a cross-process shared read-mostly store
-  (:class:`~repro.engine.cache.l2.SharedArtifactStore`) consulted on L1
-  miss so ``tune_population`` pool workers stop recomputing subtrees
-  their siblings already analysed.
-* **L3** — disk-backed persistence
-  (:class:`~repro.engine.cache.l3.DiskArtifactStore`) consulted after
-  L2, and written back by :meth:`flush_l3`, so reruns warm-start.
-
-Only :data:`TIERED_KINDS` travel through L2/L3: ``slices`` values hold
+Only :data:`TIERED_KINDS` travel through L3: ``slices`` values hold
 ``(leaf, access)`` object pairs referencing live trees, so they stay
 L1-only.  Tier-served values re-enter L1 through the normal insert path
 (probationary) and are byte-identical to fresh computation — they are
@@ -111,8 +107,8 @@ class LRUCache:
 DEFAULT_SUBTREE_CACHE_SIZE = 8192
 
 #: Artifact kinds whose values are picklable pure data (exact ints,
-#: strings, float tuples) and therefore safe to serve from the L2/L3
-#: tiers byte-identically.  ``slices`` is deliberately absent: its
+#: strings, float tuples) and therefore safe to serve from the L3 tier
+#: byte-identically.  ``slices`` is deliberately absent: its
 #: values carry ``(leaf, access)`` object pairs into live trees.
 TIERED_KINDS = frozenset({"walkvol", "groupflows", "num_pe", "valid", "cov"})
 
@@ -125,7 +121,7 @@ class KindStore:
     <repro.analysis.context.AnalysisContext.shared_store>`) and probe it
     with ``store.data.get(key)`` directly, recording outcomes through
     :meth:`touch` (hit: counts and promotes probation → protected) /
-    :meth:`miss_through` (miss: counts, then consults the L2/L3 tiers);
+    :meth:`miss_through` (miss: counts, then consults the L3 tier);
     :meth:`put` goes through the owner to maintain the cache-wide entry
     bound.  The bare :meth:`hit` / :meth:`miss` counter bumps remain for
     callers that track keys themselves.  ``None`` is not a storable
@@ -146,7 +142,7 @@ class KindStore:
 
     __slots__ = ("data", "probation", "kind", "namespace",
                  "hits", "misses", "evictions",
-                 "l2_hits", "l3_hits", "lock", "_owner")
+                 "l3_hits", "lock", "_owner")
 
     def __init__(self, owner: "SubtreeArtifactCache", kind: str = "",
                  namespace: str = ""):
@@ -160,10 +156,9 @@ class KindStore:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        #: L1 misses served by the shared / disk tier (subset of
-        #: ``misses`` — a tier hit still counts as an L1 miss, so the
-        #: existing ``hits + misses == probe count`` invariants hold).
-        self.l2_hits = 0
+        #: L1 misses served by the disk tier (subset of ``misses`` — a
+        #: tier hit still counts as an L1 miss, so the existing
+        #: ``hits + misses == probe count`` invariants hold).
         self.l3_hits = 0
         self.lock = threading.Lock()
         self._owner = owner
@@ -186,46 +181,27 @@ class KindStore:
                 self.probation.pop(key, None)
 
     def miss_through(self, key: Hashable) -> Optional[Any]:
-        """Record a miss on ``key``, then consult the lower tiers.
+        """Record a miss on ``key``, then consult the L3 tier.
 
         Returns the tier-served value (re-admitted into L1) or ``None``
         when no tier holds it.  Kinds outside :data:`TIERED_KINDS` never
-        reach the tiers.
+        reach the tier.
         """
         with self.lock:
             self.misses += 1
         owner = self._owner
-        if self.kind not in TIERED_KINDS:
+        if owner.l3 is None or self.kind not in TIERED_KINDS:
             return None
-        l2 = owner.l2
-        if l2 is not None:
-            value = l2.get(self.namespace, self.kind, key)
-            if value is not None:
-                with self.lock:
-                    self.l2_hits += 1
-                owner._admit(self, key, value)
-                return value
-        if owner.l3 is not None:
-            value = owner._l3_lookup(self.namespace, self.kind, key)
-            if value is not None:
-                with self.lock:
-                    self.l3_hits += 1
-                owner._admit(self, key, value)
-                if l2 is not None:
-                    l2.put(self.namespace, self.kind, key, value)
-                return value
-        return None
+        value = owner._l3_lookup(self.namespace, self.kind, key)
+        if value is not None:
+            with self.lock:
+                self.l3_hits += 1
+            owner._admit(self, key, value)
+        return value
 
     def put(self, key: Hashable, value: Any) -> None:
-        """Insert a freshly computed value (L1 + the shared L2 tier)."""
-        owner = self._owner
-        if value is None:
-            return
-        if owner.maxsize > 0:
-            owner._admit(self, key, value)
-        l2 = owner.l2
-        if l2 is not None and self.kind in TIERED_KINDS:
-            l2.put(self.namespace, self.kind, key, value)
+        """Insert a freshly computed value into L1."""
+        self._owner._admit(self, key, value)
 
 
 class SubtreeArtifactCache:
@@ -249,7 +225,7 @@ class SubtreeArtifactCache:
     aggregate properties feed ``engine.subtree_hits`` /
     ``engine.subtree_misses``.  Tier hits are counted *in addition to*
     the L1 miss that triggered them, so ``hits + misses`` still equals
-    the probe count and ``l2_hits + l3_hits <= misses``.
+    the probe count and ``l3_hits <= misses``.
     """
 
     def __init__(self, maxsize: int = DEFAULT_SUBTREE_CACHE_SIZE,
@@ -270,18 +246,13 @@ class SubtreeArtifactCache:
         #: immutable by contract.
         self.lock = threading.Lock()
         self._stores: Dict[Tuple[str, str], KindStore] = {}
-        #: Attached lower tiers (may be None; see attach_l2 / attach_l3).
-        self.l2 = None
+        #: Attached disk tier (may be None; see attach_l3).
         self.l3 = None
         #: Lazily loaded on-disk shards, one dict per (namespace, kind).
         self._l3_entries: Dict[Tuple[str, str], Dict[Hashable, Any]] = {}
         self._l3_lock = threading.Lock()
 
     # -- tier attachment -------------------------------------------------
-
-    def attach_l2(self, l2) -> None:
-        """Front the cache with a cross-process shared store."""
-        self.l2 = l2
 
     def attach_l3(self, l3) -> None:
         """Front the cache with a disk-persistent store."""
@@ -433,16 +404,10 @@ class SubtreeArtifactCache:
             misses += s.misses
         return hits, misses
 
-    def tier_counts(self, namespace: Optional[str] = None
-                    ) -> Tuple[int, int]:
-        """(l2_hits, l3_hits) — snapshot/diff pairs, as :meth:`counts`."""
-        l2 = l3 = 0
-        for (ns, _kind), s in list(self._stores.items()):
-            if namespace is not None and ns != namespace:
-                continue
-            l2 += s.l2_hits
-            l3 += s.l3_hits
-        return l2, l3
+    def tier_counts(self, namespace: Optional[str] = None) -> int:
+        """L3 hits — a snapshot/diff count, scoped as :meth:`counts`."""
+        return sum(s.l3_hits for (ns, _kind), s in list(self._stores.items())
+                   if namespace is None or ns == namespace)
 
     def evictions_by_kind(self) -> Dict[str, int]:
         """Eviction totals attributed per artifact kind (all namespaces)."""
@@ -466,14 +431,13 @@ class SubtreeArtifactCache:
         return out
 
     def tier_counts_by_kind(self, namespace: Optional[str] = None
-                            ) -> Dict[str, Tuple[int, int]]:
-        """``kind -> (l2_hits, l3_hits)``, as :meth:`counts_by_kind`."""
-        out: Dict[str, Tuple[int, int]] = {}
+                            ) -> Dict[str, int]:
+        """``kind -> l3_hits``, as :meth:`counts_by_kind`."""
+        out: Dict[str, int] = {}
         for (ns, kind), s in list(self._stores.items()):
             if namespace is not None and ns != namespace:
                 continue
-            l2, l3 = out.get(kind, (0, 0))
-            out[kind] = (l2 + s.l2_hits, l3 + s.l3_hits)
+            out[kind] = out.get(kind, 0) + s.l3_hits
         return out
 
     def stats(self) -> Dict[str, Any]:
@@ -486,16 +450,13 @@ class SubtreeArtifactCache:
             by_misses[kind] = by_misses.get(kind, 0) + s.misses
             probationary += len(s.probation)
             protected += len(s.data) - len(s.probation)
-        l2_hits, l3_hits = self.tier_counts()
         out = {"hits": self.hits, "misses": self.misses,
                "entries": len(self), "evictions": self.evictions,
                "policy": self.policy,
                "probationary": probationary, "protected": protected,
-               "l2_hits": l2_hits, "l3_hits": l3_hits,
+               "l3_hits": self.tier_counts(),
                "hits_by_kind": by_hits, "misses_by_kind": by_misses,
                "evictions_by_kind": self.evictions_by_kind()}
-        if self.l2 is not None:
-            out["l2"] = self.l2.stats()
         if self.l3 is not None:
             out["l3"] = {"root": str(self.l3.root)}
         return out
@@ -536,6 +497,5 @@ class SubtreeArtifactCache:
                     s.hits = 0
                     s.misses = 0
                     s.evictions = 0
-                    s.l2_hits = 0
                     s.l3_hits = 0
             self.eviction_count = 0

@@ -45,7 +45,7 @@ from ..mapper.mcts import MCTSTuner
 from ..obs import events
 from ..tile.tree import AnalysisTree
 from .cache import (DEFAULT_SUBTREE_CACHE_SIZE, DiskArtifactStore, LRUCache,
-                    SharedArtifactStore, SubtreeArtifactCache)
+                    SubtreeArtifactCache)
 from .prescreen import prescreen, rejected_result
 from .signature import (arch_fingerprint, cache_namespace, digest,
                         mapping_signature, template_signature,
@@ -94,10 +94,12 @@ class EngineStats:
     #: Entries dropped from the subtree artifact cache to honour its
     #: bound (per-kind attribution lives on the cache itself).
     subtree_evictions: int = 0
-    #: Subtree L1 misses served by the cross-process shared store (L2)
-    #: or the disk-persistent store (L3).  Subsets of
-    #: ``subtree_misses`` — a tier hit is still an L1 miss.
+    #: Always 0: there is no shared L2 tier any more, but perfbench
+    #: still reads this key (ROADMAP: dropped with the next benchmark
+    #: change).
     subtree_l2_hits: int = 0
+    #: Subtree L1 misses served by the disk-persistent store (L3).  A
+    #: subset of ``subtree_misses`` — a tier hit is still an L1 miss.
     subtree_l3_hits: int = 0
     #: Energy passes skipped for EDP-objective candidates already known
     #: infeasible.
@@ -231,9 +233,6 @@ class EvaluationEngine:
             self._owns_subtree_cache = self.subtree_cache is not None
             if self._owns_subtree_cache and cache_dir:
                 self.subtree_cache.attach_l3(DiskArtifactStore(cache_dir))
-        #: Cross-process shared tier, created lazily with the worker
-        #: pool (there is nothing to share before workers exist).
-        self._l2: Optional[SharedArtifactStore] = None
         self._base = (workload_fingerprint(workload), arch_fingerprint(arch),
                       model_eviction, model_rmw)
         #: This engine's slice of a (possibly shared) subtree cache —
@@ -312,7 +311,7 @@ class EvaluationEngine:
         subtree = self.subtree_cache
         ns = self._subtree_ns
         before = subtree.counts(ns) if subtree is not None else (0, 0)
-        before_tier = subtree.tier_counts(ns) if subtree is not None else (0, 0)
+        before_l3 = subtree.tier_counts(ns) if subtree is not None else 0
         before_ev = subtree.eviction_count if subtree is not None else 0
         before_kinds = (subtree.counts_by_kind(ns)
                         if emitting and subtree is not None else None)
@@ -368,11 +367,9 @@ class EvaluationEngine:
             if subtree.eviction_count > before_ev:
                 self._bump("subtree_evictions",
                            subtree.eviction_count - before_ev)
-            l2_hits, l3_hits = subtree.tier_counts(ns)
-            if l2_hits > before_tier[0]:
-                self._bump("subtree_l2_hits", l2_hits - before_tier[0])
-            if l3_hits > before_tier[1]:
-                self._bump("subtree_l3_hits", l3_hits - before_tier[1])
+            l3_hits = subtree.tier_counts(ns)
+            if l3_hits > before_l3:
+                self._bump("subtree_l3_hits", l3_hits - before_l3)
             if before_kinds is not None:
                 after_kinds = subtree.counts_by_kind(ns)
                 for kind in sorted(after_kinds):
@@ -520,29 +517,9 @@ class EvaluationEngine:
             futures = [pool.submit(_worker_tune, genome, seed, samples,
                                    collect)
                        for genome, seed in zip(genomes, seeds)]
-            out: List[Tuple[Cost, Dict[str, int]]] = []
-            for future in futures:
-                (cost, factors, delta, evict_kinds, elapsed,
-                 records) = future.result()
-                if records:
-                    # Replaying in submission order makes the parent's
-                    # event stream deterministic for any worker count.
-                    events.record(records)
-                self.stats.merge(delta)
-                for name, n in delta.items():
-                    obs.count(f"engine.{name}", n)
-                for kind, n in evict_kinds.items():
-                    obs.count(f"engine.subtree_evictions.{kind}", n)
-                # Worker-side ``genome_cost`` calls count one cache
-                # lookup each; replay them into the mapper's counter,
-                # which the workers' private obs registries never ship.
-                obs.count("mapper.evaluations",
-                          delta.get("cache_hits", 0)
-                          + delta.get("cache_misses", 0))
-                self._bump("parallel_tasks")
-                obs.observe("engine.task_seconds", elapsed)
-                out.append((cost, factors))
-            return out
+            # The whole batch returns before any of it is applied, so a
+            # batch that falls back below is counted exactly once.
+            returned = [future.result() for future in futures]
         except Exception:
             # Broken pool (killed worker, unpicklable payload, ...):
             # disable parallelism and redo the whole batch serially —
@@ -550,6 +527,26 @@ class EvaluationEngine:
             self._teardown_pool(broken=True)
             return [self.tune_genome(g, s, samples)
                     for g, s in zip(genomes, seeds)]
+        out: List[Tuple[Cost, Dict[str, int]]] = []
+        for cost, factors, delta, evict_kinds, elapsed, records in returned:
+            if records:
+                # Replaying in submission order makes the parent's event
+                # stream deterministic for any worker count.
+                events.record(records)
+            self.stats.merge(delta)
+            for name, n in delta.items():
+                obs.count(f"engine.{name}", n)
+            for kind, n in evict_kinds.items():
+                obs.count(f"engine.subtree_evictions.{kind}", n)
+            # Worker-side ``genome_cost`` calls count one cache lookup
+            # each; replay them into the mapper's counter, which the
+            # workers' private obs registries never ship.
+            obs.count("mapper.evaluations",
+                      delta.get("cache_hits", 0) + delta.get("cache_misses", 0))
+            self._bump("parallel_tasks")
+            obs.observe("engine.task_seconds", elapsed)
+            out.append((cost, factors))
+        return out
 
     # -- process pool ----------------------------------------------------
     def _ensure_pool(self):
@@ -563,26 +560,10 @@ class EvaluationEngine:
                 context = multiprocessing.get_context("fork")
             except ValueError:  # pragma: no cover - non-POSIX platforms
                 context = multiprocessing.get_context()
-            # Stand up the cross-process shared tier (L2) alongside the
-            # pool: workers publish freshly computed subtree artifacts
-            # there and consult it on L1 miss, so N workers stop
-            # rediscovering the same subtrees N times.  The parent
-            # engine attaches too — post-search champion evaluations
-            # reuse worker-discovered artifacts.
-            l2_path = None
-            if self.subtree_cache is not None and self._l2 is None:
-                try:
-                    self._l2 = SharedArtifactStore.create()
-                except OSError:  # pragma: no cover - no usable tmpdir
-                    self._l2 = None
-                if self._l2 is not None:
-                    self.subtree_cache.attach_l2(self._l2)
-            if self._l2 is not None:
-                l2_path = self._l2.path
             self._pool = ProcessPoolExecutor(
                 max_workers=self.workers, mp_context=context,
                 initializer=_worker_init,
-                initargs=(self.workload, self.arch, self.config(), l2_path))
+                initargs=(self.workload, self.arch, self.config()))
             obs.gauge("engine.workers", self.workers)
         except Exception:  # pragma: no cover - platform-dependent
             self._pool_broken = True
@@ -596,25 +577,18 @@ class EvaluationEngine:
             pool.shutdown(wait=False, cancel_futures=True)
 
     def shutdown(self) -> None:
-        """Release the worker pool and run-scoped cache tiers.
+        """Release the worker pool and flush the disk tier.
 
         Idempotent; the engine stays usable (a later ``tune_population``
-        simply stands the pool and L2 back up).  When the engine owns
-        its subtree cache, tiered artifacts are flushed to the L3 disk
-        store here (unless constructed with ``cache_persist=False``).
+        simply stands the pool back up).  When the engine owns its
+        subtree cache, tiered artifacts are flushed to the L3 disk store
+        here (unless constructed with ``cache_persist=False``).
         """
         self._teardown_pool()
         cache = self.subtree_cache
-        if cache is not None:
-            if self._l2 is not None:
-                # The shared log dies with the run; detach before
-                # unlinking so later probes don't read a closed mmap.
-                cache.attach_l2(None)
-                self._l2.unlink()
-                self._l2 = None
-            if (self._owns_subtree_cache and self._cache_persist
-                    and cache.l3 is not None):
-                cache.flush_l3()
+        if (cache is not None and self._owns_subtree_cache
+                and self._cache_persist and cache.l3 is not None):
+            cache.flush_l3()
 
     def __enter__(self) -> "EvaluationEngine":
         return self
@@ -633,16 +607,9 @@ _WORKER_ENGINE: Optional[EvaluationEngine] = None
 
 
 def _worker_init(workload: Workload, arch: Architecture,
-                 config: Dict[str, object],
-                 l2_path: Optional[str] = None) -> None:
+                 config: Dict[str, object]) -> None:
     global _WORKER_ENGINE
     _WORKER_ENGINE = EvaluationEngine(workload, arch, workers=1, **config)
-    if l2_path is not None and _WORKER_ENGINE.subtree_cache is not None:
-        try:
-            _WORKER_ENGINE.subtree_cache.attach_l2(
-                SharedArtifactStore.attach(l2_path))
-        except (OSError, ValueError):  # pragma: no cover - racing unlink
-            pass
 
 
 def _worker_tune(genome: Genome, seed: int, samples: int,

@@ -64,17 +64,12 @@ def _kind_delta(after: Dict[str, tuple], before: Dict[str, tuple]
     return out
 
 
-def _tier_delta(after: Dict[str, tuple], before: Dict[str, tuple]
+def _tier_delta(after: Dict[str, int], before: Dict[str, int]
                 ) -> Dict[str, Dict[str, int]]:
-    """Per-kind (l2_hits, l3_hits) movement between two tier snapshots —
-    which artifact kinds the shared/disk tiers actually served."""
-    out: Dict[str, Dict[str, int]] = {}
-    for kind in sorted(after):
-        l2, l3 = after[kind]
-        b2, b3 = before.get(kind, (0, 0))
-        if l2 > b2 or l3 > b3:
-            out[kind] = {"l2_hits": l2 - b2, "l3_hits": l3 - b3}
-    return out
+    """Per-kind l3_hits movement between two tier snapshots — which
+    artifact kinds the disk tier actually served."""
+    return {kind: {"l3_hits": after[kind] - before.get(kind, 0)}
+            for kind in sorted(after) if after[kind] > before.get(kind, 0)}
 
 
 def explain_tree(tree: AnalysisTree, arch: Architecture, *,
@@ -165,9 +160,9 @@ def explain_tree(tree: AnalysisTree, arch: Architecture, *,
             "context_memo_hits": context_memo_hits,
             "cold": rounds["cold"]["subtree_by_kind"],
             "warm": rounds["warm"]["subtree_by_kind"],
-            # Which kinds the shared (L2) / disk (L3) tiers served —
-            # empty unless the engine has tiers attached (e.g. a warm
-            # --cache-dir): tier hits mean "not recomputed, loaded".
+            # Which kinds the disk (L3) tier served — empty unless the
+            # engine has one attached (e.g. a warm --cache-dir): tier
+            # hits mean "not recomputed, loaded".
             "tiers": {
                 "cold": rounds["cold"]["tiers_by_kind"],
                 "warm": rounds["warm"]["tiers_by_kind"],
@@ -282,9 +277,8 @@ def render_explain(report: Dict[str, Any]) -> str:
         c = (tiers.get("cold") or {}).get(kind, {})
         w = (tiers.get("warm") or {}).get(kind, {})
         lines.append(
-            f"{kind:10s} tier-served: cold L2={c.get('l2_hits', 0)} "
-            f"L3={c.get('l3_hits', 0)}, warm L2={w.get('l2_hits', 0)} "
-            f"L3={w.get('l3_hits', 0)}")
+            f"{kind:10s} tier-served: cold L3={c.get('l3_hits', 0)}, "
+            f"warm L3={w.get('l3_hits', 0)}")
     lines.append(f"context-memo repeat lookups absorbed : "
                  f"{prov['context_memo_hits']}")
     batched = report.get("batched") or {}

@@ -123,9 +123,8 @@ def incremental_effectiveness(metrics: Optional[Mapping[str, Mapping[str,
         "subtree_hit_rate": hits / lookups if lookups else 0.0,
         "edp_energy_skipped": skipped,
         "subtree_evictions": evictions,
-        # L1 misses served by the shared (L2) / disk (L3) tiers of the
-        # artifact store; zero when no tiers are attached.
-        "subtree_l2_hits": value("engine.subtree_l2_hits"),
+        # L1 misses served by the disk (L3) tier of the artifact store;
+        # zero when no tier is attached.
         "subtree_l3_hits": value("engine.subtree_l3_hits"),
         # Batched cohort sweeps: candidates priced by the array-native
         # kernels (committed / attempted) and members bounced back to
@@ -221,12 +220,10 @@ def render_profile(spans: Sequence[SpanRecord],
             f"({inc['subtree_hits']:g} of "
             f"{inc['subtree_hits'] + inc['subtree_misses']:g} lookups "
             f"served from the cross-evaluation cache)")
-        if inc.get("subtree_l2_hits") or inc.get("subtree_l3_hits"):
+        if inc.get("subtree_l3_hits"):
             lines.append(
                 f"{'misses served by cache tiers':40s} "
-                f"{inc['subtree_l2_hits'] + inc['subtree_l3_hits']:>12g}"
-                f"  (L2 shared={inc['subtree_l2_hits']:g}, "
-                f"L3 disk={inc['subtree_l3_hits']:g})")
+                f"{inc['subtree_l3_hits']:>12g}  (L3 disk)")
         if inc["edp_energy_skipped"]:
             lines.append(
                 f"{'energy passes skipped (EDP objective)':40s} "

@@ -436,12 +436,11 @@ class EvaluationService:
                          "batch_fallbacks")
         }
         cache = self.subtree_cache
-        l2_hits, l3_hits = cache.tier_counts()
         tier_kinds = cache.tier_counts_by_kind()
         tiers: Dict[str, Any] = {
             "policy": cache.policy,
-            "l2": {"attached": cache.l2 is not None, "hits": l2_hits},
-            "l3": {"attached": cache.l3 is not None, "hits": l3_hits},
+            "l3": {"attached": cache.l3 is not None,
+                   "hits": cache.tier_counts()},
         }
         if cache.l3 is not None:
             tiers["l3"]["root"] = str(cache.l3.root)
@@ -464,10 +463,8 @@ class EvaluationService:
                 "tiers": tiers,
                 "by_kind": {kind: dict(
                     {"hits": h, "misses": m, "evictions": e},
-                    **({"l2_hits": tier_kinds[kind][0],
-                        "l3_hits": tier_kinds[kind][1]}
-                       if kind in tier_kinds
-                       and any(tier_kinds[kind]) else {}))
+                    **({"l3_hits": tier_kinds[kind]}
+                       if tier_kinds.get(kind) else {}))
                             for kind, (h, m, e)
                             in sorted(cache.counts_by_kind().items())},
             },

@@ -134,8 +134,7 @@ def test_frozen_oracle_byte_identity_through_l3(tmp_path):
     warm_cache.attach_l3(DiskArtifactStore(store_dir))
     warm = json.dumps(oracle_entries(artifact_cache=warm_cache),
                       sort_keys=True, indent=1)
-    _l2_hits, l3_hits = warm_cache.tier_counts()
-    assert l3_hits > 0, "the disk tier served nothing"
+    assert warm_cache.tier_counts() > 0, "the disk tier served nothing"
     assert seeded == frozen
     assert warm == frozen
 

@@ -8,15 +8,14 @@ Covers the contracts the tiering leans on:
   (and protected-kind evictions below) the old insertion-order policy.
 * **Counter lifecycle** — ``clear()`` drops entries but keeps lifetime
   counters (documented semantics); ``reset_counters()`` zeroes them;
-  multi-threaded hammering leaves every per-tier counter exact.
-* **L2** (cross-process mmap log) — round trip, first-writer-wins
-  dedup, full-log refusal, attach-by-path, exact value round trips.
+  multi-threaded hammering leaves the L3 tier counters exact.
 * **L3** (disk shards) — flush/load/merge, schema/namespace-mismatch
   and corrupt-file invalidation reading as a cold cache, purge
   selectors.
 * **Engine integration** — a cold L1 backed by a warm L3 serves tier
   hits and reproduces results byte-identically; `tune_population`
-  workers share artifacts through L2 without changing champions.
+  workers run on private L1s, attach no shared tier, and reproduce the
+  serial champions.
 """
 
 import json
@@ -29,8 +28,8 @@ import pytest
 from repro import arch as arch_mod
 from repro.analysis import TileFlowModel
 from repro.engine import EvaluationEngine
-from repro.engine.cache import (DiskArtifactStore, SharedArtifactStore,
-                                SubtreeArtifactCache, TIERED_KINDS)
+from repro.engine.cache import (DiskArtifactStore, SubtreeArtifactCache,
+                                TIERED_KINDS)
 from repro.engine.cache.l3 import L3_SCHEMA
 from repro.mapper import Genome, build_genome_tree, genome_factor_space
 from repro.workloads import self_attention
@@ -157,11 +156,11 @@ def test_clear_keeps_counters_reset_counters_zeroes_them():
 
     cache.reset_counters()
     assert (s.hits, s.misses, s.evictions) == (0, 0, 0)
-    assert (s.l2_hits, s.l3_hits) == (0, 0)
+    assert s.l3_hits == 0
     assert cache.eviction_count == 0
     # entries (none here) would have survived: reset is counters-only.
     assert cache.counts() == (0, 0)
-    assert cache.tier_counts() == (0, 0)
+    assert cache.tier_counts() == 0
 
 
 def test_multithread_hammer_keeps_tier_counters_exact(tmp_path):
@@ -201,65 +200,8 @@ def test_multithread_hammer_keeps_tier_counters_exact(tmp_path):
 
     assert store.hits + store.misses == threads * per_thread
     assert store.l3_hits == sum(tier_served)
-    assert store.l2_hits == 0
     assert 0 < store.l3_hits <= store.misses
-    assert cache.tier_counts(NS) == (0, store.l3_hits)
-
-
-# ----------------------------------------------------------------------
-# L2: cross-process shared log
-# ----------------------------------------------------------------------
-def test_l2_roundtrip_dedup_and_attach(tmp_path):
-    l2 = SharedArtifactStore.create(size=1 << 18, dir=str(tmp_path))
-    key = ("sig", (4, 4), "walk")
-    assert l2.put(NS, "walkvol", key, 123456789)
-    assert not l2.put(NS, "walkvol", key, 0), "duplicate keys must dedup"
-    assert l2.get(NS, "walkvol", key) == 123456789
-    assert l2.get(NS, "walkvol", "absent") is None
-    assert l2.get("other-ns", "walkvol", key) is None
-
-    peer = SharedArtifactStore.attach(l2.path)
-    assert peer.get(NS, "walkvol", key) == 123456789
-    assert not peer.put(NS, "walkvol", key, 0)
-    assert peer.put(NS, "groupflows", "k2", (1.5, 2.5))
-    # The creator sees the peer's append through the shared mapping.
-    assert l2.get(NS, "groupflows", "k2") == (1.5, 2.5)
-    assert len(l2) == 2
-    peer.close()
-    l2.unlink()
-
-
-def test_l2_values_roundtrip_exactly(tmp_path):
-    l2 = SharedArtifactStore.create(size=1 << 18, dir=str(tmp_path))
-    exact_int = 3**200  # far beyond float precision
-    floats = (0.1 + 0.2, 1e-300, -0.0)
-    l2.put(NS, "walkvol", "i", exact_int)
-    l2.put(NS, "groupflows", "f", floats)
-    assert l2.get(NS, "walkvol", "i") == exact_int
-    got = l2.get(NS, "groupflows", "f")
-    assert [f.hex() for f in got] == [f.hex() for f in floats]
-    l2.unlink()
-
-
-def test_l2_full_log_refuses_appends(tmp_path):
-    l2 = SharedArtifactStore.create(size=256, dir=str(tmp_path))
-    wrote = 0
-    for i in range(64):
-        if l2.put(NS, "walkvol", ("pad", i), i):
-            wrote += 1
-    assert 0 < wrote < 64
-    assert l2.full
-    assert l2.dropped > 0
-    # Existing entries stay readable after the log fills.
-    assert l2.get(NS, "walkvol", ("pad", 0)) == 0
-    l2.unlink()
-
-
-def test_l2_attach_rejects_non_stores(tmp_path):
-    bogus = tmp_path / "not-a-store.bin"
-    bogus.write_bytes(b"\x00" * 64)
-    with pytest.raises(ValueError):
-        SharedArtifactStore.attach(str(bogus))
+    assert cache.tier_counts(NS) == store.l3_hits
 
 
 # ----------------------------------------------------------------------
@@ -277,6 +219,14 @@ def test_l3_flush_load_merge(tmp_path):
     stats = l3.stats()
     assert stats["total_entries"] == 5
     assert len(stats["namespaces"]) == 2
+    # A cache flushes only its tiered kinds: slices values reference
+    # live trees (unpicklable) and stay L1-only.
+    cache = SubtreeArtifactCache(1024)
+    cache.attach_l3(DiskArtifactStore(str(tmp_path / "front")))
+    cache.store(NS, "slices").put("fp", object())
+    cache.store(NS, "walkvol").put("k", 7)
+    assert "slices" not in TIERED_KINDS
+    assert cache.flush_l3() == {"walkvol": 1}
 
 
 def test_l3_schema_and_namespace_mismatch_read_cold(tmp_path):
@@ -392,7 +342,7 @@ def test_cache_persist_off_leaves_disk_untouched(tmp_path):
     assert DiskArtifactStore(cache_dir).stats()["namespaces"] == []
 
 
-def test_workers_share_l2_and_champions_match():
+def test_workers_match_serial_champions_without_shared_tier():
     rng = random.Random(5)
     genomes = [Genome.random(WL, rng) for _ in range(4)]
     seeds = [100 + i for i in range(len(genomes))]
@@ -402,22 +352,12 @@ def test_workers_share_l2_and_champions_match():
 
     with EvaluationEngine(WL, SPEC, workers=2) as parallel:
         got = parallel.tune_population(genomes, seeds, samples=6)
-        l2 = parallel._l2
-        if parallel.stats.parallel_tasks:  # pool actually stood up
-            assert l2 is not None
-            assert l2.stats()["entries"] > 0, \
-                "workers never published artifacts to L2"
+        assert parallel.stats.parallel_tasks == len(genomes)
+        # Workers tune on private L1s: nothing reaches the parent's
+        # cache, and it fronts no tier but the (absent) disk one.
+        assert not hasattr(parallel.subtree_cache, "l2")
+        assert parallel.subtree_cache.l3 is None
+        assert len(parallel.subtree_cache) == 0
+        assert parallel.stats.subtree_l2_hits == 0
     assert got == expected
 
-
-def test_only_tiered_kinds_reach_l2(tmp_path):
-    l2 = SharedArtifactStore.create(size=1 << 18, dir=str(tmp_path))
-    cache = SubtreeArtifactCache(1024)
-    cache.attach_l2(l2)
-    cache.store(NS, "slices").put("fp", object())  # unpicklable, L1-only
-    cache.store(NS, "walkvol").put("k", 7)
-    assert l2.get(NS, "walkvol", "k") == 7
-    assert l2.get(NS, "slices", "fp") is None
-    assert len(l2) == 1
-    assert "slices" not in TIERED_KINDS
-    l2.unlink()

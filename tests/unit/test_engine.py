@@ -1,9 +1,14 @@
 """Unit tests for the evaluation engine: signatures, cache, prescreen."""
 
+import functools
+import os
+import random
+
 import pytest
 
 from repro import arch
 from repro.analysis import TileFlowModel
+from repro.engine import core
 from repro.engine import (DEFAULT_CACHE_SIZE, EngineStats, EvaluationEngine,
                           LRUCache, arch_fingerprint, compute_demand, digest,
                           factors_fingerprint, genome_fingerprint,
@@ -12,6 +17,7 @@ from repro.engine import (DEFAULT_CACHE_SIZE, EngineStats, EvaluationEngine,
                           workload_fingerprint)
 from repro.mapper import (INFEASIBLE, Genome, build_genome_tree,
                           genome_factor_space, latency_cost)
+from repro.obs import events
 from repro.obs.report import engine_effectiveness, render_profile
 from repro.tile import Binding
 from repro.workloads import self_attention
@@ -214,6 +220,49 @@ class TestEvaluationEngine:
         with pytest.raises(ValueError):
             EvaluationEngine(wl, spec).tune_population(
                 [Genome.fully_fused(wl)], [1, 2], samples=3)
+
+    def test_killed_worker_falls_back_to_the_serial_outcome(
+            self, wl, spec, monkeypatch):
+        """A pool worker dying mid-generation leaves no trace: the batch
+        is redone serially and results, stats and events equal a serial
+        engine's, counted once; later calls stay serial."""
+        rng = random.Random(3)
+        genomes = [Genome.random(wl, rng) for _ in range(6)]
+        seeds = [40 + i for i in range(len(genomes))]
+        parent, doomed = os.getpid(), seeds[-1]
+        original = core._worker_tune
+
+        # Forked workers resolve the task by name, which wraps keeps.
+        @functools.wraps(original)
+        def dying(genome, seed, samples, collect_events=False):
+            if seed == doomed and os.getpid() != parent:
+                os._exit(1)
+            return original(genome, seed, samples, collect_events)
+
+        monkeypatch.setattr(core, "_worker_tune", dying)
+
+        def run(workers):
+            sink = events.RingSink(capacity=None)
+            events.enable(sinks=[sink])
+            try:
+                with EvaluationEngine(wl, spec, workers=workers) as engine:
+                    first = engine.tune_population(genomes, seeds, 4)
+                    broken = engine._pool_broken
+                    again = engine.tune_population(genomes, seeds, 4)
+                    assert engine._pool is None
+                    stats = engine.stats.to_dict()
+            finally:
+                events.disable()
+            stream = [(e.seq, e.kind, e.payload) for e in sink.events]
+            return first, again, broken, stats, stream
+
+        s_first, s_again, _, s_stats, s_stream = run(1)
+        p_first, p_again, broken, p_stats, p_stream = run(2)
+        assert broken, "the pool never broke"
+        assert p_first == s_first and p_again == s_again
+        assert p_stats == s_stats
+        assert p_stats["parallel_tasks"] == 0
+        assert p_stream == s_stream
 
     def test_unknown_objective_rejected(self, wl, spec):
         with pytest.raises(ValueError):
