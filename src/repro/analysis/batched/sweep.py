@@ -45,8 +45,8 @@ Counter parity: the hook bumps ``mapper.evaluations`` (and
 ``mapper.infeasible``) exactly when it covers the requested point —
 i.e. exactly where the scalar path would have called
 ``engine.genome_cost`` — so mapper-level counters are identical between
-scalar and batched runs.  Engine ``cache_misses``/``evaluations``
-legitimately drop (covered points never reach the engine memo); the
+scalar and batched runs.  Engine ``evaluations``/``prescreen_rejects``
+legitimately drop (covered points never reach the engine); the
 new ``batched_evaluations``/``batch_fill``/``batch_fallbacks`` stats
 carry the attribution.
 """

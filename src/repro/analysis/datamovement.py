@@ -25,33 +25,21 @@ inter-tile rules (§5.1.2):
 The result records per-level fill/read/update word counts (the paper's
 Fig. 10d breakdown) and per-node load/store totals for the latency model.
 
-When the context carries a shared artifact cache, two layers cache the
-expensive arithmetic across evaluations:
-
-* **Projected-walk volumes** — the boundary recursion over one (tensor,
-  walk) pair is keyed by the walk *projected onto the dims the access
-  actually reads* (:meth:`DataMovementAnalysis._projected_walk`): loops
-  over dims an access does not reference displace its slice only
-  through inner wrap-around, which is itself zero unless a referenced
-  loop sits inside — so maximal runs of irrelevant loops collapse to
-  their trip product (an exact transformation of the integer boundary
-  recursion).  A mapper move on tiling factors of dim ``m`` therefore
-  leaves the cached volumes of tensors indexed only by ``h``/``l``/``k``
-  valid — not just in untouched sibling subtrees, but along the mutated
-  path itself.  The recursion results are integers, so serving them from
-  cache and re-applying the float spatial multiplier is byte-identical
-  to a from-scratch run.
-* **Group flows** — a child of the tree root has exactly one ancestor,
-  so the complete data-movement output of its subtree (per-node fills,
-  updates, and ordered traffic contributions) is pinned by one cheap
-  key: the subtree's structural fingerprint plus the root's level,
-  loops, and per-tensor eviction/home bits
-  (:meth:`DataMovementAnalysis._group_key`).  Search moves that leave a
-  whole top-level group's configuration unchanged — the common case in
-  MCTS factor tuning, where samples revisit per-group configurations far
-  more often than whole-tree ones — replay the group's flows without
-  touching a single walk.  Replay preserves the pre-order float
-  accumulation order, keeping cached and uncached runs byte-identical.
+When the context carries a shared artifact cache, the expensive
+arithmetic is cached across evaluations as **projected-walk volumes**:
+the boundary recursion over one (tensor, walk) pair is keyed by the
+walk *projected onto the dims the access actually reads*
+(:meth:`DataMovementAnalysis._projected_walk`): loops over dims an
+access does not reference displace its slice only through inner
+wrap-around, which is itself zero unless a referenced loop sits inside
+— so maximal runs of irrelevant loops collapse to their trip product
+(an exact transformation of the integer boundary recursion).  A mapper
+move on tiling factors of dim ``m`` therefore leaves the cached volumes
+of tensors indexed only by ``h``/``l``/``k`` valid — not just in
+untouched sibling subtrees, but along the mutated path itself.  The
+recursion results are integers, so serving them from cache and
+re-applying the float spatial multiplier is byte-identical to a
+from-scratch run.
 """
 
 from __future__ import annotations
@@ -148,79 +136,20 @@ class DataMovementAnalysis:
     def run(self) -> DataMovementResult:
         traffic: Dict[int, LevelTraffic] = {
             i: LevelTraffic() for i in range(self.arch.num_levels)}
-        node_flows: Dict[int, NodeFlows] = {}
-
-        def apply(node: TileNode, flows: NodeFlows, contribs) -> None:
-            # Apply the node's per-level contributions in their original
-            # (pre-order) position: float accumulation order is part of
-            # the byte-identity contract between cached and uncached runs.
-            for level, direction, tensor_name, words in contribs:
-                traffic[level].add(direction, tensor_name, words)
-            node_flows[id(node)] = flows
-
-        root = self.tree.root
-        flows, contribs = self._analyze_node(root)
-        apply(root, flows, contribs)
-        store = (self.ctx.shared_store("groupflows")
-                 if self.ctx.artifact_cache is not None else None)
-        for group in root.children_nodes():
-            key = None if store is None else self._group_key(group)
-            entry = None if store is None else store.data.get(key)
-            if entry is not None:
-                store.touch(key)
-            elif store is not None:
-                entry = store.miss_through(key)
-            if entry is None:
-                fresh = []
-                for node in group.walk():
-                    flows, contribs = self._analyze_node(node)
-                    apply(node, flows, contribs)
-                    fresh.append((flows.fills, flows.updates, contribs))
-                if store is not None:
-                    store.put(key, tuple(fresh))
-            else:
-                for node, (fills, updates, contribs) in zip(group.walk(),
-                                                            entry):
-                    # Cached dicts are shared read-only across runs (all
-                    # NodeFlows consumers only read); residency always
-                    # equals the node's (fingerprint-cached) slices.
-                    flows = NodeFlows(
-                        node=node, fills=fills, updates=updates,
-                        staged_words=self.ctx.node_slices(node).staged_words)
-                    apply(node, flows, contribs)
+        # Pre-order: float accumulation order is part of the
+        # byte-identity contract.
+        node_flows = {id(node): self._analyze_node(node, traffic)
+                      for node in self.tree.root.walk()}
         self._add_compute_accesses(traffic)
         return DataMovementResult(traffic=traffic, node_flows=node_flows)
 
-    def _group_key(self, group: TileNode) -> Tuple:
-        """Cache key for the flows of one whole child-of-root subtree.
-
-        A child of the root has exactly one ancestor, so everything its
-        subtree's walks can see outside the subtree itself is: the fill
-        source level, the root's loops (walked, or folded into spatial
-        multipliers), and — per tensor the subtree stages — whether the
-        root Seq-evicts it between iterations and whether the root is
-        its home (LCA truncation).  The subtree fingerprint pins the
-        rest.  One tuple per *group* per evaluation keeps the key cost
-        negligible, unlike a per-node environment fingerprint.
-        """
-        root = self.tree.root
-        bits: List[str] = []
-        for tensor_name in self.ctx.node_slices(group).tensors:
-            evicted = (self.model_eviction
-                       and self._evicted_at(root, group, tensor_name))
-            home_is_root = self.ctx.home(tensor_name) is root
-            bits.append(tensor_name + ("e" if evicted else ".")
-                        + ("h" if home_is_root else "."))
-        return (self.ctx.fingerprint(group), root.level,
-                ",".join(repr(lp) for lp in root.loops), ";".join(bits))
-
-    def _analyze_node(self, node: TileNode
-                      ) -> Tuple[NodeFlows, List[Tuple[int, str, str, float]]]:
-        """One node's flows plus its ordered per-level traffic adds."""
+    def _analyze_node(self, node: TileNode,
+                      traffic: Dict[int, LevelTraffic]) -> NodeFlows:
+        """One node's flows; its traffic is added to ``traffic``."""
         flows = NodeFlows(node=node)
-        contribs: List[Tuple[int, str, str, float]] = []
         source_level = (node.parent.level if node.parent is not None
                         else self.arch.dram_index)
+        target, source = traffic[node.level], traffic[source_level]
         slices = self.ctx.node_slices(node)
         # Residency equals the slice geometry verbatim; the dict is
         # shared read-only (NodeSlices instances may be cache entries).
@@ -244,15 +173,15 @@ class DataMovementAnalysis:
                 words = self._walk_volume(extents, access, walk)
                 flows.fills[tensor_name] = (
                     flows.fills.get(tensor_name, 0.0) + words)
-                contribs.append((node.level, "fill", tensor_name, words))
-                contribs.append((source_level, "read", tensor_name, words))
+                target.add("fill", tensor_name, words)
+                source.add("read", tensor_name, words)
             if writer_pairs:
                 leaf, access = writer_pairs[0]
                 walk = self._build_walk(node, tensor_name, access, home)
                 words = self._walk_volume(extents, access, walk)
                 flows.updates[tensor_name] = (
                     flows.updates.get(tensor_name, 0.0) + words)
-                contribs.append((source_level, "update", tensor_name, words))
+                source.add("update", tensor_name, words)
                 # Read-modify-write: any update traffic beyond the
                 # reduction-free ideal is a partial sum written back early
                 # (an outer reduction loop displaced the slice), and each
@@ -263,9 +192,9 @@ class DataMovementAnalysis:
                 if rmw > 0:
                     flows.fills[tensor_name] = (
                         flows.fills.get(tensor_name, 0.0) + rmw)
-                    contribs.append((node.level, "fill", tensor_name, rmw))
-                    contribs.append((source_level, "read", tensor_name, rmw))
-        return flows, contribs
+                    target.add("fill", tensor_name, rmw)
+                    source.add("read", tensor_name, rmw)
+        return flows
 
     def _ideal_update_volume(self, extents, access, walk: "_Walk",
                              reduction_dims) -> float:

@@ -448,8 +448,7 @@ def cmd_client(args) -> int:
                f"{cache.get('entries')} entries")
         for name, engine in sorted(stats.get("engines", {}).items()):
             w.emit(f"engine {name}: " + " ".join(
-                f"{k}={engine[k]}" for k in ("evaluations", "cache_hits",
-                                             "subtree_hits")
+                f"{k}={engine[k]}" for k in ("evaluations", "subtree_hits")
                 if k in engine))
         w.emit_json(stats)
         return 0

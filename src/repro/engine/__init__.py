@@ -1,4 +1,4 @@
-"""Evaluation engine: memoized, pre-screened, parallel mapping evaluation.
+"""Evaluation engine: pre-screened, incremental, parallel mapping evaluation.
 
 The engine sits between the mapper's search loops (GA + MCTS,
 ``tune_template``) and the analytical model.  See
@@ -6,9 +6,8 @@ The engine sits between the mapper's search loops (GA + MCTS,
 determinism contract, and guidance on picking ``--workers``.
 """
 
-from .cache import (DEFAULT_SUBTREE_CACHE_SIZE, LRUCache,
-                    SubtreeArtifactCache)
-from .core import DEFAULT_CACHE_SIZE, EngineStats, EvaluationEngine
+from .cache import DEFAULT_SUBTREE_CACHE_SIZE, SubtreeArtifactCache
+from .core import EngineStats, EvaluationEngine
 from .prescreen import (PRESCREEN_TAG, compute_demand, is_prescreened,
                         prescreen, rejected_result)
 from .signature import (arch_fingerprint, cache_namespace, digest,
@@ -18,8 +17,8 @@ from .signature import (arch_fingerprint, cache_namespace, digest,
                         workload_digest, workload_fingerprint)
 
 __all__ = [
-    "EvaluationEngine", "EngineStats", "DEFAULT_CACHE_SIZE",
-    "LRUCache", "SubtreeArtifactCache", "DEFAULT_SUBTREE_CACHE_SIZE",
+    "EvaluationEngine", "EngineStats",
+    "SubtreeArtifactCache", "DEFAULT_SUBTREE_CACHE_SIZE",
     "prescreen", "compute_demand", "rejected_result", "is_prescreened",
     "PRESCREEN_TAG",
     "mapping_signature", "template_signature", "workload_fingerprint",

@@ -10,19 +10,18 @@ two tiers (each its own module, composed by
   keyed by namespace fingerprints; warm-starts reruns.
 
 This package replaces the former flat ``engine/cache.py`` module; the
-public surface (``LRUCache``, ``KindStore``, ``SubtreeArtifactCache``,
-``DEFAULT_SUBTREE_CACHE_SIZE``) is unchanged and re-exported here.
+public surface (``KindStore``, ``SubtreeArtifactCache``,
+``DEFAULT_SUBTREE_CACHE_SIZE``) is re-exported here.
 """
 
 from .l1 import (DEFAULT_SUBTREE_CACHE_SIZE, TIERED_KINDS, KindStore,
-                 LRUCache, SubtreeArtifactCache)
+                 SubtreeArtifactCache)
 from .l3 import L3_SCHEMA, DiskArtifactStore
 
 __all__ = [
     "DEFAULT_SUBTREE_CACHE_SIZE",
     "L3_SCHEMA",
     "TIERED_KINDS",
-    "LRUCache",
     "KindStore",
     "SubtreeArtifactCache",
     "DiskArtifactStore",

@@ -1,10 +1,5 @@
 """L1 of the tiered subtree artifact store: in-process bounded dicts.
 
-:class:`LRUCache` is a thin :class:`collections.OrderedDict` wrapper with
-move-to-end-on-hit semantics and a hard entry bound.  ``maxsize <= 0``
-disables the cache entirely (every ``get`` misses, ``put`` is a no-op) so
-callers can switch memoization off without branching at every call site.
-
 :class:`SubtreeArtifactCache` holds per-*subtree* analysis artifacts
 (slice geometry, NumPE demands, boundary-recursion volumes, validation
 verdicts) that survive across ``evaluate()`` calls — the persistent half
@@ -19,7 +14,7 @@ Eviction is *segmented* (probationary/protected, an SLRU variant): every
 insert lands in a store's probationary segment, a re-hit (reported via
 :meth:`KindStore.touch`) promotes the entry to protected, and the victim
 search drains probationary entries across all stores before it touches
-protected ones.  High-reuse artifact kinds (``walkvol``, ``groupflows``)
+protected ones.  High-reuse artifact kinds (``walkvol``, ``num_pe``)
 therefore survive pressure from churny one-shot slice geometry, which the
 old insertion-order policy evicted them to make room for.
 ``policy="insertion"`` keeps that old policy as the comparison point
@@ -41,7 +36,6 @@ exact ints/strings or floats pickled round-trip, never re-derived.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from typing import Any, Dict, Hashable, Optional, Tuple
 
 from ... import obs
@@ -49,56 +43,9 @@ from ... import obs
 __all__ = [
     "DEFAULT_SUBTREE_CACHE_SIZE",
     "TIERED_KINDS",
-    "LRUCache",
     "KindStore",
     "SubtreeArtifactCache",
 ]
-
-
-class LRUCache:
-    """Least-recently-used mapping with a fixed capacity."""
-
-    def __init__(self, maxsize: int = 4096):
-        self.maxsize = int(maxsize)
-        self._data: "OrderedDict[Hashable, Any]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    @property
-    def enabled(self) -> bool:
-        return self.maxsize > 0
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def __contains__(self, key: Hashable) -> bool:
-        return key in self._data
-
-    def get(self, key: Hashable) -> Optional[Any]:
-        """The cached value, refreshed as most-recently-used; None on miss."""
-        if not self.enabled:
-            self.misses += 1
-            return None
-        value = self._data.get(key)
-        if value is None:
-            self.misses += 1
-            return None
-        self._data.move_to_end(key)
-        self.hits += 1
-        return value
-
-    def put(self, key: Hashable, value: Any) -> None:
-        if not self.enabled or value is None:
-            return
-        self._data[key] = value
-        self._data.move_to_end(key)
-        while len(self._data) > self.maxsize:
-            self._data.popitem(last=False)
-            self.evictions += 1
-
-    def clear(self) -> None:
-        self._data.clear()
 
 
 #: Default bound for the subtree artifact cache.  Entries are small
@@ -110,7 +57,7 @@ DEFAULT_SUBTREE_CACHE_SIZE = 8192
 #: strings, float tuples) and therefore safe to serve from the L3 tier
 #: byte-identically.  ``slices`` is deliberately absent: its
 #: values carry ``(leaf, access)`` object pairs into live trees.
-TIERED_KINDS = frozenset({"walkvol", "groupflows", "num_pe", "valid", "cov"})
+TIERED_KINDS = frozenset({"walkvol", "num_pe", "valid", "cov"})
 
 
 class KindStore:
@@ -209,7 +156,7 @@ class SubtreeArtifactCache:
 
     Entries live in per-``(namespace, kind)`` :class:`KindStore` dicts:
     ``kind`` names the artifact family (``"slices"``, ``"num_pe"``,
-    ``"walkvol"``, ``"groupflows"``, ``"valid"``, ``"cov"``) and the
+    ``"walkvol"``, ``"valid"``, ``"cov"``) and the
     namespace pins the workload/architecture/model-flag combination
     (:func:`~repro.analysis.fingerprint.cache_namespace`).  Keys within
     a store are structural subtree fingerprints (or fingerprint-derived

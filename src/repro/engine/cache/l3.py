@@ -10,7 +10,7 @@ Layout under the cache dir::
     <root>/v1/<sha256(namespace)[:20]>/
         meta.json        # {"schema": 1, "namespace": "<full ns string>"}
         walkvol.pkl      # {"schema": 1, "namespace": ..., "kind": ...,
-        groupflows.pkl   #  "entries": {key: value, ...}}
+        num_pe.pkl       #  "entries": {key: value, ...}}
         ...
 
 Invalidation is structural, not temporal: the namespace string embeds

@@ -1,22 +1,21 @@
-"""The evaluation engine: memoized, pre-screened, parallel mapping evaluation.
+"""The evaluation engine: pre-screened, incremental, parallel evaluation.
 
 :class:`EvaluationEngine` sits between the mapper's search loops and
 :class:`~repro.analysis.model.TileFlowModel`.  Every complete mapping
-(genome + tiling factors, or template + tiling factors) is reduced to a
-canonical signature (:mod:`repro.engine.signature`) backing a bounded LRU
-cache of :class:`~repro.analysis.metrics.EvaluationResult`s, so repeated
-points — across MCTS samples, GA generations, and ``tune_template``
-calls sharing one engine — are never analysed twice.  Cache misses first
-pass the cheap feasibility pre-screen (:mod:`repro.engine.prescreen`);
-only candidates it cannot reject pay for the full five-stage analysis.
+(genome + tiling factors, template + tiling factors, or a pre-built
+tree) takes one path: build the tree, open an analysis context, run the
+cheap feasibility pre-screen (:mod:`repro.engine.prescreen`) unless a
+full result is required, then run the whole five-stage analysis.
+Repeated points need no engine-level memo: the MCTS tuner already
+dedups the points of each tune.
 
-Below the whole-mapping memo sits the *incremental* layer: a persistent
+The *incremental* layer makes that one path cheap: a persistent
 :class:`~repro.engine.cache.SubtreeArtifactCache` keyed by structural
 subtree fingerprints (:mod:`repro.engine.signature`).  A mapper move
 perturbs one subtree, so the next evaluation reuses every untouched
-sibling's slice geometry and data-movement flows from earlier
-candidates and only recomputes the mutated path to the root —
-byte-identical results, structurally less work per candidate.
+sibling's slice geometry and walk volumes from earlier candidates and
+only recomputes the mutated path to the root — byte-identical results,
+structurally less work per candidate.
 
 ``workers > 1`` adds process-level parallelism for GA populations: each
 genome's MCTS factor tune is an independent task (the per-genome seeds
@@ -44,7 +43,7 @@ from ..mapper.encoding import (Genome, build_genome_tree,
 from ..mapper.mcts import MCTSTuner
 from ..obs import events
 from ..tile.tree import AnalysisTree
-from .cache import (DEFAULT_SUBTREE_CACHE_SIZE, DiskArtifactStore, LRUCache,
+from .cache import (DEFAULT_SUBTREE_CACHE_SIZE, DiskArtifactStore,
                     SubtreeArtifactCache)
 from .prescreen import prescreen, rejected_result
 from .signature import (arch_fingerprint, cache_namespace, digest,
@@ -52,9 +51,6 @@ from .signature import (arch_fingerprint, cache_namespace, digest,
                         workload_fingerprint)
 
 TemplateFn = Callable[..., AnalysisTree]
-
-#: Default memo-cache bound (entries, not bytes; results are small).
-DEFAULT_CACHE_SIZE = 4096
 
 #: Bound on the per-engine genome -> CohortEvaluator registry.
 _COHORT_REGISTRY_SIZE = 64
@@ -79,13 +75,17 @@ _OBJECTIVES: Dict[str, Callable[[EvaluationResult, bool], Cost]] = {
 class EngineStats:
     """Aggregate engine effectiveness counters (serial + worker merged)."""
 
+    #: Always 0: there is no whole-mapping memo any more, but
+    #: perfbench still reads these keys (ROADMAP: dropped with the next
+    #: benchmark change).
     cache_hits: int = 0
     cache_misses: int = 0
     evaluations: int = 0
     prescreen_rejects: int = 0
     parallel_tasks: int = 0
-    #: Evaluations that stopped at the resource pass (violations found
-    #: before latency/energy ran; partial-evaluation fast path).
+    #: Always 0: there is no partial evaluation any more, but perfbench
+    #: still reads this key (ROADMAP: dropped with the next benchmark
+    #: change).
     early_exits: int = 0
     #: Subtree artifact cache lookups served from / missing in the
     #: persistent cross-evaluation store (incremental analysis layer).
@@ -101,9 +101,6 @@ class EngineStats:
     #: Subtree L1 misses served by the disk-persistent store (L3).  A
     #: subset of ``subtree_misses`` — a tier hit is still an L1 miss.
     subtree_l3_hits: int = 0
-    #: Energy passes skipped for EDP-objective candidates already known
-    #: infeasible.
-    edp_energy_skipped: int = 0
     #: Candidates priced by the batched cohort layer (array-native
     #: structure-class sweeps; each would otherwise be a scalar walk).
     batched_evaluations: int = 0
@@ -121,21 +118,14 @@ class EngineStats:
         for name, n in delta.items():
             setattr(self, name, getattr(self, name) + int(n))
 
-    @property
-    def hit_rate(self) -> float:
-        lookups = self.cache_hits + self.cache_misses
-        return self.cache_hits / lookups if lookups else 0.0
-
 
 class EvaluationEngine:
     """Evaluates mappings for one (workload, architecture) pair.
 
-    Search-path evaluations are partial: an infeasible candidate stops
-    at the resource pass (``respect_memory`` only — with memory
-    violations tolerated, latency is still needed), and passes the
-    objective never reads (energy, for the latency objective) are
-    skipped.  Champion lookups (``full=True``) run the whole pipeline.
-    Costs are identical to a full evaluation (property-tested).
+    Every evaluation runs the whole pipeline; only the pre-screen may
+    stand in for it, with a placeholder result for a candidate it
+    proves infeasible.  Champion lookups (``full=True``) bypass the
+    pre-screen.  Costs are identical either way (property-tested).
 
     Parameters
     ----------
@@ -147,8 +137,6 @@ class EvaluationEngine:
     workers:
         Process-pool width for :meth:`tune_population`.  ``1`` (default)
         keeps everything in-process.
-    cache_size:
-        Entry bound of the whole-mapping memo; ``0`` disables it.
     prescreen:
         Run the cheap feasibility screen before full evaluations.
     model_eviction, model_rmw:
@@ -192,7 +180,6 @@ class EvaluationEngine:
 
     def __init__(self, workload: Workload, arch: Architecture, *,
                  respect_memory: bool = True, workers: int = 1,
-                 cache_size: int = DEFAULT_CACHE_SIZE,
                  prescreen: bool = True,
                  model_eviction: bool = True,
                  model_rmw: bool = True, objective: str = "latency",
@@ -210,13 +197,9 @@ class EvaluationEngine:
         self.workers = max(1, int(workers))
         self.prescreen_enabled = prescreen
         self.objective = objective
-        # The latency objective never reads energy; EDP needs both.
-        self._until = "latency" if objective == "latency" else None
         self.model = TileFlowModel(arch, model_eviction=model_eviction,
                                    model_rmw=model_rmw)
         self.stats = EngineStats()
-        self._cache = LRUCache(cache_size)
-        self._cache_size = cache_size
         self._incremental = incremental
         self._subtree_cache_size = subtree_cache_size
         #: Persistent cross-evaluation subtree artifact store (None when
@@ -261,7 +244,6 @@ class EvaluationEngine:
         """Picklable kwargs reproducing this engine (minus workers)."""
         return {
             "respect_memory": self.respect_memory,
-            "cache_size": self._cache_size,
             "prescreen": self.prescreen_enabled,
             "model_eviction": self.model.model_eviction,
             "model_rmw": self.model.model_rmw,
@@ -280,28 +262,15 @@ class EvaluationEngine:
         setattr(self.stats, name, getattr(self.stats, name) + n)
         obs.count(f"engine.{name}", n)
 
-    # -- memoized evaluation ---------------------------------------------
-    def _evaluate_key(self, key, tree_of: Callable[[], AnalysisTree],
-                      full: bool = False,
-                      memo: bool = True) -> EvaluationResult:
-        # Event payloads (signature digests, per-kind snapshots) are only
-        # built when the bus is live — the disabled path pays one module
-        # read per evaluation.
-        emitting = events.is_enabled()
-        key_digest = digest(key) if emitting else ""
-        if memo:
-            cached = self._cache.get(key)
-            if cached is not None and not (full and cached.partial):
-                self._bump("cache_hits")
-                if emitting:
-                    events.emit("engine.memo", outcome="hit",
-                                mapping=key_digest, full=bool(full))
-                return cached
-            self._bump("cache_misses")
-            if emitting:
-                events.emit("engine.memo", outcome="miss",
-                            mapping=key_digest, full=bool(full))
-        tree = tree_of()
+    # -- evaluation --------------------------------------------------------
+    def _evaluate(self, tree: AnalysisTree, signature: Callable[[], object],
+                  full: bool = False) -> EvaluationResult:
+        """The one evaluation path: context, pre-screen, full analysis.
+
+        ``signature`` produces the mapping's canonical signature; it is
+        only called when the event bus is live, to digest a pre-screen
+        rejection.
+        """
         # One context serves the screen and the evaluation: the screen's
         # validation and slice geometry are reused when the pipeline
         # resumes for the full run.  The persistent subtree cache makes
@@ -313,51 +282,26 @@ class EvaluationEngine:
         before = subtree.counts(ns) if subtree is not None else (0, 0)
         before_l3 = subtree.tier_counts(ns) if subtree is not None else 0
         before_ev = subtree.eviction_count if subtree is not None else 0
+        # Event payloads are only built when the bus is live — the
+        # disabled path pays one module read per evaluation.
+        emitting = events.is_enabled()
         before_kinds = (subtree.counts_by_kind(ns)
                         if emitting and subtree is not None else None)
         ctx = self.model.context(tree, artifact_cache=subtree)
-        result: Optional[EvaluationResult] = None
-        if self.prescreen_enabled and not full:
-            violations = prescreen(tree, self.arch,
-                                   check_memory=self.respect_memory,
-                                   context=ctx)
-            if violations:
-                self._bump("prescreen_rejects")
-                if emitting:
-                    events.emit(
-                        "prescreen.reject", mapping=key_digest,
-                        codes=list(ctx.get("bound_violation_codes") or ()))
-                result = rejected_result(tree, self.arch, violations)
-        if result is None:
+        violations = (prescreen(tree, self.arch,
+                                check_memory=self.respect_memory,
+                                context=ctx)
+                      if self.prescreen_enabled and not full else None)
+        if violations:
+            self._bump("prescreen_rejects")
+            if emitting:
+                events.emit(
+                    "prescreen.reject", mapping=digest(signature()),
+                    codes=list(ctx.get("bound_violation_codes") or ()))
+            result = rejected_result(tree, self.arch, violations)
+        else:
             self._bump("evaluations")
-            if full:
-                result = self.model.evaluate(tree, context=ctx)
-            elif self.objective == "edp" and not self.respect_memory:
-                # EDP with violations tolerated: memory-violating
-                # candidates still need latency *and* energy, but
-                # compute violations are hard rejections — probe up to
-                # latency first and only pay for the energy pass when
-                # the candidate can still score.
-                result = self.model.evaluate(tree, context=ctx,
-                                             until="latency")
-                if any(v.startswith("compute") for v in result.violations):
-                    self._bump("edp_energy_skipped")
-                else:
-                    result = self.model.evaluate(tree, context=ctx)
-            else:
-                # Early-exit on violations only when the cost function
-                # treats them as rejections; with respect_memory=False
-                # it still needs the latency of memory-violating
-                # mappings (compute violations are exactly caught by
-                # the pre-screen's NumPE bound above).
-                result = self.model.evaluate(
-                    tree, context=ctx, until=self._until,
-                    stop_on_violation=self.respect_memory)
-                if result.partial and result.violations:
-                    self._bump("early_exits")
-                    if (self.objective == "edp"
-                            and "energy" not in result.completed_passes):
-                        self._bump("edp_energy_skipped")
+            result = self.model.evaluate(tree, context=ctx)
         if subtree is not None:
             hits, misses = subtree.counts(ns)
             if hits > before[0]:
@@ -379,28 +323,25 @@ class EvaluationEngine:
                         events.emit("engine.subtree", kind=kind,
                                     hits=h - bh, misses=m - bm,
                                     evictions=e - be)
-        if memo:
-            self._cache.put(key, result)
         return result
 
     def evaluate_genome(self, genome: Genome,
                         factors: Mapping[str, int],
                         full: bool = False) -> EvaluationResult:
-        """Memoized evaluation of one genome mapping.
+        """Evaluation of one genome mapping.
 
         ``full=True`` guarantees a completely analysed result (champion
-        reporting): pre-screen short-circuits are bypassed and any cached
-        placeholder is replaced by a real evaluation.
+        reporting): the pre-screen is bypassed.
         """
-        key = mapping_signature(self._base, genome, factors)
-        return self._evaluate_key(
-            key, lambda: build_genome_tree(self.workload, self.arch,
-                                           genome, factors), full=full)
+        tree = build_genome_tree(self.workload, self.arch, genome, factors)
+        return self._evaluate(
+            tree, lambda: mapping_signature(self._base, genome, factors),
+            full=full)
 
     def mapping_digest(self, genome: Genome,
                        factors: Mapping[str, int]) -> str:
-        """Stable hex digest of one genome mapping's memo signature —
-        the run ledger's champion identity."""
+        """Stable hex digest of one genome mapping's canonical signature
+        — the run ledger's champion identity."""
         return digest(mapping_signature(self._base, genome, factors))
 
     def genome_cost(self, genome: Genome,
@@ -425,29 +366,26 @@ class EvaluationEngine:
     def evaluate_template(self, template: TemplateFn,
                           factors: Mapping[str, int],
                           full: bool = False) -> EvaluationResult:
-        """Memoized evaluation of a named-dataflow template point."""
-        key = template_signature(self._base, self._template_token(template),
-                                 factors)
-        return self._evaluate_key(
-            key, lambda: template(self.workload, self.arch, dict(factors)),
+        """Evaluation of a named-dataflow template point."""
+        token = self._template_token(template)
+        tree = template(self.workload, self.arch, dict(factors))
+        return self._evaluate(
+            tree, lambda: template_signature(self._base, token, factors),
             full=full)
 
     # -- pre-built trees -------------------------------------------------
     def evaluate_tree(self, tree: AnalysisTree,
                       full: bool = True) -> EvaluationResult:
-        """One full evaluation of a pre-built tree through the
-        incremental layer, bypassing the whole-mapping memo.
+        """One evaluation of a pre-built tree through the incremental
+        layer.
 
         This is the evaluation service's ``evaluate``/``sweep`` job
-        path: every job pays for a real pipeline run (so repeated jobs
-        measure true evaluation latency), while subtree artifacts flow
-        through the shared :class:`SubtreeArtifactCache` — a repeated
-        job is served almost entirely from warm artifacts.  Subtree
-        hit/miss counters and ``engine.subtree`` events are maintained
-        exactly as on the memoized paths.
+        path: every job pays for a real pipeline run, while subtree
+        artifacts flow through the shared :class:`SubtreeArtifactCache`
+        — a repeated job is served almost entirely from warm artifacts.
         """
-        key = (self._base, "tree", tree.name)
-        return self._evaluate_key(key, lambda: tree, full=full, memo=False)
+        return self._evaluate(tree, lambda: (self._base, "tree", tree.name),
+                              full=full)
 
     @property
     def namespace_digest(self) -> str:
@@ -538,11 +476,13 @@ class EvaluationEngine:
                 obs.count(f"engine.{name}", n)
             for kind, n in evict_kinds.items():
                 obs.count(f"engine.subtree_evictions.{kind}", n)
-            # Worker-side ``genome_cost`` calls count one cache lookup
-            # each; replay them into the mapper's counter, which the
-            # workers' private obs registries never ship.
+            # Worker-side ``genome_cost`` calls each end in one full
+            # evaluation or one pre-screen rejection; replay them into
+            # the mapper's counter, which the workers' private obs
+            # registries never ship.
             obs.count("mapper.evaluations",
-                      delta.get("cache_hits", 0) + delta.get("cache_misses", 0))
+                      delta.get("evaluations", 0)
+                      + delta.get("prescreen_rejects", 0))
             self._bump("parallel_tasks")
             obs.observe("engine.task_seconds", elapsed)
             out.append((cost, factors))

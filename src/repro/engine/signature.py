@@ -7,9 +7,9 @@ factor dicts, set iteration order, and object identity all wash out — so
 equal mappings always produce equal keys, across GA generations, MCTS
 samples, and worker processes.
 
-The tuple form (:func:`mapping_signature`) is what the in-memory LRU
-cache keys on; :func:`digest` renders any signature as a short stable
-hex string for logs and tests.
+:func:`digest` renders a signature (:func:`mapping_signature`) as a
+short stable hex string: the run ledger's champion identity and the
+``prescreen.reject`` event's ``mapping`` field.
 
 The *structural subtree* fingerprints backing the incremental
 evaluation layer (:class:`~repro.engine.cache.SubtreeArtifactCache`

@@ -44,8 +44,8 @@ def factor_tuning_trace(shape_name: str = "Bert-S",
     arch = arch or edge()
     workload = attention_from_shape(ATTENTION_SHAPES[shape_name])
     traces = ExplorationTraces()
-    # One engine for the whole sweep: the signature scheme keeps the
-    # templates' cache entries apart while sharing one memo budget.
+    # One engine for the whole sweep: the templates share its subtree
+    # cache.
     engine = EvaluationEngine(workload, arch, respect_memory=False)
     for name in dataflows or ("layerwise", "unipipe", "flat_hgran",
                               "flat_rgran", "chimera", "tileflow"):

@@ -13,7 +13,7 @@ never regresses.
 
 Tuning goes through a batch ``tuner`` callable, normally
 :meth:`repro.engine.EvaluationEngine.tune_population`, which evaluates a
-whole generation through the memoized, possibly parallel evaluation
+whole generation through the pre-screened, possibly parallel evaluation
 engine.  Per-genome MCTS seeds are drawn up front from the generation
 RNG, so the outcome is deterministic regardless of how the batch is
 executed.

@@ -10,11 +10,12 @@ Two entry points:
   template (Fig. 9a and the fair-comparison protocol of §7.3, which tunes
   every baseline dataflow's factors with the same mapper).
 
-Both run on the :class:`~repro.engine.EvaluationEngine` hot path: every
-complete mapping is canonically signed and memoized, obviously infeasible
-points are rejected by a cheap pre-screen before the full analysis, and
-``workers > 1`` evaluates a GA generation's population concurrently with
-deterministic, worker-count-independent results (docs/PERFORMANCE.md).
+Both run on the :class:`~repro.engine.EvaluationEngine` hot path:
+obviously infeasible points are rejected by a cheap pre-screen before
+the full analysis, untouched subtrees are served from the incremental
+subtree cache, and ``workers > 1`` evaluates a GA generation's
+population concurrently with deterministic, worker-count-independent
+results (docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations
@@ -104,23 +105,22 @@ class MapperResult:
 class TileFlowMapper:
     """Full 3D design-space exploration for one workload/architecture.
 
-    ``workers``, ``cache_size``, and ``prescreen`` configure the
-    evaluation engine backing the search; alternatively pass a
-    pre-built ``engine`` (it is then shared and *not* shut down by
-    :meth:`explore`, so its memo cache persists across searches).
+    ``workers``, ``prescreen``, ``incremental`` and ``batched``
+    configure the evaluation engine backing the search; alternatively
+    pass a pre-built ``engine`` (it is then shared and *not* shut down
+    by :meth:`explore`, so its subtree cache persists across searches).
     """
 
     def __init__(self, workload: Workload, arch: Architecture,
                  respect_memory: bool = True, seed: int = 0,
-                 workers: int = 1, cache_size: Optional[int] = None,
-                 prescreen: bool = True, incremental: bool = True,
-                 batched: bool = True, engine=None):
+                 workers: int = 1, prescreen: bool = True,
+                 incremental: bool = True, batched: bool = True,
+                 engine=None):
         self.workload = workload
         self.arch = arch
         self.respect_memory = respect_memory
         self.seed = seed
         self.workers = workers
-        self.cache_size = cache_size
         self.prescreen = prescreen
         #: Incremental subtree re-analysis across mapper moves (purely a
         #: performance knob; trajectories are unchanged).
@@ -132,14 +132,11 @@ class TileFlowMapper:
 
     # ------------------------------------------------------------------
     def _make_engine(self):
-        from ..engine import DEFAULT_CACHE_SIZE, EvaluationEngine
-        cache_size = (DEFAULT_CACHE_SIZE if self.cache_size is None
-                      else self.cache_size)
+        from ..engine import EvaluationEngine
         return EvaluationEngine(
             self.workload, self.arch, respect_memory=self.respect_memory,
-            workers=self.workers, cache_size=cache_size,
-            prescreen=self.prescreen, incremental=self.incremental,
-            batched=self.batched)
+            workers=self.workers, prescreen=self.prescreen,
+            incremental=self.incremental, batched=self.batched)
 
     def explore(self, generations: int = 8, population: int = 12,
                 mcts_samples: int = 30) -> MapperResult:
@@ -182,10 +179,9 @@ def tune_template(template: TemplateFn, space: Mapping[str, List[int]],
     Chimera, Fused-Layer, ...) gets its tiling factors chosen by
     TileFlow's own mapper before dataflows are compared.
 
-    Evaluations are memoized by the evaluation engine (pass ``engine``
-    to share one — and its cache — across several tuning runs); the
-    champion's result is served from that cache instead of being
-    re-evaluated at the end.
+    Evaluations run through the evaluation engine (pass ``engine`` to
+    share one — and its subtree cache — across several tuning runs);
+    the champion is re-evaluated in full at the end.
     """
     if engine is None:
         from ..engine import EvaluationEngine

@@ -166,9 +166,6 @@ class MCTSTuner:
             cost = FAILURE_COST
             obs.count("mcts.failures")
         if cost == FAILURE_COST:
-            # Infeasible candidates are the partial-evaluation fast
-            # path: the engine's evaluator stops their pipeline at the
-            # resource pass instead of computing latency/energy.
             obs.count("mcts.infeasible")
         self._cache[indices] = cost
         return cost

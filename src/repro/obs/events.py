@@ -3,8 +3,8 @@
 Spans (:mod:`repro.obs.trace`) answer *where does time go* and metrics
 (:mod:`repro.obs.metrics`) answer *how much*; events answer *what
 happened, in order*: GA generation summaries, MCTS sample outcomes,
-pre-screen rejections with machine-readable reason codes, engine
-memo-cache and subtree-artifact-cache activity.  A long-lived
+pre-screen rejections with machine-readable reason codes, and
+subtree-artifact-cache activity.  A long-lived
 evaluation server streams search progress by subscribing a callback
 sink to this bus; the CLI writes the same stream to a JSONL file
 (``--events FILE``).
@@ -63,8 +63,6 @@ EVENT_TYPES: Dict[str, Tuple[str, Dict[str, str]]] = {
     "mcts.sample": ("search", {"sample": "integer", "cost": "cost",
                                "best_cost": "cost"}),
     "prescreen.reject": ("search", {"mapping": "string", "codes": "array"}),
-    "engine.memo": ("cache", {"outcome": "string", "mapping": "string",
-                              "full": "boolean"}),
     "engine.subtree": ("cache", {"kind": "string", "hits": "integer",
                                  "misses": "integer",
                                  "evictions": "integer"}),

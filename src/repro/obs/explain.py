@@ -15,9 +15,9 @@ profile report can only hint at:
   (``compute.mac``, ``compute.vector``, ``memory.capacity:<level>``)
   would reject the mapping before full analysis, if any.
 
-The cold/warm pair runs through the *engine* (distinct memo keys force
-two real evaluations sharing one subtree cache), so the reported
-per-kind hit/miss deltas are exactly the engine's own
+The cold/warm pair runs through the *engine* (two full evaluations of
+the same tree sharing one subtree cache), so the reported per-kind
+hit/miss deltas are exactly the engine's own
 ``subtree_hits``/``subtree_misses`` counter movement — the unit tests
 assert that equality.  This module imports the engine, so it must never
 be imported from ``repro.obs.__init__`` (cycle); the CLI loads it
@@ -91,21 +91,17 @@ def explain_tree(tree: AnalysisTree, arch: Architecture, *,
         obs.enable()
     tracer = obs.active_tracer()
 
-    def template(_wl, _arch, _factors):
-        return tree
-
     subtree = engine.subtree_cache
     rounds: Dict[str, Dict[str, Any]] = {}
     results = {}
-    for label, factors in (("cold", {"round": 1}), ("warm", {"round": 2})):
+    for label in ("cold", "warm"):
         span_mark = len(tracer.spans) if tracer is not None else 0
         kinds_before = (subtree.counts_by_kind()
                         if subtree is not None else {})
         tiers_before = (subtree.tier_counts_by_kind()
                         if subtree is not None else {})
         stats_before = engine.stats.to_dict()
-        results[label] = engine.evaluate_template(template, factors,
-                                                  full=True)
+        results[label] = engine.evaluate_tree(tree, full=True)
         stats_after = engine.stats.to_dict()
         rounds[label] = {
             "pass_seconds": _pass_times(tracer.spans[span_mark:]

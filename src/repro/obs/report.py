@@ -64,32 +64,25 @@ def engine_effectiveness(metrics: Optional[Mapping[str, Mapping[str, Any]]]
                          ) -> Optional[Dict[str, float]]:
     """Derived evaluation-engine rates from the ``engine.*`` counters.
 
-    Returns None when the run never touched the engine.  ``hit_rate`` is
-    cache hits over lookups; ``prescreen_reject_rate`` is the fraction of
-    cache *misses* (candidates actually analysed) the cheap pre-screen
-    rejected before the full model ran.
+    Returns None when the run never touched the engine.  Every
+    candidate the engine sees ends in either a full evaluation or a
+    pre-screen rejection; ``prescreen_reject_rate`` is the fraction the
+    cheap pre-screen rejected before the full model ran.
     """
     def value(name: str) -> float:
         snap = (metrics or {}).get(name, {})
         return float(snap.get("value") or 0.0)
 
-    hits = value("engine.cache_hits")
-    misses = value("engine.cache_misses")
     rejects = value("engine.prescreen_rejects")
     evaluations = value("engine.evaluations")
-    early = value("engine.early_exits")
-    lookups = hits + misses
-    if lookups == 0 and evaluations == 0:
+    candidates = rejects + evaluations
+    if candidates == 0:
         return None
     return {
-        "cache_hits": hits,
-        "cache_misses": misses,
-        "hit_rate": hits / lookups if lookups else 0.0,
+        "candidates": candidates,
         "prescreen_rejects": rejects,
-        "prescreen_reject_rate": rejects / misses if misses else 0.0,
+        "prescreen_reject_rate": rejects / candidates,
         "full_evaluations": evaluations,
-        "early_exits": early,
-        "early_exit_rate": early / evaluations if evaluations else 0.0,
     }
 
 
@@ -110,18 +103,16 @@ def incremental_effectiveness(metrics: Optional[Mapping[str, Mapping[str,
 
     hits = value("engine.subtree_hits")
     misses = value("engine.subtree_misses")
-    skipped = value("engine.edp_energy_skipped")
     evictions = value("engine.subtree_evictions")
     batched = value("engine.batched_evaluations")
     batch_fill = value("engine.batch_fill")
     lookups = hits + misses
-    if lookups == 0 and skipped == 0 and batch_fill == 0:
+    if lookups == 0 and batch_fill == 0:
         return None
     out: Dict[str, float] = {
         "subtree_hits": hits,
         "subtree_misses": misses,
         "subtree_hit_rate": hits / lookups if lookups else 0.0,
-        "edp_energy_skipped": skipped,
         "subtree_evictions": evictions,
         # L1 misses served by the disk (L3) tier of the artifact store;
         # zero when no tier is attached.
@@ -196,20 +187,10 @@ def render_profile(spans: Sequence[SpanRecord],
         lines.append("")
         lines.append("== evaluation engine ==")
         lines.append(
-            f"{'cache hit rate':40s} {eng['hit_rate'] * 100:11.1f}% "
-            f"({eng['cache_hits']:g} of "
-            f"{eng['cache_hits'] + eng['cache_misses']:g} lookups)")
-        lines.append(
             f"{'prescreen rejection rate':40s} "
             f"{eng['prescreen_reject_rate'] * 100:11.1f}% "
-            f"({eng['prescreen_rejects']:g} of {eng['cache_misses']:g} "
-            f"analysed, {eng['full_evaluations']:g} full evaluations)")
-        if eng["early_exits"]:
-            lines.append(
-                f"{'pipeline early-exit rate':40s} "
-                f"{eng['early_exit_rate'] * 100:11.1f}% "
-                f"({eng['early_exits']:g} of {eng['full_evaluations']:g} "
-                f"evaluations stopped at first violation)")
+            f"({eng['prescreen_rejects']:g} of {eng['candidates']:g} "
+            f"candidates, {eng['full_evaluations']:g} full evaluations)")
     inc = incremental_effectiveness(metrics)
     if inc is not None:
         lines.append("")
@@ -224,10 +205,6 @@ def render_profile(spans: Sequence[SpanRecord],
             lines.append(
                 f"{'misses served by cache tiers':40s} "
                 f"{inc['subtree_l3_hits']:>12g}  (L3 disk)")
-        if inc["edp_energy_skipped"]:
-            lines.append(
-                f"{'energy passes skipped (EDP objective)':40s} "
-                f"{inc['edp_energy_skipped']:>12g}")
         if inc.get("subtree_evictions"):
             by_kind = ", ".join(
                 f"{key[len('evictions.'):]}={inc[key]:g}"

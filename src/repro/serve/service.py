@@ -387,15 +387,13 @@ class EvaluationService:
         "Safely" means no job observes the cache shrinking mid-run:
         every per-engine job lock is acquired (in a stable order) before
         clearing, so the call waits for in-flight jobs to finish and
-        blocks new ones for the instant the clear takes.  Engine
-        whole-mapping memo caches are dropped too — they sit above the
-        artifact store and would otherwise mask its coldness.  The L3
+        blocks new ones for the instant the clear takes.  The L3
         disk tier is untouched (use ``repro cache purge`` for that);
         loaded shard images are dropped so the next probe re-reads disk.
         """
         with self._lock:
             pairs = sorted(self._engine_locks.items())
-            engines = dict(self._engines)
+            engine_count = len(self._engines)
         acquired = []
         deadline = time.monotonic() + timeout
         try:
@@ -407,15 +405,13 @@ class EvaluationService:
                 acquired.append(lock)
             entries = self.subtree_cache.total
             self.subtree_cache.clear(drop_l3_mirror=True)
-            for key, engine in engines.items():
-                engine._cache.clear()
             if reset_counters:
                 self.subtree_cache.reset_counters()
         finally:
             for lock in acquired:
                 lock.release()
         return {"cleared": True, "entries_dropped": entries,
-                "engines": len(engines),
+                "engines": engine_count,
                 "counters_reset": bool(reset_counters)}
 
     # -- introspection ---------------------------------------------------

@@ -6,12 +6,12 @@ Contracts from docs/PERFORMANCE.md:
   mapping the full model would accept, over randomized genomes, factor
   points, and shrunk architectures.
 * **Search-path transparency** — with the prescreen on or off, the
-  engine's partial evaluation prices every mapping exactly as the
-  objective of a plain full evaluation, for both objectives and both
-  ``respect_memory`` settings.
-* **Configuration transparency** — memoization and worker pools are pure
-  performance knobs: for a fixed seed, ``MapperResult.to_dict()`` is
-  byte-identical with the cache on or off and with 1 or 2 workers.
+  engine prices every mapping exactly as the objective of a plain full
+  evaluation, for both objectives and both ``respect_memory`` settings.
+* **Configuration transparency** — the pre-screen, the subtree cache and
+  worker pools are pure performance knobs: for a fixed seed,
+  ``MapperResult.to_dict()`` is byte-identical with them on or off and
+  with 1 or 2 workers.
 * **Event-stream determinism** — ``search``-category events are a pure
   function of the search trajectory: a serial run and a ``--workers 2``
   run emit identical search-event sequences (worker events are recorded
@@ -70,8 +70,8 @@ def test_prescreen_never_rejects_a_feasible_mapping(seed, arch_index):
 def test_prescreen_is_invisible_to_the_search(objective, respect_memory,
                                               seed, arch_index):
     """Engine cost is identical with the prescreen on or off, and equals
-    the objective of a plain full evaluation: the search path's partial
-    evaluation never changes a cost."""
+    the objective of a plain full evaluation: the pre-screen never
+    changes a cost."""
     spec = ARCHS[arch_index]
     rng = random.Random(seed)
     genome = Genome.random(WL, rng)
@@ -95,7 +95,10 @@ def _explore(seed, **mapper_kwargs):
 
 @pytest.mark.parametrize("seed", [0, 13])
 def test_cache_does_not_change_search_results(seed):
-    assert _explore(seed) == _explore(seed, cache_size=0, prescreen=False)
+    """The search equals its reference path: no subtree cache, no
+    pre-screen."""
+    assert _explore(seed) == _explore(seed, incremental=False,
+                                      prescreen=False)
 
 
 @pytest.mark.parametrize("seed", [0, 13])
@@ -130,7 +133,7 @@ def test_worker_events_aggregate_deterministically(seed):
     """Serial and --workers 2 runs emit the same search events.
 
     The full event *multiset* cannot be compared across worker counts —
-    each worker owns private memo/subtree caches, so ``cache``-category
+    each worker owns a private subtree cache, so ``cache``-category
     effectiveness legitimately differs — but ``search`` events (GA
     generations, MCTS samples, pre-screen rejections) must be an
     identical *sequence*, and the champion byte-identical, because
@@ -144,8 +147,8 @@ def test_worker_events_aggregate_deterministically(seed):
     assert serial_events == parallel_events
     assert serial_result == parallel_result
     # Both modes still surface cache telemetry (content may differ).
-    assert "engine.memo" in serial_cache
-    assert "engine.memo" in parallel_cache
+    assert "engine.subtree" in serial_cache
+    assert "engine.subtree" in parallel_cache
     # The search stream is non-trivial: every generation reported.
     gens = [kind for kind, _ in serial_events if kind == "ga.generation"]
     assert len(gens) == 2

@@ -1,4 +1,4 @@
-"""Unit tests for the evaluation engine: signatures, cache, prescreen."""
+"""Unit tests for the evaluation engine: signatures, prescreen, pool."""
 
 import functools
 import os
@@ -6,17 +6,17 @@ import random
 
 import pytest
 
-from repro import arch
+from repro import arch, obs
 from repro.analysis import TileFlowModel
 from repro.engine import core
-from repro.engine import (DEFAULT_CACHE_SIZE, EngineStats, EvaluationEngine,
-                          LRUCache, arch_fingerprint, compute_demand, digest,
-                          factors_fingerprint, genome_fingerprint,
-                          is_prescreened, mapping_signature, prescreen,
-                          rejected_result, template_signature,
-                          workload_fingerprint)
-from repro.mapper import (INFEASIBLE, Genome, build_genome_tree,
-                          genome_factor_space, latency_cost)
+from repro.engine import (EngineStats, EvaluationEngine, arch_fingerprint,
+                          compute_demand, digest, factors_fingerprint,
+                          genome_fingerprint, is_prescreened,
+                          mapping_signature, prescreen, rejected_result,
+                          template_signature, workload_fingerprint)
+from repro.mapper import (INFEASIBLE, Genome, TileFlowMapper,
+                          build_genome_tree, genome_factor_space,
+                          latency_cost)
 from repro.obs import events
 from repro.obs.report import engine_effectiveness, render_profile
 from repro.tile import Binding
@@ -80,42 +80,6 @@ class TestSignatures:
         assert factors_fingerprint({"a": 2}) == (("a", 2),)
 
 
-class TestLRUCache:
-    def test_evicts_oldest(self):
-        cache = LRUCache(2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.put("c", 3)
-        assert "a" not in cache and len(cache) == 2
-        assert cache.evictions == 1
-
-    def test_hit_refreshes_recency(self):
-        cache = LRUCache(2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        assert cache.get("a") == 1  # "b" is now the LRU entry
-        cache.put("c", 3)
-        assert "a" in cache and "b" not in cache
-
-    def test_counts_hits_and_misses(self):
-        cache = LRUCache(2)
-        cache.put("a", 1)
-        cache.get("a")
-        cache.get("zzz")
-        assert (cache.hits, cache.misses) == (1, 1)
-
-    def test_disabled_when_maxsize_zero(self):
-        cache = LRUCache(0)
-        assert not cache.enabled
-        cache.put("a", 1)
-        assert cache.get("a") is None and len(cache) == 0
-
-    def test_none_values_never_stored(self):
-        cache = LRUCache(2)
-        cache.put("a", None)
-        assert "a" not in cache
-
-
 def _tree_for(wl, spec, genome=None, factors=None):
     genome = genome or Genome.fully_fused(wl)
     space = genome_factor_space(wl, genome)
@@ -168,24 +132,16 @@ class TestPrescreen:
 
 
 class TestEvaluationEngine:
-    def test_memoizes_genome_evaluations(self, wl, spec):
+    def test_repeated_calls_evaluate_again(self, wl, spec):
         engine = EvaluationEngine(wl, spec)
         genome = Genome.fully_fused(wl)
         factors = genome_factor_space(wl, genome).default_point()
         first = engine.evaluate_genome(genome, factors)
         second = engine.evaluate_genome(genome, factors)
-        assert second is first
-        assert engine.stats.cache_hits == 1
-        assert engine.stats.evaluations == 1
-
-    def test_cache_size_zero_disables_memo(self, wl, spec):
-        engine = EvaluationEngine(wl, spec, cache_size=0)
-        genome = Genome.fully_fused(wl)
-        factors = genome_factor_space(wl, genome).default_point()
-        engine.evaluate_genome(genome, factors)
-        engine.evaluate_genome(genome, factors)
-        assert engine.stats.cache_hits == 0
+        assert second is not first
+        assert second.to_dict() == first.to_dict()
         assert engine.stats.evaluations == 2
+        assert engine.stats.cache_hits == engine.stats.cache_misses == 0
 
     def test_full_replaces_prescreened_placeholder(self, wl):
         cramped = arch.edge().with_level("L1", capacity_bytes=256)
@@ -198,14 +154,6 @@ class TestEvaluationEngine:
         assert not is_prescreened(full)
         assert full.violations  # still infeasible, but fully analysed
         assert full.latency_cycles > 0
-
-    def test_template_points_cached_per_template(self, wl, spec):
-        from repro.dataflows import ATTENTION_DATAFLOWS
-        engine = EvaluationEngine(wl, spec, respect_memory=False)
-        template = ATTENTION_DATAFLOWS["flat_rgran"]
-        first = engine.evaluate_template(template, {"b_tile": 1})
-        second = engine.evaluate_template(template, {"b_tile": 1})
-        assert second is first and engine.stats.cache_hits == 1
 
     def test_tune_population_serial_matches_tune_genome(self, wl, spec):
         genomes = [Genome.fully_fused(wl), Genome.unfused(wl)]
@@ -264,16 +212,31 @@ class TestEvaluationEngine:
         assert p_stats["parallel_tasks"] == 0
         assert p_stream == s_stream
 
+    def test_workers_count_mapper_evaluations_like_serial(self, wl, spec):
+        """Pool workers' ``genome_cost`` calls reach the parent's
+        ``mapper.evaluations`` counter exactly once each."""
+        def evaluations(workers):
+            obs.enable()
+            try:
+                result = TileFlowMapper(wl, spec, seed=0,
+                                        workers=workers).explore(
+                    generations=2, population=4, mcts_samples=4)
+            finally:
+                obs.disable()
+            return result.run_metrics["mapper.evaluations"]["value"]
+
+        serial = evaluations(1)
+        assert serial > 0
+        assert evaluations(2) == serial
+
     def test_unknown_objective_rejected(self, wl, spec):
         with pytest.raises(ValueError):
             EvaluationEngine(wl, spec, objective="fastest")
 
-    def test_stats_merge_and_hit_rate(self):
-        stats = EngineStats(cache_hits=3, cache_misses=1)
-        stats.merge({"cache_hits": 1, "evaluations": 2})
-        assert stats.cache_hits == 4 and stats.evaluations == 2
-        assert stats.hit_rate == pytest.approx(4 / 5)
-        assert EngineStats().hit_rate == 0.0
+    def test_stats_merge(self):
+        stats = EngineStats(evaluations=3, prescreen_rejects=1)
+        stats.merge({"prescreen_rejects": 1, "evaluations": 2})
+        assert stats.prescreen_rejects == 2 and stats.evaluations == 5
 
 
 class TestEngineReport:
@@ -285,15 +248,25 @@ class TestEngineReport:
 
     def test_rates_and_rendering(self):
         metrics = {
-            "engine.cache_hits": {"kind": "counter", "value": 30},
-            "engine.cache_misses": {"kind": "counter", "value": 10},
             "engine.prescreen_rejects": {"kind": "counter", "value": 4},
             "engine.evaluations": {"kind": "counter", "value": 6},
         }
         eng = engine_effectiveness(metrics)
-        assert eng["hit_rate"] == pytest.approx(0.75)
+        assert eng["candidates"] == 10
         assert eng["prescreen_reject_rate"] == pytest.approx(0.4)
         text = render_profile([], metrics)
         assert "== evaluation engine ==" in text
-        assert "cache hit rate" in text and "75.0%" in text
         assert "prescreen rejection rate" in text and "40.0%" in text
+        assert "(4 of 10 candidates, 6 full evaluations)" in text
+        assert "cache hit rate" not in text
+
+    def test_all_rejected_run_keeps_the_section(self):
+        metrics = {
+            "engine.prescreen_rejects": {"kind": "counter", "value": 5},
+            "engine.evaluations": {"kind": "counter", "value": 0},
+        }
+        eng = engine_effectiveness(metrics)
+        assert eng["prescreen_reject_rate"] == 1.0
+        assert eng["full_evaluations"] == 0
+        text = render_profile([], metrics)
+        assert "prescreen rejection rate" in text and "100.0%" in text

@@ -147,7 +147,8 @@ class TestSearchEmission:
         events.disable()
         kinds = {e.kind for e in sink.events}
         assert {"ga.generation", "search.progress", "mcts.sample",
-                "engine.memo", "engine.subtree"} <= kinds
+                "engine.subtree"} <= kinds
+        assert "engine.memo" not in kinds
         gens = [e.payload for e in sink.events
                 if e.kind == "ga.generation"]
         assert [g["generation"] for g in gens] == [0, 1]

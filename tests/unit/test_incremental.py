@@ -282,22 +282,6 @@ def test_engine_subtree_counters_track_the_cache():
     assert plain.stats.subtree_hits == plain.stats.subtree_misses == 0
 
 
-def test_edp_partial_path_counts_skipped_energy():
-    cramped = SPEC.with_level("L1", capacity_bytes=256)
-    engine = EvaluationEngine(WL, cramped, objective="edp",
-                              prescreen=False)
-    rng = random.Random(0)
-    skipped = 0
-    for _ in range(8):
-        genome = Genome.random(WL, rng)
-        factors = genome_factor_space(WL, genome).random_point(rng)
-        engine.evaluate_genome(genome, factors)
-        skipped = engine.stats.edp_energy_skipped
-        if skipped:
-            break
-    assert skipped > 0
-
-
 def test_profile_renders_incremental_section():
     obs.enable()
     try:

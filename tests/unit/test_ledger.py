@@ -228,10 +228,10 @@ class TestScope:
         assert second.run_metrics is not None
         # Process-global counters keep accumulating, but each result's
         # scope sees only its own run.
-        f = first.run_metrics.get("engine.cache_misses", {}).get("value", 0)
-        s = second.run_metrics.get("engine.cache_misses", {}).get("value", 0)
+        f = first.run_metrics.get("engine.evaluations", {}).get("value", 0)
+        s = second.run_metrics.get("engine.evaluations", {}).get("value", 0)
         assert f > 0 and s > 0
-        total = obs.metrics_snapshot()["engine.cache_misses"]["value"]
+        total = obs.metrics_snapshot()["engine.evaluations"]["value"]
         assert total >= f + s
         # run_metrics never leaks into the serialized result payload.
         assert "run_metrics" not in first.to_dict()
