@@ -29,8 +29,7 @@ import numpy as np
 
 from ...arch import Architecture
 from ...ir import Operator, Workload
-from ...mapper.encoding import (Genome, _generic_leaf,
-                                shared_tileable_dims)
+from ...mapper.encoding import Genome, GenomeLoops
 from ...mapper.factors import FactorSpace
 from ...tile.bindings import Binding
 from .kernels import I8, cdiv64, mul64
@@ -98,32 +97,19 @@ class CohortPlanner:
         col = {n: j for j, n in enumerate(self.names)}
 
         self.top_level = arch.num_levels - 2
-        self.units = int(arch.level(1).fanout)
-        budget = max(4, arch.pe_count // self.units)
-        vector_budget = max(2, arch.vector_pe_count // self.units)
+        skeleton = GenomeLoops(workload, arch, genome)
+        self.units = int(skeleton.units)
 
         self.group_plans: List[_GroupPlan] = []
         self.slot_ids: set = set()
-        for gi, group in enumerate(genome.groups(workload)):
-            binding = genome.group_binding(workload, gi)
-            dims = shared_tileable_dims(workload, group)[:3]
-            sizes = group[-1].dims
-            pipe = binding is Binding.PIPE and len(group) > 1
-            mac_chains = sum(1 for op in group if op.kind == "mac") or 1
-            vec_chains = sum(1 for op in group if op.kind != "mac") or 1
-            ops: List[Tuple[Operator, Dict[str, int]]] = []
-            for op in group:
-                if op.kind == "mac":
-                    b = max(4, budget // (mac_chains if pipe else 1))
-                else:
-                    b = max(2, vector_budget // (vec_chains if pipe else 1))
-                sp, tp = _generic_leaf(op, b)
-                ext = {d: sp.get(d, 1) * tp.get(d, 1) for d in op.dims}
-                ops.append((op, ext))
-            entries = [(d, int(sizes[d]), col.get(f"g{gi}_{d}"))
-                       for d in dims]
+        for gi, (dims, chains) in enumerate(skeleton.groups):
+            ops = [(op, {d: ext for d, _, ext in mid})
+                   for op, mid, _ in chains]
+            entries = [(d, int(size), col.get(name))
+                       for d, size, name in dims]
             self.group_plans.append(_GroupPlan(
-                gi, binding, entries, ops, frozenset(dims)))
+                gi, genome.group_binding(workload, gi), entries, ops,
+                frozenset(d for d, _, _ in dims)))
             for d, _, _ in entries:
                 self.slot_ids.add(("gs", gi, d))
                 self.slot_ids.add(("gt", gi, d))

@@ -317,49 +317,17 @@ class GroupTemplate:
 
     def _mirror_walk(self, node: TileNode, tensor_name: str, access,
                      home) -> Tuple[List, List]:
-        """``DataMovementAnalysis._build_walk`` collecting Loop objects.
+        """``DataMovementAnalysis._build_walk``'s (walked, multiplied)
+        Loop objects on the representative.
 
-        The branch structure (Seq eviction, unit-step skip, displacement,
-        LCA truncation) is evaluated on the representative via the real
-        analysis predicates; the group key guarantees every member takes
-        the same branches (the walk may climb into the loop-free root
-        wrapper, whose eviction verdicts are genome structure, not factor
-        values).  ``mult`` preserves the scalar append order — the float
+        The group key guarantees every member takes the same branches
+        (the walk may climb into the loop-free root wrapper, whose
+        eviction verdicts are genome structure, not factor values).
+        ``mult`` keeps the scalar multiplication order — the float
         multiplier product replays it element for element.
         """
-        dm = self._dm
-        walked: List = []
-        mult: List = []
-        stopped = False
-        if dm._self_evicts(node, tensor_name):
-            for lp in node.temporal_loops:
-                mult.append(lp)
-        else:
-            walked.extend(reversed(node.temporal_loops))
-        for lp in node.spatial_loops:
-            if lp.step == 1:
-                continue
-            if dm._loop_displaces(access, lp):
-                mult.append(lp)
-        current: TileNode = node
-        while current.parent is not None:
-            parent = current.parent
-            for lp in parent.spatial_loops:
-                if dm._loop_displaces(access, lp):
-                    mult.append(lp)
-            if (not stopped and self.ctx.model_eviction
-                    and dm._evicted_at(parent, current, tensor_name)):
-                stopped = True
-            if stopped:
-                for lp in parent.temporal_loops:
-                    mult.append(lp)
-            else:
-                walked.extend(reversed(parent.temporal_loops))
-            if parent is home:
-                stopped = True
-            current = parent
-        walked.reverse()
-        return walked, mult
+        walk = self._dm._build_walk(node, tensor_name, access, home)
+        return walk.loops, walk.multiplied
 
     # -- evaluation -----------------------------------------------------
     def evaluate(self, plan: CohortPlan, positions: Sequence[int],

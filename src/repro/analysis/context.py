@@ -15,23 +15,22 @@ layer for the per-node intermediates several analyses need:
 * **tensor residency** — the LCA home node of each tensor and the
   "does this subtree use tensor X" predicate driving Seq eviction.
 
-A context is valid for exactly one ``(tree, arch)`` pair.  Memos are
-keyed by the *structural subtree fingerprint*
-(:mod:`repro.analysis.fingerprint`) rather than ``id(node)``, so
+A context is valid for exactly one ``(tree, arch)`` pair.  With a
+shared :class:`~repro.engine.cache.SubtreeArtifactCache`
+(``artifact_cache``) subtree memos are keyed by the *structural subtree
+fingerprint* (:mod:`repro.analysis.fingerprint`), so entries for
+subtree-local intermediates (slices, NumPE) stay valid across trees and
+persist across evaluations — the incremental-evaluation layer.  Without
+one they are keyed by node identity and no fingerprint is computed.
+Either way
 
-* entries for subtree-local intermediates (slices, NumPE) stay valid
-  across trees and can be served from a shared
-  :class:`~repro.engine.cache.SubtreeArtifactCache` (``artifact_cache``)
-  that persists across evaluations — the incremental-evaluation layer;
 * querying the context with a node from a *different* tree raises
   :class:`~repro.errors.ForeignNodeError` instead of silently returning
   stale geometry keyed by a recycled ``id()``;
 * after mutating the context's own tree in place,
-  :meth:`AnalysisContext.invalidate` re-arms it: tree-global state
-  (artifacts, completed passes, executions, tensor homes, fingerprints)
-  is dropped, while fingerprint-keyed subtree memos survive — untouched
-  sibling subtrees are served from memo, only the mutated path
-  recomputes.
+  :meth:`AnalysisContext.invalidate` re-arms it; a loops-only re-arm
+  keeps every structure-only fact, which is how a per-genome tune
+  prices each factor point on one tree.
 """
 
 from __future__ import annotations
@@ -41,6 +40,7 @@ from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
 from ..arch import Architecture
 from ..errors import ForeignNodeError
 from ..ir import TensorAccess
+from ..tile.bindings import Binding
 from ..tile.coverage import apply_loops
 from ..tile.tree import AnalysisTree, FusionNode, OpTile, TileNode
 from .fingerprint import cache_namespace, node_fingerprints
@@ -52,13 +52,40 @@ AccessPairs = List[Tuple[OpTile, TensorAccess]]
 PathCoverage = Dict[int, Dict[str, int]]
 
 
+class NodeTensors:
+    """The leaf accesses below one tree node, grouped by tensor.
+
+    ``tensors`` is sorted so every float accumulation over it is
+    deterministic; ``readers``/``writers`` hold the ``(leaf, access)``
+    pairs reading/writing each tensor and ``accesses`` all of them, in
+    leaf order.  Reads no loops: a context keeps it across loop
+    changes (:meth:`AnalysisContext.invalidate`).
+    """
+
+    __slots__ = ("readers", "writers", "accesses", "tensors")
+
+    def __init__(self, node: TileNode):
+        self.readers: Dict[str, AccessPairs] = {}
+        self.writers: Dict[str, AccessPairs] = {}
+        self.accesses: Dict[str, AccessPairs] = {}
+        for leaf in node.leaves():
+            for pairs, accesses in ((self.readers, leaf.op.inputs),
+                                    (self.writers, (leaf.op.output,))):
+                for access in accesses:
+                    name = access.tensor.name
+                    pairs.setdefault(name, []).append((leaf, access))
+                    self.accesses.setdefault(name, []).append((leaf, access))
+        self.tensors: Tuple[str, ...] = tuple(sorted(self.accesses))
+
+
 class NodeSlices:
     """Slice geometry of one tree node, grouped by tensor.
 
-    ``tensors`` is sorted so every float accumulation over it is
-    deterministic; ``extents[t]`` merges the slice bounding boxes of all
-    reads and writes of ``t`` below the node, and ``staged_words[t]`` is
-    that box's volume (one buffer instance's residency per time step).
+    ``readers``, ``writers`` and ``tensors`` come from the node's
+    :class:`NodeTensors` (built here unless given); ``extents[t]``
+    merges the slice bounding boxes of all reads and writes of ``t``
+    below the node, and ``staged_words[t]`` is that box's volume (one
+    buffer instance's residency per time step).
 
     Instances may be shared across structurally identical subtrees of
     different trees (the engine's subtree artifact cache does exactly
@@ -71,48 +98,47 @@ class NodeSlices:
     __slots__ = ("readers", "writers", "tensors", "extents", "staged_words")
 
     def __init__(self, node: TileNode,
-                 path_coverage: Callable[[OpTile], PathCoverage]):
-        self.readers: Dict[str, AccessPairs] = {}
-        self.writers: Dict[str, AccessPairs] = {}
-        boxes: Dict[str, List[Tuple[int, ...]]] = {}
-        for leaf in node.leaves():
-            # One coverage per leaf serves all of its accesses.
-            cov = path_coverage(leaf)[id(node)]
-            for pairs, accesses in ((self.readers, leaf.op.inputs),
-                                    (self.writers, (leaf.op.output,))):
-                for access in accesses:
-                    name = access.tensor.name
-                    pairs.setdefault(name, []).append((leaf, access))
-                    boxes.setdefault(name, []).append(
-                        access.extents_over(cov))
-        self.tensors: Tuple[str, ...] = tuple(sorted(boxes))
+                 path_coverage: Callable[[OpTile], PathCoverage],
+                 tensors: Optional[NodeTensors] = None):
+        if tensors is None:
+            tensors = NodeTensors(node)
+        self.readers = tensors.readers
+        self.writers = tensors.writers
+        self.tensors = tensors.tensors
         self.extents: Dict[str, Tuple[int, ...]] = {}
         self.staged_words: Dict[str, float] = {}
+        key = id(node)
         for name in self.tensors:
-            extents = merged_extents(boxes[name])
+            extents = merged_extents(
+                access.extents_over(path_coverage(leaf)[key])
+                for leaf, access in tensors.accesses[name])
             self.extents[name] = extents
             self.staged_words[name] = float(box_volume(extents))
 
 
-def num_pe_demand(node: TileNode) -> Tuple[int, int]:
+def num_pe_demand(node: TileNode,
+                  demand: Optional[Callable[[TileNode], Tuple[int, int]]]
+                  = None) -> Tuple[int, int]:
     """(MAC PEs, vector PEs) used concurrently by the subtree (§5.2).
 
     The single home of the paper's ``NumPE`` recursion: concurrent
     siblings (``Para``/``Pipe``) add their demands, time-shared siblings
     (``Seq``/``Shar``) take the max, spatial loops multiply.  Purely
     structural — needs no data-movement information — so the feasibility
-    bounds and the resource analysis share it.
+    bounds and the resource analysis share it.  ``demand`` prices the
+    children (default: this recursion; a context passes its memo).
     """
     if node.is_leaf():
         assert isinstance(node, OpTile)
         used = node.spatial_trip_count
         return (used, 0) if node.op.kind == "mac" else (0, used)
+    demand = demand or num_pe_demand
     sp = node.spatial_trip_count
     if isinstance(node, OpTile):
-        mac, vec = num_pe_demand(node.child)
+        mac, vec = demand(node.child)
         return sp * mac, sp * vec
     assert isinstance(node, FusionNode)
-    demands = [num_pe_demand(c) for c in node.children]
+    demands = [demand(c) for c in node.children]
     if node.binding.shares_compute_in_time:
         mac = max(d[0] for d in demands)
         vec = max(d[1] for d in demands)
@@ -156,9 +182,9 @@ class AnalysisContext:
         #: True when a run stopped at the first violation-producing pass.
         self.early_exit = False
         self._artifacts: Dict[str, Any] = {}
-        #: ``id(node) -> fingerprint`` for the current tree shape; built
-        #: lazily, dropped by :meth:`invalidate`.
-        self._fps: Optional[Dict[int, str]] = None
+        #: ``id(node) -> memo key``: the structural fingerprint with a
+        #: shared store, ``id(node)`` itself without one.
+        self._fps: Optional[Dict[int, Any]] = None
         self._ns: Optional[str] = None
         #: kind -> bound KindStore of ``artifact_cache`` (lazy).
         self._kind_stores: Dict[str, Any] = {}
@@ -166,18 +192,27 @@ class AnalysisContext:
         #: evaluation's own dicts, as opposed to the shared store or a
         #: fresh compute) — ``repro explain`` provenance attribution.
         self.memo_hits = 0
-        self._slices: Dict[str, NodeSlices] = {}
-        self._num_pe: Dict[str, Tuple[int, int]] = {}
-        self._executions: Dict[str, int] = {}
+        # Loop-dependent memos, keyed by :meth:`fingerprint`; path
+        # coverage is keyed by ``id(leaf)``.
+        self._slices: Dict[Any, NodeSlices] = {}
+        self._num_pe: Dict[Any, Tuple[int, int]] = {}
+        self._executions: Dict[Any, int] = {}
+        self._path_cov: Dict[int, PathCoverage] = {}
+        # Structure-only memos (no loop counts), ``id``-keyed; a
+        # loops-only :meth:`invalidate` keeps them.
+        self._tensors: Dict[int, NodeTensors] = {}
         self._homes: Dict[str, Optional[TileNode]] = {}
         self._homes_built = False
-        #: (id(node), tensor) -> crossing? — id-keyed like homes, so
-        #: :meth:`invalidate` must clear it (levels/homes may shift).
+        #: (id(node), tensor) -> crossing?
         self._crossing: Dict[Tuple[int, str], bool] = {}
-        #: id(leaf) -> path coverage; id(home) -> strict descendant ids.
-        #: Both span whole paths, so :meth:`invalidate` drops them.
-        self._path_cov: Dict[int, PathCoverage] = {}
+        #: id(home) -> strict descendant ids.
         self._descendants: Dict[int, FrozenSet[int]] = {}
+        #: (id(parent), id(child), tensor) -> Seq-evicted?  A child of
+        #: ``None`` asks about the node's own iterations.
+        self._evictions: Dict[Tuple[int, Optional[int], str], bool] = {}
+        #: Verdict of the §4 rules that read no loop counts (None until
+        #: :func:`~repro.tile.validate.validate_tree_local` checks).
+        self.structure_ok: Optional[bool] = None
 
     # -- artifacts -------------------------------------------------------
     def put(self, name: str, value: Any) -> None:
@@ -195,8 +230,9 @@ class AnalysisContext:
             self.completed.append(pass_name)
 
     # -- fingerprints / shared cache -------------------------------------
-    def fingerprint(self, node: TileNode) -> str:
-        """The node's structural subtree fingerprint (memo key).
+    def fingerprint(self, node: TileNode) -> Any:
+        """The node's memo key: its structural subtree fingerprint when
+        a shared store is attached, its ``id`` otherwise.
 
         Raises :class:`ForeignNodeError` for nodes outside this
         context's tree — including nodes spliced in by an in-place
@@ -204,7 +240,9 @@ class AnalysisContext:
         :meth:`invalidate`.
         """
         if self._fps is None:
-            self._fps = node_fingerprints(self.tree.root)
+            self._fps = (node_fingerprints(self.tree.root)
+                         if self.artifact_cache is not None
+                         else {id(n): id(n) for n in self.tree.nodes()})
         try:
             return self._fps[id(node)]
         except KeyError:
@@ -257,24 +295,28 @@ class AnalysisContext:
         if store is not None:
             store.put(key, value)
 
-    def invalidate(self, subtree: Optional[TileNode] = None) -> None:
+    def invalidate(self, subtree: Optional[TileNode] = None, *,
+                   loops_only: bool = False) -> None:
         """Re-arm the context after an in-place mutation of its tree.
 
-        Drops everything whose validity spans the whole tree: pipeline
-        artifacts and completed-pass bookkeeping, the fingerprint map,
-        execution counts (they depend on *ancestor* loops, which an
-        unchanged fingerprint cannot vouch for), and tensor homes.
-        Fingerprint-keyed subtree memos (slices, NumPE) are kept:
-        subtrees the mutation did not touch keep their fingerprints and
-        are served from memo (or the shared artifact cache), so only the
-        mutated path to the root recomputes.
+        Drops pipeline artifacts, completed-pass bookkeeping, execution
+        counts (they depend on *ancestor* loops) and path coverage.
+        Subtree memos (slices, NumPE) survive where the mutation cannot
+        have reached them: fingerprint-keyed with a shared store, so
+        untouched subtrees keep their keys; ``id``-keyed without one,
+        so the entries of ``subtree``, its descendants and ancestors
+        (all of them when ``subtree`` is None) are dropped.
 
-        ``subtree`` optionally names the mutated subtree; it must belong
-        to this context's tree (checked via parent pointers — the
-        fingerprint map is stale by definition here).  The mutation must
-        preserve the tree's operator->leaf structure (loop/factor
-        changes, binding flips); splicing different *operators* in needs
-        a new ``AnalysisTree`` and a new context.
+        ``loops_only=True`` promises that only loops changed, not levels
+        or bindings: tensor homes, descendant and crossing sets,
+        Seq-eviction decisions, :class:`NodeTensors` and the loop-free
+        §4 verdict then survive too — a per-genome tune re-prices one
+        tree at every factor point this way.
+
+        ``subtree`` must belong to this context's tree (checked via
+        parent pointers).  The mutation must preserve the tree's
+        operator->leaf structure; splicing different *operators* in
+        needs a new ``AnalysisTree`` and a new context.
         """
         if subtree is not None:
             top = subtree
@@ -288,13 +330,24 @@ class AnalysisContext:
         self._artifacts.clear()
         self.completed.clear()
         self.early_exit = False
-        self._fps = None
         self._executions.clear()
-        self._homes = {}
-        self._homes_built = False
-        self._crossing.clear()
         self._path_cov.clear()
-        self._descendants.clear()
+        if self.artifact_cache is not None:
+            self._fps = None
+        elif subtree is None:
+            self._slices.clear()
+            self._num_pe.clear()
+        else:
+            for node in (*subtree.walk(), *subtree.ancestors()):
+                self._slices.pop(id(node), None)
+                self._num_pe.pop(id(node), None)
+        if not loops_only:
+            self._homes = {}
+            self._homes_built = False
+            self._crossing.clear()
+            self._descendants.clear()
+            self._evictions.clear()
+            self.structure_ok = None
 
     # -- memoized per-node intermediates ---------------------------------
     def node_slices(self, node: TileNode) -> NodeSlices:
@@ -303,12 +356,20 @@ class AnalysisContext:
         if cached is None:
             cached = self.shared_get("slices", fp)
             if cached is None:
-                cached = NodeSlices(node, self.path_coverage)
+                cached = NodeSlices(node, self.path_coverage,
+                                    self.node_tensors(node))
                 self.shared_put("slices", fp, cached)
             self._slices[fp] = cached
         else:
             self.memo_hits += 1
         return cached
+
+    def node_tensors(self, node: TileNode) -> NodeTensors:
+        """The node's :class:`NodeTensors` (structure only, memoized)."""
+        tensors = self._tensors.get(id(node))
+        if tensors is None:
+            tensors = self._tensors[id(node)] = NodeTensors(node)
+        return tensors
 
     def path_coverage(self, leaf: OpTile) -> PathCoverage:
         """:func:`slice_coverage` of ``leaf`` at every node on its path.
@@ -337,37 +398,12 @@ class AnalysisContext:
         if cached is None:
             cached = self.shared_get("num_pe", fp)
             if cached is None:
-                cached = self._num_pe_recurse(node)
+                cached = num_pe_demand(node, self.num_pe)
                 self.shared_put("num_pe", fp, cached)
             self._num_pe[fp] = cached
         else:
             self.memo_hits += 1
         return cached
-
-    def _num_pe_recurse(self, node: TileNode) -> Tuple[int, int]:
-        """§5.2 ``NumPE`` with per-child memo lookups.
-
-        Mirrors :func:`num_pe_demand` exactly (same integer arithmetic)
-        but recurses through :meth:`num_pe`, so a fresh root combines
-        cached per-subtree demands instead of re-walking whole groups.
-        """
-        if node.is_leaf():
-            assert isinstance(node, OpTile)
-            used = node.spatial_trip_count
-            return (used, 0) if node.op.kind == "mac" else (0, used)
-        sp = node.spatial_trip_count
-        if isinstance(node, OpTile):
-            mac, vec = self.num_pe(node.child)
-            return sp * mac, sp * vec
-        assert isinstance(node, FusionNode)
-        demands = [self.num_pe(c) for c in node.children]
-        if node.binding.shares_compute_in_time:
-            mac = max(d[0] for d in demands)
-            vec = max(d[1] for d in demands)
-        else:
-            mac = sum(d[0] for d in demands)
-            vec = sum(d[1] for d in demands)
-        return sp * mac, sp * vec
 
     def executions(self, node: TileNode) -> int:
         """How many times the node's subtree runs over the execution.
@@ -390,11 +426,46 @@ class AnalysisContext:
     def subtree_uses(self, node: TileNode, tensor_name: str) -> bool:
         """Whether any leaf below ``node`` reads or writes the tensor.
 
-        Equivalent to membership in the node's slice tensors (every
-        access is an input or the output of some leaf op), so it rides
-        the slices memo instead of re-walking leaves.
+        Membership in the node's tensors (every access is an input or
+        the output of some leaf op).  It rides the slices memo, which a
+        shared store may serve, but reads only its loop-free half.
         """
         return tensor_name in self.node_slices(node).tensors
+
+    def self_evicts(self, node: TileNode, tensor_name: str) -> bool:
+        """§5.1.2 Seq eviction applied to the node's own iterations: the
+        sibling following the tensor's last user evicts it.  Memoized
+        (it reads no loops)."""
+        if (not self.model_eviction or not isinstance(node, FusionNode)
+                or node.binding is not Binding.SEQ):
+            return False
+        key = (id(node), None, tensor_name)
+        hit = self._evictions.get(key)
+        if hit is None:
+            users = [c for c in node.children
+                     if self.subtree_uses(c, tensor_name)]
+            hit = self._evictions[key] = bool(users) and self.evicted_at(
+                node, users[-1], tensor_name)
+        return hit
+
+    def evicted_at(self, parent: TileNode, child: TileNode,
+                   tensor_name: str) -> bool:
+        """§5.1.2: ascending from ``child`` through a Seq ``parent``
+        evicts slices the following sibling does not need.  Memoized
+        (it reads no loops)."""
+        if (not isinstance(parent, FusionNode)
+                or parent.binding is not Binding.SEQ
+                or len(parent.children) < 2):
+            return False
+        key = (id(parent), id(child), tensor_name)
+        hit = self._evictions.get(key)
+        if hit is None:
+            idx = next(i for i, c in enumerate(parent.children)
+                       if c is child)
+            following = parent.children[(idx + 1) % len(parent.children)]
+            hit = self._evictions[key] = not self.subtree_uses(
+                following, tensor_name)
+        return hit
 
     def home(self, tensor_name: str) -> Optional[TileNode]:
         """The tensor's LCA home node (None for workload inputs/outputs)."""

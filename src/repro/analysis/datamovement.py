@@ -45,13 +45,12 @@ from-scratch run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ..arch import Architecture
 from ..ir import TensorAccess
-from ..tile.bindings import Binding
 from ..tile.loops import Loop
-from ..tile.tree import AnalysisTree, FusionNode, TileNode
+from ..tile.tree import AnalysisTree, TileNode
 from .context import AnalysisContext
 from .metrics import LevelTraffic
 from .slices import box_volume
@@ -68,14 +67,6 @@ class NodeFlows:
     updates: Dict[str, float] = field(default_factory=dict)
     #: Words resident per tensor for one time step (capacity analysis).
     staged_words: Dict[str, float] = field(default_factory=dict)
-
-    @property
-    def load_words(self) -> float:
-        return sum(self.fills.values())
-
-    @property
-    def store_words(self) -> float:
-        return sum(self.updates.values())
 
 
 @dataclass
@@ -95,10 +86,10 @@ class _Walk:
     __slots__ = ("loops", "multiplier", "multiplied")
 
     def __init__(self, loops: List[Loop], multiplier: float,
-                 multiplied: List[Tuple[str, int]]):
+                 multiplied: List[Loop]):
         self.loops = loops  # outer -> inner
         self.multiplier = multiplier
-        #: (dim, count) of loops folded into the multiplier.
+        #: Loops folded into the multiplier, in multiplication order.
         self.multiplied = multiplied
 
 
@@ -126,8 +117,6 @@ class DataMovementAnalysis:
             tree, arch, model_eviction=model_eviction, model_rmw=model_rmw)
         self.model_eviction = self.ctx.model_eviction
         self.model_rmw = self.ctx.model_rmw
-        #: Per-run memo: (id(parent), id(child), tensor) -> Seq-evicted?
-        self._evictions: Dict[Tuple[int, int, str], bool] = {}
         #: Bound "walkvol" store of the shared artifact cache (or None);
         #: probed directly — this is the hottest lookup in the system.
         self._volumes = self.ctx.shared_store("walkvol")
@@ -201,9 +190,9 @@ class DataMovementAnalysis:
         """Update volume if no reduction loop ever displaced the slice."""
         loops = [lp for lp in walk.loops if lp.dim not in reduction_dims]
         mult_red = 1.0
-        for dim, count in walk.multiplied:
-            if dim in reduction_dims:
-                mult_red *= count
+        for lp in walk.multiplied:
+            if lp.dim in reduction_dims:
+                mult_red *= lp.count
         ideal_walk = _Walk(loops, walk.multiplier / max(1.0, mult_red), [])
         return self._walk_volume(extents, access, ideal_walk)
 
@@ -213,16 +202,13 @@ class DataMovementAnalysis:
                     home: Optional[TileNode]) -> _Walk:
         """Ancestor loop walk with Seq-eviction and LCA truncation."""
         walk_inner_to_outer: List[Loop] = []
-        multiplier = 1.0
-        multiplied: List[Tuple[str, int]] = []
+        multiplied: List[Loop] = []
         stopped = False
         # A Seq fusion node evicts a tensor between its own iterations when
         # the sibling following the tensor's last user does not need it, so
         # the node's own temporal loops refill rather than reuse.
-        if self._self_evicts(node, tensor_name):
-            for lp in node.temporal_loops:
-                multiplier *= lp.count
-                multiplied.append((lp.dim, lp.count))
+        if self.ctx.self_evicts(node, tensor_name):
+            multiplied.extend(node.temporal_loops)
         else:
             walk_inner_to_outer.extend(reversed(node.temporal_loops))
         # The node's own block-distributing spatial loops (step > 1)
@@ -231,71 +217,33 @@ class DataMovementAnalysis:
             if lp.step == 1:
                 continue
             if self._loop_displaces(access, lp):
-                multiplier *= lp.count
-                multiplied.append((lp.dim, lp.count))
+                multiplied.append(lp)
         current: TileNode = node
         while current.parent is not None:
             parent = current.parent
             for lp in parent.spatial_loops:
                 if self._loop_displaces(access, lp):
-                    multiplier *= lp.count
-                    multiplied.append((lp.dim, lp.count))
+                    multiplied.append(lp)
             if (not stopped and self.model_eviction
-                    and self._evicted_at(parent, current, tensor_name)):
+                    and self.ctx.evicted_at(parent, current, tensor_name)):
                 stopped = True
             if stopped:
-                for lp in parent.temporal_loops:
-                    multiplier *= lp.count
-                    multiplied.append((lp.dim, lp.count))
+                multiplied.extend(parent.temporal_loops)
             else:
                 walk_inner_to_outer.extend(reversed(parent.temporal_loops))
             if parent is home:
                 stopped = True
             current = parent
         walk_inner_to_outer.reverse()
+        multiplier = 1.0
+        for lp in multiplied:
+            multiplier *= lp.count
         return _Walk(walk_inner_to_outer, multiplier, multiplied)
 
     def _loop_displaces(self, access: TensorAccess, lp: Loop) -> bool:
         """Whether one step of ``lp`` moves the access's slice."""
         # Steps are positive, so the slice moves iff some coefficient does.
         return any(access.coefficients(lp.dim))
-
-    def _self_evicts(self, node: TileNode, tensor_name: str) -> bool:
-        """Seq eviction applied to the node's own iterations (§5.1.2)."""
-        if not self.model_eviction:
-            return False
-        if not isinstance(node, FusionNode):
-            return False
-        if node.binding is not Binding.SEQ or len(node.children) < 2:
-            return False
-        users = [i for i, c in enumerate(node.children)
-                 if self.ctx.subtree_uses(c, tensor_name)]
-        if not users:
-            return False
-        following = node.children[(users[-1] + 1) % len(node.children)]
-        return not self.ctx.subtree_uses(following, tensor_name)
-
-    def _evicted_at(self, parent: TileNode, child: TileNode,
-                    tensor_name: str) -> bool:
-        """§5.1.2: Seq evicts slices the following sibling does not need.
-
-        Memoized per run — the environment fingerprints and the walks of
-        a node's whole subtree ask about the same (parent, child, tensor)
-        triples.
-        """
-        if not isinstance(parent, FusionNode):
-            return False
-        if parent.binding is not Binding.SEQ or len(parent.children) < 2:
-            return False
-        key = (id(parent), id(child), tensor_name)
-        hit = self._evictions.get(key)
-        if hit is None:
-            idx = next(i for i, c in enumerate(parent.children) if c is child)
-            following = parent.children[(idx + 1) % len(parent.children)]
-            hit = (following is not child
-                   and not self.ctx.subtree_uses(following, tensor_name))
-            self._evictions[key] = hit
-        return hit
 
     def _walk_volume(self, extents: Sequence[int], access: TensorAccess,
                      walk: _Walk) -> float:

@@ -31,7 +31,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from .. import obs
-from ..tile.validate import validate_tree, validate_tree_cached
+from ..tile.validate import validate_tree_cached, validate_tree_local
 from .context import AnalysisContext
 from .energy import compute_energy
 
@@ -73,8 +73,9 @@ class ValidatePass(AnalysisPass):
 
     With a shared artifact cache attached the pass validates per
     subtree fingerprint (:func:`~repro.tile.validate.validate_tree_cached`)
-    so only fresh subtrees are re-inspected; invalid trees raise the
-    same error as the uncached path.
+    so only fresh subtrees are re-inspected; without one
+    (:func:`~repro.tile.validate.validate_tree_local`) the loop-free
+    rules run once per context.  Invalid trees raise the same error.
     """
 
     name = "validate"
@@ -84,7 +85,7 @@ class ValidatePass(AnalysisPass):
         if ctx.artifact_cache is not None:
             validate_tree_cached(ctx)
         else:
-            validate_tree(ctx.tree)
+            validate_tree_local(ctx)
         ctx.put("validated", True)
 
 

@@ -133,10 +133,7 @@ def cmd_search(args) -> int:
     w = args.writer
     workload = _workload(args)
     spec = arch_mod.by_name(args.arch)
-    engine = EvaluationEngine(
-        workload, spec, workers=args.workers,
-        subtree_cache_size=args.cache_bound, cache_dir=args.cache_dir,
-        cache_persist=not args.no_cache_persist)
+    engine = EvaluationEngine(workload, spec, workers=args.workers)
     mapper = TileFlowMapper(workload, spec, seed=args.seed,
                             workers=args.workers, engine=engine)
     start = time.perf_counter()
@@ -544,21 +541,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     from .engine.cache import DEFAULT_SUBTREE_CACHE_SIZE
 
-    def cache_flags(p: argparse.ArgumentParser) -> None:
-        """Tiered-artifact-store knobs shared by search and serve."""
-        p.add_argument("--cache-dir", metavar="DIR", default=None,
-                       help="disk-persistent artifact tier (L3): load "
-                            "subtree artifacts from DIR and flush them "
-                            "back on exit, so reruns warm-start (inspect "
-                            "with `repro cache stats`)")
-        p.add_argument("--cache-bound", type=int,
-                       default=DEFAULT_SUBTREE_CACHE_SIZE,
-                       help="in-memory subtree artifact cache entry "
-                            "bound (L1; 0 disables incremental reuse)")
-        p.add_argument("--no-cache-persist", action="store_true",
-                       help="with --cache-dir: read the disk tier but "
-                            "never write it back")
-
     parser = argparse.ArgumentParser(
         prog="repro", description="TileFlow reproduction CLI")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -596,7 +578,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--run-id", default=None,
                    help="explicit run id for --ledger (default: "
                         "timestamp-<workload>)")
-    cache_flags(p)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("validate", parents=[common],
@@ -663,7 +644,18 @@ def build_parser() -> argparse.ArgumentParser:
                         "runs/; empty string disables)")
     p.add_argument("--max-body-kb", type=int, default=64,
                    help="request-body cap in KiB (HTTP 413 beyond it)")
-    cache_flags(p)
+    p.add_argument("--cache-dir", metavar="DIR", default=None,
+                   help="disk-persistent artifact tier (L3): load subtree "
+                        "artifacts from DIR and flush them back on drain, "
+                        "so restarts warm-start (inspect with `repro "
+                        "cache stats`)")
+    p.add_argument("--cache-bound", type=int,
+                   default=DEFAULT_SUBTREE_CACHE_SIZE,
+                   help="in-memory subtree artifact cache entry bound "
+                        "(L1; 0 disables incremental reuse)")
+    p.add_argument("--no-cache-persist", action="store_true",
+                   help="with --cache-dir: read the disk tier but never "
+                        "write it back")
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("client", parents=[common],
@@ -698,7 +690,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "cache written by --cache-dir")
     p.add_argument("verb", choices=("stats", "clear", "purge"))
     p.add_argument("--cache-dir", metavar="DIR", required=True,
-                   help="the directory given to search/serve --cache-dir")
+                   help="the directory given to serve --cache-dir")
     p.add_argument("--namespace", default=None, metavar="PREFIX",
                    help="purge: namespace string (or shard-dir hash) "
                         "prefix to remove — see `cache stats`")

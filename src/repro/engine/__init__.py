@@ -7,7 +7,7 @@ determinism contract, and guidance on picking ``--workers``.
 """
 
 from .cache import DEFAULT_SUBTREE_CACHE_SIZE, SubtreeArtifactCache
-from .core import EngineStats, EvaluationEngine
+from .core import EngineStats, EvaluationEngine, GenomePlan
 from .prescreen import (PRESCREEN_TAG, compute_demand, is_prescreened,
                         prescreen, rejected_result)
 from .signature import (arch_fingerprint, cache_namespace, digest,
@@ -17,7 +17,7 @@ from .signature import (arch_fingerprint, cache_namespace, digest,
                         workload_digest, workload_fingerprint)
 
 __all__ = [
-    "EvaluationEngine", "EngineStats",
+    "EvaluationEngine", "EngineStats", "GenomePlan",
     "SubtreeArtifactCache", "DEFAULT_SUBTREE_CACHE_SIZE",
     "prescreen", "compute_demand", "rejected_result", "is_prescreened",
     "PRESCREEN_TAG",

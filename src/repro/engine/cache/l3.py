@@ -79,14 +79,15 @@ class DiskArtifactStore:
         """The persisted entries of one namespace/kind shard ({} if cold).
 
         Schema or namespace mismatches (format drift, hash-prefix
-        collision) and unreadable files all read as an empty shard.
+        collision) and unreadable files all read as an empty shard; any
+        unpickling error counts (an unknown protocol is a ``ValueError``,
+        a raising reduce step passes its own error on).
         """
         path = self._shard_dir(namespace) / f"{kind}.pkl"
         try:
             with open(path, "rb") as fh:
                 payload = pickle.load(fh)
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
-                ImportError, IndexError):
+        except Exception:
             return {}
         if (not isinstance(payload, dict)
                 or payload.get("schema") != L3_SCHEMA

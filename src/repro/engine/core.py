@@ -2,20 +2,22 @@
 
 :class:`EvaluationEngine` sits between the mapper's search loops and
 :class:`~repro.analysis.model.TileFlowModel`.  Every complete mapping
-(genome + tiling factors, template + tiling factors, or a pre-built
-tree) takes one path: build the tree, open an analysis context, run the
-cheap feasibility pre-screen (:mod:`repro.engine.prescreen`) unless a
-full result is required, then run the whole five-stage analysis.
+takes one pipeline — the cheap feasibility pre-screen
+(:mod:`repro.engine.prescreen`) unless a full result is required, then
+the whole analysis — over one of two kinds of analysis context:
+
+* **Tune path** — :meth:`EvaluationEngine.tune_genome` prices every
+  MCTS point on one :class:`GenomePlan`: one tree, re-armed loops-only
+  per point, on a context with no shared store.
+* **Tree path** — everything else (template tunes, pre-built trees, the
+  champion's ``full=True`` evaluation, the batched cross-check) builds
+  a tree per evaluation over a persistent
+  :class:`~repro.engine.cache.SubtreeArtifactCache` keyed by structural
+  subtree fingerprints.
+
+Both are byte-identical to a plain model run (property-tested).
 Repeated points need no engine-level memo: the MCTS tuner already
 dedups the points of each tune.
-
-The *incremental* layer makes that one path cheap: a persistent
-:class:`~repro.engine.cache.SubtreeArtifactCache` keyed by structural
-subtree fingerprints (:mod:`repro.engine.signature`).  A mapper move
-perturbs one subtree, so the next evaluation reuses every untouched
-sibling's slice geometry and walk volumes from earlier candidates and
-only recomputes the mutated path to the root — byte-identical results,
-structurally less work per candidate.
 
 ``workers > 1`` adds process-level parallelism for GA populations: each
 genome's MCTS factor tune is an independent task (the per-genome seeds
@@ -34,11 +36,11 @@ from dataclasses import dataclass, fields
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .. import obs
-from ..analysis import EvaluationResult, TileFlowModel
+from ..analysis import AnalysisContext, EvaluationResult, TileFlowModel
 from ..arch import Architecture
 from ..ir import Workload
 from ..mapper.cost import Cost, edp_cost, latency_cost
-from ..mapper.encoding import (Genome, build_genome_tree,
+from ..mapper.encoding import (Genome, GenomeLoops, build_genome_tree,
                                genome_factor_space)
 from ..mapper.mcts import MCTSTuner
 from ..obs import events
@@ -146,11 +148,8 @@ class EvaluationEngine:
         reconstruct the engine from picklable configuration.
     incremental:
         Keep a persistent :class:`SubtreeArtifactCache` across
-        evaluations so a mapper move reuses every untouched sibling
-        subtree's slice geometry and data-movement flows and only
-        recomputes the mutated path to the root.  Results are
-        byte-identical either way (oracle- and property-tested); this
-        is purely a performance knob, on by default.
+        tree-path evaluations (genome tunes never use it).  Results are
+        byte-identical either way; purely a performance knob.
     batched:
         Price sibling factor candidates of long MCTS tunes in vectorized
         cohort sweeps (:mod:`repro.analysis.batched`); engaged only for
@@ -263,31 +262,29 @@ class EvaluationEngine:
         obs.count(f"engine.{name}", n)
 
     # -- evaluation --------------------------------------------------------
-    def _evaluate(self, tree: AnalysisTree, signature: Callable[[], object],
+    def _evaluate(self, ctx: AnalysisContext,
+                  signature: Callable[[], object],
                   full: bool = False) -> EvaluationResult:
-        """The one evaluation path: context, pre-screen, full analysis.
+        """The one evaluation pipeline: pre-screen, full analysis.
 
-        ``signature`` produces the mapping's canonical signature; it is
-        only called when the event bus is live, to digest a pre-screen
-        rejection.
+        One context serves the screen and the evaluation: the screen's
+        validation and slice geometry are reused when the pipeline
+        resumes for the full run.  ``signature`` produces the mapping's
+        canonical signature; it is only called when the event bus is
+        live, to digest a pre-screen rejection.
         """
-        # One context serves the screen and the evaluation: the screen's
-        # validation and slice geometry are reused when the pipeline
-        # resumes for the full run.  The persistent subtree cache makes
-        # the context incremental across evaluations: artifacts of
-        # subtrees shared with previously analysed candidates are served
-        # instead of recomputed.
-        subtree = self.subtree_cache
+        tree = ctx.tree
+        subtree = ctx.artifact_cache
         ns = self._subtree_ns
-        before = subtree.counts(ns) if subtree is not None else (0, 0)
-        before_l3 = subtree.tier_counts(ns) if subtree is not None else 0
-        before_ev = subtree.eviction_count if subtree is not None else 0
+        if subtree is not None:
+            before = subtree.counts(ns)
+            before_l3 = subtree.tier_counts(ns)
+            before_ev = subtree.eviction_count
         # Event payloads are only built when the bus is live — the
         # disabled path pays one module read per evaluation.
         emitting = events.is_enabled()
         before_kinds = (subtree.counts_by_kind(ns)
                         if emitting and subtree is not None else None)
-        ctx = self.model.context(tree, artifact_cache=subtree)
         violations = (prescreen(tree, self.arch,
                                 check_memory=self.respect_memory,
                                 context=ctx)
@@ -325,17 +322,29 @@ class EvaluationEngine:
                                     evictions=e - be)
         return result
 
+    def _tree_context(self, tree: AnalysisTree) -> AnalysisContext:
+        """A tree-path context: over the persistent subtree cache."""
+        return self.model.context(tree, artifact_cache=self.subtree_cache)
+
     def evaluate_genome(self, genome: Genome,
                         factors: Mapping[str, int],
-                        full: bool = False) -> EvaluationResult:
+                        full: bool = False,
+                        plan: Optional["GenomePlan"] = None
+                        ) -> EvaluationResult:
         """Evaluation of one genome mapping.
 
         ``full=True`` guarantees a completely analysed result (champion
-        reporting): the pre-screen is bypassed.
+        reporting): the pre-screen is bypassed.  ``plan`` is the tune's
+        :class:`GenomePlan` for ``genome``; without one the point takes
+        the tree path.
         """
-        tree = build_genome_tree(self.workload, self.arch, genome, factors)
+        if plan is None:
+            ctx = self._tree_context(build_genome_tree(
+                self.workload, self.arch, genome, factors))
+        else:
+            ctx = plan.rearm(factors)
         return self._evaluate(
-            tree, lambda: mapping_signature(self._base, genome, factors),
+            ctx, lambda: mapping_signature(self._base, genome, factors),
             full=full)
 
     def mapping_digest(self, genome: Genome,
@@ -344,9 +353,10 @@ class EvaluationEngine:
         — the run ledger's champion identity."""
         return digest(mapping_signature(self._base, genome, factors))
 
-    def genome_cost(self, genome: Genome,
-                    factors: Mapping[str, int]) -> Cost:
-        cost = self.cost_of(self.evaluate_genome(genome, factors))
+    def genome_cost(self, genome: Genome, factors: Mapping[str, int],
+                    plan: Optional["GenomePlan"] = None) -> Cost:
+        cost = self.cost_of(self.evaluate_genome(genome, factors,
+                                                 plan=plan))
         obs.count("mapper.evaluations")
         if cost == float("inf"):
             obs.count("mapper.infeasible")
@@ -370,7 +380,8 @@ class EvaluationEngine:
         token = self._template_token(template)
         tree = template(self.workload, self.arch, dict(factors))
         return self._evaluate(
-            tree, lambda: template_signature(self._base, token, factors),
+            self._tree_context(tree),
+            lambda: template_signature(self._base, token, factors),
             full=full)
 
     # -- pre-built trees -------------------------------------------------
@@ -384,7 +395,8 @@ class EvaluationEngine:
         artifacts flow through the shared :class:`SubtreeArtifactCache`
         — a repeated job is served almost entirely from warm artifacts.
         """
-        return self._evaluate(tree, lambda: (self._base, "tree", tree.name),
+        return self._evaluate(self._tree_context(tree),
+                              lambda: (self._base, "tree", tree.name),
                               full=full)
 
     @property
@@ -396,10 +408,13 @@ class EvaluationEngine:
     # -- per-genome MCTS tuning ------------------------------------------
     def tune_genome(self, genome: Genome, seed: int,
                     samples: int) -> Tuple[Cost, Dict[str, int]]:
-        """One MCTS factor tune of one genome (the GA fitness)."""
+        """One MCTS factor tune of one genome (the GA fitness), every
+        point priced on one :class:`GenomePlan`."""
         space = genome_factor_space(self.workload, genome)
+        plan = GenomePlan(self, genome)
         tuner = MCTSTuner(space,
-                          lambda point: self.genome_cost(genome, point),
+                          lambda point: self.genome_cost(genome, point,
+                                                         plan=plan),
                           seed=seed,
                           batch=self._cohort_hook(genome, space, samples))
         point, cost = tuner.search(samples)
@@ -535,6 +550,33 @@ class EvaluationEngine:
 
     def __exit__(self, *exc) -> None:
         self.shutdown()
+
+
+class GenomePlan:
+    """One genome's tree and analysis context, re-armed per MCTS point.
+
+    The tree is built once; a point assigns every node its loops from the
+    genome's :class:`~repro.mapper.encoding.GenomeLoops` (the skeleton
+    :func:`build_genome_tree` uses too) and re-arms the context
+    loops-only, keeping every structure-only fact for the whole tune.
+    """
+
+    __slots__ = ("skeleton", "tree", "context")
+
+    def __init__(self, engine: EvaluationEngine, genome: Genome):
+        self.skeleton = GenomeLoops(engine.workload, engine.arch, genome)
+        self.tree = build_genome_tree(engine.workload, engine.arch,
+                                      genome, {})
+        self.context = engine.model.context(self.tree)
+
+    def rearm(self, factors: Mapping[str, int]) -> AnalysisContext:
+        """The context, re-armed for ``factors``' loops."""
+        for node, loops in zip(self.tree.nodes(),
+                               self.skeleton.loops(factors)):
+            if node.loops is not loops:  # leaf loops are shared tuples
+                node.loops = loops
+        self.context.invalidate(loops_only=True)
+        return self.context
 
 
 # ---------------------------------------------------------------------------

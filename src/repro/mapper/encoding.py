@@ -79,15 +79,11 @@ class Genome:
     def group_binding(self, workload: Workload,
                       group_index: int) -> Binding:
         """Binding of a group: its first fused edge's binding."""
-        ops = list(workload.operators)
-        start = 0
-        for g in range(group_index):
-            start += len(self.groups(workload)[g])
-        # Edge indices inside the group start at `start`.
         groups = self.groups(workload)
         if len(groups[group_index]) == 1:
             return Binding.SEQ
-        return self.bindings[start]
+        # The group's first edge index is the number of ops before it.
+        return self.bindings[sum(len(g) for g in groups[:group_index])]
 
     @staticmethod
     def random(workload: Workload, rng: random.Random) -> "Genome":
@@ -220,23 +216,92 @@ def _generic_leaf(op: Operator, budget: int) -> Tuple[Dict[str, int],
     return sp, tp
 
 
-def _generic_chain(op: Operator, tile: Mapping[str, int], budget: int,
-                   level: int) -> OpTile:
-    sp, tp = _generic_leaf(op, budget)
-    leaf_loops: List[Loop] = []
-    for d, n in tp.items():
-        leaf_loops.append(temporal(d, n, 1))
-    for d, n in sp.items():
-        leaf_loops.append(spatial(d, n, 1))
-    leaf = OpTile(op, leaf_loops, level=0)
-    mid: List[Loop] = []
-    for d, size in op.dims.items():
-        want = min(size, tile.get(d, size))
-        ext = sp.get(d, 1) * tp.get(d, 1)
-        count = _ceil(want, ext)
-        if count > 1:
-            mid.append(temporal(d, count, ext))
-    return OpTile(op, mid, level=level, child=leaf)
+class GenomeLoops:
+    """The loop skeleton of one genome's tree.
+
+    Everything but the factor-dependent loop counts is derived once:
+    ``groups`` holds, per fusion group, its tileable ``(dim, size,
+    factor name)`` triples and, per operator chain, ``(op, mid, leaf)``
+    — the ``(dim, size, extent)`` its mid loops divide and its leaf
+    loops (factor-independent, shared by every point).  :meth:`loops`
+    then yields the loops of every node, in pre-order, for one point.
+    """
+
+    def __init__(self, workload: Workload, arch: Architecture,
+                 genome: Genome):
+        self.units = arch.level(1).fanout
+        budget = max(4, arch.pe_count // self.units)
+        vector_budget = max(2, arch.vector_pe_count // self.units)
+        groups = genome.groups(workload)
+        #: Whether a loop-free Seq root sits over the groups.
+        self.root = not (len(groups) == 1 and len(groups[0]) > 1)
+        self.groups = []
+        for gi, group in enumerate(groups):
+            sizes = group[-1].dims
+            dims = [(d, sizes[d], f"g{gi}_{d}")
+                    for d in shared_tileable_dims(workload, group)[:3]]
+            pipe = (genome.group_binding(workload, gi) is Binding.PIPE
+                    and len(group) > 1)
+            mac_chains = sum(1 for op in group if op.kind == "mac") or 1
+            vec_chains = sum(1 for op in group if op.kind != "mac") or 1
+            chains = []
+            for op in group:
+                mac = op.kind == "mac"
+                share = (mac_chains if mac else vec_chains) if pipe else 1
+                sp, tp = _generic_leaf(op, max(4, budget // share) if mac
+                                       else max(2, vector_budget // share))
+                leaf = tuple([temporal(d, n, 1) for d, n in tp.items()]
+                             + [spatial(d, n, 1) for d, n in sp.items()])
+                mid = tuple((d, size, sp.get(d, 1) * tp.get(d, 1))
+                            for d, size in op.dims.items())
+                chains.append((op, mid, leaf))
+            self.groups.append((dims, chains))
+
+    def loops(self, factors: Mapping[str, int]) -> List[Tuple[Loop, ...]]:
+        """The loops of every node for ``factors``, in pre-order.
+
+        Fusion groups tile their shared tileable dims at the outermost
+        on-chip level (factor ``g{i}_{dim}``, spatially split over the
+        level-1 fanout first).  All tiling is imperfect (ceil).
+        """
+        out: List[Tuple[Loop, ...]] = [()] if self.root else []
+        for dims, chains in self.groups:
+            tile: Dict[str, int] = {}
+            loops: List[Loop] = []
+            spatial_budget = self.units
+            for d, size, name in dims:
+                step = min(size, int(factors.get(name, size)))
+                tile[d] = step
+                blocks = _ceil(size, step)
+                if spatial_budget > 1 and blocks > 1:
+                    split = min(spatial_budget, blocks)
+                    per = _ceil(blocks, split)
+                    loops.append(spatial(d, split, per * step))
+                    blocks = per
+                    spatial_budget = max(1, spatial_budget // split)
+                if blocks > 1:
+                    loops.append(temporal(d, blocks, step))
+            out.append(tuple(loops))
+            for _, mid, leaf in chains:
+                out.append(tuple(
+                    temporal(d, count, ext) for d, size, ext in mid
+                    for count in (_ceil(min(size, tile.get(d, size)), ext),)
+                    if count > 1))
+                out.append(leaf)
+        return out
+
+
+def genome_loops(workload: Workload, arch: Architecture, genome: Genome,
+                 factors: Mapping[str, int]) -> List[Tuple[Loop, ...]]:
+    """The loops of every node of the genome's tree, in pre-order.
+
+    Only loops depend on ``factors``: the node set, operators, levels and
+    bindings are fixed by the genome, so assigning these to the nodes of
+    any tree built for ``genome`` (node by node, pre-order) yields the
+    tree :func:`build_genome_tree` builds for ``factors``.  Callers
+    pricing many points of one genome keep a :class:`GenomeLoops`.
+    """
+    return GenomeLoops(workload, arch, genome).loops(factors)
 
 
 def build_genome_tree(workload: Workload, arch: Architecture,
@@ -244,63 +309,36 @@ def build_genome_tree(workload: Workload, arch: Architecture,
                       factors: Mapping[str, int]) -> AnalysisTree:
     """Construct the analysis tree for a genome plus tiling factors.
 
-    Fusion groups become fusion nodes at the outermost on-chip level with
-    loops over their shared tileable dims (factor ``g{i}_{dim}``);
+    Fusion groups become fusion nodes at the outermost on-chip level;
     singleton groups become plain operator chains.  Groups are children
-    of a Seq root at the DRAM level.  All tiling is imperfect (ceil), so
-    any factor assignment yields a structurally valid tree.
+    of a Seq root at the DRAM level.  Loops come from the genome's
+    :class:`GenomeLoops`, as :func:`genome_loops` gives them.
     """
     top_level = arch.num_levels - 2
-    units = arch.level(1).fanout
-    budget = max(4, arch.pe_count // units)
-    vector_budget = max(2, arch.vector_pe_count // units)
+    skeleton = GenomeLoops(workload, arch, genome)
+    loops = iter(skeleton.loops(factors))
+    root_loops = next(loops) if skeleton.root else None
     group_nodes: List[TileNode] = []
     for gi, group in enumerate(genome.groups(workload)):
-        binding = genome.group_binding(workload, gi)
-        dims = shared_tileable_dims(workload, group)[:3]
-        sizes = group[-1].dims
-        tile: Dict[str, int] = {}
-        loops: List[Loop] = []
-        spatial_budget = units
-        for d in dims:
-            size = sizes[d]
-            step = min(size, int(factors.get(f"g{gi}_{d}", size)))
-            tile[d] = step
-            blocks = _ceil(size, step)
-            if spatial_budget > 1 and blocks > 1:
-                split = min(spatial_budget, blocks)
-                per = _ceil(blocks, split)
-                loops.append(spatial(d, split, per * step))
-                blocks = per
-                spatial_budget = max(1, spatial_budget // split)
-            if blocks > 1:
-                loops.append(temporal(d, blocks, step))
-        pipe = binding is Binding.PIPE and len(group) > 1
-        mac_chains = sum(1 for op in group if op.kind == "mac") or 1
-        vec_chains = sum(1 for op in group if op.kind != "mac") or 1
-
-        def chain_budget(op):
-            if op.kind == "mac":
-                return max(4, budget // (mac_chains if pipe else 1))
-            return max(2, vector_budget // (vec_chains if pipe else 1))
-
+        top_loops = next(loops)
+        chains = []
+        for op in group:
+            mid = next(loops)
+            chains.append(OpTile(op, mid, level=1,
+                                 child=OpTile(op, next(loops), level=0)))
         if len(group) == 1:
-            op = group[0]
-            chain = _generic_chain(op, tile, chain_budget(op), level=1)
-            top_loops = [lp for lp in loops if lp.dim in op.dims]
-            group_nodes.append(OpTile(op, top_loops, level=top_level,
-                                      child=chain))
+            group_nodes.append(OpTile(group[0], top_loops, level=top_level,
+                                      child=chains[0]))
         else:
-            children = [_generic_chain(op, tile, chain_budget(op), level=1)
-                        for op in group]
-            group_nodes.append(FusionNode(loops, level=top_level,
-                                          children=children,
-                                          binding=binding,
-                                          name=f"group{gi}"))
-    if len(group_nodes) == 1 and isinstance(group_nodes[0], FusionNode):
+            group_nodes.append(FusionNode(
+                top_loops, level=top_level, children=chains,
+                binding=genome.group_binding(workload, gi),
+                name=f"group{gi}"))
+    if root_loops is None:
         root: TileNode = group_nodes[0]
     else:
-        root = FusionNode([], level=arch.dram_index, children=group_nodes,
-                          binding=Binding.SEQ, name="root")
+        root = FusionNode(root_loops, level=arch.dram_index,
+                          children=group_nodes, binding=Binding.SEQ,
+                          name="root")
     return AnalysisTree(workload, root,
                         name=f"genome[{genome.describe(workload)}]")

@@ -119,9 +119,6 @@ class TileNode:
         split = self._splits()
         return split[2] * split[3]
 
-    def loops_over(self, dim: str) -> List[Loop]:
-        return [lp for lp in self.loops if lp.dim == dim]
-
     def label(self) -> str:
         return self.name or self.__class__.__name__
 

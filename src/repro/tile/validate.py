@@ -18,16 +18,14 @@ Checks (all from §4 of the paper):
    consumers of their tensors; ``Para`` siblings must be independent.
 
 :func:`validate_tree` raises :class:`TreeValidationError` on the first
-violation; :func:`check_tree` returns the list of all violation messages.
-
-:func:`validate_tree_cached` is the incremental variant: given an
-analysis context with a shared artifact cache it validates per subtree
-fingerprint — every rule except root coverage is local to a subtree
-(given the workload, which the cache namespace pins), and coverage
-composes bottom-up per operator — so re-validating a tree that shares
-subtrees with previously validated ones only inspects the fresh ones.
-A tree found invalid falls back to :func:`check_tree` so the error
-message lists problems in the canonical (per-rule) order.
+violation; :func:`check_tree` returns the list of all violation messages,
+running each node-local rule (``_check_*``) over the nodes in pre-order,
+rule by rule.  Two variants run the same rules over an analysis context:
+:func:`validate_tree_cached` memoizes per subtree fingerprint through a
+shared artifact cache, and :func:`validate_tree_local` checks the rules
+that read no loop counts (:data:`STRUCTURE_RULES`) once per context.
+Whatever either finds invalid falls back to :func:`check_tree`, so the
+error message lists problems in the canonical order.
 """
 
 from __future__ import annotations
@@ -35,20 +33,25 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from ..errors import TreeValidationError
-from .coverage import apply_loops, op_coverage_below
+from .coverage import apply_loops
 from .bindings import Binding
 from .tree import AnalysisTree, FusionNode, OpTile, TileNode
+
+#: Operator kinds whose reductions are associative and can be computed
+#: online (running max / running sum), so tiling their reduction dim above
+#: the fusion point is legal — the FlashAttention-style relaxation that
+#: enables the paper's winning self-attention dataflow, which tiles the
+#: column dimension of S/L/A (§7.5, Table 7 discussion).
+ASSOCIATIVE_KINDS = frozenset({"max", "sum"})
 
 
 def check_tree(tree: AnalysisTree) -> List[str]:
     """Return a list of structural-rule violations (empty when valid)."""
     problems: List[str] = []
-    _check_levels(tree.root, problems)
-    _check_chains(tree.root, problems)
-    _check_coverage(tree, problems)
-    _check_fusion_loops(tree, problems)
-    _check_reduction_rule(tree, problems)
-    _check_sibling_order(tree, problems)
+    _apply((_check_levels, _check_chains), tree, problems)
+    problems.extend(_coverage_problems(tree))
+    _apply((_check_fusion_loops, _check_reduction_rule,
+            _check_sibling_order), tree, problems)
     return problems
 
 
@@ -60,6 +63,24 @@ def validate_tree(tree: AnalysisTree) -> None:
             f"tree {tree.name!r} is invalid:\n  - " + "\n  - ".join(problems))
 
 
+def validate_tree_local(ctx) -> None:
+    """Validate ``ctx.tree``, checking loop-free rules once per context.
+
+    ``ctx`` is an :class:`~repro.analysis.context.AnalysisContext` (duck
+    typed: ``tree`` and its ``structure_ok`` verdict, which a loops-only
+    ``invalidate`` keeps); the loop rules and coverage run every call.
+    """
+    problems: List[str] = []
+    if ctx.structure_ok is None:
+        _apply(STRUCTURE_RULES, ctx.tree, problems)
+        ctx.structure_ok = not problems
+    if ctx.structure_ok:
+        _apply(LOOP_RULES, ctx.tree, problems)
+        problems.extend(_coverage_problems(ctx.tree))
+    if problems or not ctx.structure_ok:
+        _invalid(ctx.tree)
+
+
 def validate_tree_cached(ctx) -> None:
     """Validate ``ctx.tree`` with per-subtree memoization.
 
@@ -68,16 +89,26 @@ def validate_tree_cached(ctx) -> None:
     Subtree verdicts are cached under kind ``"valid"`` and per-operator
     coverage under ``"cov"``; both are functions of the subtree shape
     plus the workload, which the cache namespace pins.  The happy path
-    (valid tree) touches only fingerprints and fresh subtrees; any
-    problem re-runs :func:`check_tree` so the raised message is
-    byte-identical to the uncached path.
+    (valid tree) touches only fingerprints and fresh subtrees.
     """
-    tree = ctx.tree
-    if _subtree_problems(ctx, tree.root) or _coverage_problems(ctx):
-        validate_tree(tree)  # canonical problem order; raises
-        raise TreeValidationError(  # pragma: no cover - cache/full skew
-            f"tree {tree.name!r} is invalid (cached validation found "
-            f"problems the full check did not — cache corruption?)")
+    if (_subtree_problems(ctx, ctx.tree.root)
+            or _coverage_problems(ctx.tree, ctx)):
+        _invalid(ctx.tree)
+
+
+def _apply(rules, tree: AnalysisTree, problems: List[str]) -> None:
+    """Run node-local rules over the tree, rule by rule, pre-order."""
+    for rule in rules:
+        for node in tree.nodes():
+            rule(node, tree.workload, problems)
+
+
+def _invalid(tree: AnalysisTree) -> None:
+    """Raise the canonical error for a tree a variant found invalid."""
+    validate_tree(tree)  # canonical problem order; raises
+    raise TreeValidationError(  # pragma: no cover - variant/full skew
+        f"tree {tree.name!r} is invalid (incremental validation found "
+        f"problems the full check did not — cache corruption?)")
 
 
 def _subtree_problems(ctx, node: TileNode) -> Tuple[str, ...]:
@@ -86,7 +117,8 @@ def _subtree_problems(ctx, node: TileNode) -> Tuple[str, ...]:
     cached = ctx.shared_get("valid", fp)
     if cached is None:
         problems: List[str] = []
-        _node_problems(node, ctx.tree.workload, problems)
+        for rule in NODE_RULES:
+            rule(node, ctx.tree.workload, problems)
         for child in node.children_nodes():
             problems.extend(_subtree_problems(ctx, child))
         cached = tuple(problems)
@@ -94,13 +126,61 @@ def _subtree_problems(ctx, node: TileNode) -> Tuple[str, ...]:
     return cached
 
 
-def _node_problems(node: TileNode, workload, problems: List[str]) -> None:
-    """The node-local slice of every structural rule but coverage."""
+def _coverage_problems(tree: AnalysisTree, ctx=None) -> List[str]:
+    """Root coverage of every operator (memoized through ``ctx``'s
+    shared store when given)."""
+    problems: List[str] = []
+    for op in tree.workload.operators:
+        try:
+            path = tree.op_path(op.name)
+        except TreeValidationError:
+            problems.append(f"subtree {tree.root.label()!r} has no leaf "
+                            f"for operator {op.name!r}")
+            continue
+        cov = _coverage_at(ctx, path, 0, op)
+        for d, size in op.dims.items():
+            if cov.get(d, 1) < size:
+                problems.append(
+                    f"operator {op.name!r}: dim {d!r} covered {cov.get(d, 1)}"
+                    f" < {size}")
+    return problems
+
+
+def _coverage_at(ctx, path, idx: int, op) -> Dict[str, int]:
+    """Coverage of ``op`` below ``path[idx]``, descending lazily.
+
+    With a context, descending from the root means a warm cache answers
+    with a *single* lookup at the outermost cached level instead of one
+    per path node.  The root itself is never cached: its fingerprint is
+    fresh on every mapper move (something below changed), so a root
+    entry would only churn the cache.
+    """
+    node = path[idx]
+    key = (ctx.fingerprint(node), op.name) if ctx is not None and idx \
+        else None
+    cached = ctx.shared_get("cov", key) if key is not None else None
+    if cached is None:
+        if idx + 1 < len(path):
+            inner = _coverage_at(ctx, path, idx + 1, op)
+        else:
+            inner = {d: 1 for d in op.dims}
+        cached = apply_loops(inner, node.loops, op.dims)
+        if key is not None:
+            ctx.shared_put("cov", key, cached)
+    return cached
+
+
+# ----------------------------------------------------------------------
+# The node-local rules.  Each appends the problems of one node.
+def _check_levels(node: TileNode, workload, problems: List[str]) -> None:
     for child in node.children_nodes():
         if child.level > node.level:
             problems.append(
                 f"level increases from {node.label()} (L{node.level}) "
                 f"to child {child.label()} (L{child.level})")
+
+
+def _check_chains(node: TileNode, workload, problems: List[str]) -> None:
     if isinstance(node, OpTile) and node.child is not None:
         child = node.child
         if not isinstance(child, OpTile):
@@ -111,17 +191,27 @@ def _node_problems(node: TileNode, workload, problems: List[str]) -> None:
             problems.append(
                 f"OpTile chain switches operator: {node.label()} -> "
                 f"{child.label()}")
-    if not isinstance(node, FusionNode):
+
+
+def _check_fusion_loops(node: TileNode, workload,
+                        problems: List[str]) -> None:
+    if not isinstance(node, FusionNode) or not node.loops:
         return
-    ops_here = {op.name: op for op in node.subtree_ops()}
     dims = set()
-    for op in ops_here.values():
+    for op in node.subtree_ops():
         dims.update(op.dims)
     for lp in node.loops:
         if lp.dim not in dims:
             problems.append(
                 f"fusion node {node.label()}: loop dim {lp.dim!r} "
                 f"belongs to no operator in its subtree")
+
+
+def _check_reduction_rule(node: TileNode, workload,
+                          problems: List[str]) -> None:
+    if not isinstance(node, FusionNode) or not node.loops:
+        return
+    ops_here = {op.name: op for op in node.subtree_ops()}
     for op in ops_here.values():
         if op.kind in ASSOCIATIVE_KINDS:
             continue
@@ -137,6 +227,12 @@ def _node_problems(node: TileNode, workload, problems: List[str]) -> None:
                     f"is a reduction dim of fused producer {op.name!r} "
                     f"(§4.1 forbids producer reduction loops above the "
                     f"fusion point)")
+
+
+def _check_sibling_order(node: TileNode, workload,
+                         problems: List[str]) -> None:
+    if not isinstance(node, FusionNode):
+        return
     position: Dict[str, int] = {}
     for idx, child in enumerate(node.children):
         for op in child.subtree_ops():
@@ -156,153 +252,9 @@ def _node_problems(node: TileNode, workload, problems: List[str]) -> None:
                     f"{producer!r} via {tensor!r}")
 
 
-def _coverage_problems(ctx) -> List[str]:
-    """Root-coverage check with per-(subtree, operator) memoization."""
-    tree = ctx.tree
-    problems: List[str] = []
-    for op in tree.workload.operators:
-        try:
-            path = tree.op_path(op.name)
-        except TreeValidationError:
-            problems.append(
-                f"subtree {tree.root.label()!r} has no leaf for operator "
-                f"{op.name!r}")
-            continue
-        cov = _coverage_at(ctx, path, 0, op)
-        for d, size in op.dims.items():
-            if cov.get(d, 1) < size:
-                problems.append(
-                    f"operator {op.name!r}: dim {d!r} covered {cov.get(d, 1)}"
-                    f" < {size}")
-    return problems
-
-
-def _coverage_at(ctx, path, idx: int, op) -> Dict[str, int]:
-    """Coverage of ``op`` below ``path[idx]``, descending lazily.
-
-    Descending from the root means a warm cache answers with a *single*
-    lookup at the outermost cached level instead of one per path node.
-    The root itself is never cached: its fingerprint is fresh on every
-    mapper move (something below changed), so a root entry would only
-    churn the cache.
-    """
-    node = path[idx]
-    at_root = idx == 0
-    key = None if at_root else (ctx.fingerprint(node), op.name)
-    cached = None if at_root else ctx.shared_get("cov", key)
-    if cached is None:
-        if idx + 1 < len(path):
-            inner = _coverage_at(ctx, path, idx + 1, op)
-        else:
-            inner = {d: 1 for d in op.dims}
-        cached = apply_loops(inner, node.loops, op.dims)
-        if not at_root:
-            ctx.shared_put("cov", key, cached)
-    return cached
-
-
-# ----------------------------------------------------------------------
-def _check_levels(root: TileNode, problems: List[str]) -> None:
-    for node in root.walk():
-        for child in node.children_nodes():
-            if child.level > node.level:
-                problems.append(
-                    f"level increases from {node.label()} (L{node.level}) "
-                    f"to child {child.label()} (L{child.level})")
-
-
-def _check_chains(root: TileNode, problems: List[str]) -> None:
-    for node in root.walk():
-        if isinstance(node, OpTile) and node.child is not None:
-            child = node.child
-            if not isinstance(child, OpTile):
-                problems.append(
-                    f"OpTile {node.label()} has non-OpTile child "
-                    f"{child.label()}; fusion requires a FusionNode")
-            elif child.op.name != node.op.name:
-                problems.append(
-                    f"OpTile chain switches operator: {node.label()} -> "
-                    f"{child.label()}")
-
-
-def _check_coverage(tree: AnalysisTree, problems: List[str]) -> None:
-    for op in tree.workload.operators:
-        try:
-            cov = op_coverage_below(tree.root, op)
-        except ValueError as exc:
-            problems.append(str(exc))
-            continue
-        for d, size in op.dims.items():
-            if cov.get(d, 1) < size:
-                problems.append(
-                    f"operator {op.name!r}: dim {d!r} covered {cov.get(d, 1)}"
-                    f" < {size}")
-
-
-def _check_fusion_loops(tree: AnalysisTree, problems: List[str]) -> None:
-    for node in tree.nodes():
-        if not isinstance(node, FusionNode):
-            continue
-        dims = set()
-        for op in node.subtree_ops():
-            dims.update(op.dims)
-        for lp in node.loops:
-            if lp.dim not in dims:
-                problems.append(
-                    f"fusion node {node.label()}: loop dim {lp.dim!r} "
-                    f"belongs to no operator in its subtree")
-
-
-#: Operator kinds whose reductions are associative and can be computed
-#: online (running max / running sum), so tiling their reduction dim above
-#: the fusion point is legal — the FlashAttention-style relaxation that
-#: enables the paper's winning self-attention dataflow, which tiles the
-#: column dimension of S/L/A (§7.5, Table 7 discussion).
-ASSOCIATIVE_KINDS = frozenset({"max", "sum"})
-
-
-def _check_reduction_rule(tree: AnalysisTree, problems: List[str]) -> None:
-    workload = tree.workload
-    for node in tree.nodes():
-        if not isinstance(node, FusionNode):
-            continue
-        ops_here = {op.name: op for op in node.subtree_ops()}
-        for op in ops_here.values():
-            if op.kind in ASSOCIATIVE_KINDS:
-                continue
-            out = op.output.tensor.name
-            consumed_inside = any(c.name in ops_here
-                                  for c in workload.consumers(out))
-            if not consumed_inside:
-                continue
-            for lp in node.loops:
-                if lp.dim in op.reduction_dims:
-                    problems.append(
-                        f"fusion node {node.label()}: loop over {lp.dim!r} "
-                        f"is a reduction dim of fused producer {op.name!r} "
-                        f"(§4.1 forbids producer reduction loops above the "
-                        f"fusion point)")
-
-
-def _check_sibling_order(tree: AnalysisTree, problems: List[str]) -> None:
-    workload = tree.workload
-    for node in tree.nodes():
-        if not isinstance(node, FusionNode):
-            continue
-        position = {}
-        for idx, child in enumerate(node.children):
-            for op in child.subtree_ops():
-                position[op.name] = idx
-        for producer, tensor, consumer in workload.dependency_chain():
-            if producer in position and consumer in position:
-                if position[producer] > position[consumer]:
-                    problems.append(
-                        f"fusion node {node.label()}: child with consumer "
-                        f"{consumer!r} precedes child with producer "
-                        f"{producer!r} of tensor {tensor!r}")
-                elif (position[producer] != position[consumer]
-                      and node.binding is Binding.PARA):
-                    problems.append(
-                        f"fusion node {node.label()}: Para siblings must be "
-                        f"independent but {consumer!r} depends on "
-                        f"{producer!r} via {tensor!r}")
+#: Node-local rules that read no loop counts.
+STRUCTURE_RULES = (_check_levels, _check_chains, _check_sibling_order)
+#: Node-local rules that read loops (coverage is whole-tree).
+LOOP_RULES = (_check_fusion_loops, _check_reduction_rule)
+#: Every node-local rule.
+NODE_RULES = STRUCTURE_RULES + LOOP_RULES

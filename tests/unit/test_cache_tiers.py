@@ -31,7 +31,9 @@ from repro.engine import EvaluationEngine
 from repro.engine.cache import (DiskArtifactStore, SubtreeArtifactCache,
                                 TIERED_KINDS)
 from repro.engine.cache.l3 import L3_SCHEMA
-from repro.mapper import Genome, build_genome_tree, genome_factor_space
+from repro.dataflows import ATTENTION_DATAFLOWS, attention_factor_space
+from repro.mapper import (Genome, build_genome_tree, genome_factor_space,
+                          tune_template)
 from repro.workloads import self_attention
 
 WL = self_attention(2, 32, 64, expand_softmax=False)
@@ -260,6 +262,32 @@ def test_l3_schema_and_namespace_mismatch_read_cold(tmp_path):
     assert l3.load(NS, "walkvol") == {"a": 1}
 
 
+def _raises_on_load():
+    raise TypeError("reduce step fails")
+
+
+class _FailingReduce:
+    """Pickles to a reduce step that raises when unpickled."""
+
+    def __reduce__(self):
+        return (_raises_on_load, ())
+
+
+@pytest.mark.parametrize("garbage", [
+    b"\x80\x09garbage",  # unsupported pickle protocol -> ValueError
+    pickle.dumps(_FailingReduce()),  # raising reduce step -> TypeError
+], ids=["unknown-protocol", "raising-reduce"])
+def test_l3_unpickling_failures_read_as_cold(tmp_path, garbage):
+    l3 = DiskArtifactStore(str(tmp_path))
+    l3.flush(NS, "walkvol", {"a": 1})
+    shard = next(p for p in l3.root.iterdir() if p.is_dir())
+    (shard / "walkvol.pkl").write_bytes(garbage)
+    assert l3.load(NS, "walkvol") == {}
+    # A flush over the unreadable shard replaces it instead of raising.
+    assert l3.flush(NS, "walkvol", {"b": 2}) == 1
+    assert l3.load(NS, "walkvol") == {"b": 2}
+
+
 def test_l3_purge_selectors(tmp_path):
     l3 = DiskArtifactStore(str(tmp_path))
     l3.flush("wlA|edge", "walkvol", {"a": 1})
@@ -305,12 +333,20 @@ def test_cold_l1_warm_l3_is_byte_identical(tmp_path):
                  for t in _trees()]
 
     # Cold run with an L3-backed engine; shutdown flushes the tiers.
+    # Template tunes take the cached tree path (genome tunes do not).
     cache_dir = str(tmp_path / "cache")
-    genome = Genome.random(WL, random.Random(3))
+    template = ATTENTION_DATAFLOWS["chimera"]
+    space = attention_factor_space("chimera", WL)
+
+    def tune(engine):
+        result = tune_template(template, space, WL, SPEC, samples=40,
+                               seed=7, engine=engine)
+        return result.best_cost, result.best_factors
+
     with EvaluationEngine(WL, SPEC, cache_dir=cache_dir) as cold:
         cold_out = [json.dumps(cold.evaluate_tree(t).to_dict(),
                                sort_keys=True) for t in trees]
-        champion = cold.tune_genome(genome, seed=7, samples=40)
+        champion = tune(cold)
     assert cold.stats.subtree_l3_hits == 0
 
     # Fresh process-equivalent: new engine, empty L1, same cache dir.
@@ -324,7 +360,7 @@ def test_cold_l1_warm_l3_is_byte_identical(tmp_path):
     # A warm-started rerun of the cold tune finds the same champion, and
     # the disk tier serves every L1 miss of a tiered kind.
     with EvaluationEngine(WL, SPEC, cache_dir=cache_dir) as rerun:
-        assert rerun.tune_genome(genome, seed=7, samples=40) == champion
+        assert tune(rerun) == champion
     tiered_misses = sum(
         misses for kind, (_, misses, _) in
         rerun.subtree_cache.counts_by_kind().items() if kind in TIERED_KINDS)

@@ -113,25 +113,31 @@ class TestQuiet:
 class TestCacheCommand:
     def test_cache_flags_parse(self):
         args = build_parser().parse_args(
-            ["search", "Bert-S", "--cache-dir", "/tmp/x",
+            ["serve", "--cache-dir", "/tmp/x",
              "--cache-bound", "128", "--no-cache-persist"])
         assert args.cache_dir == "/tmp/x"
         assert args.cache_bound == 128
         assert args.no_cache_persist
-        # serve takes the same flags; cache requires --cache-dir.
-        args = build_parser().parse_args(["serve", "--cache-dir", "/tmp/x"])
-        assert args.cache_dir == "/tmp/x"
+        # search prices its tunes off the subtree cache: no cache flags.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["search", "Bert-S", "--cache-dir", "/tmp/x"])
+        # cache requires --cache-dir.
         with pytest.raises(SystemExit):
             build_parser().parse_args(["cache", "stats"])
 
-    def test_search_writes_shards_then_stats_and_purge(self, tmp_path,
+    def test_engine_writes_shards_then_stats_and_purge(self, tmp_path,
                                                        capsys):
         import json
+        from repro import arch
+        from repro.dataflows import attention_dataflow
+        from repro.engine import EvaluationEngine
+        from repro.workloads import by_name
         cache_dir = str(tmp_path / "cache")
-        assert main(["search", "ViT/16-B", "--generations", "1",
-                     "--population", "4", "--samples", "3",
-                     "--cache-dir", cache_dir, "--quiet"]) == 0
-        capsys.readouterr()
+        workload, spec = by_name("ViT/16-B"), arch.by_name("edge")
+        with EvaluationEngine(workload, spec, cache_dir=cache_dir) as engine:
+            engine.evaluate_tree(attention_dataflow("tileflow", workload,
+                                                    spec))
 
         assert main(["cache", "stats", "--cache-dir", cache_dir]) == 0
         out = capsys.readouterr().out

@@ -12,8 +12,9 @@ Covers the contracts the perf work leans on:
   global entry bound, insertion-order eviction, the ``None`` miss
   sentinel, and per-kind stats.
 * Engine plumbing: ``subtree_hits``/``subtree_misses`` move only when
-  incremental evaluation is on; the EDP partial path counts skipped
-  energy passes; the obs profile renders the incremental section.
+  incremental evaluation is on and only on the tree path (a genome
+  tune leaves the shared cache untouched); the obs profile renders the
+  incremental section.
 """
 
 import random
@@ -26,7 +27,9 @@ from repro.analysis import AnalysisContext, TileFlowModel, slice_coverage
 from repro.engine import EvaluationEngine
 from repro.engine.cache import SubtreeArtifactCache
 from repro.errors import ForeignNodeError
-from repro.mapper import Genome, build_genome_tree, genome_factor_space
+from repro.dataflows import ATTENTION_DATAFLOWS, attention_factor_space
+from repro.mapper import (Genome, build_genome_tree, genome_factor_space,
+                          tune_template)
 from repro.workloads import self_attention
 
 WL = self_attention(2, 32, 64, expand_softmax=False)
@@ -267,11 +270,26 @@ def test_engine_subtree_counters_track_the_cache():
     assert engine.stats.subtree_hits + engine.stats.subtree_misses == sum(
         engine.subtree_cache.counts())
 
-    # A second engine on the same cache re-runs a tune the first one
-    # already made: every subtree artifact is served, none recomputed.
-    champion = engine.tune_genome(genome, seed=7, samples=40)
-    rerun = EvaluationEngine(WL, SPEC, subtree_cache=engine.subtree_cache)
-    assert rerun.tune_genome(genome, seed=7, samples=40) == champion
+    # A genome tune prices its points on its own plan: the shared cache
+    # is neither probed nor filled.
+    cache = engine.subtree_cache
+    counts, entries = cache.counts(), len(cache)
+    engine.tune_genome(genome, seed=7, samples=40)
+    assert cache.counts() == counts
+    assert len(cache) == entries
+
+    # A second engine on the same cache re-runs a template tune the
+    # first one already made: every subtree artifact is served, none
+    # recomputed.
+    template = ATTENTION_DATAFLOWS["chimera"]
+    tspace = attention_factor_space("chimera", WL)
+    first = tune_template(template, tspace, WL, SPEC, samples=40, seed=7,
+                          engine=engine)
+    rerun = EvaluationEngine(WL, SPEC, subtree_cache=cache)
+    second = tune_template(template, tspace, WL, SPEC, samples=40, seed=7,
+                           engine=rerun)
+    assert (second.best_cost, second.best_factors) == (
+        first.best_cost, first.best_factors)
     assert rerun.stats.subtree_hits > 0
     assert rerun.stats.subtree_misses == 0
 
