@@ -139,10 +139,10 @@ class CohortEvaluator:
         self._credit = float(INITIAL_CREDIT)
         self._store = None
         if publish and engine.subtree_cache is not None:
-            # Batched walk volumes land in the same tiered "walkvol"
-            # store the scalar DataMovementAnalysis publishes to, under
-            # identical keys — a swept cohort warms later scalar
-            # evaluations (the champion re-run, sibling genomes).
+            # Batched walk volumes land in the "walkvol" store the
+            # scalar DataMovementAnalysis publishes to, under identical
+            # keys — a swept cohort warms later scalar evaluations (the
+            # champion re-run, sibling genomes).
             self._store = engine.subtree_cache.store(
                 engine._subtree_ns, "walkvol")
 

@@ -53,7 +53,7 @@ from .cohort import CohortPlan, CohortPlanner
 from .kernels import (F8, I8, BatchedPlanError, add64, box64, movement64,
                       mul64, sub64, abs64)
 
-#: ``publish(kind, key, value)`` — lands batched artifacts in the tiered
+#: ``publish(kind, key, value)`` — lands batched artifacts in the subtree
 #: cache under the same per-kind keys the scalar path uses.
 Publisher = Callable[[str, Tuple, int], None]
 

@@ -18,10 +18,10 @@ layer for the per-node intermediates several analyses need:
 A context is valid for exactly one ``(tree, arch)`` pair.  With a
 shared :class:`~repro.engine.cache.SubtreeArtifactCache`
 (``artifact_cache``) subtree memos are keyed by the *structural subtree
-fingerprint* (:mod:`repro.analysis.fingerprint`), so entries for
-subtree-local intermediates (slices, NumPE) stay valid across trees and
-persist across evaluations — the incremental-evaluation layer.  Without
-one they are keyed by node identity and no fingerprint is computed.
+fingerprint* (:mod:`repro.analysis.fingerprint`), so slice geometry
+stays valid across trees and persists across evaluations — the
+incremental-evaluation layer.  Without one they are keyed by node
+identity and no fingerprint is computed.
 Either way
 
 * querying the context with a node from a *different* tree raises
@@ -265,9 +265,8 @@ class AnalysisContext:
         The returned :class:`~repro.engine.cache.KindStore` is already
         namespaced to this context's workload/arch/flags; hot loops may
         probe its ``data`` dict directly (recording outcomes via
-        ``store.touch(key)``/``store.miss_through(key)`` — the latter
-        also consults the shared/disk tiers for tiered kinds) instead
-        of paying :meth:`shared_get` dispatch per lookup.
+        ``store.touch(key)``/``store.miss()``) instead of paying
+        :meth:`shared_get` dispatch per lookup.
         """
         if self.artifact_cache is None:
             return None
@@ -284,10 +283,9 @@ class AnalysisContext:
             return None
         value = store.data.get(key)
         if value is None:
-            # Counts the L1 miss, then falls through to the L3 tier
-            # for tiered kinds (tier hits re-enter L1 and return here).
-            return store.miss_through(key)
-        store.touch(key)
+            store.miss()
+        else:
+            store.touch(key)
         return value
 
     def shared_put(self, kind: str, key: Any, value: Any) -> None:
@@ -396,11 +394,7 @@ class AnalysisContext:
         fp = self.fingerprint(node)
         cached = self._num_pe.get(fp)
         if cached is None:
-            cached = self.shared_get("num_pe", fp)
-            if cached is None:
-                cached = num_pe_demand(node, self.num_pe)
-                self.shared_put("num_pe", fp, cached)
-            self._num_pe[fp] = cached
+            cached = self._num_pe[fp] = num_pe_demand(node, self.num_pe)
         else:
             self.memo_hits += 1
         return cached

@@ -261,11 +261,9 @@ class DataMovementAnalysis:
                    self._projected_walk(access, walk.loops))
             moved = store.data.get(key)
             if moved is None:
-                moved = store.miss_through(key)
-                if moved is None:
-                    moved = self._recursion_volume(extents, access,
-                                                   walk.loops)
-                    store.put(key, moved)
+                store.miss()
+                moved = self._recursion_volume(extents, access, walk.loops)
+                store.put(key, moved)
             else:
                 store.touch(key)
         else:

@@ -31,7 +31,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from .. import obs
-from ..tile.validate import validate_tree_cached, validate_tree_local
+from ..tile.validate import validate_tree_local
 from .context import AnalysisContext
 from .energy import compute_energy
 
@@ -71,21 +71,17 @@ class AnalysisPass:
 class ValidatePass(AnalysisPass):
     """Structural validation (§4); raises on malformed trees.
 
-    With a shared artifact cache attached the pass validates per
-    subtree fingerprint (:func:`~repro.tile.validate.validate_tree_cached`)
-    so only fresh subtrees are re-inspected; without one
-    (:func:`~repro.tile.validate.validate_tree_local`) the loop-free
-    rules run once per context.  Invalid trees raise the same error.
+    :func:`~repro.tile.validate.validate_tree_local` runs the loop-free
+    rules once per context and the loop rules and coverage every call;
+    invalid trees raise :func:`~repro.tile.validate.validate_tree`'s
+    error.
     """
 
     name = "validate"
     writes = ("validated",)
 
     def run(self, ctx: AnalysisContext) -> None:
-        if ctx.artifact_cache is not None:
-            validate_tree_cached(ctx)
-        else:
-            validate_tree_local(ctx)
+        validate_tree_local(ctx)
         ctx.put("validated", True)
 
 

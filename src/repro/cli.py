@@ -70,6 +70,19 @@ class OutputWriter:
             self.stream.write("\n")
 
 
+def _int_at_least(low: int):
+    """An argparse ``type=``: an int no smaller than ``low`` (else the
+    parser exits with status 2)."""
+    def parse(text: str) -> int:
+        value = int(text)  # ValueError: argparse's "invalid int value"
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {low}, got {value}")
+        return value
+    parse.__name__ = "int"
+    return parse
+
+
 def _workload(args):
     try:
         return workloads_mod.by_name(args.workload)
@@ -335,10 +348,7 @@ def cmd_serve(args) -> int:
     service = EvaluationService(workers=args.workers,
                                 max_queue=args.max_queue,
                                 ledger_root=args.ledger,
-                                subtree_cache_size=args.cache_bound,
-                                cache_dir=args.cache_dir,
-                                cache_persist=not args.no_cache_persist
-                                ).start()
+                                subtree_cache_size=args.cache_bound).start()
     httpd = make_server(args.host, args.port, service,
                         max_body=args.max_body_kb * 1024)
     host, port = httpd.server_address[:2]
@@ -455,65 +465,6 @@ def cmd_client(args) -> int:
         raise SystemExit(f"cannot reach {args.url}: {exc}")
     except TimeoutError as exc:
         raise SystemExit(str(exc))
-
-
-def cmd_cache(args) -> int:
-    """Inspect or maintain the disk-persistent artifact tier (L3)."""
-    from .engine.cache import DiskArtifactStore
-    from .engine.signature import cache_namespace
-
-    w = args.writer
-    store = DiskArtifactStore(args.cache_dir)
-    if args.verb == "stats":
-        stats = store.stats()
-        w.emit(f"cache root: {stats['root']} (schema v{stats['schema']})")
-        for shard in stats["namespaces"]:
-            kinds = " ".join(f"{k}={v['entries']}"
-                             for k, v in sorted(shard["kinds"].items()))
-            w.emit(f"  {shard['dir']}  {shard['namespace']}")
-            w.emit(f"    {kinds or '(no shard files)'}  "
-                   f"[{shard['bytes']} bytes]")
-        w.emit(f"total: {stats['total_entries']} entries, "
-               f"{stats['total_bytes']} bytes, "
-               f"{len(stats['namespaces'])} namespace(s)")
-        w.emit_json(stats)
-        return 0
-    if args.verb == "clear":
-        removed = store.clear()
-        w.emit(f"removed {removed} shard(s) under {store.root}")
-        w.emit_json({"removed": removed})
-        return 0
-    # purge: by explicit prefix / workload-arch lookup, or by budget
-    # (--max-age / --max-bytes drop whole shards oldest-mtime-first).
-    if args.max_age is not None or args.max_bytes is not None:
-        if args.namespace or args.workload:
-            raise SystemExit("cache purge: budget flags (--max-age/"
-                             "--max-bytes) and namespace selectors are "
-                             "mutually exclusive")
-        removed = store.purge_budget(max_age_s=args.max_age,
-                                     max_bytes=args.max_bytes)
-        for ns in removed:
-            w.emit(f"purged {ns}")
-        w.emit(f"removed {len(removed)} shard(s)")
-        w.emit_json({"removed": removed})
-        return 0
-    selector = args.namespace
-    if selector is None and args.workload:
-        selector = cache_namespace(_workload(args),
-                                   arch_mod.by_name(args.arch),
-                                   True, True)
-    if selector is None:
-        raise SystemExit("cache purge: give --namespace PREFIX, "
-                         "--workload NAME (with --arch; assumes default "
-                         "model flags — use --namespace from `cache "
-                         "stats` for ablation-flag shards), or a budget "
-                         "via --max-age/--max-bytes")
-    removed = store.purge(selector)
-    for ns in removed:
-        w.emit(f"purged {ns}")
-    w.emit(f"removed {len(removed)} shard(s)")
-    w.emit_json({"removed": removed})
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -633,29 +584,21 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run the long-lived evaluation service")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8731)
-    p.add_argument("--workers", type=int, default=2,
+    p.add_argument("--workers", type=_int_at_least(1), default=2,
                    help="worker threads executing jobs")
-    p.add_argument("--max-queue", type=int, default=64,
+    p.add_argument("--max-queue", type=_int_at_least(1), default=64,
                    help="pending-job bound (submissions beyond it get "
                         "HTTP 429)")
     p.add_argument("--ledger", metavar="DIR",
                    default=ledger_mod.DEFAULT_RUNS_ROOT,
                    help="record completed jobs under DIR (default: "
                         "runs/; empty string disables)")
-    p.add_argument("--max-body-kb", type=int, default=64,
+    p.add_argument("--max-body-kb", type=_int_at_least(1), default=64,
                    help="request-body cap in KiB (HTTP 413 beyond it)")
-    p.add_argument("--cache-dir", metavar="DIR", default=None,
-                   help="disk-persistent artifact tier (L3): load subtree "
-                        "artifacts from DIR and flush them back on drain, "
-                        "so restarts warm-start (inspect with `repro "
-                        "cache stats`)")
-    p.add_argument("--cache-bound", type=int,
+    p.add_argument("--cache-bound", type=_int_at_least(0),
                    default=DEFAULT_SUBTREE_CACHE_SIZE,
                    help="in-memory subtree artifact cache entry bound "
-                        "(L1; 0 disables incremental reuse)")
-    p.add_argument("--no-cache-persist", action="store_true",
-                   help="with --cache-dir: read the disk tier but never "
-                        "write it back")
+                        "(0 disables incremental reuse)")
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("client", parents=[common],
@@ -685,26 +628,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="job id for status/watch/result")
     p.set_defaults(func=cmd_client)
 
-    p = sub.add_parser("cache", parents=[common],
-                       help="inspect/maintain the on-disk artifact "
-                            "cache written by --cache-dir")
-    p.add_argument("verb", choices=("stats", "clear", "purge"))
-    p.add_argument("--cache-dir", metavar="DIR", required=True,
-                   help="the directory given to serve --cache-dir")
-    p.add_argument("--namespace", default=None, metavar="PREFIX",
-                   help="purge: namespace string (or shard-dir hash) "
-                        "prefix to remove — see `cache stats`")
-    p.add_argument("--workload", default=None,
-                   help="purge: remove the shard of this workload")
-    p.add_argument("--arch", default="edge",
-                   help="architecture for --workload purge")
-    p.add_argument("--max-age", type=float, default=None, metavar="SECONDS",
-                   help="purge: remove shards not written to for this "
-                        "many seconds")
-    p.add_argument("--max-bytes", type=int, default=None, metavar="BYTES",
-                   help="purge: then remove oldest shards until the cache "
-                        "fits this many bytes")
-    p.set_defaults(func=cmd_cache)
     return parser
 
 

@@ -1,36 +1,22 @@
-"""L1 of the tiered subtree artifact store: in-process bounded dicts.
+"""The subtree artifact cache: in-process bounded dicts.
 
 :class:`SubtreeArtifactCache` holds per-*subtree* analysis artifacts
-(slice geometry, NumPE demands, boundary-recursion volumes, validation
-verdicts) that survive across ``evaluate()`` calls — the persistent half
-of the incremental evaluation layer (docs/ARCHITECTURE.md).  Its probes
-sit on the hottest path in the system (several dozen per candidate
-evaluation), so entries live in plain per-``(namespace, kind)`` dicts
-(:class:`KindStore`) that callers bind once and then probe with a single
-``dict.get`` — no namespaced key tuples, no ordering bookkeeping per
-hit.  The entry bound is global across stores.
+(slice geometry and boundary-recursion volumes) that survive across
+``evaluate()`` calls — the persistent half of the incremental
+evaluation layer (docs/ARCHITECTURE.md).  Its probes sit on the hottest
+path in the system (several dozen per candidate evaluation), so entries
+live in plain per-``(namespace, kind)`` dicts (:class:`KindStore`) that
+callers bind once and then probe with a single ``dict.get`` — no
+namespaced key tuples, no ordering bookkeeping per hit.  The entry
+bound is global across stores.
 
 Eviction is *segmented* (probationary/protected, an SLRU variant): every
 insert lands in a store's probationary segment, a re-hit (reported via
 :meth:`KindStore.touch`) promotes the entry to protected, and the victim
 search drains probationary entries across all stores before it touches
-protected ones.  High-reuse artifact kinds (``walkvol``, ``num_pe``)
-therefore survive pressure from churny one-shot slice geometry, which the
-old insertion-order policy evicted them to make room for.
-``policy="insertion"`` keeps that old policy as the comparison point
-of the eviction tests.
-
-The cache optionally fronts a disk-backed lower tier, L3 (attached, not
-owned): :class:`~repro.engine.cache.l3.DiskArtifactStore` is consulted
-on L1 miss and written back by :meth:`flush_l3`, so reruns warm-start.
-``tune_population`` pool workers each run on their own L1 and share
-nothing.
-
-Only :data:`TIERED_KINDS` travel through L3: ``slices`` values hold
-``(leaf, access)`` object pairs referencing live trees, so they stay
-L1-only.  Tier-served values re-enter L1 through the normal insert path
-(probationary) and are byte-identical to fresh computation — they are
-exact ints/strings or floats pickled round-trip, never re-derived.
+protected ones, so high-reuse entries survive pressure from churny
+one-shot slice geometry.  ``tune_population`` pool workers each run on
+their own cache and share nothing.
 """
 
 from __future__ import annotations
@@ -42,7 +28,6 @@ from ... import obs
 
 __all__ = [
     "DEFAULT_SUBTREE_CACHE_SIZE",
-    "TIERED_KINDS",
     "KindStore",
     "SubtreeArtifactCache",
 ]
@@ -53,12 +38,6 @@ __all__ = [
 #: handful of genomes visits a few thousand distinct subtrees.
 DEFAULT_SUBTREE_CACHE_SIZE = 8192
 
-#: Artifact kinds whose values are picklable pure data (exact ints,
-#: strings, float tuples) and therefore safe to serve from the L3 tier
-#: byte-identically.  ``slices`` is deliberately absent: its
-#: values carry ``(leaf, access)`` object pairs into live trees.
-TIERED_KINDS = frozenset({"walkvol", "num_pe", "valid", "cov"})
-
 
 class KindStore:
     """One ``(namespace, kind)`` family of the subtree artifact cache.
@@ -68,10 +47,8 @@ class KindStore:
     <repro.analysis.context.AnalysisContext.shared_store>`) and probe it
     with ``store.data.get(key)`` directly, recording outcomes through
     :meth:`touch` (hit: counts and promotes probation → protected) /
-    :meth:`miss_through` (miss: counts, then consults the L3 tier);
-    :meth:`put` goes through the owner to maintain the cache-wide entry
-    bound.  The bare :meth:`hit` / :meth:`miss` counter bumps remain for
-    callers that track keys themselves.  ``None`` is not a storable
+    :meth:`miss` (counts); :meth:`put` goes through the owner to
+    maintain the cache-wide entry bound.  ``None`` is not a storable
     value (it is the miss sentinel).
 
     Counter updates are guarded by the store's lock: the evaluation
@@ -87,26 +64,19 @@ class KindStore:
     lock (and may then take a victim's store lock).
     """
 
-    __slots__ = ("data", "probation", "kind", "namespace",
-                 "hits", "misses", "evictions",
-                 "l3_hits", "lock", "_owner")
+    __slots__ = ("data", "probation", "kind",
+                 "hits", "misses", "evictions", "lock", "_owner")
 
-    def __init__(self, owner: "SubtreeArtifactCache", kind: str = "",
-                 namespace: str = ""):
+    def __init__(self, owner: "SubtreeArtifactCache", kind: str = ""):
         self.data: Dict[Hashable, Any] = {}
         #: Keys inserted but not yet re-hit; always a subset of ``data``.
         #: A plain dict used as an insertion-ordered set.
         self.probation: Dict[Hashable, None] = {}
         #: Artifact family name; lets eviction be attributed per kind.
         self.kind = kind
-        self.namespace = namespace
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        #: L1 misses served by the disk tier (subset of ``misses`` — a
-        #: tier hit still counts as an L1 miss, so the existing
-        #: ``hits + misses == probe count`` invariants hold).
-        self.l3_hits = 0
         self.lock = threading.Lock()
         self._owner = owner
 
@@ -116,7 +86,7 @@ class KindStore:
             self.hits += n
 
     def miss(self, n: int = 1) -> None:
-        """Record ``n`` misses (counter only; no tier consultation)."""
+        """Record ``n`` misses."""
         with self.lock:
             self.misses += n
 
@@ -124,30 +94,10 @@ class KindStore:
         """Record a hit on ``key`` and promote it out of probation."""
         with self.lock:
             self.hits += 1
-            if self._owner.segmented:
-                self.probation.pop(key, None)
-
-    def miss_through(self, key: Hashable) -> Optional[Any]:
-        """Record a miss on ``key``, then consult the L3 tier.
-
-        Returns the tier-served value (re-admitted into L1) or ``None``
-        when no tier holds it.  Kinds outside :data:`TIERED_KINDS` never
-        reach the tier.
-        """
-        with self.lock:
-            self.misses += 1
-        owner = self._owner
-        if owner.l3 is None or self.kind not in TIERED_KINDS:
-            return None
-        value = owner._l3_lookup(self.namespace, self.kind, key)
-        if value is not None:
-            with self.lock:
-                self.l3_hits += 1
-            owner._admit(self, key, value)
-        return value
+            self.probation.pop(key, None)
 
     def put(self, key: Hashable, value: Any) -> None:
-        """Insert a freshly computed value into L1."""
+        """Insert a freshly computed value."""
         self._owner._admit(self, key, value)
 
 
@@ -155,9 +105,8 @@ class SubtreeArtifactCache:
     """Cross-evaluation cache of per-subtree analysis artifacts.
 
     Entries live in per-``(namespace, kind)`` :class:`KindStore` dicts:
-    ``kind`` names the artifact family (``"slices"``, ``"num_pe"``,
-    ``"walkvol"``, ``"valid"``, ``"cov"``) and the
-    namespace pins the workload/architecture/model-flag combination
+    ``kind`` names the artifact family (``"slices"`` or ``"walkvol"``)
+    and the namespace pins the workload/architecture/model-flag combination
     (:func:`~repro.analysis.fingerprint.cache_namespace`).  Keys within
     a store are structural subtree fingerprints (or fingerprint-derived
     tuples) from :mod:`repro.analysis.fingerprint` — so a mapper move
@@ -166,22 +115,14 @@ class SubtreeArtifactCache:
     across ``EvaluationEngine.evaluate*`` calls.
 
     Consumers must treat cached values as immutable.  The total entry
-    count is bounded by ``maxsize``; the eviction policy is segmented
-    (probation-first, see module docstring) unless constructed with
-    ``policy="insertion"``.  Hit/miss counters live on the stores; the
-    aggregate properties feed ``engine.subtree_hits`` /
-    ``engine.subtree_misses``.  Tier hits are counted *in addition to*
-    the L1 miss that triggered them, so ``hits + misses`` still equals
-    the probe count and ``l3_hits <= misses``.
+    count is bounded by ``maxsize``; eviction is segmented
+    (probation-first, see module docstring).  Hit/miss counters live on
+    the stores; the aggregate properties feed ``engine.subtree_hits`` /
+    ``engine.subtree_misses``.
     """
 
-    def __init__(self, maxsize: int = DEFAULT_SUBTREE_CACHE_SIZE,
-                 policy: str = "segmented"):
-        if policy not in ("segmented", "insertion"):
-            raise ValueError(f"unknown eviction policy: {policy!r}")
+    def __init__(self, maxsize: int = DEFAULT_SUBTREE_CACHE_SIZE):
         self.maxsize = int(maxsize)
-        self.policy = policy
-        self.segmented = policy == "segmented"
         self.total = 0
         #: Running eviction total (cheap int; avoids store iteration on
         #: the engine's per-evaluation snapshot/diff path).
@@ -193,60 +134,6 @@ class SubtreeArtifactCache:
         #: immutable by contract.
         self.lock = threading.Lock()
         self._stores: Dict[Tuple[str, str], KindStore] = {}
-        #: Attached disk tier (may be None; see attach_l3).
-        self.l3 = None
-        #: Lazily loaded on-disk shards, one dict per (namespace, kind).
-        self._l3_entries: Dict[Tuple[str, str], Dict[Hashable, Any]] = {}
-        self._l3_lock = threading.Lock()
-
-    # -- tier attachment -------------------------------------------------
-
-    def attach_l3(self, l3) -> None:
-        """Front the cache with a disk-persistent store."""
-        self.l3 = l3
-        with self._l3_lock:
-            self._l3_entries.clear()
-
-    def _l3_lookup(self, namespace: str, kind: str,
-                   key: Hashable) -> Optional[Any]:
-        """Probe the (lazily loaded) disk shard of one namespace/kind."""
-        l3 = self.l3
-        if l3 is None:
-            return None
-        shard_key = (namespace, kind)
-        shard = self._l3_entries.get(shard_key)
-        if shard is None:
-            with self._l3_lock:
-                shard = self._l3_entries.get(shard_key)
-                if shard is None:
-                    shard = l3.load(namespace, kind)
-                    self._l3_entries[shard_key] = shard
-        return shard.get(key)
-
-    def flush_l3(self) -> Dict[str, int]:
-        """Write tiered-kind entries back to the disk store.
-
-        Merges the resident L1 entries with the loaded shard image (so a
-        flush never shrinks a shard) and returns ``kind -> entries
-        written``.  No-op without an attached L3.
-        """
-        l3 = self.l3
-        if l3 is None:
-            return {}
-        written: Dict[str, int] = {}
-        for (ns, kind), store in list(self._stores.items()):
-            if kind not in TIERED_KINDS or not store.data:
-                continue
-            merged: Dict[Hashable, Any] = {}
-            with self._l3_lock:
-                loaded = self._l3_entries.get((ns, kind))
-            if loaded:
-                merged.update(loaded)
-            with self.lock:
-                merged.update(store.data)
-            n = l3.flush(ns, kind, merged)
-            written[kind] = written.get(kind, 0) + n
-        return written
 
     # -- store access ----------------------------------------------------
 
@@ -258,14 +145,13 @@ class SubtreeArtifactCache:
             with self.lock:
                 store = self._stores.get(key)
                 if store is None:
-                    store = self._stores[key] = KindStore(
-                        self, kind, namespace)
+                    store = self._stores[key] = KindStore(self, kind)
         return store
 
     # -- insertion / eviction --------------------------------------------
 
     def _admit(self, store: KindStore, key: Hashable, value: Any) -> None:
-        """Insert into L1 under the bound; new entries start probationary."""
+        """Insert under the bound; new entries start probationary."""
         if self.maxsize <= 0 or value is None:
             return
         with self.lock:
@@ -273,30 +159,22 @@ class SubtreeArtifactCache:
                 if self.total >= self.maxsize:
                     self._evict_one_locked(store)
                 self.total += 1
-                if self.segmented:
-                    with store.lock:
-                        store.probation[key] = None
+                with store.lock:
+                    store.probation[key] = None
             store.data[key] = value
-
-    def evict_one(self, preferred: KindStore) -> None:
-        """Drop one entry to make room (policy-directed victim choice)."""
-        with self.lock:
-            self._evict_one_locked(preferred)
 
     def _evict_one_locked(self, preferred: KindStore) -> None:
         """Eviction body; caller holds :attr:`lock`.
 
-        Segmented policy: prefer probationary entries — first from the
-        store being written, else from the store with the most
-        probationary entries anywhere.  Only when no probation exists
-        does a protected entry go (oldest of the preferred store).
-        Insertion policy: the old behaviour — oldest entry of the
-        preferred store, falling back to the largest store when the
-        preferred one is empty (a fresh kind being inserted into a full
-        cache).
+        Prefer probationary entries — first from the store being
+        written, else from the store with the most probationary entries
+        anywhere.  Only when no probation exists does a protected entry
+        go: the oldest of the preferred store, or of the largest store
+        when the preferred one is empty (a fresh kind being inserted
+        into a full cache).
         """
         victim = preferred
-        if self.segmented and not victim.probation:
+        if not victim.probation:
             candidates = [s for s in self._stores.values() if s.probation]
             if candidates:
                 victim = max(candidates, key=lambda s: len(s.probation))
@@ -351,11 +229,6 @@ class SubtreeArtifactCache:
             misses += s.misses
         return hits, misses
 
-    def tier_counts(self, namespace: Optional[str] = None) -> int:
-        """L3 hits — a snapshot/diff count, scoped as :meth:`counts`."""
-        return sum(s.l3_hits for (ns, _kind), s in list(self._stores.items())
-                   if namespace is None or ns == namespace)
-
     def evictions_by_kind(self) -> Dict[str, int]:
         """Eviction totals attributed per artifact kind (all namespaces)."""
         out: Dict[str, int] = {}
@@ -377,16 +250,6 @@ class SubtreeArtifactCache:
             out[kind] = (h + s.hits, m + s.misses, e + s.evictions)
         return out
 
-    def tier_counts_by_kind(self, namespace: Optional[str] = None
-                            ) -> Dict[str, int]:
-        """``kind -> l3_hits``, as :meth:`counts_by_kind`."""
-        out: Dict[str, int] = {}
-        for (ns, kind), s in list(self._stores.items()):
-            if namespace is not None and ns != namespace:
-                continue
-            out[kind] = out.get(kind, 0) + s.l3_hits
-        return out
-
     def stats(self) -> Dict[str, Any]:
         by_hits: Dict[str, int] = {}
         by_misses: Dict[str, int] = {}
@@ -397,29 +260,22 @@ class SubtreeArtifactCache:
             by_misses[kind] = by_misses.get(kind, 0) + s.misses
             probationary += len(s.probation)
             protected += len(s.data) - len(s.probation)
-        out = {"hits": self.hits, "misses": self.misses,
-               "entries": len(self), "evictions": self.evictions,
-               "policy": self.policy,
-               "probationary": probationary, "protected": protected,
-               "l3_hits": self.tier_counts(),
-               "hits_by_kind": by_hits, "misses_by_kind": by_misses,
-               "evictions_by_kind": self.evictions_by_kind()}
-        if self.l3 is not None:
-            out["l3"] = {"root": str(self.l3.root)}
-        return out
+        return {"hits": self.hits, "misses": self.misses,
+                "entries": len(self), "evictions": self.evictions,
+                "probationary": probationary, "protected": protected,
+                "hits_by_kind": by_hits, "misses_by_kind": by_misses,
+                "evictions_by_kind": self.evictions_by_kind()}
 
     # -- lifecycle -------------------------------------------------------
 
-    def clear(self, drop_l3_mirror: bool = False) -> None:
-        """Drop every resident L1 entry.
+    def clear(self) -> None:
+        """Drop every resident entry.
 
-        Counters (hits/misses/evictions, tier hits, ``eviction_count``)
+        Counters (hits/misses/evictions, ``eviction_count``)
         deliberately survive: they are lifetime telemetry, and the
         engine's snapshot/diff attribution must not observe them moving
         backwards mid-evaluation.  Call :meth:`reset_counters` to zero
-        them explicitly.  The loaded L3 shard images survive too (they
-        mirror disk, which ``clear`` does not touch) unless
-        ``drop_l3_mirror`` is set — subsequent probes then re-read disk.
+        them explicitly.
         """
         with self.lock:
             for s in self._stores.values():
@@ -427,12 +283,9 @@ class SubtreeArtifactCache:
                     s.data.clear()
                     s.probation.clear()
             self.total = 0
-        if drop_l3_mirror:
-            with self._l3_lock:
-                self._l3_entries.clear()
 
     def reset_counters(self) -> None:
-        """Zero every hit/miss/eviction/tier counter (entries survive).
+        """Zero every hit/miss/eviction counter (entries survive).
 
         The counterpart of :meth:`clear` for the counter half of the
         cache's state; ``POST /admin/cache/clear`` uses both to return a
@@ -444,5 +297,4 @@ class SubtreeArtifactCache:
                     s.hits = 0
                     s.misses = 0
                     s.evictions = 0
-                    s.l3_hits = 0
             self.eviction_count = 0

@@ -45,8 +45,7 @@ from ..mapper.encoding import (Genome, GenomeLoops, build_genome_tree,
 from ..mapper.mcts import MCTSTuner
 from ..obs import events
 from ..tile.tree import AnalysisTree
-from .cache import (DEFAULT_SUBTREE_CACHE_SIZE, DiskArtifactStore,
-                    SubtreeArtifactCache)
+from .cache import DEFAULT_SUBTREE_CACHE_SIZE, SubtreeArtifactCache
 from .prescreen import prescreen, rejected_result
 from .signature import (arch_fingerprint, cache_namespace, digest,
                         mapping_signature, template_signature,
@@ -100,8 +99,8 @@ class EngineStats:
     #: still reads this key (ROADMAP: dropped with the next benchmark
     #: change).
     subtree_l2_hits: int = 0
-    #: Subtree L1 misses served by the disk-persistent store (L3).  A
-    #: subset of ``subtree_misses`` — a tier hit is still an L1 miss.
+    #: Always 0: there is no disk tier any more, but perfbench still
+    #: reads this key (ROADMAP: dropped with the next benchmark change).
     subtree_l3_hits: int = 0
     #: Candidates priced by the batched cohort layer (array-native
     #: structure-class sweeps; each would otherwise be a scalar walk).
@@ -146,18 +145,16 @@ class EvaluationEngine:
     objective:
         ``"latency"`` or ``"edp"`` — named so worker processes can
         reconstruct the engine from picklable configuration.
-    incremental:
-        Keep a persistent :class:`SubtreeArtifactCache` across
-        tree-path evaluations (genome tunes never use it).  Results are
-        byte-identical either way; purely a performance knob.
     batched:
         Price sibling factor candidates of long MCTS tunes in vectorized
         cohort sweeps (:mod:`repro.analysis.batched`); engaged only for
         the latency objective under ``respect_memory`` with NumPy
         available.  Costs are bit-identical to the scalar path.
     subtree_cache_size:
-        Entry bound of that cache; ``0`` disables it (equivalent to
-        ``incremental=False``).
+        Entry bound of the persistent :class:`SubtreeArtifactCache`
+        kept across tree-path evaluations (genome tunes never use it);
+        ``0`` runs without one.  Results are byte-identical either way;
+        purely a performance knob.
     subtree_cache:
         An existing :class:`SubtreeArtifactCache` to use instead of a
         private one — the evaluation service shares one store across
@@ -165,16 +162,6 @@ class EvaluationEngine:
         every later job.  Entries are namespaced by workload/arch/flag
         fingerprints, so sharing never mixes artifact families; this
         engine's hit/miss attribution is scoped to its own namespace.
-    cache_dir:
-        Directory of the disk-persistent artifact tier (L3).  When the
-        engine owns its subtree cache, artifacts of the tiered kinds
-        are loaded from here on first miss and flushed back on
-        :meth:`shutdown`, so reruns warm-start.  Ignored when an
-        external ``subtree_cache`` is supplied — its owner decides the
-        tiering (the service attaches its own L3).
-    cache_persist:
-        Write the L3 tier back on shutdown (reads still happen).
-        ``False`` makes a warm-started run leave the disk untouched.
     """
 
     def __init__(self, workload: Workload, arch: Architecture, *,
@@ -182,11 +169,9 @@ class EvaluationEngine:
                  prescreen: bool = True,
                  model_eviction: bool = True,
                  model_rmw: bool = True, objective: str = "latency",
-                 incremental: bool = True, batched: bool = True,
+                 batched: bool = True,
                  subtree_cache_size: int = DEFAULT_SUBTREE_CACHE_SIZE,
-                 subtree_cache: Optional[SubtreeArtifactCache] = None,
-                 cache_dir: Optional[str] = None,
-                 cache_persist: bool = True):
+                 subtree_cache: Optional[SubtreeArtifactCache] = None):
         if objective not in _OBJECTIVES:
             raise ValueError(f"unknown objective {objective!r}; choose from "
                              f"{sorted(_OBJECTIVES)}")
@@ -199,22 +184,15 @@ class EvaluationEngine:
         self.model = TileFlowModel(arch, model_eviction=model_eviction,
                                    model_rmw=model_rmw)
         self.stats = EngineStats()
-        self._incremental = incremental
         self._subtree_cache_size = subtree_cache_size
-        #: Persistent cross-evaluation subtree artifact store (None when
-        #: incremental evaluation is off).  May be shared across engines
-        #: (the service passes one store to every engine it builds).
-        self._cache_persist = cache_persist
-        self._owns_subtree_cache = False
-        if subtree_cache is not None and incremental:
+        #: Persistent cross-evaluation subtree artifact store (None with
+        #: ``subtree_cache_size=0``).  May be shared across engines (the
+        #: service passes one store to every engine it builds).
+        if subtree_cache is not None:
             self.subtree_cache: Optional[SubtreeArtifactCache] = subtree_cache
         else:
-            self.subtree_cache = (
-                SubtreeArtifactCache(subtree_cache_size)
-                if incremental and subtree_cache_size > 0 else None)
-            self._owns_subtree_cache = self.subtree_cache is not None
-            if self._owns_subtree_cache and cache_dir:
-                self.subtree_cache.attach_l3(DiskArtifactStore(cache_dir))
+            self.subtree_cache = (SubtreeArtifactCache(subtree_cache_size)
+                                  if subtree_cache_size > 0 else None)
         self._base = (workload_fingerprint(workload), arch_fingerprint(arch),
                       model_eviction, model_rmw)
         #: This engine's slice of a (possibly shared) subtree cache —
@@ -247,7 +225,6 @@ class EvaluationEngine:
             "model_eviction": self.model.model_eviction,
             "model_rmw": self.model.model_rmw,
             "objective": self.objective,
-            "incremental": self._incremental,
             "batched": self.batched,
             "subtree_cache_size": self._subtree_cache_size,
         }
@@ -278,7 +255,6 @@ class EvaluationEngine:
         ns = self._subtree_ns
         if subtree is not None:
             before = subtree.counts(ns)
-            before_l3 = subtree.tier_counts(ns)
             before_ev = subtree.eviction_count
         # Event payloads are only built when the bus is live — the
         # disabled path pays one module read per evaluation.
@@ -308,9 +284,6 @@ class EvaluationEngine:
             if subtree.eviction_count > before_ev:
                 self._bump("subtree_evictions",
                            subtree.eviction_count - before_ev)
-            l3_hits = subtree.tier_counts(ns)
-            if l3_hits > before_l3:
-                self._bump("subtree_l3_hits", l3_hits - before_l3)
             if before_kinds is not None:
                 after_kinds = subtree.counts_by_kind(ns)
                 for kind in sorted(after_kinds):
@@ -532,18 +505,12 @@ class EvaluationEngine:
             pool.shutdown(wait=False, cancel_futures=True)
 
     def shutdown(self) -> None:
-        """Release the worker pool and flush the disk tier.
+        """Release the worker pool.
 
         Idempotent; the engine stays usable (a later ``tune_population``
-        simply stands the pool back up).  When the engine owns its
-        subtree cache, tiered artifacts are flushed to the L3 disk store
-        here (unless constructed with ``cache_persist=False``).
+        simply stands the pool back up).
         """
         self._teardown_pool()
-        cache = self.subtree_cache
-        if (cache is not None and self._owns_subtree_cache
-                and self._cache_persist and cache.l3 is not None):
-            cache.flush_l3()
 
     def __enter__(self) -> "EvaluationEngine":
         return self

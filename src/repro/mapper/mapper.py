@@ -12,10 +12,10 @@ Two entry points:
 
 Both run on the :class:`~repro.engine.EvaluationEngine` hot path:
 obviously infeasible points are rejected by a cheap pre-screen before
-the full analysis, untouched subtrees are served from the incremental
-subtree cache, and ``workers > 1`` evaluates a GA generation's
-population concurrently with deterministic, worker-count-independent
-results (docs/PERFORMANCE.md).
+the full analysis, template tunes serve untouched subtrees from the
+incremental subtree cache, and ``workers > 1`` evaluates a GA
+generation's population concurrently with deterministic,
+worker-count-independent results (docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations
@@ -105,26 +105,22 @@ class MapperResult:
 class TileFlowMapper:
     """Full 3D design-space exploration for one workload/architecture.
 
-    ``workers``, ``prescreen``, ``incremental`` and ``batched``
-    configure the evaluation engine backing the search; alternatively
-    pass a pre-built ``engine`` (it is then shared and *not* shut down
-    by :meth:`explore`, so its subtree cache persists across searches).
+    ``workers``, ``prescreen`` and ``batched`` configure the evaluation
+    engine backing the search; alternatively pass a pre-built ``engine``
+    (it is then shared and *not* shut down by :meth:`explore`, so its
+    subtree cache persists across searches).
     """
 
     def __init__(self, workload: Workload, arch: Architecture,
                  respect_memory: bool = True, seed: int = 0,
                  workers: int = 1, prescreen: bool = True,
-                 incremental: bool = True, batched: bool = True,
-                 engine=None):
+                 batched: bool = True, engine=None):
         self.workload = workload
         self.arch = arch
         self.respect_memory = respect_memory
         self.seed = seed
         self.workers = workers
         self.prescreen = prescreen
-        #: Incremental subtree re-analysis across mapper moves (purely a
-        #: performance knob; trajectories are unchanged).
-        self.incremental = incremental
         #: Batched cohort pricing inside the engine's MCTS factor tuner
         #: (also purely a performance knob — results are bit-identical).
         self.batched = batched
@@ -136,7 +132,7 @@ class TileFlowMapper:
         return EvaluationEngine(
             self.workload, self.arch, respect_memory=self.respect_memory,
             workers=self.workers, prescreen=self.prescreen,
-            incremental=self.incremental, batched=self.batched)
+            batched=self.batched)
 
     def explore(self, generations: int = 8, population: int = 12,
                 mcts_samples: int = 30) -> MapperResult:

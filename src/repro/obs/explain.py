@@ -64,14 +64,6 @@ def _kind_delta(after: Dict[str, tuple], before: Dict[str, tuple]
     return out
 
 
-def _tier_delta(after: Dict[str, int], before: Dict[str, int]
-                ) -> Dict[str, Dict[str, int]]:
-    """Per-kind l3_hits movement between two tier snapshots — which
-    artifact kinds the disk tier actually served."""
-    return {kind: {"l3_hits": after[kind] - before.get(kind, 0)}
-            for kind in sorted(after) if after[kind] > before.get(kind, 0)}
-
-
 def explain_tree(tree: AnalysisTree, arch: Architecture, *,
                  engine=None, respect_memory: bool = True
                  ) -> Dict[str, Any]:
@@ -98,8 +90,6 @@ def explain_tree(tree: AnalysisTree, arch: Architecture, *,
         span_mark = len(tracer.spans) if tracer is not None else 0
         kinds_before = (subtree.counts_by_kind()
                         if subtree is not None else {})
-        tiers_before = (subtree.tier_counts_by_kind()
-                        if subtree is not None else {})
         stats_before = engine.stats.to_dict()
         results[label] = engine.evaluate_tree(tree, full=True)
         stats_after = engine.stats.to_dict()
@@ -109,9 +99,6 @@ def explain_tree(tree: AnalysisTree, arch: Architecture, *,
             "subtree_by_kind": _kind_delta(
                 subtree.counts_by_kind() if subtree is not None else {},
                 kinds_before),
-            "tiers_by_kind": _tier_delta(
-                subtree.tier_counts_by_kind()
-                if subtree is not None else {}, tiers_before),
             "engine_delta": {k: stats_after[k] - stats_before[k]
                              for k in stats_after
                              if stats_after[k] != stats_before[k]},
@@ -156,13 +143,6 @@ def explain_tree(tree: AnalysisTree, arch: Architecture, *,
             "context_memo_hits": context_memo_hits,
             "cold": rounds["cold"]["subtree_by_kind"],
             "warm": rounds["warm"]["subtree_by_kind"],
-            # Which kinds the disk (L3) tier served — empty unless the
-            # engine has one attached (e.g. a warm --cache-dir): tier
-            # hits mean "not recomputed, loaded".
-            "tiers": {
-                "cold": rounds["cold"]["tiers_by_kind"],
-                "warm": rounds["warm"]["tiers_by_kind"],
-            },
         },
         "prescreen": {
             "feasible": not violations,
@@ -266,15 +246,6 @@ def render_explain(report: Dict[str, Any]) -> str:
                 f"{kind:10s} "
                 f"{c.get('hits', 0):>7d}/{c.get('misses', 0):<8d} "
                 f"{w.get('hits', 0):>7d}/{w.get('misses', 0):<8d}")
-    tiers = prov.get("tiers") or {}
-    tier_kinds = sorted(set(tiers.get("cold") or {})
-                        | set(tiers.get("warm") or {}))
-    for kind in tier_kinds:
-        c = (tiers.get("cold") or {}).get(kind, {})
-        w = (tiers.get("warm") or {}).get(kind, {})
-        lines.append(
-            f"{kind:10s} tier-served: cold L3={c.get('l3_hits', 0)}, "
-            f"warm L3={w.get('l3_hits', 0)}")
     lines.append(f"context-memo repeat lookups absorbed : "
                  f"{prov['context_memo_hits']}")
     batched = report.get("batched") or {}

@@ -92,9 +92,9 @@ def incremental_effectiveness(metrics: Optional[Mapping[str, Mapping[str,
     """Derived incremental-analysis rates from the ``engine.*`` counters.
 
     Returns None when the run never touched the subtree artifact cache
-    (incremental evaluation off, or no engine in the loop).
+    (no subtree cache, or no engine in the loop).
     ``subtree_hit_rate`` is the fraction of per-subtree artifact lookups
-    (slice geometry, NumPE, data-movement flows) served from the
+    (slice geometry, boundary-recursion volumes) served from the
     persistent cross-evaluation store instead of being recomputed.
     """
     def value(name: str) -> float:
@@ -114,9 +114,6 @@ def incremental_effectiveness(metrics: Optional[Mapping[str, Mapping[str,
         "subtree_misses": misses,
         "subtree_hit_rate": hits / lookups if lookups else 0.0,
         "subtree_evictions": evictions,
-        # L1 misses served by the disk (L3) tier of the artifact store;
-        # zero when no tier is attached.
-        "subtree_l3_hits": value("engine.subtree_l3_hits"),
         # Batched cohort sweeps: candidates priced by the array-native
         # kernels (committed / attempted) and members bounced back to
         # the scalar path.  ``batch_yield`` is committed over attempted.
@@ -201,10 +198,6 @@ def render_profile(spans: Sequence[SpanRecord],
             f"({inc['subtree_hits']:g} of "
             f"{inc['subtree_hits'] + inc['subtree_misses']:g} lookups "
             f"served from the cross-evaluation cache)")
-        if inc.get("subtree_l3_hits"):
-            lines.append(
-                f"{'misses served by cache tiers':40s} "
-                f"{inc['subtree_l3_hits']:>12g}  (L3 disk)")
         if inc.get("subtree_evictions"):
             by_kind = ", ".join(
                 f"{key[len('evictions.'):]}={inc[key]:g}"

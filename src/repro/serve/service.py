@@ -40,8 +40,7 @@ from .. import arch as arch_mod
 from .. import workloads as workloads_mod
 from ..dataflows import dataflow_for, dataflow_names
 from ..engine import EvaluationEngine
-from ..engine.cache import (DEFAULT_SUBTREE_CACHE_SIZE, DiskArtifactStore,
-                            SubtreeArtifactCache)
+from ..engine.cache import DEFAULT_SUBTREE_CACHE_SIZE, SubtreeArtifactCache
 from ..engine.manifest import evaluate_run_manifest, search_run_manifest
 from ..errors import TileFlowError
 from ..mapper import TileFlowMapper
@@ -88,29 +87,19 @@ class EvaluationService:
         Run-ledger directory for completed jobs; ``None`` disables
         persistence.
     subtree_cache_size:
-        Entry bound of the shared cross-job artifact cache.
-    cache_dir:
-        Directory of the disk-persistent artifact tier (L3): tiered
-        artifact kinds are loaded from here on first miss and flushed
-        back on :meth:`stop`, so a service restart warm-starts.
-    cache_persist:
-        Write the L3 tier back on :meth:`stop` (reads still happen).
+        Entry bound of the shared cross-job artifact cache (``0`` keeps
+        nothing).
     """
 
     def __init__(self, workers: int = 2, max_queue: int = 64,
                  ledger_root: Optional[str] = None,
-                 subtree_cache_size: int = DEFAULT_SUBTREE_CACHE_SIZE,
-                 cache_dir: Optional[str] = None,
-                 cache_persist: bool = True):
+                 subtree_cache_size: int = DEFAULT_SUBTREE_CACHE_SIZE):
         self.workers = max(1, int(workers))
         self.queue = JobQueue(max_queue=max_queue)
         self.ledger = (ledger_mod.RunLedger(ledger_root)
                        if ledger_root else None)
         #: One artifact store shared by every engine the service owns.
         self.subtree_cache = SubtreeArtifactCache(subtree_cache_size)
-        if cache_dir:
-            self.subtree_cache.attach_l3(DiskArtifactStore(cache_dir))
-        self._cache_persist = cache_persist
         self.started = time.time()
         self._lock = threading.Lock()
         self._engines: Dict[Tuple[str, str], EvaluationEngine] = {}
@@ -160,8 +149,6 @@ class EvaluationService:
             engines = list(self._engines.values())
         for engine in engines:
             engine.shutdown()
-        if self._cache_persist and self.subtree_cache.l3 is not None:
-            self.subtree_cache.flush_l3()
         self._stopped = True
 
     # -- submission ------------------------------------------------------
@@ -387,9 +374,7 @@ class EvaluationService:
         "Safely" means no job observes the cache shrinking mid-run:
         every per-engine job lock is acquired (in a stable order) before
         clearing, so the call waits for in-flight jobs to finish and
-        blocks new ones for the instant the clear takes.  The L3
-        disk tier is untouched (use ``repro cache purge`` for that);
-        loaded shard images are dropped so the next probe re-reads disk.
+        blocks new ones for the instant the clear takes.
         """
         with self._lock:
             pairs = sorted(self._engine_locks.items())
@@ -404,7 +389,7 @@ class EvaluationService:
                             "error": "timed out waiting for running jobs"}
                 acquired.append(lock)
             entries = self.subtree_cache.total
-            self.subtree_cache.clear(drop_l3_mirror=True)
+            self.subtree_cache.clear()
             if reset_counters:
                 self.subtree_cache.reset_counters()
         finally:
@@ -432,15 +417,6 @@ class EvaluationService:
                          "batch_fallbacks")
         }
         cache = self.subtree_cache
-        tier_kinds = cache.tier_counts_by_kind()
-        tiers: Dict[str, Any] = {
-            "policy": cache.policy,
-            "l3": {"attached": cache.l3 is not None,
-                   "hits": cache.tier_counts()},
-        }
-        if cache.l3 is not None:
-            tiers["l3"]["root"] = str(cache.l3.root)
-            tiers["l3"]["persist"] = self._cache_persist
         return {
             "status": "draining" if self._draining else "ok",
             "uptime_s": time.time() - self.started,
@@ -456,11 +432,7 @@ class EvaluationService:
                 "hits": cache.hits, "misses": cache.misses,
                 "evictions": cache.eviction_count,
                 "entries": cache.total, "maxsize": cache.maxsize,
-                "tiers": tiers,
-                "by_kind": {kind: dict(
-                    {"hits": h, "misses": m, "evictions": e},
-                    **({"l3_hits": tier_kinds[kind]}
-                       if tier_kinds.get(kind) else {}))
+                "by_kind": {kind: {"hits": h, "misses": m, "evictions": e}
                             for kind, (h, m, e)
                             in sorted(cache.counts_by_kind().items())},
             },

@@ -20,17 +20,16 @@ Checks (all from §4 of the paper):
 :func:`validate_tree` raises :class:`TreeValidationError` on the first
 violation; :func:`check_tree` returns the list of all violation messages,
 running each node-local rule (``_check_*``) over the nodes in pre-order,
-rule by rule.  Two variants run the same rules over an analysis context:
-:func:`validate_tree_cached` memoizes per subtree fingerprint through a
-shared artifact cache, and :func:`validate_tree_local` checks the rules
-that read no loop counts (:data:`STRUCTURE_RULES`) once per context.
-Whatever either finds invalid falls back to :func:`check_tree`, so the
-error message lists problems in the canonical order.
+rule by rule.  :func:`validate_tree_local` runs the same rules over an
+analysis context, checking the rules that read no loop counts
+(:data:`STRUCTURE_RULES`) once per context.  Whatever it finds invalid
+falls back to :func:`check_tree`, so the error message lists problems
+in the canonical order.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from ..errors import TreeValidationError
 from .coverage import apply_loops
@@ -81,21 +80,6 @@ def validate_tree_local(ctx) -> None:
         _invalid(ctx.tree)
 
 
-def validate_tree_cached(ctx) -> None:
-    """Validate ``ctx.tree`` with per-subtree memoization.
-
-    ``ctx`` is an :class:`~repro.analysis.context.AnalysisContext` (duck
-    typed: ``tree``, ``fingerprint``, ``shared_get``/``shared_put``).
-    Subtree verdicts are cached under kind ``"valid"`` and per-operator
-    coverage under ``"cov"``; both are functions of the subtree shape
-    plus the workload, which the cache namespace pins.  The happy path
-    (valid tree) touches only fingerprints and fresh subtrees.
-    """
-    if (_subtree_problems(ctx, ctx.tree.root)
-            or _coverage_problems(ctx.tree, ctx)):
-        _invalid(ctx.tree)
-
-
 def _apply(rules, tree: AnalysisTree, problems: List[str]) -> None:
     """Run node-local rules over the tree, rule by rule, pre-order."""
     for rule in rules:
@@ -104,31 +88,15 @@ def _apply(rules, tree: AnalysisTree, problems: List[str]) -> None:
 
 
 def _invalid(tree: AnalysisTree) -> None:
-    """Raise the canonical error for a tree a variant found invalid."""
+    """Raise the canonical error for a tree the local check found invalid."""
     validate_tree(tree)  # canonical problem order; raises
-    raise TreeValidationError(  # pragma: no cover - variant/full skew
-        f"tree {tree.name!r} is invalid (incremental validation found "
-        f"problems the full check did not — cache corruption?)")
+    raise TreeValidationError(  # pragma: no cover - local/full skew
+        f"tree {tree.name!r} is invalid (local validation found "
+        f"problems the full check did not)")
 
 
-def _subtree_problems(ctx, node: TileNode) -> Tuple[str, ...]:
-    """Structural problems (all rules but coverage) within one subtree."""
-    fp = ctx.fingerprint(node)
-    cached = ctx.shared_get("valid", fp)
-    if cached is None:
-        problems: List[str] = []
-        for rule in NODE_RULES:
-            rule(node, ctx.tree.workload, problems)
-        for child in node.children_nodes():
-            problems.extend(_subtree_problems(ctx, child))
-        cached = tuple(problems)
-        ctx.shared_put("valid", fp, cached)
-    return cached
-
-
-def _coverage_problems(tree: AnalysisTree, ctx=None) -> List[str]:
-    """Root coverage of every operator (memoized through ``ctx``'s
-    shared store when given)."""
+def _coverage_problems(tree: AnalysisTree) -> List[str]:
+    """Root coverage of every operator (§4 rule 3)."""
     problems: List[str] = []
     for op in tree.workload.operators:
         try:
@@ -137,37 +105,15 @@ def _coverage_problems(tree: AnalysisTree, ctx=None) -> List[str]:
             problems.append(f"subtree {tree.root.label()!r} has no leaf "
                             f"for operator {op.name!r}")
             continue
-        cov = _coverage_at(ctx, path, 0, op)
+        cov: Dict[str, int] = {d: 1 for d in op.dims}
+        for node in reversed(path):
+            cov = apply_loops(cov, node.loops, op.dims)
         for d, size in op.dims.items():
             if cov.get(d, 1) < size:
                 problems.append(
                     f"operator {op.name!r}: dim {d!r} covered {cov.get(d, 1)}"
                     f" < {size}")
     return problems
-
-
-def _coverage_at(ctx, path, idx: int, op) -> Dict[str, int]:
-    """Coverage of ``op`` below ``path[idx]``, descending lazily.
-
-    With a context, descending from the root means a warm cache answers
-    with a *single* lookup at the outermost cached level instead of one
-    per path node.  The root itself is never cached: its fingerprint is
-    fresh on every mapper move (something below changed), so a root
-    entry would only churn the cache.
-    """
-    node = path[idx]
-    key = (ctx.fingerprint(node), op.name) if ctx is not None and idx \
-        else None
-    cached = ctx.shared_get("cov", key) if key is not None else None
-    if cached is None:
-        if idx + 1 < len(path):
-            inner = _coverage_at(ctx, path, idx + 1, op)
-        else:
-            inner = {d: 1 for d in op.dims}
-        cached = apply_loops(inner, node.loops, op.dims)
-        if key is not None:
-            ctx.shared_put("cov", key, cached)
-    return cached
 
 
 # ----------------------------------------------------------------------
@@ -256,5 +202,3 @@ def _check_sibling_order(node: TileNode, workload,
 STRUCTURE_RULES = (_check_levels, _check_chains, _check_sibling_order)
 #: Node-local rules that read loops (coverage is whole-tree).
 LOOP_RULES = (_check_fusion_loops, _check_reduction_rule)
-#: Every node-local rule.
-NODE_RULES = STRUCTURE_RULES + LOOP_RULES

@@ -87,9 +87,20 @@ def test_prescreen_is_invisible_to_the_search(objective, respect_memory,
                                                      factors)) == expected
 
 
-def _explore(seed, **mapper_kwargs):
-    mapper = TileFlowMapper(WL, arch.edge(), seed=seed, **mapper_kwargs)
-    result = mapper.explore(generations=2, population=4, mcts_samples=4)
+def _explore(seed, subtree_cache_size=None, **mapper_kwargs):
+    """A small search's result JSON.  ``subtree_cache_size`` runs it on
+    an engine built with that bound (``0``: no subtree cache) and the
+    same ``mapper_kwargs``."""
+    spec = arch.edge()
+    engine = (None if subtree_cache_size is None else EvaluationEngine(
+        WL, spec, subtree_cache_size=subtree_cache_size, **mapper_kwargs))
+    mapper = TileFlowMapper(WL, spec, seed=seed, engine=engine,
+                            **mapper_kwargs)
+    try:
+        result = mapper.explore(generations=2, population=4, mcts_samples=4)
+    finally:
+        if engine is not None:
+            engine.shutdown()
     return json.dumps(result.to_dict(), sort_keys=True)
 
 
@@ -97,7 +108,7 @@ def _explore(seed, **mapper_kwargs):
 def test_cache_does_not_change_search_results(seed):
     """The search equals its reference path: no subtree cache, no
     pre-screen."""
-    assert _explore(seed) == _explore(seed, incremental=False,
+    assert _explore(seed) == _explore(seed, subtree_cache_size=0,
                                       prescreen=False)
 
 
@@ -109,9 +120,9 @@ def test_workers_do_not_change_search_results(seed):
 @pytest.mark.parametrize("seed", [0, 13])
 def test_incremental_does_not_change_search_results(seed):
     """The subtree cache is a pure perf knob, serial and parallel."""
-    assert _explore(seed) == _explore(seed, incremental=False)
+    assert _explore(seed) == _explore(seed, subtree_cache_size=0)
     assert (_explore(seed, workers=2)
-            == _explore(seed, workers=2, incremental=False))
+            == _explore(seed, workers=2, subtree_cache_size=0))
 
 
 def _explore_with_events(seed, **mapper_kwargs):
@@ -174,7 +185,7 @@ def test_single_factor_move_is_byte_identical_incrementally(seed, data):
     point_b = dict(point_a)
     point_b[name] = value
 
-    engine = EvaluationEngine(WL, spec, incremental=True)
+    engine = EvaluationEngine(WL, spec)
     engine.evaluate_genome(genome, point_a, full=True)
     incremental = engine.evaluate_genome(genome, point_b, full=True)
 

@@ -7,9 +7,9 @@ pipeline:
   payloads (every named attention/conv dataflow on Edge/Cloud plus 30
   random genome trees) frozen from the pre-refactor monolith.  The full
   pipeline must reproduce the file **byte-for-byte**, also through one
-  shared subtree cache and through a cold L1 in front of a warm disk
-  tier (L3).  Regenerate after
-  an intentional model change with
+  shared subtree cache and through evaluation engines with no cache, a
+  small evicting cache and the default one.  Regenerate after an
+  intentional model change with
   ``PYTHONPATH=src python tests/property/test_prop_pipeline.py``.
 * A hypothesis sweep comparing the pipeline against an *independent*
   composition of the underlying analyses (data movement -> resources ->
@@ -28,6 +28,7 @@ from repro.analysis import (DataMovementAnalysis, LatencyAnalysis,
                             ResourceAnalysis, TileFlowModel, compute_energy)
 from repro.dataflows import (ATTENTION_DATAFLOWS, CONV_DATAFLOWS,
                              attention_dataflow, conv_dataflow)
+from repro.engine import EvaluationEngine
 from repro.mapper import Genome, build_genome_tree, genome_factor_space
 from repro.workloads import (ATTENTION_SHAPES, CONV_CHAIN_SHAPES,
                              attention_from_shape, conv_chain_from_shape,
@@ -37,43 +38,50 @@ ORACLE_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "data",
                            "analysis_oracle.json")
 
 
-def oracle_entries(artifact_cache=None):
+def oracle_entries(artifact_cache=None, engine_kwargs=None):
     """Recompute every frozen-oracle entry with the current model.
 
     ``artifact_cache`` optionally threads one shared
     :class:`~repro.engine.cache.SubtreeArtifactCache` through every
     evaluation — the incremental path, which must reproduce the same
-    bytes.
+    bytes.  ``engine_kwargs`` instead evaluates through one
+    :class:`~repro.engine.EvaluationEngine` per (workload, arch) pair
+    built with them, by ``evaluate_tree(full=True)`` — the evaluation
+    service's job path.
     """
-    def evaluate(model, tree):
+    def evaluator(wl, spec):
+        if engine_kwargs is not None:
+            engine = EvaluationEngine(wl, spec, **engine_kwargs)
+            return lambda tree: engine.evaluate_tree(tree, full=True)
+        model = TileFlowModel(spec)
         if artifact_cache is None:
-            return model.evaluate(tree)
-        ctx = model.context(tree, artifact_cache=artifact_cache)
-        return model.evaluate(tree, context=ctx)
+            return model.evaluate
+        return lambda tree: model.evaluate(tree, context=model.context(
+            tree, artifact_cache=artifact_cache))
 
     out = {}
     for shape in ("Bert-S", "ViT/16-B"):
         wl = attention_from_shape(ATTENTION_SHAPES[shape])
         for aname, spec in (("edge", arch_mod.edge()),
                             ("cloud", arch_mod.cloud())):
-            model = TileFlowModel(spec)
+            evaluate = evaluator(wl, spec)
             for df in ATTENTION_DATAFLOWS:
-                r = evaluate(model, attention_dataflow(df, wl, spec))
+                r = evaluate(attention_dataflow(df, wl, spec))
                 out[f"attn/{shape}/{aname}/{df}"] = r.to_dict()
     wl = conv_chain_from_shape(CONV_CHAIN_SHAPES["CC1"])
     spec = arch_mod.edge()
-    model = TileFlowModel(spec)
+    evaluate = evaluator(wl, spec)
     for df in CONV_DATAFLOWS:
-        r = evaluate(model, conv_dataflow(df, wl, spec))
+        r = evaluate(conv_dataflow(df, wl, spec))
         out[f"conv/CC1/edge/{df}"] = r.to_dict()
     wl = self_attention(2, 32, 64, expand_softmax=False)
-    model = TileFlowModel(spec)
+    evaluate = evaluator(wl, spec)
     rng = random.Random(1234)
     for i in range(30):
         genome = Genome.random(wl, rng)
         factors = genome_factor_space(wl, genome).random_point(rng)
         tree = build_genome_tree(wl, spec, genome, factors)
-        out[f"genome/{i}"] = evaluate(model, tree).to_dict()
+        out[f"genome/{i}"] = evaluate(tree).to_dict()
     return out
 
 
@@ -91,8 +99,6 @@ def test_frozen_oracle_byte_identity_incremental():
     All 58 entries run through a *single shared* subtree artifact cache,
     so later entries are served from artifacts cached by earlier ones —
     cache hits included, the serialized output must not move by a bit.
-    The same holds through a small cache that evicts, under both
-    eviction policies.
     """
     from repro.engine.cache import SubtreeArtifactCache
 
@@ -104,39 +110,34 @@ def test_frozen_oracle_byte_identity_incremental():
     assert cache.hits > 0  # the cache actually served artifacts
     assert current == frozen
 
-    # Under eviction pressure either L1 policy still reproduces it.
-    for policy in ("segmented", "insertion"):
-        small = SubtreeArtifactCache(256, policy=policy)
-        assert json.dumps(oracle_entries(artifact_cache=small),
-                          sort_keys=True, indent=1) == frozen
-        assert small.eviction_count > 0
 
+def test_frozen_oracle_byte_identity_through_engines():
+    """Engines reproduce the frozen oracle at every cache bound.
 
-def test_frozen_oracle_byte_identity_through_l3(tmp_path):
-    """A cold L1 fronting a warm disk tier reproduces the frozen oracle.
-
-    One pass through an L3-backed cache seeds the disk store; a second
-    pass through a fresh L1 on the same directory is served from disk.
-    Both serialize byte-identically to the frozen file.
+    Three runs of the 58 entries through evaluation engines: with no
+    subtree cache (``subtree_cache_size=0``), with one shared 256-entry
+    cache that evicts, and with one shared cache at the default bound.
+    All serialize byte-identically to the frozen file.
     """
-    from repro.engine.cache import DiskArtifactStore, SubtreeArtifactCache
+    from repro.engine.cache import SubtreeArtifactCache
 
     with open(ORACLE_PATH) as fh:
         frozen = fh.read()
-    store_dir = str(tmp_path / "l3")
-    seed_cache = SubtreeArtifactCache()
-    seed_cache.attach_l3(DiskArtifactStore(store_dir))
-    seeded = json.dumps(oracle_entries(artifact_cache=seed_cache),
-                        sort_keys=True, indent=1)
-    seed_cache.flush_l3()
+    assert json.dumps(oracle_entries(
+        engine_kwargs={"subtree_cache_size": 0}),
+        sort_keys=True, indent=1) == frozen
 
-    warm_cache = SubtreeArtifactCache()
-    warm_cache.attach_l3(DiskArtifactStore(store_dir))
-    warm = json.dumps(oracle_entries(artifact_cache=warm_cache),
-                      sort_keys=True, indent=1)
-    assert warm_cache.tier_counts() > 0, "the disk tier served nothing"
-    assert seeded == frozen
-    assert warm == frozen
+    small = SubtreeArtifactCache(256)
+    assert json.dumps(oracle_entries(
+        engine_kwargs={"subtree_cache": small}),
+        sort_keys=True, indent=1) == frozen
+    assert small.eviction_count > 0  # the bound was under pressure
+
+    default = SubtreeArtifactCache()
+    assert json.dumps(oracle_entries(
+        engine_kwargs={"subtree_cache": default}),
+        sort_keys=True, indent=1) == frozen
+    assert default.hits > 0 and default.eviction_count == 0
 
 
 # ----------------------------------------------------------------------
@@ -215,20 +216,20 @@ def test_shared_cache_reevaluation_is_byte_identical(seed):
 
 @given(st.integers(min_value=0, max_value=10 ** 6), st.booleans())
 @settings(max_examples=25, deadline=None)
-def test_cached_validation_matches_full_check(seed, corrupt):
-    """``validate_tree_cached`` == ``validate_tree``, valid or not.
+def test_local_validation_matches_full_check(seed, corrupt):
+    """``validate_tree_local`` == ``validate_tree``, valid or not.
 
     ``corrupt`` flattens every loop over one dim to a single iteration,
-    leaving that dim's coverage product short of its size; the cached
+    leaving that dim's coverage product short of its size; the local
     validator must raise the exact message the full checker raises (it
     re-runs the full check on any problem precisely to keep the message
-    order canonical).
+    order canonical), on contexts with and without a subtree cache.
     """
     from repro.analysis import AnalysisContext
     from repro.engine.cache import SubtreeArtifactCache
     from repro.errors import TreeValidationError
     from repro.tile.loops import Loop
-    from repro.tile.validate import validate_tree, validate_tree_cached
+    from repro.tile.validate import validate_tree, validate_tree_local
 
     rng = random.Random(seed)
     genome = Genome.random(_WL, rng)
@@ -252,15 +253,15 @@ def test_cached_validation_matches_full_check(seed, corrupt):
     except TreeValidationError as err:
         full_error = str(err)
 
-    cache = SubtreeArtifactCache()
-    for _ in range(2):  # second round exercises the cache-hit path
+    for cache in (None, SubtreeArtifactCache()):
         ctx = AnalysisContext(tree, _SPEC, artifact_cache=cache)
-        cached_error = None
-        try:
-            validate_tree_cached(ctx)
-        except TreeValidationError as err:
-            cached_error = str(err)
-        assert cached_error == full_error
+        for _ in range(2):  # the second call reuses the structure verdict
+            local_error = None
+            try:
+                validate_tree_local(ctx)
+            except TreeValidationError as err:
+                local_error = str(err)
+            assert local_error == full_error
     if corrupt:
         assert full_error is not None
 

@@ -3,12 +3,11 @@
 Covers the checked int64 kernels (dtype gates, exact overflow
 detection with adversarially large loop bounds), the cohort planner's
 per-group structure keys, the engine integration (sample-budget gate,
-hook exception-disable, stats attribution), the obs/report surfaces,
-and the L3 purge budgets that ride along in this change.
+hook exception-disable, stats attribution) and the obs/report
+surfaces.
 """
 
 import random
-import time
 
 import numpy as np
 import pytest
@@ -238,46 +237,3 @@ class TestReporting:
                                         "batch_fallbacks": 0}
         finally:
             service.stop()
-
-
-# -- L3 purge budgets ----------------------------------------------------
-
-class TestPurgeBudget:
-    def _store(self, tmp_path):
-        from repro.engine.cache import DiskArtifactStore
-        store = DiskArtifactStore(str(tmp_path))
-        for i in range(3):
-            store.flush(f"ns{i}", "walkvol",
-                        {f"k{j}": j for j in range(50 * (i + 1))})
-        return store
-
-    def test_max_age_drops_stale_shards(self, tmp_path):
-        store = self._store(tmp_path)
-        old = time.time() - 7200
-        for pkl in store._shard_dir("ns0").glob("*.pkl"):
-            import os
-            os.utime(pkl, (old, old))
-        removed = store.purge_budget(max_age_s=3600)
-        assert removed == ["ns0"]
-        assert len(store._shards()) == 2
-
-    def test_max_bytes_trims_oldest_first(self, tmp_path):
-        store = self._store(tmp_path)
-        sizes = {}
-        now = time.time()
-        for i in range(3):
-            import os
-            for pkl in store._shard_dir(f"ns{i}").glob("*.pkl"):
-                # Stamp ns0 oldest, ns2 newest.
-                os.utime(pkl, (now - (3 - i) * 100, now - (3 - i) * 100))
-                sizes[f"ns{i}"] = pkl.stat().st_size
-        budget = sizes["ns1"] + sizes["ns2"]
-        removed = store.purge_budget(max_bytes=budget)
-        assert removed == ["ns0"]
-        assert store.purge_budget(max_bytes=0) == ["ns1", "ns2"]
-        assert store._shards() == []
-
-    def test_no_budget_removes_nothing(self, tmp_path):
-        store = self._store(tmp_path)
-        assert store.purge_budget() == []
-        assert len(store._shards()) == 3

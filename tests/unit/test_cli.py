@@ -16,6 +16,25 @@ class TestParser:
         assert args.arch == "edge"
         assert not args.show_tree
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--workers", "0"), ("--max-queue", "0"), ("--max-body-kb", "0"),
+        ("--max-body-kb", "-1"), ("--cache-bound", "-1")])
+    def test_serve_rejects_numeric_flags_that_stop_work(self, flag, value,
+                                                        capsys):
+        # Each value would start a service that refuses every job (429,
+        # 413) or silently runs other than asked; argparse exits 2.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["serve", flag, value])
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be >=" in capsys.readouterr().err
+
+    def test_serve_accepts_numeric_flag_floors(self):
+        args = build_parser().parse_args(
+            ["serve", "--workers", "1", "--max-queue", "1",
+             "--max-body-kb", "1", "--cache-bound", "0"])
+        assert (args.workers, args.max_queue, args.max_body_kb,
+                args.cache_bound) == (1, 1, 1, 0)
+
 
 class TestCommands:
     def test_evaluate_attention(self, capsys):
@@ -112,67 +131,16 @@ class TestQuiet:
 
 class TestCacheCommand:
     def test_cache_flags_parse(self):
-        args = build_parser().parse_args(
-            ["serve", "--cache-dir", "/tmp/x",
-             "--cache-bound", "128", "--no-cache-persist"])
-        assert args.cache_dir == "/tmp/x"
+        args = build_parser().parse_args(["serve", "--cache-bound", "128"])
         assert args.cache_bound == 128
-        assert args.no_cache_persist
-        # search prices its tunes off the subtree cache: no cache flags.
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["search", "Bert-S", "--cache-dir", "/tmp/x"])
-        # cache requires --cache-dir.
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["cache", "stats"])
-
-    def test_engine_writes_shards_then_stats_and_purge(self, tmp_path,
-                                                       capsys):
-        import json
-        from repro import arch
-        from repro.dataflows import attention_dataflow
-        from repro.engine import EvaluationEngine
-        from repro.workloads import by_name
-        cache_dir = str(tmp_path / "cache")
-        workload, spec = by_name("ViT/16-B"), arch.by_name("edge")
-        with EvaluationEngine(workload, spec, cache_dir=cache_dir) as engine:
-            engine.evaluate_tree(attention_dataflow("tileflow", workload,
-                                                    spec))
-
-        assert main(["cache", "stats", "--cache-dir", cache_dir]) == 0
-        out = capsys.readouterr().out
-        assert "walkvol" in out and "total:" in out
-        assert "1 namespace(s)" in out
-
-        # Purge by workload/arch resolves the namespace for you.
-        assert main(["cache", "purge", "--cache-dir", cache_dir,
-                     "--workload", "ViT/16-B", "--arch", "edge"]) == 0
-        assert "removed 1 shard(s)" in capsys.readouterr().out
-
-        assert main(["cache", "stats", "--cache-dir", cache_dir,
-                     "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["total_entries"] == 0
-        assert payload["namespaces"] == []
-
-    def test_cache_clear_and_purge_selector_required(self, tmp_path,
-                                                     capsys):
-        import json
-        from repro.engine.cache import DiskArtifactStore
-        cache_dir = str(tmp_path / "cache")
-        DiskArtifactStore(cache_dir).flush("ns|x", "walkvol", {"k": 1})
-
-        with pytest.raises(SystemExit, match="--namespace"):
-            main(["cache", "purge", "--cache-dir", cache_dir])
-
-        assert main(["cache", "purge", "--cache-dir", cache_dir,
-                     "--namespace", "ns|", "--json"]) == 0
-        assert json.loads(capsys.readouterr().out)["removed"] == ["ns|x"]
-
-        DiskArtifactStore(cache_dir).flush("ns|y", "cov", {"k": 1})
-        assert main(["cache", "clear", "--cache-dir", cache_dir,
-                     "--json"]) == 0
-        assert json.loads(capsys.readouterr().out)["removed"] == 1
+        # The cache is in-memory only: no disk-tier flags, no `cache`
+        # subcommand, and search prices its tunes off the cache.
+        for argv in (["serve", "--cache-dir", "/tmp/x"],
+                     ["serve", "--no-cache-persist"],
+                     ["search", "Bert-S", "--cache-bound", "128"],
+                     ["cache", "stats"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(argv)
 
 
 class TestObservabilityFlags:

@@ -9,10 +9,10 @@ Covers the contracts the perf work leans on:
 * Foreign-node queries raise :class:`ForeignNodeError` (never stale
   geometry), with a message that points at ``invalidate()``.
 * :class:`SubtreeArtifactCache` / :class:`KindStore` semantics: the
-  global entry bound, insertion-order eviction, the ``None`` miss
-  sentinel, and per-kind stats.
+  global entry bound, eviction, the ``None`` miss sentinel, and
+  per-kind stats.
 * Engine plumbing: ``subtree_hits``/``subtree_misses`` move only when
-  incremental evaluation is on and only on the tree path (a genome
+  the engine has a subtree cache and only on the tree path (a genome
   tune leaves the shared cache untouched); the obs profile renders the
   incremental section.
 """
@@ -261,7 +261,7 @@ def test_engine_subtree_counters_track_the_cache():
     space = genome_factor_space(WL, genome)
     points = [space.random_point(rng) for _ in range(4)]
 
-    engine = EvaluationEngine(WL, SPEC, incremental=True)
+    engine = EvaluationEngine(WL, SPEC)
     for point in points:
         engine.evaluate_genome(genome, point)
     assert engine.subtree_cache is not None
@@ -293,7 +293,7 @@ def test_engine_subtree_counters_track_the_cache():
     assert rerun.stats.subtree_hits > 0
     assert rerun.stats.subtree_misses == 0
 
-    plain = EvaluationEngine(WL, SPEC, incremental=False)
+    plain = EvaluationEngine(WL, SPEC, subtree_cache_size=0)
     for point in points:
         plain.evaluate_genome(genome, point)
     assert plain.subtree_cache is None
@@ -303,7 +303,7 @@ def test_engine_subtree_counters_track_the_cache():
 def test_profile_renders_incremental_section():
     obs.enable()
     try:
-        engine = EvaluationEngine(WL, SPEC, incremental=True)
+        engine = EvaluationEngine(WL, SPEC)
         rng = random.Random(5)
         genome = Genome.random(WL, rng)
         factors = genome_factor_space(WL, genome).random_point(rng)
