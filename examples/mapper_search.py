@@ -11,6 +11,7 @@ search counters) to stderr when the search finishes — the worked example
 of docs/OBSERVABILITY.md.
 """
 
+import contextlib
 import os
 import sys
 
@@ -22,18 +23,17 @@ from repro.workloads import self_attention
 
 def main() -> None:
     profiling = os.environ.get("REPRO_PROFILE") == "1"
-    tracer = obs.enable() if profiling else None
 
     workload = self_attention(num_heads=8, seq_len=256, hidden=512,
                               name="attn-search")
     spec = arch.edge()
     mapper = TileFlowMapper(workload, spec, seed=7)
-    result = mapper.explore(generations=6, population=10, mcts_samples=20)
+    with (obs.capture() if profiling else contextlib.nullcontext()) as sink:
+        result = mapper.explore(generations=6, population=10,
+                                mcts_samples=20)
 
-    if tracer is not None:
-        obs.disable()
-        print(obs.render_profile(tracer.spans, obs.metrics_snapshot()),
-              file=sys.stderr)
+    if sink is not None:
+        print(obs.render_profile(sink.records), file=sys.stderr)
 
     print("exploration trace (best cost per generation):")
     for gen, cost in enumerate(result.trace):

@@ -41,7 +41,7 @@ Safety valves, in increasing order of scope:
 * any other exception escapes to the tuner, which permanently disables
   the hook for that search (batching is strictly a performance layer).
 
-Counter parity: the hook bumps ``mapper.evaluations`` (and
+Count parity: the hook bumps ``mapper.evaluations`` (and
 ``mapper.infeasible``) exactly when it covers the requested point —
 i.e. exactly where the scalar path would have called
 ``engine.genome_cost`` — so mapper-level counters are identical between

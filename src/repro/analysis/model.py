@@ -101,7 +101,6 @@ class TileFlowModel:
         if not validate:
             ctx.mark_completed("validate")
         with obs.span("model.evaluate", "analysis", tree=tree.name):
-            obs.count("model.evaluations")
             self.pipeline.run(ctx, until=until,
                               stop_on_violation=stop_on_violation or strict)
         violations = list(ctx.get("violations") or ())
@@ -143,6 +142,5 @@ class TileFlowModel:
         if not validate:
             ctx.mark_completed("validate")
         with obs.span("model.movement", "analysis", tree=tree.name):
-            obs.count("model.movements")
             self.pipeline.run(ctx, until="datamovement")
         return ctx.get("movement")

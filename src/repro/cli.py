@@ -18,8 +18,8 @@ Thin wrappers over the library for the common flows:
   pre-screen bound that would fire.
 
 Every command accepts the observability flags ``--trace FILE``
-(``--trace-format jsonl|chrome``), ``--events FILE``, and ``--profile``
-(see :mod:`repro.obs` and docs/OBSERVABILITY.md) plus the output-mode
+(``--trace-format jsonl|chrome``) and ``--profile`` (see
+:mod:`repro.obs` and docs/OBSERVABILITY.md) plus the output-mode
 flags ``--json`` / ``--quiet``.  All output is routed
 through one :class:`OutputWriter`: in ``--json`` mode only the JSON
 payload reaches stdout (no interleaved headers), and the ``--profile``
@@ -260,15 +260,15 @@ def cmd_experiment(args) -> int:
 def cmd_stats(args) -> int:
     """Replay a trace file into the ``--profile`` summary."""
     try:
-        spans, metrics = obs.load_jsonl(args.trace_file)
+        records = obs.load_jsonl(args.trace_file)
     except OSError as exc:
         raise SystemExit(f"cannot read trace file: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise SystemExit(
             f"{args.trace_file} is not a JSONL trace file ({exc}); "
             f"expected a file written by --trace")
-    args.writer.emit(obs.render_profile(spans, metrics, top=args.top))
-    args.writer.emit_json(obs.profile_dict(spans, metrics))
+    args.writer.emit(obs.render_profile(records, top=args.top))
+    args.writer.emit_json(obs.profile_dict(records))
     return 0
 
 
@@ -476,8 +476,10 @@ def build_parser() -> argparse.ArgumentParser:
                      help="suppress human-readable output")
     prof = common.add_argument_group("observability")
     prof.add_argument("--trace", metavar="FILE", default=None,
-                      help="record spans/metrics to a trace file "
-                           "(replay JSONL traces with `repro stats FILE`)")
+                      help="record every span, counter and event to a "
+                           "trace file (replay JSONL traces with "
+                           "`repro stats FILE`; schema: "
+                           "tests/data/event_schema.json)")
     prof.add_argument("--trace-format", choices=("jsonl", "chrome"),
                       default="jsonl",
                       help="trace file format: line-based JSONL (default) "
@@ -486,9 +488,6 @@ def build_parser() -> argparse.ArgumentParser:
     prof.add_argument("--profile", action="store_true",
                       help="print a profile summary (spans by self-time, "
                            "counters) to stderr when the command finishes")
-    prof.add_argument("--events", metavar="FILE", default=None,
-                      help="stream structured events (one JSON object per "
-                           "line; schema: tests/data/event_schema.json)")
 
     from .engine.cache import DEFAULT_SUBTREE_CACHE_SIZE
 
@@ -519,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--population", type=int, default=10)
     p.add_argument("--samples", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1,
+    p.add_argument("--workers", type=_int_at_least(1), default=1,
                    help="worker processes for population evaluation "
                         "(results are identical for any value; see "
                         "docs/PERFORMANCE.md)")
@@ -638,24 +637,26 @@ def main(argv: Optional[List[str]] = None) -> int:
     args.writer = OutputWriter(json_mode=getattr(args, "json", False),
                                quiet=getattr(args, "quiet", False))
     trace_path = getattr(args, "trace", None)
+    chrome = getattr(args, "trace_format", "jsonl") == "chrome"
+    profile = getattr(args, "profile", False)
     trace_fh = None
+    sinks: List[events_mod.Sink] = []
     if trace_path:
         try:  # open eagerly so a bad path fails before the run, not after
             trace_fh = open(trace_path, "w")
         except OSError as exc:
             raise SystemExit(f"cannot write trace file: {exc}")
-    events_path = getattr(args, "events", None)
-    bus = None
-    if events_path:
-        try:
-            events_fh = open(events_path, "w")
-        except OSError as exc:
-            raise SystemExit(f"cannot write events file: {exc}")
-        bus = events_mod.enable(sinks=[events_mod.JsonlSink(events_fh)])
+        if not chrome:
+            sinks.append(events_mod.JsonlSink(trace_fh))
+    ring = None
+    if profile or (trace_fh is not None and chrome):
+        ring = events_mod.RingSink(capacity=None)
+        sinks.append(ring)
+    bus = (events_mod.enable(sinks=sinks, profiling=True) if sinks
+           else None)
+    if bus is not None:
         bus.emit("run.start", command=args.command,
                  label=getattr(args, "workload", "") or "")
-    tracer = (obs.enable() if trace_fh or getattr(args, "profile", False)
-              else None)
     start = time.perf_counter()
     rc: Optional[int] = None
     try:
@@ -672,20 +673,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                      wall_s=time.perf_counter() - start)
             events_mod.disable()
             bus.close()
-        if tracer is not None:
-            obs.disable()
-            snapshot = obs.metrics_snapshot()
-            if trace_fh is not None:
-                with trace_fh:
-                    if getattr(args, "trace_format", "jsonl") == "chrome":
-                        obs.dump_chrome(trace_fh, tracer.spans, snapshot)
-                    else:
-                        tracer.dump_jsonl(trace_fh, metrics=snapshot)
-            if getattr(args, "profile", False):
-                print(obs.render_profile(tracer.spans, snapshot),
-                      file=sys.stderr)
-        elif trace_fh is not None:  # pragma: no cover - defensive
-            trace_fh.close()
+        if trace_fh is not None:
+            with trace_fh:
+                if chrome:
+                    obs.dump_chrome(trace_fh, ring.records)
+        if profile:
+            print(obs.render_profile(ring.records), file=sys.stderr)
     return rc
 
 

@@ -51,7 +51,7 @@ class KindStore:
     maintain the cache-wide entry bound.  ``None`` is not a storable
     value (it is the miss sentinel).
 
-    Counter updates are guarded by the store's lock: the evaluation
+    Hit/miss updates are guarded by the store's lock: the evaluation
     service probes one shared cache from several worker threads at
     once, and un-guarded ``+=`` read-modify-write cycles would lose
     increments — ``GET /stats`` and the ``== incremental analysis ==``

@@ -175,10 +175,15 @@ class EvaluationEngine:
         if objective not in _OBJECTIVES:
             raise ValueError(f"unknown objective {objective!r}; choose from "
                              f"{sorted(_OBJECTIVES)}")
+        if workers < 1:
+            raise ValueError(f"workers must be >= 1, got {workers}")
+        if subtree_cache_size < 0:
+            raise ValueError(f"subtree_cache_size must be >= 0, got "
+                             f"{subtree_cache_size}")
         self.workload = workload
         self.arch = arch
         self.respect_memory = respect_memory
-        self.workers = max(1, int(workers))
+        self.workers = int(workers)
         self.prescreen_enabled = prescreen
         self.objective = objective
         self.model = TileFlowModel(arch, model_eviction=model_eviction,
@@ -438,10 +443,11 @@ class EvaluationEngine:
         if pool is None:
             return [self.tune_genome(g, s, samples)
                     for g, s in zip(genomes, seeds)]
+        telemetry = ("profile" if events.is_profiling()
+                     else "events" if events.is_enabled() else None)
         try:
-            collect = events.is_enabled()
             futures = [pool.submit(_worker_tune, genome, seed, samples,
-                                   collect)
+                                   telemetry)
                        for genome, seed in zip(genomes, seeds)]
             # The whole batch returns before any of it is applied, so a
             # batch that falls back below is counted exactly once.
@@ -454,25 +460,12 @@ class EvaluationEngine:
             return [self.tune_genome(g, s, samples)
                     for g, s in zip(genomes, seeds)]
         out: List[Tuple[Cost, Dict[str, int]]] = []
-        for cost, factors, delta, evict_kinds, elapsed, records in returned:
-            if records:
-                # Replaying in submission order makes the parent's event
-                # stream deterministic for any worker count.
-                events.record(records)
+        for cost, factors, delta, records in returned:
+            # Replaying in submission order makes the parent's stream
+            # deterministic for any worker count.
+            events.replay(records)
             self.stats.merge(delta)
-            for name, n in delta.items():
-                obs.count(f"engine.{name}", n)
-            for kind, n in evict_kinds.items():
-                obs.count(f"engine.subtree_evictions.{kind}", n)
-            # Worker-side ``genome_cost`` calls each end in one full
-            # evaluation or one pre-screen rejection; replay them into
-            # the mapper's counter, which the workers' private obs
-            # registries never ship.
-            obs.count("mapper.evaluations",
-                      delta.get("evaluations", 0)
-                      + delta.get("prescreen_rejects", 0))
             self._bump("parallel_tasks")
-            obs.observe("engine.task_seconds", elapsed)
             out.append((cost, factors))
         return out
 
@@ -549,8 +542,8 @@ class GenomePlan:
 # ---------------------------------------------------------------------------
 # Worker-process side.  Each worker holds one serial engine, built once by
 # the pool initializer; its private cache stays warm across the tasks (and
-# GA generations) the worker serves, and its counter deltas are shipped
-# back with every result for the parent to merge.
+# GA generations) the worker serves.  Every task ships back its counter
+# deltas and one list of telemetry records for the parent to merge.
 
 _WORKER_ENGINE: Optional[EvaluationEngine] = None
 
@@ -558,38 +551,34 @@ _WORKER_ENGINE: Optional[EvaluationEngine] = None
 def _worker_init(workload: Workload, arch: Architecture,
                  config: Dict[str, object]) -> None:
     global _WORKER_ENGINE
+    # A forked worker inherits the buses installed in the forking
+    # thread; its records go only to the per-task bus below.
+    events.disable()
+    events.disable(local=True)
     _WORKER_ENGINE = EvaluationEngine(workload, arch, workers=1, **config)
 
 
 def _worker_tune(genome: Genome, seed: int, samples: int,
-                 collect_events: bool = False):
-    import time
+                 telemetry: Optional[str] = None):
+    """One pooled genome tune.
 
+    ``telemetry`` is what the parent records: ``None`` (nothing),
+    ``"events"``, or ``"profile"`` (events, spans and counts).  The
+    task's records come back as one list, in the order they were made.
+    """
     engine = _WORKER_ENGINE
     assert engine is not None, "worker pool initializer did not run"
     sink: Optional[events.RingSink] = None
-    if collect_events:
-        # Record this task's events into an unbounded ring and ship them
-        # back as picklable records; the parent replays them in
-        # submission order so the merged stream is deterministic.
+    if telemetry is not None:
         sink = events.RingSink(capacity=None)
-        events.enable(sinks=[sink])
+        events.enable(sinks=[sink], profiling=telemetry == "profile")
     before = engine.stats.to_dict()
-    before_kinds = (engine.subtree_cache.evictions_by_kind()
-                    if engine.subtree_cache is not None else {})
-    start = time.perf_counter()
     try:
-        cost, factors = engine.tune_genome(genome, seed, samples)
+        with obs.span("engine.task", "engine"):
+            cost, factors = engine.tune_genome(genome, seed, samples)
     finally:
         if sink is not None:
             events.disable()
-    elapsed = time.perf_counter() - start
     after = engine.stats.to_dict()
     delta = {name: after[name] - before[name] for name in after}
-    after_kinds = (engine.subtree_cache.evictions_by_kind()
-                   if engine.subtree_cache is not None else {})
-    evict_kinds = {kind: n - before_kinds.get(kind, 0)
-                   for kind, n in after_kinds.items()
-                   if n > before_kinds.get(kind, 0)}
-    records = events.as_records(sink.events) if sink is not None else None
-    return cost, factors, delta, evict_kinds, elapsed, records
+    return cost, factors, delta, list(sink.records) if sink is not None else []

@@ -89,8 +89,6 @@ class GeneticExplorer:
                         pending.append(genome)
                         seen.add(genome)
                 reused = len(population) - len(pending)
-                if reused:
-                    obs.count("ga.fitness_reused", reused)
                 seeds = [self.rng.randrange(1 << 30) for _ in pending]
                 outcomes = self.tuner(pending, seeds, self.mcts_samples)
                 for genome, outcome in zip(pending, outcomes):
@@ -124,9 +122,6 @@ class GeneticExplorer:
                     child = mother.crossover(father, self.rng)
                     population.append(child.mutate(self.rng,
                                                    self.mutation_rate))
-            obs.count("ga.generations")
-            if self.best is not None and self.best[0] != INFEASIBLE:
-                obs.gauge("mapper.best_cost", self.best[0])
         assert self.best is not None
         cost, genome, factors = self.best
         return genome, factors, cost

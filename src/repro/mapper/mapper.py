@@ -48,11 +48,6 @@ class MapperResult:
     #: Best-so-far cost per GA generation or per MCTS sample.
     trace: List[Cost] = field(default_factory=list)
     best_genome: Optional[Genome] = None
-    #: Per-run metric deltas (``MetricsScope.delta()``) when metrics were
-    #: enabled during the search; None otherwise.  Deliberately *not*
-    #: part of :meth:`to_dict` — result payloads stay byte-identical
-    #: across worker counts and observability settings.
-    run_metrics: Optional[Dict[str, Dict[str, object]]] = None
 
     def cummin_trace(self) -> List[Cost]:
         """Best-so-far (monotone non-increasing) view of the raw trace."""
@@ -139,13 +134,9 @@ class TileFlowMapper:
         """Run the combined GA+MCTS search (§6)."""
         engine = self._engine if self._engine is not None else (
             self._make_engine())
-        # Scope the (process-global) metrics registry so run_metrics
-        # reports this search alone, not everything since obs.enable().
-        scope = obs.metrics_registry().scope()
         try:
-            with scope, obs.span("mapper.explore", "mapper",
-                                 workload=self.workload.name,
-                                 arch=self.arch.name):
+            with obs.span("mapper.explore", "mapper",
+                          workload=self.workload.name, arch=self.arch.name):
                 explorer = GeneticExplorer(
                     self.workload, engine.tune_population,
                     population=population, mcts_samples=mcts_samples,
@@ -161,8 +152,7 @@ class TileFlowMapper:
             best_tree=tree, best_result=result, best_cost=cost,
             best_factors=factors,
             trace=[s.best_cost for s in explorer.stats],
-            best_genome=genome,
-            run_metrics=scope.delta() if obs.metrics.is_enabled() else None)
+            best_genome=genome)
 
 
 def tune_template(template: TemplateFn, space: Mapping[str, List[int]],
@@ -189,14 +179,11 @@ def tune_template(template: TemplateFn, space: Mapping[str, List[int]],
 
     factor_space = FactorSpace({k: list(v) for k, v in space.items()})
     tuner = MCTSTuner(factor_space, evaluate, seed=seed)
-    scope = obs.metrics_registry().scope()
-    with scope, obs.span("mapper.tune_template", "mapper",
-                         workload=workload.name, arch=arch.name):
+    with obs.span("mapper.tune_template", "mapper",
+                  workload=workload.name, arch=arch.name):
         point, cost = tuner.search(samples)
     factors = point or factor_space.default_point()
     tree = template(workload, arch, factors)
     result = engine.evaluate_template(template, factors, full=True)
     return MapperResult(best_tree=tree, best_result=result, best_cost=cost,
-                        best_factors=factors, trace=list(tuner.history),
-                        run_metrics=(scope.delta()
-                                     if obs.metrics.is_enabled() else None))
+                        best_factors=factors, trace=list(tuner.history))

@@ -98,7 +98,6 @@ class MCTSTuner:
         for i in range(samples):
             with obs.span("mcts.sample", "mapper"):
                 cost = self._sample_once()
-            obs.count("mcts.samples")
             self.history.append(self.best_cost)
             if events.is_enabled():
                 events.emit("mcts.sample", sample=i,

@@ -1,80 +1,50 @@
-"""Observability: structured tracing, metrics, and profile reporting.
+"""Observability: one telemetry stream, its reports, and the run ledger.
 
 One import point for instrumented code::
 
     from .. import obs
 
     with obs.span("model.evaluate"):
-        obs.count("model.evaluations")
+        obs.count("model.infeasible")
         ...
 
-Everything is **zero-cost when disabled** (the default): ``obs.span``
-returns a shared no-op object and the metric helpers early-return after
-one flag check, so the analytical model's benchmark numbers are
-unaffected.  ``obs.enable()`` switches on both tracing and metrics (the
-CLI does this for ``--trace``/``--profile``); ``obs.disable()`` returns
-the tracer so callers can export or render it.
+Spans, counts, gauges and typed events are all records on one
+:class:`EventBus` (:mod:`repro.obs.events`).  Spans, counts and gauges
+are recorded only while a global bus is installed with
+``profiling=True`` (the CLI does this for ``--trace``/``--profile``);
+otherwise ``obs.span`` returns a shared no-op object and the counter
+helpers return after one module-global read, so the analytical
+model's benchmark numbers are unaffected.
 
-See ``docs/OBSERVABILITY.md`` for the span/metric taxonomy and the
-trace-file format.
+See ``docs/OBSERVABILITY.md`` for the record format and the
+span/counter/event taxonomy.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 # NOTE: ``explain`` is deliberately NOT imported here — it depends on
 # the evaluation engine, which imports this package (cycle); the CLI
 # imports it lazily.
-from . import events, export, ledger, metrics, trace
-from .events import (CallbackSink, Event, EventBus, JsonlSink, RingSink,
-                     jsonable_cost)
+from . import events, export, ledger
+from .events import (NOOP_SPAN, CallbackSink, EventBus, JsonlSink, Record,
+                     RingSink, capture, count, gauge, jsonable_cost,
+                     load_jsonl, span, traced)
+from .events import is_profiling as is_enabled
 from .export import chrome_trace, dump_chrome
 from .ledger import RunLedger, build_manifest, diff_manifests
-from .metrics import (Counter, Gauge, Histogram, MetricsRegistry,
-                      MetricsScope, count, gauge, observe)
-from .metrics import registry as metrics_registry
-from .metrics import snapshot as metrics_snapshot
 from .report import (SpanStat, aggregate_spans, engine_effectiveness,
+                     fold_counts, fold_gauges,
                      incremental_effectiveness, profile_dict,
-                     render_profile, summarize_trace_file)
-from .trace import (NOOP_SPAN, SpanRecord, Tracer, load_jsonl, span, traced)
-
-
-def enable(tracer: Optional[Tracer] = None) -> Tracer:
-    """Turn on tracing *and* metrics; returns the active tracer.
-
-    By default starts from a clean slate (fresh tracer, reset registry)
-    so successive sessions don't bleed into each other.
-    """
-    metrics.enable(reset=True)
-    return trace.enable(tracer)
-
-
-def disable() -> Optional[Tracer]:
-    """Turn off tracing and metrics; returns the tracer for export."""
-    metrics.disable()
-    return trace.disable()
-
-
-def is_enabled() -> bool:
-    return trace.is_enabled()
-
-
-def active_tracer() -> Optional[Tracer]:
-    return trace.active()
-
+                     render_profile)
 
 __all__ = [
-    "Tracer", "SpanRecord", "NOOP_SPAN", "span", "traced", "load_jsonl",
-    "Counter", "Gauge", "Histogram", "MetricsRegistry", "MetricsScope",
-    "count", "gauge", "observe", "metrics_registry", "metrics_snapshot",
-    "SpanStat", "aggregate_spans", "render_profile", "profile_dict",
+    "span", "traced", "count", "gauge", "NOOP_SPAN", "is_enabled",
+    "capture", "load_jsonl",
+    "Record", "EventBus", "JsonlSink", "RingSink", "CallbackSink",
+    "jsonable_cost", "events", "export", "ledger",
+    "SpanStat", "aggregate_spans", "fold_counts", "fold_gauges",
+    "render_profile", "profile_dict",
     "engine_effectiveness", "incremental_effectiveness",
-    "summarize_trace_file",
-    "enable", "disable", "is_enabled", "active_tracer",
-    "events", "export", "ledger",
-    "Event", "EventBus", "JsonlSink", "RingSink", "CallbackSink",
-    "jsonable_cost", "chrome_trace", "dump_chrome",
+    "chrome_trace", "dump_chrome",
     "RunLedger", "build_manifest", "diff_manifests",
 ]

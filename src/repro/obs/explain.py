@@ -36,19 +36,20 @@ from ..tile.tree import AnalysisTree
 _PASS_PREFIX = "model.pass."
 
 
-def _pass_times(spans) -> Dict[str, float]:
-    """Per-pass self time (seconds) from one evaluation's span slice."""
+def _pass_times(records) -> Dict[str, float]:
+    """Per-pass self time (seconds) from one evaluation's records."""
+    spans = [r for r in records if r.type == "span"]
     child_time: Dict[int, float] = {}
     for s in spans:
-        if s.parent_id is not None:
-            child_time[s.parent_id] = (child_time.get(s.parent_id, 0.0)
-                                       + s.duration_s)
+        parent = s.payload["parent"]
+        if parent is not None:
+            child_time[parent] = child_time.get(parent, 0.0) + s.duration_s
     out: Dict[str, float] = {}
     for s in spans:
         if s.name.startswith(_PASS_PREFIX):
             name = s.name[len(_PASS_PREFIX):]
             out[name] = (out.get(name, 0.0) + s.duration_s
-                         - child_time.get(s.span_id, 0.0))
+                         - child_time.get(s.payload["id"], 0.0))
     return out
 
 
@@ -78,31 +79,26 @@ def explain_tree(tree: AnalysisTree, arch: Architecture, *,
         engine = EvaluationEngine(tree.workload, arch,
                                   respect_memory=respect_memory)
 
-    own_obs = not obs.is_enabled()
-    if own_obs:
-        obs.enable()
-    tracer = obs.active_tracer()
-
     subtree = engine.subtree_cache
     rounds: Dict[str, Dict[str, Any]] = {}
     results = {}
-    for label in ("cold", "warm"):
-        span_mark = len(tracer.spans) if tracer is not None else 0
-        kinds_before = (subtree.counts_by_kind()
-                        if subtree is not None else {})
-        stats_before = engine.stats.to_dict()
-        results[label] = engine.evaluate_tree(tree, full=True)
-        stats_after = engine.stats.to_dict()
-        rounds[label] = {
-            "pass_seconds": _pass_times(tracer.spans[span_mark:]
-                                        if tracer is not None else ()),
-            "subtree_by_kind": _kind_delta(
-                subtree.counts_by_kind() if subtree is not None else {},
-                kinds_before),
-            "engine_delta": {k: stats_after[k] - stats_before[k]
-                             for k in stats_after
-                             if stats_after[k] != stats_before[k]},
-        }
+    with obs.capture() as sink:
+        for label in ("cold", "warm"):
+            mark = len(sink.records)
+            kinds_before = (subtree.counts_by_kind()
+                            if subtree is not None else {})
+            stats_before = engine.stats.to_dict()
+            results[label] = engine.evaluate_tree(tree, full=True)
+            stats_after = engine.stats.to_dict()
+            rounds[label] = {
+                "pass_seconds": _pass_times(list(sink.records)[mark:]),
+                "subtree_by_kind": _kind_delta(
+                    subtree.counts_by_kind() if subtree is not None else {},
+                    kinds_before),
+                "engine_delta": {k: stats_after[k] - stats_before[k]
+                                 for k in stats_after
+                                 if stats_after[k] != stats_before[k]},
+            }
 
     # Context-memo absorption: a cache-free evaluation of the same tree
     # counts how many repeat artifact lookups the per-evaluation context
@@ -119,9 +115,6 @@ def explain_tree(tree: AnalysisTree, arch: Architecture, *,
                            check_memory=engine.respect_memory,
                            context=pre_ctx)
     codes = list(pre_ctx.get("bound_violation_codes") or ())
-
-    if own_obs:
-        obs.disable()
 
     # Batched-sweep attribution over the engine's lifetime: single-tree
     # evaluations never sweep, so these counters are zero on a fresh

@@ -1,27 +1,24 @@
-"""Trace exporters: render recorded spans for external viewers.
+"""Trace exporters: render a record stream for external viewers.
 
-:func:`chrome_trace` converts the tracer's :class:`SpanRecord` list into
-the Chrome Trace Event JSON format (the ``trace_event`` "X" complete
-events), loadable in ``chrome://tracing`` and https://ui.perfetto.dev —
-the CLI's ``--trace FILE --trace-format chrome`` path.  The exporter is
-a pure function of the already-recorded spans, so JSONL and Chrome
-outputs of the same run describe identical timings.
-
-Metric counter values ride along in ``otherData`` (Perfetto shows them
-in the trace info dialog); span attributes become per-event ``args``.
+:func:`chrome_trace` converts records into the Chrome Trace Event JSON
+format, loadable in ``chrome://tracing`` and https://ui.perfetto.dev —
+the CLI's ``--trace FILE --trace-format chrome`` path.  Spans become
+``"X"`` complete events with their attributes as ``args``, and counter
+totals ride along in ``otherData``.  The exporter is a pure function of
+the records, so JSONL and Chrome outputs of the same run describe
+identical timings.
 """
 
 from __future__ import annotations
 
 import json
-from typing import (IO, Any, Dict, Iterable, Mapping, Optional, Sequence,
-                    Union)
+from typing import IO, Any, Dict, Iterable, Union
 
-from .trace import SpanRecord
+from .events import Record
+from .report import fold_counts
 
 
-def chrome_trace(spans: Iterable[SpanRecord],
-                 metrics: Optional[Mapping[str, Mapping[str, Any]]] = None,
+def chrome_trace(records: Iterable[Record],
                  process_name: str = "repro") -> Dict[str, Any]:
     """The Chrome Trace Event representation of a recorded session.
 
@@ -29,45 +26,40 @@ def chrome_trace(spans: Iterable[SpanRecord],
     timestamps relative to the earliest span start (Perfetto prefers
     small positive timestamps over raw ``perf_counter`` epochs).
     """
-    spans = list(spans)
-    t0 = min((s.start_s for s in spans), default=0.0)
-    events = [{
+    records = list(records)
+    spans = [r for r in records if r.type == "span"]
+    t0 = min((s.t for s in spans), default=0.0)
+    trace = [{
         "name": "process_name", "ph": "M", "pid": 0, "tid": 0,
         "args": {"name": process_name},
     }]
     for s in spans:
-        args: Dict[str, Any] = {"span_id": s.span_id, "depth": s.depth}
-        for key, value in s.attrs.items():
+        args: Dict[str, Any] = {"span_id": s.payload["id"],
+                                "depth": s.payload["depth"]}
+        for key, value in s.payload["attrs"].items():
             args[key] = (value if isinstance(value, (int, float, str, bool))
                          or value is None else repr(value))
-        events.append({
+        trace.append({
             "name": s.name,
-            "cat": s.category or "default",
+            "cat": s.cat or "default",
             "ph": "X",
             "pid": 0,
             "tid": 0,
-            "ts": (s.start_s - t0) * 1e6,
+            "ts": (s.t - t0) * 1e6,
             "dur": s.duration_s * 1e6,
             "args": args,
         })
-    other: Dict[str, Any] = {}
-    for name, snap in sorted((metrics or {}).items()):
-        value = snap.get("value", snap.get("count"))
-        if value is not None:
-            other[name] = value
-    return {"traceEvents": events, "displayTimeUnit": "ms",
-            "otherData": other}
+    return {"traceEvents": trace, "displayTimeUnit": "ms",
+            "otherData": dict(sorted(fold_counts(records).items()))}
 
 
 def dump_chrome(path_or_file: Union[str, IO[str]],
-                spans: Sequence[SpanRecord],
-                metrics: Optional[Mapping[str, Mapping[str, Any]]] = None
-                ) -> None:
+                records: Iterable[Record]) -> None:
     """Write :func:`chrome_trace` output as one JSON document."""
     own = isinstance(path_or_file, str)
     fh = open(path_or_file, "w") if own else path_or_file
     try:
-        json.dump(chrome_trace(spans, metrics), fh)
+        json.dump(chrome_trace(records), fh)
         fh.write("\n")
     finally:
         if own:

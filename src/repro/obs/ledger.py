@@ -11,7 +11,7 @@ one directory per run::
 ``manifest.json`` carries everything needed to compare two runs without
 re-executing them: the workload/arch namespace fingerprints (the same
 digests the engine's caches key on), the seeds and search
-configuration, a counters snapshot (engine effectiveness + metrics),
+configuration, the engine's counters (``EngineStats``),
 the champion's canonical signature and scores, and wall-clock.
 
 The CLI verbs sit on top (``repro runs list|show|diff``);
@@ -59,8 +59,8 @@ def build_manifest(*, run_id: str, command: str,
     ``workload``/``arch`` are ``{"name": ..., "fingerprint": <digest>}``
     mappings; ``champion`` carries at least ``cost`` (finite number or
     None for infeasible) and ``signature`` (the canonical mapping
-    digest); ``counters`` is a flat name->number mapping (engine stats,
-    optionally merged metric counter values).
+    digest); ``counters`` is a flat name->number mapping (engine
+    stats).
     """
     manifest: Dict[str, Any] = {
         "version": MANIFEST_VERSION,
@@ -170,8 +170,8 @@ def diff_manifests(a: Mapping[str, Any], b: Mapping[str, Any],
 
     ``champion.regressed`` is True when B's champion cost is worse than
     A's by more than ``tolerance`` (relative), or when B lost
-    feasibility A had.  Counter and config changes are reported
-    per-key; identical keys are omitted.
+    feasibility A had.  Changed counters and config values are
+    reported per-key; identical keys are omitted.
     """
     champ_a = dict(a.get("champion") or {})
     champ_b = dict(b.get("champion") or {})

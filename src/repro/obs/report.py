@@ -1,16 +1,16 @@
-"""Profile reporting: aggregate spans + metrics into a summary.
+"""Profile reporting: fold a record stream into a summary.
 
-The renderers are pure functions of ``(spans, metrics_snapshot)`` so the
-live ``--profile`` path and the offline ``repro stats trace.jsonl``
-replay produce byte-identical summaries.
+The renderers are pure functions of the records, so the live
+``--profile`` path and the offline ``repro stats trace.jsonl`` replay
+produce byte-identical summaries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
-from .trace import SpanRecord, load_jsonl
+from .events import Record
 
 
 @dataclass
@@ -30,25 +30,48 @@ class SpanStat:
         return self.total_s / self.count if self.count else 0.0
 
 
-def aggregate_spans(spans: Iterable[SpanRecord]) -> List[SpanStat]:
-    """Per-name stats, sorted by self-time (descending)."""
-    spans = list(spans)
+def aggregate_spans(records: Iterable[Record]) -> List[SpanStat]:
+    """Per-name stats of the span records, sorted by self-time
+    (descending)."""
+    spans = [r for r in records if r.type == "span"]
     child_time: Dict[int, float] = {}
     for record in spans:
-        if record.parent_id is not None:
-            child_time[record.parent_id] = (
-                child_time.get(record.parent_id, 0.0) + record.duration_s)
+        parent = record.payload["parent"]
+        if parent is not None:
+            child_time[parent] = (child_time.get(parent, 0.0)
+                                  + record.duration_s)
     stats: Dict[str, List[float]] = {}
     selfs: Dict[str, float] = {}
     for record in spans:
         stats.setdefault(record.name, []).append(record.duration_s)
         selfs[record.name] = (selfs.get(record.name, 0.0)
                               + record.duration_s
-                              - child_time.get(record.span_id, 0.0))
+                              - child_time.get(record.payload["id"], 0.0))
     out = [SpanStat(name=name, count=len(durs), total_s=sum(durs),
                     self_s=selfs[name], min_s=min(durs), max_s=max(durs))
            for name, durs in stats.items()]
     out.sort(key=lambda s: (-s.self_s, s.name))
+    return out
+
+
+def fold_counts(records: Iterable[Record]) -> Dict[str, float]:
+    """Totals of the count records, by name."""
+    out: Dict[str, float] = {}
+    for r in records:
+        if r.type == "count":
+            out[r.name] = out.get(r.name, 0) + r.payload["n"]
+    return out
+
+
+def fold_gauges(records: Iterable[Record]
+                ) -> Dict[str, Tuple[float, float]]:
+    """Gauge ``(last, high-water)`` values, by name."""
+    out: Dict[str, Tuple[float, float]] = {}
+    for r in records:
+        if r.type == "gauge":
+            value = r.payload["value"]
+            high = out[r.name][1] if r.name in out else value
+            out[r.name] = (value, max(high, value))
     return out
 
 
@@ -60,7 +83,7 @@ def _fmt_seconds(seconds: float) -> str:
     return f"{seconds * 1e6:8.1f}us"
 
 
-def engine_effectiveness(metrics: Optional[Mapping[str, Mapping[str, Any]]]
+def engine_effectiveness(counts: Optional[Mapping[str, float]]
                          ) -> Optional[Dict[str, float]]:
     """Derived evaluation-engine rates from the ``engine.*`` counters.
 
@@ -69,12 +92,9 @@ def engine_effectiveness(metrics: Optional[Mapping[str, Mapping[str, Any]]]
     pre-screen rejection; ``prescreen_reject_rate`` is the fraction the
     cheap pre-screen rejected before the full model ran.
     """
-    def value(name: str) -> float:
-        snap = (metrics or {}).get(name, {})
-        return float(snap.get("value") or 0.0)
-
-    rejects = value("engine.prescreen_rejects")
-    evaluations = value("engine.evaluations")
+    counts = counts or {}
+    rejects = counts.get("engine.prescreen_rejects", 0)
+    evaluations = counts.get("engine.evaluations", 0)
     candidates = rejects + evaluations
     if candidates == 0:
         return None
@@ -86,8 +106,7 @@ def engine_effectiveness(metrics: Optional[Mapping[str, Mapping[str, Any]]]
     }
 
 
-def incremental_effectiveness(metrics: Optional[Mapping[str, Mapping[str,
-                                                                     Any]]]
+def incremental_effectiveness(counts: Optional[Mapping[str, float]]
                               ) -> Optional[Dict[str, float]]:
     """Derived incremental-analysis rates from the ``engine.*`` counters.
 
@@ -97,15 +116,11 @@ def incremental_effectiveness(metrics: Optional[Mapping[str, Mapping[str,
     (slice geometry, boundary-recursion volumes) served from the
     persistent cross-evaluation store instead of being recomputed.
     """
-    def value(name: str) -> float:
-        snap = (metrics or {}).get(name, {})
-        return float(snap.get("value") or 0.0)
-
-    hits = value("engine.subtree_hits")
-    misses = value("engine.subtree_misses")
-    evictions = value("engine.subtree_evictions")
-    batched = value("engine.batched_evaluations")
-    batch_fill = value("engine.batch_fill")
+    counts = counts or {}
+    hits = counts.get("engine.subtree_hits", 0)
+    misses = counts.get("engine.subtree_misses", 0)
+    batched = counts.get("engine.batched_evaluations", 0)
+    batch_fill = counts.get("engine.batch_fill", 0)
     lookups = hits + misses
     if lookups == 0 and batch_fill == 0:
         return None
@@ -113,28 +128,28 @@ def incremental_effectiveness(metrics: Optional[Mapping[str, Mapping[str,
         "subtree_hits": hits,
         "subtree_misses": misses,
         "subtree_hit_rate": hits / lookups if lookups else 0.0,
-        "subtree_evictions": evictions,
+        "subtree_evictions": counts.get("engine.subtree_evictions", 0),
         # Batched cohort sweeps: candidates priced by the array-native
         # kernels (committed / attempted) and members bounced back to
         # the scalar path.  ``batch_yield`` is committed over attempted.
         "batched_evaluations": batched,
         "batch_fill": batch_fill,
-        "batch_fallbacks": value("engine.batch_fallbacks"),
+        "batch_fallbacks": counts.get("engine.batch_fallbacks", 0),
         "batch_yield": batched / batch_fill if batch_fill else 0.0,
     }
     prefix = "engine.subtree_evictions."
-    for name in sorted(metrics or {}):
+    for name in sorted(counts):
         if name.startswith(prefix):
-            out[f"evictions.{name[len(prefix):]}"] = value(name)
+            out[f"evictions.{name[len(prefix):]}"] = counts[name]
     return out
 
 
-def render_profile(spans: Sequence[SpanRecord],
-                   metrics: Optional[Mapping[str, Mapping[str, Any]]] = None,
-                   top: int = 20) -> str:
-    """Human-readable summary: top spans by self-time + metric tables."""
+def render_profile(records: Iterable[Record], top: int = 20) -> str:
+    """Human-readable summary: top spans by self-time, counters, gauges
+    and the derived engine rates."""
+    records = list(records)
     lines: List[str] = []
-    stats = aggregate_spans(spans)
+    stats = aggregate_spans(records)
     lines.append("== profile: spans by self-time ==")
     if stats:
         lines.append(f"{'span':32s} {'count':>7s} {'total':>10s} "
@@ -149,37 +164,20 @@ def render_profile(spans: Sequence[SpanRecord],
     else:
         lines.append("  (no spans recorded)")
 
-    counters = {n: s for n, s in (metrics or {}).items()
-                if s.get("kind") == "counter"}
-    gauges = {n: s for n, s in (metrics or {}).items()
-              if s.get("kind") == "gauge"}
-    histograms = {n: s for n, s in (metrics or {}).items()
-                  if s.get("kind") == "histogram"}
-    if counters:
+    counts = fold_counts(records)
+    gauges = fold_gauges(records)
+    if counts:
         lines.append("")
         lines.append("== counters ==")
-        for name in sorted(counters):
-            lines.append(f"{name:40s} {counters[name].get('value', 0):>12g}")
+        for name in sorted(counts):
+            lines.append(f"{name:40s} {counts[name]:>12g}")
     if gauges:
         lines.append("")
         lines.append("== gauges (last / high-water) ==")
         for name in sorted(gauges):
-            snap = gauges[name]
-            value = snap.get("value")
-            high = snap.get("max")
-            lines.append(f"{name:40s} "
-                         f"{'-' if value is None else format(value, '>12g')}"
-                         f" / "
-                         f"{'-' if high is None else format(high, 'g')}")
-    if histograms:
-        lines.append("")
-        lines.append("== histograms (count / mean / max) ==")
-        for name in sorted(histograms):
-            snap = histograms[name]
-            mean = snap.get("mean", 0.0)
-            lines.append(f"{name:40s} {snap.get('count', 0):>8d} / "
-                         f"{mean:g} / {snap.get('max')}")
-    eng = engine_effectiveness(metrics)
+            last, high = gauges[name]
+            lines.append(f"{name:40s} {last:>12g} / {high:g}")
+    eng = engine_effectiveness(counts)
     if eng is not None:
         lines.append("")
         lines.append("== evaluation engine ==")
@@ -188,7 +186,7 @@ def render_profile(spans: Sequence[SpanRecord],
             f"{eng['prescreen_reject_rate'] * 100:11.1f}% "
             f"({eng['prescreen_rejects']:g} of {eng['candidates']:g} "
             f"candidates, {eng['full_evaluations']:g} full evaluations)")
-    inc = incremental_effectiveness(metrics)
+    inc = incremental_effectiveness(counts)
     if inc is not None:
         lines.append("")
         lines.append("== incremental analysis ==")
@@ -216,28 +214,24 @@ def render_profile(spans: Sequence[SpanRecord],
     return "\n".join(lines)
 
 
-def profile_dict(spans: Sequence[SpanRecord],
-                 metrics: Optional[Mapping[str, Mapping[str, Any]]] = None
-                 ) -> Dict[str, Any]:
+def profile_dict(records: Iterable[Record]) -> Dict[str, Any]:
     """Machine-readable profile (CLI ``stats --json``)."""
+    records = list(records)
+    counts = fold_counts(records)
     payload: Dict[str, Any] = {
         "spans": [{"name": s.name, "count": s.count, "total_s": s.total_s,
                    "self_s": s.self_s, "mean_s": s.mean_s,
                    "min_s": s.min_s, "max_s": s.max_s}
-                  for s in aggregate_spans(spans)],
-        "metrics": {name: dict(snap)
-                    for name, snap in sorted((metrics or {}).items())},
+                  for s in aggregate_spans(records)],
+        "counts": dict(sorted(counts.items())),
+        "gauges": {name: {"value": last, "max": high}
+                   for name, (last, high)
+                   in sorted(fold_gauges(records).items())},
     }
-    eng = engine_effectiveness(metrics)
+    eng = engine_effectiveness(counts)
     if eng is not None:
         payload["engine"] = eng
-    inc = incremental_effectiveness(metrics)
+    inc = incremental_effectiveness(counts)
     if inc is not None:
         payload["incremental"] = inc
     return payload
-
-
-def summarize_trace_file(path: str, top: int = 20) -> str:
-    """Replay a JSONL trace file into the same summary ``--profile`` prints."""
-    spans, metrics = load_jsonl(path)
-    return render_profile(spans, metrics, top=top)

@@ -49,6 +49,8 @@ class ServiceHTTPServer(ThreadingHTTPServer):
     def __init__(self, address: Tuple[str, int],
                  service: EvaluationService,
                  max_body: int = DEFAULT_MAX_BODY):
+        if max_body < 1:  # a 0-byte cap answers every POST with 413
+            raise ValueError(f"max_body must be >= 1, got {max_body}")
         super().__init__(address, ServiceRequestHandler)
         self.service = service
         self.max_body = int(max_body)
@@ -92,6 +94,8 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         try:
             n = int(length)
         except ValueError:
+            n = -1
+        if n < 0:  # rfile.read(-1) would block until the client closes
             self._error(400, f"bad Content-Length {length!r}")
             return None
         if n > self.server.max_body:

@@ -16,8 +16,11 @@ while jobs on *different* engines run concurrently.
 Each job runs with a **thread-local event bus** (a
 :class:`~repro.obs.events.CallbackSink` appending to the job's buffer),
 so concurrent jobs produce isolated, in-order event streams framed by
-``run.start``/``run.end`` — the same stream shape the CLI's ``--events``
-flag writes, streamed live by ``GET /jobs/<id>/events``.
+``run.start``/``run.end`` — the same event records a CLI ``--trace``
+file carries, streamed live by ``GET /jobs/<id>/events``.  A job
+stream holds only ``run``, ``search`` and ``cache`` events: spans and
+counters go to the process-global bus, which ``repro serve --trace``
+installs.
 
 Completed jobs are persisted to the run ledger
 (``runs/<id>/manifest.json``) through the same manifest builders the
@@ -94,7 +97,16 @@ class EvaluationService:
     def __init__(self, workers: int = 2, max_queue: int = 64,
                  ledger_root: Optional[str] = None,
                  subtree_cache_size: int = DEFAULT_SUBTREE_CACHE_SIZE):
-        self.workers = max(1, int(workers))
+        # Each of these would build a service that refuses every job or
+        # silently runs other than asked.
+        if workers < 1:
+            raise ValueError(f"workers must be >= 1, got {workers}")
+        if max_queue < 1:
+            raise ValueError(f"max_queue must be >= 1, got {max_queue}")
+        if subtree_cache_size < 0:
+            raise ValueError(f"subtree_cache_size must be >= 0, got "
+                             f"{subtree_cache_size}")
+        self.workers = int(workers)
         self.queue = JobQueue(max_queue=max_queue)
         self.ledger = (ledger_mod.RunLedger(ledger_root)
                        if ledger_root else None)

@@ -26,15 +26,15 @@ SEARCH = {"workload": "Bert-S", "arch": "edge",
 def _search_events(records):
     """(kind, payload) pairs of the search-category slice of a stream."""
     return [(e["kind"], e["payload"]) for e in records
-            if e["cat"] == "search"]
+            if e["type"] == "event" and e["cat"] == "search"]
 
 
 class TestServiceCLIEquivalence:
     @pytest.fixture(scope="class")
     def cli_run(self, tmp_path_factory):
-        """One CLI search with --events and --ledger captured."""
+        """One CLI search with --trace and --ledger captured."""
         root = tmp_path_factory.mktemp("cli")
-        events_file = root / "events.jsonl"
+        events_file = root / "trace.jsonl"
         ledger_dir = root / "runs"
         rc = main(["search", SEARCH["workload"],
                    "--arch", SEARCH["arch"],
@@ -42,7 +42,7 @@ class TestServiceCLIEquivalence:
                    "--population", str(SEARCH["population"]),
                    "--samples", str(SEARCH["samples"]),
                    "--seed", str(SEARCH["seed"]),
-                   "--events", str(events_file),
+                   "--trace", str(events_file),
                    "--ledger", str(ledger_dir), "--quiet"])
         assert rc == 0
         events = [json.loads(line)
@@ -90,6 +90,11 @@ class TestServiceCLIEquivalence:
         search_b = _search_events(events_b)
         assert search_a  # the stream is non-trivial
         assert search_a == search_b
+        # The CLI trace also carries spans and counters; the job stream
+        # carries only run/search/cache events.
+        assert {e["type"] for e in events_a} == {"event", "span", "count"}
+        assert {(e["type"], e["cat"]) for e in events_b} == {
+            ("event", "run"), ("event", "search"), ("event", "cache")}
 
     def test_manifests_diff_cleanly(self, cli_run, service_run):
         _ea, manifest_a = cli_run

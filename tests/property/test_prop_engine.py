@@ -133,9 +133,9 @@ def _explore_with_events(seed, **mapper_kwargs):
         payload = _explore(seed, **mapper_kwargs)
     finally:
         events.disable()
-    search = [(e.kind, json.dumps(e.payload, sort_keys=True))
-              for e in sink.events if e.category == "search"]
-    cache_kinds = {e.kind for e in sink.events if e.category == "cache"}
+    search = [(e.name, json.dumps(e.payload, sort_keys=True))
+              for e in sink.records if e.cat == "search"]
+    cache_kinds = {e.name for e in sink.records if e.cat == "cache"}
     return search, cache_kinds, payload
 
 

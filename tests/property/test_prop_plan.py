@@ -55,7 +55,7 @@ def _rejects(run):
     finally:
         events.disable()
     return value, [(e.payload["mapping"], e.payload["codes"])
-                   for e in sink.events if e.kind == "prescreen.reject"]
+                   for e in sink.records if e.name == "prescreen.reject"]
 
 
 def _outcome(price):

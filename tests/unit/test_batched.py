@@ -195,35 +195,36 @@ class TestEngineIntegration:
 class TestReporting:
     def test_incremental_effectiveness_batched_keys(self):
         from repro.obs.report import incremental_effectiveness
-        metrics = {
-            "engine.subtree_hits": {"kind": "counter", "value": 10},
-            "engine.subtree_misses": {"kind": "counter", "value": 10},
-            "engine.batched_evaluations": {"kind": "counter", "value": 60},
-            "engine.batch_fill": {"kind": "counter", "value": 80},
-            "engine.batch_fallbacks": {"kind": "counter", "value": 4},
+        counts = {
+            "engine.subtree_hits": 10,
+            "engine.subtree_misses": 10,
+            "engine.batched_evaluations": 60,
+            "engine.batch_fill": 80,
+            "engine.batch_fallbacks": 4,
         }
-        inc = incremental_effectiveness(metrics)
+        inc = incremental_effectiveness(counts)
         assert inc["batched_evaluations"] == 60
         assert inc["batch_fill"] == 80
         assert inc["batch_fallbacks"] == 4
         assert inc["batch_yield"] == pytest.approx(0.75)
         # Batched counters alone keep the section alive...
-        only = incremental_effectiveness(
-            {"engine.batch_fill": {"kind": "counter", "value": 5}})
+        only = incremental_effectiveness({"engine.batch_fill": 5})
         assert only is not None and only["batch_fill"] == 5
         # ...but a run with no incremental and no batched activity is None.
         assert incremental_effectiveness({}) is None
 
     def test_render_profile_batched_line(self):
+        from repro.obs import events
         from repro.obs.report import render_profile
-        metrics = {
-            "engine.subtree_hits": {"kind": "counter", "value": 1},
-            "engine.subtree_misses": {"kind": "counter", "value": 1},
-            "engine.batched_evaluations": {"kind": "counter", "value": 6},
-            "engine.batch_fill": {"kind": "counter", "value": 8},
-            "engine.batch_fallbacks": {"kind": "counter", "value": 2},
-        }
-        text = render_profile([], metrics)
+        sink = events.RingSink(capacity=None)
+        bus = events.EventBus([sink])
+        for name, n in (("engine.subtree_hits", 1),
+                        ("engine.subtree_misses", 1),
+                        ("engine.batched_evaluations", 6),
+                        ("engine.batch_fill", 8),
+                        ("engine.batch_fallbacks", 2)):
+            bus.count(name, n)
+        text = render_profile(sink.records)
         assert "batched candidate pricing" in text
         assert "6 of 8 swept candidates committed" in text
 

@@ -28,6 +28,18 @@ class TestParser:
         assert exc.value.code == 2
         assert f"argument {flag}: must be >=" in capsys.readouterr().err
 
+    def test_search_rejects_zero_workers(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["search", "Bert-S", "--workers", "0"])
+        assert exc.value.code == 2
+
+    def test_events_flag_is_gone(self, capsys):
+        # --trace carries every record the old event file did.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["search", "Bert-S", "--events",
+                                       "ev.jsonl"])
+        assert exc.value.code == 2
+
     def test_serve_accepts_numeric_flag_floors(self):
         args = build_parser().parse_args(
             ["serve", "--workers", "1", "--max-queue", "1",
@@ -150,7 +162,7 @@ class TestObservabilityFlags:
         assert "latency" in captured.out  # normal output untouched
         assert "spans by self-time" in captured.err
         assert "model.pass.datamovement" in captured.err
-        assert "model.evaluations" in captured.err
+        assert "model.evaluate " in captured.err
 
     def test_profile_does_not_pollute_json(self, capsys):
         import json
@@ -164,8 +176,13 @@ class TestObservabilityFlags:
                      "--profile"]) == 0
         err = capsys.readouterr().err
         assert "mapper.evaluations" in err
-        assert "mcts.samples" in err
+        assert "engine.evaluations" in err
+        assert "mcts.sample " in err
         assert "ga.generation" in err
+        # Counters that only repeated a span or event are gone.
+        for repeated in ("mcts.samples", "ga.generations",
+                         "mapper.best_cost", "ga.fitness_reused"):
+            assert repeated not in err
 
     def test_trace_then_stats_reproduces_summary(self, tmp_path, capsys):
         trace = str(tmp_path / "search.jsonl")
@@ -185,9 +202,9 @@ class TestObservabilityFlags:
         capsys.readouterr()
         assert main(["stats", trace, "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        names = {s["name"] for s in payload["spans"]}
-        assert "model.evaluate" in names
-        assert payload["metrics"]["model.evaluations"]["value"] == 1.0
+        spans = {s["name"]: s for s in payload["spans"]}
+        assert spans["model.evaluate"]["count"] == 1
+        assert set(payload) >= {"spans", "counts", "gauges"}
 
     def test_tracing_disabled_after_command(self):
         from repro import obs

@@ -182,10 +182,10 @@ class TestEvaluationEngine:
 
         # Forked workers resolve the task by name, which wraps keeps.
         @functools.wraps(original)
-        def dying(genome, seed, samples, collect_events=False):
+        def dying(genome, seed, samples, telemetry=None):
             if seed == doomed and os.getpid() != parent:
                 os._exit(1)
-            return original(genome, seed, samples, collect_events)
+            return original(genome, seed, samples, telemetry)
 
         monkeypatch.setattr(core, "_worker_tune", dying)
 
@@ -201,7 +201,7 @@ class TestEvaluationEngine:
                     stats = engine.stats.to_dict()
             finally:
                 events.disable()
-            stream = [(e.seq, e.kind, e.payload) for e in sink.events]
+            stream = [(e.seq, e.name, e.payload) for e in sink.records]
             return first, again, broken, stats, stream
 
         s_first, s_again, _, s_stats, s_stream = run(1)
@@ -214,24 +214,34 @@ class TestEvaluationEngine:
 
     def test_workers_count_mapper_evaluations_like_serial(self, wl, spec):
         """Pool workers' ``genome_cost`` calls reach the parent's
-        ``mapper.evaluations`` counter exactly once each."""
-        def evaluations(workers):
-            obs.enable()
-            try:
-                result = TileFlowMapper(wl, spec, seed=0,
-                                        workers=workers).explore(
+        ``mapper.evaluations`` counter exactly once each: the workers'
+        own count records come back with each task, and the parent
+        derives none from the stats deltas."""
+        def counts(workers):
+            with obs.capture() as sink:
+                TileFlowMapper(wl, spec, seed=0, workers=workers).explore(
                     generations=2, population=4, mcts_samples=4)
-            finally:
-                obs.disable()
-            return result.run_metrics["mapper.evaluations"]["value"]
+            counts = obs.fold_counts(sink.records)
+            return {name: counts.get(name, 0) for name in (
+                "mapper.evaluations", "engine.evaluations",
+                "engine.prescreen_rejects")}
 
-        serial = evaluations(1)
-        assert serial > 0
-        assert evaluations(2) == serial
+        serial = counts(1)
+        assert serial["mapper.evaluations"] > 0
+        assert counts(2) == serial
 
     def test_unknown_objective_rejected(self, wl, spec):
         with pytest.raises(ValueError):
             EvaluationEngine(wl, spec, objective="fastest")
+
+    def test_constructor_floors(self, wl, spec):
+        # workers=0 used to be clamped to 1 without a word.
+        with pytest.raises(ValueError, match="workers"):
+            EvaluationEngine(wl, spec, workers=0)
+        with pytest.raises(ValueError, match="subtree_cache_size"):
+            EvaluationEngine(wl, spec, subtree_cache_size=-1)
+        assert EvaluationEngine(wl, spec,
+                                subtree_cache_size=0).subtree_cache is None
 
     def test_stats_merge(self):
         stats = EngineStats(evaluations=3, prescreen_rejects=1)
@@ -239,34 +249,39 @@ class TestEvaluationEngine:
         assert stats.prescreen_rejects == 2 and stats.evaluations == 5
 
 
+def _counted(**counts):
+    """Count records for ``name=n`` pairs (dots spelled as ``__``)."""
+    sink = events.RingSink(capacity=None)
+    bus = events.EventBus([sink])
+    for name, n in counts.items():
+        bus.count(name.replace("__", "."), n)
+    return list(sink.records)
+
+
 class TestEngineReport:
     def test_no_engine_counters_no_section(self):
         assert engine_effectiveness(None) is None
-        assert engine_effectiveness({"mapper.evaluations":
-                                     {"kind": "counter", "value": 9}}) is None
-        assert "evaluation engine" not in render_profile([], {})
+        assert engine_effectiveness({"mapper.evaluations": 9}) is None
+        assert "evaluation engine" not in render_profile(
+            _counted(mapper__evaluations=9))
 
     def test_rates_and_rendering(self):
-        metrics = {
-            "engine.prescreen_rejects": {"kind": "counter", "value": 4},
-            "engine.evaluations": {"kind": "counter", "value": 6},
-        }
-        eng = engine_effectiveness(metrics)
+        records = _counted(engine__prescreen_rejects=4,
+                           engine__evaluations=6)
+        eng = engine_effectiveness(obs.fold_counts(records))
         assert eng["candidates"] == 10
         assert eng["prescreen_reject_rate"] == pytest.approx(0.4)
-        text = render_profile([], metrics)
+        text = render_profile(records)
         assert "== evaluation engine ==" in text
         assert "prescreen rejection rate" in text and "40.0%" in text
         assert "(4 of 10 candidates, 6 full evaluations)" in text
         assert "cache hit rate" not in text
 
     def test_all_rejected_run_keeps_the_section(self):
-        metrics = {
-            "engine.prescreen_rejects": {"kind": "counter", "value": 5},
-            "engine.evaluations": {"kind": "counter", "value": 0},
-        }
-        eng = engine_effectiveness(metrics)
+        records = _counted(engine__prescreen_rejects=5,
+                           engine__evaluations=0)
+        eng = engine_effectiveness(obs.fold_counts(records))
         assert eng["prescreen_reject_rate"] == 1.0
         assert eng["full_evaluations"] == 0
-        text = render_profile([], metrics)
+        text = render_profile(records)
         assert "prescreen rejection rate" in text and "100.0%" in text

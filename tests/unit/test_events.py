@@ -1,21 +1,19 @@
-"""Unit tests for the structured event bus (repro.obs.events)."""
+"""Unit tests for the telemetry bus (repro.obs.events)."""
 
 import io
 import json
+import pickle
 
 import pytest
 
-from repro import arch, obs, workloads
+from repro import arch, workloads
 from repro.obs import events
-from repro.obs import metrics as obs_metrics
 
 
 @pytest.fixture(autouse=True)
 def clean_obs():
     yield
     events.disable()
-    obs.disable()
-    obs_metrics.registry().reset()
 
 
 class TestBus:
@@ -28,9 +26,9 @@ class TestBus:
         events.enable(sinks=[sink])
         events.emit("run.start", command="a", label="")
         events.emit("run.end", command="a", outcome="ok", wall_s=0.1)
-        assert [e.seq for e in sink.events] == [0, 1]
-        assert [e.kind for e in sink.events] == ["run.start", "run.end"]
-        assert sink.events[0].category == "run"
+        assert [e.seq for e in sink.records] == [0, 1]
+        assert [e.name for e in sink.records] == ["run.start", "run.end"]
+        assert sink.records[0].cat == "run"
 
     def test_unknown_kind_rejected(self):
         bus = events.EventBus()
@@ -42,21 +40,52 @@ class TestBus:
         bus = events.EventBus([sink := events.RingSink()])
         bus.emit("engine.subtree", kind="slices", hits=1, misses=2,
                  evictions=0)
-        assert sink.events[0].payload["kind"] == "slices"
+        assert sink.records[0].payload["kind"] == "slices"
 
     def test_replay_preserves_time_restamps_seq(self):
         worker = events.RingSink(capacity=None)
         bus = events.EventBus([worker])
         bus.emit("mcts.sample", _t=123.0, sample=0, cost=1.0, best_cost=1.0)
-        records = events.as_records(worker.events)
+        with bus.span("engine.task"):
+            with bus.span("mcts.sample"):
+                pass
+        records = pickle.loads(pickle.dumps(list(worker.records)))
 
         parent_sink = events.RingSink()
         parent = events.EventBus([parent_sink])
-        parent.emit("run.start", command="s", label="")
-        assert parent.replay(records) == 1
-        replayed = parent_sink.events[-1]
+        with parent.span("parent.before"):
+            pass
+        assert parent.replay(records) == 3
+        replayed, inner, outer = list(parent_sink.records)[-3:]
         assert replayed.t == 123.0 and replayed.seq == 1
-        assert replayed.kind == "mcts.sample"
+        assert replayed.name == "mcts.sample"
+        # Span ids are renumbered past the parent's own, keeping the
+        # worker's nesting; the worker's root stays a root.
+        assert inner.payload["parent"] == outer.payload["id"]
+        assert outer.payload["parent"] is None
+        assert len({parent_sink.records[0].payload["id"],
+                    inner.payload["id"], outer.payload["id"]}) == 3
+
+    def test_module_replay_routes_events_and_profiling_records(self):
+        # A service job thread: events to its local bus, spans and
+        # counters to the global profiling bus.
+        worker = events.RingSink(capacity=None)
+        bus = events.EventBus([worker])
+        bus.emit("run.start", command="w", label="")
+        bus.count("mcts.infeasible")
+        job, profile = events.RingSink(), events.RingSink()
+        events.enable(sinks=[profile], profiling=True)
+        events.enable(sinks=[job], local=True)
+        try:
+            assert events.replay(worker.records) == 2
+        finally:
+            events.disable(local=True)
+        assert [r.type for r in job.records] == ["event"]
+        assert [r.type for r in profile.records] == ["count"]
+
+    def test_local_bus_cannot_take_profiling_records(self):
+        with pytest.raises(ValueError, match="process-global"):
+            events.enable(sinks=[], local=True, profiling=True)
 
     def test_ring_sink_bounds_and_counts_drops(self):
         sink = events.RingSink(capacity=2)
@@ -64,15 +93,15 @@ class TestBus:
         for i in range(5):
             bus.emit("search.progress", phase="ga", step=i, total=5,
                      best_cost=None)
-        assert len(sink.events) == 2
+        assert len(sink.records) == 2
         assert sink.dropped == 3
-        assert [e.payload["step"] for e in sink.events] == [3, 4]
+        assert [e.payload["step"] for e in sink.records] == [3, 4]
 
     def test_callback_sink_survives_broken_subscriber(self):
         calls = []
 
         def broken(event):
-            calls.append(event.kind)
+            calls.append(event.name)
             raise RuntimeError("subscriber bug")
 
         bus = events.EventBus([events.CallbackSink(broken, max_errors=2)])
@@ -114,6 +143,22 @@ class TestSchema:
             assert category in events.CATEGORIES, kind
             assert fields, kind
 
+    def test_validate_record_checks_every_record_type(self):
+        span = {"type": "span", "seq": 3, "t0": 0.5, "t1": 0.75,
+                "name": "mcts.sample", "cat": "mapper", "id": 2,
+                "parent": None, "depth": 0, "attrs": {}}
+        count = {"type": "count", "seq": 4, "t": 1.0, "name": "c", "n": 2}
+        gauge = {"type": "gauge", "seq": 5, "t": 1.0, "name": "g",
+                 "value": 0.5}
+        for good in (span, count, gauge):
+            assert events.validate_record(good) == [], good
+            assert events.validate_record(dict(good, bogus=1))
+        assert events.validate_record(dict(span, parent="x"))
+        assert events.validate_record(dict(count, n="many"))
+        assert events.validate_record(dict(gauge, seq=-1))
+        assert events.validate_record({"type": "metric", "seq": 0}) == [
+            "unknown record type 'metric'"]
+
     def test_validate_record_rejects_bad_payloads(self):
         good = {"type": "event", "seq": 0, "t": 0.0, "kind": "mcts.sample",
                 "cat": "search",
@@ -145,15 +190,15 @@ class TestSearchEmission:
         TileFlowMapper(self._workload(), arch.edge(), seed=0).explore(
             generations=2, population=4, mcts_samples=4)
         events.disable()
-        kinds = {e.kind for e in sink.events}
+        kinds = {e.name for e in sink.records}
         assert {"ga.generation", "search.progress", "mcts.sample",
                 "engine.subtree"} <= kinds
         assert "engine.memo" not in kinds
-        gens = [e.payload for e in sink.events
-                if e.kind == "ga.generation"]
+        gens = [e.payload for e in sink.records
+                if e.name == "ga.generation"]
         assert [g["generation"] for g in gens] == [0, 1]
-        steps = [e.payload for e in sink.events
-                 if e.kind == "search.progress"]
+        steps = [e.payload for e in sink.records
+                 if e.name == "search.progress"]
         assert all(s["phase"] == "ga" and s["total"] == 2 for s in steps)
 
     def test_prescreen_reject_carries_reason_codes(self):
@@ -169,7 +214,7 @@ class TestSearchEmission:
         space = genome_factor_space(wl, genome)
         engine.genome_cost(genome, space.default_point())
         events.disable()
-        rejects = [e for e in sink.events if e.kind == "prescreen.reject"]
+        rejects = [e for e in sink.records if e.name == "prescreen.reject"]
         assert rejects, "expected the tight arch to trigger a rejection"
         codes = rejects[0].payload["codes"]
         assert any(c.startswith(("memory.capacity:", "compute."))

@@ -301,17 +301,13 @@ def test_engine_subtree_counters_track_the_cache():
 
 
 def test_profile_renders_incremental_section():
-    obs.enable()
-    try:
+    with obs.capture() as sink:
         engine = EvaluationEngine(WL, SPEC)
         rng = random.Random(5)
         genome = Genome.random(WL, rng)
         factors = genome_factor_space(WL, genome).random_point(rng)
         engine.evaluate_genome(genome, factors)
         engine.evaluate_genome(genome, factors)
-        metrics = obs.metrics_snapshot()
-    finally:
-        tracer = obs.disable()
-    text = obs.render_profile(tracer.spans, metrics)
+    text = obs.render_profile(sink.records)
     assert "== incremental analysis ==" in text
     assert "subtree artifact hit rate" in text

@@ -8,15 +8,12 @@ import pytest
 from repro import arch, obs, workloads
 from repro.obs import events
 from repro.obs import ledger as ledger_mod
-from repro.obs import metrics as obs_metrics
 
 
 @pytest.fixture(autouse=True)
 def clean_obs():
     yield
     events.disable()
-    obs.disable()
-    obs_metrics.registry().reset()
 
 
 def _manifest(run_id, cost, signature="sig-a", counters=None, config=None):
@@ -127,18 +124,18 @@ class TestDiff:
 class TestChromeExport:
     def test_spans_become_complete_events(self):
         from repro.obs.export import chrome_trace
-        tracer = obs.enable()
-        with obs.span("outer", "mapper", tree="t"):
-            with obs.span("inner", "analysis"):
-                pass
-        obs.disable()
-        doc = chrome_trace(tracer.spans, obs.metrics_snapshot())
+        with obs.capture() as sink:
+            with obs.span("outer", "mapper", tree="t"):
+                with obs.span("inner", "analysis"):
+                    obs.count("engine.evaluations", 2)
+        doc = chrome_trace(sink.records)
         phases = [e["ph"] for e in doc["traceEvents"]]
         assert phases.count("X") == 2 and phases.count("M") == 1
         xs = [e for e in doc["traceEvents"] if e["ph"] == "X"]
         assert all(e["ts"] >= 0 and e["dur"] >= 0 for e in xs)
         outer = next(e for e in xs if e["name"] == "outer")
         assert outer["args"]["tree"] == "t"
+        assert doc["otherData"] == {"engine.evaluations": 2}
         # Strict JSON end to end.
         json.dumps(doc, allow_nan=False)
 
@@ -194,25 +191,20 @@ class TestExplain:
 
 class TestScope:
     def test_scope_isolates_sequential_runs(self):
-        obs.enable()
-        registry = obs.metrics_registry()
-        registry.counter("engine.evaluations").inc(5)
-        with registry.scope() as scope:
-            registry.counter("engine.evaluations").inc(3)
-            registry.histogram("engine.task_seconds").observe(1.0)
-        delta = scope.delta()
-        assert delta["engine.evaluations"]["value"] == 3
-        assert delta["engine.task_seconds"]["count"] == 1
-        # Untouched metrics are omitted entirely.
-        registry.counter("mapper.evaluations").inc(2)
-        with registry.scope() as scope2:
-            pass
-        assert "engine.evaluations" not in scope2.delta()
-        obs.disable()
+        # A capture sees only the records of its own block, so per-run
+        # numbers need no reset of what an outer observer is recording.
+        with obs.capture() as outer:
+            obs.count("engine.evaluations", 5)
+            with obs.capture() as run:
+                obs.count("engine.evaluations", 3)
+            with obs.capture() as idle:
+                pass
+        assert obs.fold_counts(run.records) == {"engine.evaluations": 3}
+        assert list(idle.records) == []
+        assert obs.fold_counts(outer.records) == {"engine.evaluations": 8}
 
     def test_tune_template_reports_per_run_metrics(self):
         from repro.mapper.mapper import tune_template
-        from repro.dataflows.attention_dataflows import ATTENTION_DATAFLOWS
         from repro.dataflows import attention_dataflow
         wl = workloads.self_attention(2, 32, 64, expand_softmax=False)
         spec = arch.edge()
@@ -220,18 +212,17 @@ class TestScope:
         def template(w, a, factors):
             return attention_dataflow("flat_rgran", w, a)
 
-        obs.enable()
-        first = tune_template(template, {"b": [1, 2]}, wl, spec, samples=4)
-        second = tune_template(template, {"b": [1, 2]}, wl, spec, samples=4)
-        obs.disable()
-        assert first.run_metrics is not None
-        assert second.run_metrics is not None
-        # Process-global counters keep accumulating, but each result's
-        # scope sees only its own run.
-        f = first.run_metrics.get("engine.evaluations", {}).get("value", 0)
-        s = second.run_metrics.get("engine.evaluations", {}).get("value", 0)
+        with obs.capture() as outer:
+            with obs.capture() as first_run:
+                first = tune_template(template, {"b": [1, 2]}, wl, spec,
+                                      samples=4)
+            with obs.capture() as second_run:
+                tune_template(template, {"b": [1, 2]}, wl, spec, samples=4)
+        f = obs.fold_counts(first_run.records)["engine.evaluations"]
+        s = obs.fold_counts(second_run.records)["engine.evaluations"]
         assert f > 0 and s > 0
-        total = obs.metrics_snapshot()["engine.evaluations"]["value"]
-        assert total >= f + s
-        # run_metrics never leaks into the serialized result payload.
-        assert "run_metrics" not in first.to_dict()
+        assert obs.fold_counts(outer.records)["engine.evaluations"] == f + s
+        # Recording changes nothing in the serialized result payload.
+        untraced = tune_template(template, {"b": [1, 2]}, wl, spec,
+                                 samples=4)
+        assert first.to_dict() == untraced.to_dict()

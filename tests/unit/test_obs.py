@@ -1,7 +1,7 @@
-"""Unit tests for the observability layer (repro.obs)."""
+"""Unit tests for the observability layer (repro.obs): spans, counters
+and gauges as records of the one telemetry stream."""
 
 import io
-import json
 import time
 
 import pytest
@@ -10,16 +10,14 @@ from repro import arch, obs, workloads
 from repro.analysis import TileFlowModel
 from repro.dataflows import attention_dataflow
 from repro.mapper import TileFlowMapper
-from repro.obs import metrics as obs_metrics
-from repro.obs import trace as obs_trace
+from repro.obs import events
 
 
 @pytest.fixture(autouse=True)
 def clean_obs():
-    """Never leak an enabled tracer/registry into other tests."""
+    """Never leak an installed bus into other tests."""
     yield
-    obs.disable()
-    obs_metrics.registry().reset()
+    events.disable()
 
 
 class FakeClock:
@@ -35,41 +33,53 @@ class FakeClock:
         return value
 
 
+def profiling_bus(step=1.0):
+    """Install a profiling bus on a fake clock; returns its sink."""
+    sink = events.RingSink(capacity=None)
+    events.enable(events.EventBus([sink], clock=FakeClock(step)),
+                  profiling=True)
+    return sink
+
+
+def spans(records):
+    return [r for r in records if r.type == "span"]
+
+
 class TestSpans:
     def test_nesting_parent_and_depth(self):
-        tracer = obs.enable(obs.Tracer(clock=FakeClock()))
+        sink = profiling_bus()
         with obs.span("outer"):
             with obs.span("inner"):
                 pass
-        obs.disable()
-        inner, outer = tracer.spans  # inner finishes (is recorded) first
+        events.disable()
+        inner, outer = sink.records  # inner finishes (is recorded) first
         assert inner.name == "inner" and outer.name == "outer"
-        assert inner.parent_id == outer.span_id
-        assert inner.depth == 1 and outer.depth == 0
-        assert outer.parent_id is None
+        assert inner.payload["parent"] == outer.payload["id"]
+        assert inner.payload["depth"] == 1 and outer.payload["depth"] == 0
+        assert outer.payload["parent"] is None
 
     def test_timing_uses_clock(self):
-        tracer = obs.Tracer(clock=FakeClock(step=1.0))
-        with tracer.span("a"):
+        sink = events.RingSink(capacity=None)
+        bus = events.EventBus([sink], clock=FakeClock(step=1.0))
+        with bus.span("a"):
             pass
-        (span,) = tracer.spans
+        (span,) = sink.records
         assert span.duration_s == pytest.approx(1.0)
 
     def test_attrs_and_set(self):
-        tracer = obs.enable()
-        with obs.span("a", "cat", tree="t1") as span:
-            span.set(extra=3)
-        obs.disable()
-        assert tracer.spans[0].attrs == {"tree": "t1", "extra": 3}
-        assert tracer.spans[0].category == "cat"
+        with obs.capture() as sink:
+            with obs.span("a", "cat", tree="t1") as span:
+                span.set(extra=3)
+        (record,) = sink.records
+        assert record.payload["attrs"] == {"tree": "t1", "extra": 3}
+        assert record.cat == "cat"
 
     def test_exception_still_records_span(self):
-        tracer = obs.enable()
-        with pytest.raises(RuntimeError):
-            with obs.span("boom"):
-                raise RuntimeError("x")
-        obs.disable()
-        assert [s.name for s in tracer.spans] == ["boom"]
+        with obs.capture() as sink:
+            with pytest.raises(RuntimeError):
+                with obs.span("boom"):
+                    raise RuntimeError("x")
+        assert [s.name for s in sink.records] == ["boom"]
 
     def test_disabled_is_shared_noop(self):
         assert not obs.is_enabled()
@@ -87,112 +97,120 @@ class TestSpans:
             return x * 2
 
         assert work(3) == 6  # disabled: pass-through
-        tracer = obs.enable()
-        assert work(4) == 8
-        obs.disable()
+        with obs.capture() as sink:
+            assert work(4) == 8
         assert calls == [3, 4]
-        assert [s.name for s in tracer.spans] == ["custom.name"]
+        assert [s.name for s in sink.records] == ["custom.name"]
+
+    def test_spans_counts_and_events_share_one_order_and_clock(self):
+        sink = profiling_bus(step=1.0)
+        with obs.span("work"):
+            obs.count("c")
+            events.emit("run.start", command="x", label="")
+        obs.gauge("g", 2.0)
+        events.disable()
+        assert [(r.type, r.seq) for r in sink.records] == [
+            ("count", 0), ("event", 1), ("span", 2), ("gauge", 3)]
+        # Clock reads: span start 0, count 1, event 2, span end 3,
+        # gauge 4 — one clock for every record type.
+        count, event, span, gauge = sink.records
+        assert (span.t, count.t, event.t, span.payload["t1"], gauge.t) \
+            == (0.0, 1.0, 2.0, 3.0, 4.0)
 
 
 class TestMetrics:
     def test_counter_aggregation(self):
-        obs.enable()
-        obs.count("c")
-        obs.count("c", 4)
-        snap = obs.metrics_snapshot()
-        assert snap["c"] == {"kind": "counter", "value": 5.0}
+        with obs.capture() as sink:
+            obs.count("c")
+            obs.count("c", 4)
+        assert [(r.type, r.payload) for r in sink.records] == [
+            ("count", {"n": 1}), ("count", {"n": 4})]
+        assert obs.fold_counts(sink.records) == {"c": 5}
 
     def test_gauge_high_water(self):
-        obs.enable()
-        obs.gauge("g", 2.0)
-        obs.gauge("g", 9.0)
-        obs.gauge("g", 5.0)
-        snap = obs.metrics_snapshot()["g"]
-        assert snap["value"] == 5.0
-        assert snap["max"] == 9.0 and snap["min"] == 2.0
-
-    def test_histogram(self):
-        obs.enable()
-        for v in (1.0, 3.0):
-            obs.observe("h", v)
-        snap = obs.metrics_snapshot()["h"]
-        assert snap["count"] == 2 and snap["sum"] == 4.0
-        assert snap["mean"] == 2.0 and snap["max"] == 3.0
+        with obs.capture() as sink:
+            obs.gauge("g", 2.0)
+            obs.gauge("g", 9.0)
+            obs.gauge("g", 5.0)
+        assert obs.fold_gauges(sink.records) == {"g": (5.0, 9.0)}
 
     def test_disabled_records_nothing(self):
         obs.count("nope")
         obs.gauge("nope_g", 1.0)
-        obs.observe("nope_h", 1.0)
-        assert obs.metrics_snapshot() == {}
-
-    def test_kind_clash_rejected(self):
-        registry = obs_metrics.MetricsRegistry()
-        registry.counter("x")
-        with pytest.raises(TypeError):
-            registry.gauge("x")
+        # An events-only bus takes events, never spans or counters.
+        sink = events.RingSink(capacity=None)
+        events.enable(sinks=[sink])
+        assert not obs.is_enabled()
+        obs.count("nope")
+        obs.gauge("nope_g", 1.0)
+        with obs.span("nope_s"):
+            pass
+        assert list(sink.records) == []
 
     def test_enable_resets(self):
-        obs.enable()
-        obs.count("c")
-        obs.enable()  # fresh session
-        assert obs.metrics_snapshot() == {}
+        with obs.capture() as first:
+            obs.count("c")
+        with obs.capture() as second:  # fresh session
+            pass
+        assert len(first.records) == 1
+        assert list(second.records) == []
 
 
 class TestJsonlRoundTrip:
-    def _session(self):
-        tracer = obs.enable(obs.Tracer(clock=FakeClock(step=0.5)))
+    def _session(self, out):
+        sink = events.RingSink(capacity=None)
+        events.enable(events.EventBus([sink, events.JsonlSink(out)],
+                                      clock=FakeClock(step=0.5)),
+                      profiling=True)
         with obs.span("outer", "cat", tree="t"):
             with obs.span("inner"):
                 pass
         obs.count("evals", 3)
         obs.gauge("best", 42.0)
-        obs.disable()
-        return tracer, obs.metrics_snapshot()
+        events.emit("mcts.sample", sample=0, cost=None, best_cost=1.0)
+        events.disable()
+        return list(sink.records)
 
     def test_round_trip_preserves_everything(self, tmp_path):
-        tracer, snapshot = self._session()
         path = str(tmp_path / "trace.jsonl")
-        tracer.dump_jsonl(path, metrics=snapshot)
-        spans, metrics = obs.load_jsonl(path)
-        assert [(s.name, s.span_id, s.parent_id, s.depth, s.attrs)
-                for s in spans] == \
-               [(s.name, s.span_id, s.parent_id, s.depth, s.attrs)
-                for s in tracer.spans]
-        assert spans[0].duration_s == tracer.spans[0].duration_s
-        assert metrics == snapshot
+        with open(path, "w") as out:
+            live = self._session(out)
+        loaded = obs.load_jsonl(path)
+        assert [r.to_json() for r in loaded] == [r.to_json() for r in live]
+        assert loaded[0].duration_s == live[0].duration_s
 
     def test_replay_renders_identical_summary(self, tmp_path):
-        tracer, snapshot = self._session()
-        live = obs.render_profile(tracer.spans, snapshot)
         buf = io.StringIO()
-        tracer.dump_jsonl(buf, metrics=snapshot)
+        live = self._session(buf)
         buf.seek(0)
-        spans, metrics = obs.load_jsonl(buf)
-        assert obs.render_profile(spans, metrics) == live
+        assert obs.render_profile(obs.load_jsonl(buf)) == \
+            obs.render_profile(live)
 
 
 class TestAggregation:
     def test_self_time_excludes_children(self):
-        tracer = obs.Tracer(clock=FakeClock(step=1.0))
+        sink = events.RingSink(capacity=None)
+        bus = events.EventBus([sink], clock=FakeClock(step=1.0))
         # Clock reads: outer-start=0, inner-start=1, inner-end=2,
         # outer-end=3 -> inner total 1s, outer total 3s, outer self 2s.
-        with tracer.span("outer"):
-            with tracer.span("inner"):
+        with bus.span("outer"):
+            with bus.span("inner"):
                 pass
-        stats = {s.name: s for s in obs.aggregate_spans(tracer.spans)}
+        stats = {s.name: s for s in obs.aggregate_spans(sink.records)}
         assert stats["inner"].total_s == pytest.approx(1.0)
         assert stats["outer"].total_s == pytest.approx(3.0)
         assert stats["outer"].self_s == pytest.approx(2.0)
         assert stats["inner"].count == stats["outer"].count == 1
 
     def test_sorted_by_self_time(self):
-        tracer = obs.Tracer(clock=FakeClock(step=1.0))
-        with tracer.span("short"):
+        sink = events.RingSink(capacity=None)
+        bus = events.EventBus([sink], clock=FakeClock(step=1.0))
+        with bus.span("short"):
             pass
-        with tracer.span("long"):
-            with tracer.span("mid"):
+        with bus.span("long"):
+            with bus.span("mid"):
                 pass
-        names = [s.name for s in obs.aggregate_spans(tracer.spans)]
+        names = [s.name for s in obs.aggregate_spans(sink.records)]
         assert names[0] == "long"
 
 
@@ -204,15 +222,15 @@ class TestModelInstrumentation:
         return TileFlowModel(spec).evaluate(tree)
 
     def test_stage_spans_and_counters(self):
-        tracer = obs.enable()
-        self._evaluate()
-        obs.disable()
-        names = {s.name for s in tracer.spans}
+        with obs.capture() as sink:
+            self._evaluate()
+        names = [s.name for s in spans(sink.records)]
         assert {"model.evaluate", "model.pass.validate", "model.pass.slices",
                 "model.pass.datamovement", "model.pass.resources",
-                "model.pass.latency", "model.pass.energy"} <= names
-        snap = obs.metrics_snapshot()
-        assert snap["model.evaluations"]["value"] == 1.0
+                "model.pass.latency", "model.pass.energy"} <= set(names)
+        # The span is the evaluation count; no counter repeats it.
+        assert names.count("model.evaluate") == 1
+        assert "model.evaluations" not in obs.fold_counts(sink.records)
 
     def test_noop_overhead_within_noise(self):
         """Disabled-mode spans must cost < 5% of one model evaluation.
@@ -284,25 +302,54 @@ class TestMapperDeterminism:
         spec = arch.edge()
         baseline = TileFlowMapper(wl, spec, seed=0).explore(
             generations=2, population=4, mcts_samples=4)
-        obs.enable()
-        traced = TileFlowMapper(wl, spec, seed=0).explore(
-            generations=2, population=4, mcts_samples=4)
-        obs.disable()
-        assert traced.best_cost == baseline.best_cost
-        assert traced.trace == baseline.trace
-        assert traced.best_factors == baseline.best_factors
-        snap = obs.metrics_snapshot()
-        assert snap["mapper.evaluations"]["value"] > 0
-        assert snap["mcts.samples"]["value"] > 0
+        with obs.capture() as sink:
+            traced = TileFlowMapper(wl, spec, seed=0).explore(
+                generations=2, population=4, mcts_samples=4)
+        assert traced.to_dict() == baseline.to_dict()
+        assert obs.fold_counts(sink.records)["mapper.evaluations"] > 0
+        assert any(s.name == "mcts.sample" for s in spans(sink.records))
 
     def test_mapper_spans_present(self):
         wl = workloads.self_attention(2, 32, 64, expand_softmax=False)
-        tracer = obs.enable()
-        TileFlowMapper(wl, arch.edge(), seed=0).explore(
-            generations=1, population=4, mcts_samples=2)
-        obs.disable()
-        names = {s.name for s in tracer.spans}
+        with obs.capture() as sink:
+            TileFlowMapper(wl, arch.edge(), seed=0).explore(
+                generations=1, population=4, mcts_samples=2)
+        names = {s.name for s in spans(sink.records)}
         assert {"mapper.explore", "ga.generation", "mcts.sample"} <= names
+
+
+class TestWorkerParity:
+    """A ``--workers 2`` trace carries what a serial trace does: pool
+    workers ship their spans and counters back with every task."""
+
+    SPAN_NAMES = ("mcts.sample", "model.evaluate")
+    COUNTERS = ("mcts.infeasible", "engine.evaluations",
+                "mapper.evaluations")
+
+    def _trace(self, tmp_path, workers):
+        from repro.cli import main
+        path = str(tmp_path / f"w{workers}.jsonl")
+        assert main(["search", "Bert-S", "--generations", "1",
+                     "--population", "4", "--samples", "5", "--quiet",
+                     "--workers", str(workers), "--trace", path]) == 0
+        assert events.validate_jsonl(path) == []
+        records = obs.load_jsonl(path)
+        names = [s.name for s in spans(records)]
+        counts = obs.fold_counts(records)
+        search = [(r.name, r.payload) for r in records
+                  if r.type == "event" and r.cat == "search"]
+        return ({n: names.count(n) for n in self.SPAN_NAMES},
+                {n: counts.get(n, 0) for n in self.COUNTERS},
+                names.count("engine.task"), search)
+
+    def test_worker_trace_matches_serial_counts(self, tmp_path):
+        s_spans, s_counts, s_tasks, s_search = self._trace(tmp_path, 1)
+        p_spans, p_counts, p_tasks, p_search = self._trace(tmp_path, 2)
+        assert s_spans["mcts.sample"] == 20  # 4 genomes x 5 samples
+        assert p_spans == s_spans
+        assert p_counts == s_counts and s_counts["mcts.infeasible"] > 0
+        assert p_search == s_search
+        assert (s_tasks, p_tasks) == (0, 4)  # one span per pooled tune
 
 
 class TestSimInstrumentation:
@@ -311,13 +358,12 @@ class TestSimInstrumentation:
         wl = workloads.self_attention(2, 32, 64, expand_softmax=False)
         spec = arch.edge()
         tree = attention_dataflow("flat_rgran", wl, spec)
-        tracer = obs.enable()
-        SimulatedAccelerator(spec).run(tree)
-        obs.disable()
-        names = {s.name for s in tracer.spans}
+        with obs.capture() as sink:
+            SimulatedAccelerator(spec).run(tree)
+        names = {s.name for s in spans(sink.records)}
         assert {"sim.run", "sim.event_loop", "sim.energy"} <= names
-        snap = obs.metrics_snapshot()
-        assert snap["sim.events"]["value"] > 0
-        occupancy = [n for n in snap if n.startswith("sim.occupancy_bytes.")]
+        assert obs.fold_counts(sink.records)["sim.events"] > 0
+        gauges = obs.fold_gauges(sink.records)
+        occupancy = [n for n in gauges if n.startswith("sim.occupancy_bytes.")]
         assert occupancy
-        assert all(snap[n]["max"] >= 0 for n in occupancy)
+        assert all(gauges[n][1] >= 0 for n in occupancy)

@@ -12,15 +12,11 @@ from repro.analysis import (DEFAULT_PIPELINE, PRESCREEN_PIPELINE,
 from repro.analysis.pipeline import check_builtin_pipelines
 from repro.dataflows import attention_dataflow
 from repro.errors import ResourceExceededError
-from repro.obs import metrics as obs_metrics
 from repro.workloads import self_attention
 
 
-@pytest.fixture(autouse=True)
-def clean_obs():
-    yield
-    obs.disable()
-    obs_metrics.registry().reset()
+def span_names(sink):
+    return {r.name for r in sink.records if r.type == "span"}
 
 
 @pytest.fixture
@@ -80,15 +76,14 @@ class TestWiringCheck:
 
 class TestPartialEvaluation:
     def test_until_latency_skips_energy(self, tree, spec):
-        tracer = obs.enable()
-        result = TileFlowModel(spec).evaluate(tree, until="latency")
-        obs.disable()
+        with obs.capture() as sink:
+            result = TileFlowModel(spec).evaluate(tree, until="latency")
         assert result.partial
         assert result.completed_passes == (
             "validate", "slices", "datamovement", "resources", "latency")
         assert result.latency_cycles > 0
         assert result.energy_pj == 0.0 and result.energy_breakdown_pj == {}
-        names = {s.name for s in tracer.spans}
+        names = span_names(sink)
         assert "model.pass.latency" in names
         assert "model.pass.energy" not in names
 
@@ -103,17 +98,15 @@ class TestPartialEvaluation:
 
     def test_stop_on_violation_skips_latency_and_energy(self, wl, tree):
         cramped = arch.edge().with_level("L1", capacity_bytes=256)
-        tracer = obs.enable()
-        result = TileFlowModel(cramped).evaluate(tree,
-                                                 stop_on_violation=True)
-        obs.disable()
+        with obs.capture() as sink:
+            result = TileFlowModel(cramped).evaluate(
+                tree, stop_on_violation=True)
         assert result.violations and result.partial
         assert result.latency_cycles == 0.0 and result.energy_pj == 0.0
-        names = {s.name for s in tracer.spans}
+        names = span_names(sink)
         assert "model.pass.resources" in names
         assert "model.pass.latency" not in names
-        snap = obs.metrics_snapshot()
-        assert snap["model.early_exit"]["value"] == 1.0
+        assert obs.fold_counts(sink.records)["model.early_exit"] == 1
 
     def test_stop_on_violation_feasible_runs_everything(self, tree, spec):
         result = TileFlowModel(spec).evaluate(tree, stop_on_violation=True)
@@ -123,11 +116,10 @@ class TestPartialEvaluation:
 
     def test_strict_raises_before_latency_runs(self, tree):
         cramped = arch.edge().with_level("L1", capacity_bytes=256)
-        tracer = obs.enable()
-        with pytest.raises(ResourceExceededError):
-            TileFlowModel(cramped).evaluate(tree, strict=True)
-        obs.disable()
-        names = {s.name for s in tracer.spans}
+        with obs.capture() as sink:
+            with pytest.raises(ResourceExceededError):
+                TileFlowModel(cramped).evaluate(tree, strict=True)
+        names = span_names(sink)
         assert "model.pass.resources" in names
         assert "model.pass.latency" not in names
         assert "model.pass.energy" not in names
@@ -140,10 +132,9 @@ class TestContextResume:
         PRESCREEN_PIPELINE.run(ctx)
         assert list(ctx.completed) == ["validate", "slices",
                                        "resource_bounds"]
-        tracer = obs.enable()
-        result = model.evaluate(tree, context=ctx)
-        obs.disable()
-        names = {s.name for s in tracer.spans}
+        with obs.capture() as sink:
+            result = model.evaluate(tree, context=ctx)
+        names = span_names(sink)
         # validate + slices already ran on this context.
         assert "model.pass.validate" not in names
         assert "model.pass.slices" not in names
@@ -189,15 +180,14 @@ class TestCustomPipelines:
 
 class TestMovementEntryPoint:
     def test_movement_is_instrumented(self, tree, spec):
-        tracer = obs.enable()
-        movement = TileFlowModel(spec).movement(tree)
-        obs.disable()
-        names = {s.name for s in tracer.spans}
+        with obs.capture() as sink:
+            movement = TileFlowModel(spec).movement(tree)
+        names = span_names(sink)
         assert "model.movement" in names
         assert "model.pass.datamovement" in names
         assert "model.pass.resources" not in names  # stops at movement
-        snap = obs.metrics_snapshot()
-        assert snap["model.movements"]["value"] == 1.0
+        assert [r.name for r in sink.records
+                if r.type == "span"].count("model.movement") == 1
         direct = DataMovementAnalysis(tree, spec).run()
         assert set(movement.traffic) == set(direct.traffic)
         for level, lt in movement.traffic.items():

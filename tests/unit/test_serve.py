@@ -138,6 +138,58 @@ class TestSpecValidation:
                                          "samples": 10 ** 9})
 
 
+class TestConstructorFloors:
+    @pytest.mark.parametrize("kwargs", [
+        {"workers": 0}, {"max_queue": 0}, {"subtree_cache_size": -1}])
+    def test_service_rejects_bounds_that_stop_work(self, kwargs):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            EvaluationService(**kwargs)
+
+    def test_service_accepts_the_floors(self):
+        svc = EvaluationService(workers=1, max_queue=1,
+                                subtree_cache_size=0)
+        assert (svc.workers, svc.queue.max_queue) == (1, 1)
+
+    def test_make_server_rejects_a_zero_body_cap(self):
+        svc = EvaluationService()
+        with pytest.raises(ValueError, match="max_body"):
+            make_server("127.0.0.1", 0, svc, max_body=0)
+        httpd = make_server("127.0.0.1", 0, svc, max_body=1)
+        httpd.server_close()
+        assert httpd.max_body == 1
+
+
+class TestTracedService:
+    def test_job_streams_carry_only_events_while_serve_traces(self):
+        """``repro serve --trace``: job threads' spans and counters go to
+        the global profiling bus, never into a job's event stream."""
+        from repro import obs
+        svc = EvaluationService(workers=2).start()
+        try:
+            with obs.capture() as trace:
+                jobs = [svc.submit("evaluate", {"workload": "Bert-S",
+                                                "dataflow": "layerwise"}),
+                        svc.submit("search", {
+                            "workload": "Bert-S", "generations": 1,
+                            "population": 4, "samples": 3})]
+                assert svc.wait_drained(timeout=120)
+        finally:
+            svc.stop(timeout=5)
+        for job in jobs:
+            assert job.state == "done", job.error
+            assert job.events
+            assert {e["type"] for e in job.events} == {"event"}
+            assert {e["cat"] for e in job.events} <= {"run", "search",
+                                                      "cache"}
+        recorded = list(trace.records)
+        names = {r.name for r in recorded if r.type == "span"}
+        assert {"model.evaluate", "mcts.sample"} <= names
+        assert obs.fold_counts(recorded)["engine.evaluations"] > 0
+        # No event reached the global bus: each job thread's local bus
+        # shadows it.
+        assert not [r for r in recorded if r.type == "event"]
+
+
 # ---------------------------------------------------------------------------
 # Cache counter thread-safety (satellite: concurrent readers must not
 # lose hit/miss increments).
@@ -306,6 +358,22 @@ class TestHTTPAPI:
         conn.putrequest("POST", "/jobs")
         conn.endheaders()
         assert conn.getresponse().status == 411
+        conn.close()
+
+    @pytest.mark.parametrize("path", ["/jobs", "/admin/cache/clear"])
+    @pytest.mark.parametrize("length", ["-1", "-5"])
+    def test_negative_content_length_is_400(self, server, path, length):
+        # Answered before any read: rfile.read(-1) would block until the
+        # client hangs up, and read(-5) raises and drops the connection.
+        httpd, _svc = server
+        conn = http.client.HTTPConnection(
+            "127.0.0.1", httpd.server_address[1], timeout=5)
+        conn.putrequest("POST", path)
+        conn.putheader("Content-Length", length)
+        conn.endheaders()
+        resp = conn.getresponse()
+        assert resp.status == 400
+        assert "Content-Length" in json.loads(resp.read())["error"]
         conn.close()
 
     def test_queue_full_returns_429(self, server):
