@@ -6,9 +6,10 @@ The analyses compose as an explicit pass pipeline
 ``docs/ARCHITECTURE.md``.
 """
 
-from .context import AnalysisContext, NodeSlices, num_pe_demand
+from .context import (AnalysisContext, NodeSlices, PlanContext,
+                      num_pe_demand)
 from .datamovement import (DataMovementAnalysis, DataMovementResult,
-                           NodeFlows)
+                           NodeFlows, WalkRecipe, recursion_volume)
 from .fingerprint import (cache_namespace, node_fingerprints,
                           subtree_fingerprint, workload_digest)
 from .energy import compute_energy
@@ -27,13 +28,14 @@ from .slices import (box_volume, delta_volume, loop_displacement,
 
 __all__ = [
     "TileFlowModel",
-    "AnalysisContext", "NodeSlices", "num_pe_demand",
+    "AnalysisContext", "NodeSlices", "PlanContext", "num_pe_demand",
     "AnalysisPass", "Pipeline", "PipelineError",
     "DEFAULT_PIPELINE", "PRESCREEN_PIPELINE",
     "ValidatePass", "SlicesPass", "DataMovementPass", "ResourcesPass",
     "ResourceBoundsPass", "LatencyPass", "EnergyPass",
     "default_passes", "prescreen_passes",
     "DataMovementAnalysis", "DataMovementResult", "NodeFlows",
+    "WalkRecipe", "recursion_volume",
     "node_fingerprints", "subtree_fingerprint", "workload_digest",
     "cache_namespace",
     "ResourceAnalysis", "LatencyAnalysis", "compute_energy",

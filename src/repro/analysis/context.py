@@ -31,6 +31,10 @@ Either way
   :meth:`AnalysisContext.invalidate` re-arms it; a loops-only re-arm
   keeps every structure-only fact, which is how a per-genome tune
   prices each factor point on one tree.
+
+:class:`PlanContext` is that tune's context: it compiles the slice
+geometry and the data-movement walks of its tree down to tables that
+only the loop counts are substituted into.
 """
 
 from __future__ import annotations
@@ -41,7 +45,6 @@ from ..arch import Architecture
 from ..errors import ForeignNodeError
 from ..ir import TensorAccess
 from ..tile.bindings import Binding
-from ..tile.coverage import apply_loops
 from ..tile.tree import AnalysisTree, FusionNode, OpTile, TileNode
 from .fingerprint import cache_namespace, node_fingerprints
 from .slices import box_volume, merged_extents
@@ -115,6 +118,21 @@ class NodeSlices:
             self.extents[name] = extents
             self.staged_words[name] = float(box_volume(extents))
 
+    @classmethod
+    def from_extents(cls, tensors: NodeTensors,
+                     extents: Dict[str, Tuple[int, ...]],
+                     staged_words: Dict[str, float]) -> "NodeSlices":
+        """The slices of a node whose merged ``extents`` and their
+        volumes are known (:class:`PlanContext` derives them from its
+        slice rows); both are keyed in ``tensors.tensors`` order."""
+        slices = cls.__new__(cls)
+        slices.readers = tensors.readers
+        slices.writers = tensors.writers
+        slices.tensors = tensors.tensors
+        slices.extents = extents
+        slices.staged_words = staged_words
+        return slices
+
 
 def num_pe_demand(node: TileNode,
                   demand: Optional[Callable[[TileNode], Tuple[int, int]]]
@@ -164,6 +182,9 @@ class AnalysisContext:
     :func:`~repro.analysis.fingerprint.cache_namespace` so one cache
     can serve many workloads/architectures.
     """
+
+    #: Compiled walk recipes, kept only by a :class:`PlanContext`.
+    walk_recipes: Optional[Dict[Tuple[int, int], Any]] = None
 
     def __init__(self, tree: AnalysisTree, arch: Architecture, *,
                  model_eviction: bool = True, model_rmw: bool = True,
@@ -378,16 +399,9 @@ class AnalysisContext:
         """
         covs = self._path_cov.get(id(leaf))
         if covs is None:
-            dims = leaf.op.dims
-            covs = self._path_cov[id(leaf)] = {}
-            below: Dict[str, int] = {d: 1 for d in dims}
-            node: Optional[TileNode] = leaf
-            while node is not None:
-                lanes = [lp for lp in node.spatial_loops if lp.step == 1]
-                covs[id(node)] = (apply_loops(below, lanes, dims) if lanes
-                                  else below)
-                below = apply_loops(below, node.loops, dims)
-                node = node.parent
+            path = [leaf, *leaf.ancestors()]
+            covs = self._path_cov[id(leaf)] = dict(zip(
+                map(id, path), _path_coverage(tuple(leaf.op.dims), path)))
         return covs
 
     def num_pe(self, node: TileNode) -> Tuple[int, int]:
@@ -518,3 +532,156 @@ class AnalysisContext:
             total += (factor * slices.staged_words[tensor_name]
                       * self.tree.workload.tensor(tensor_name).word_bytes)
         return total
+
+
+#: One (leaf, access) pair of a slice row: the leaf's index in
+#: :attr:`PlanContext._paths`, the node's depth on that leaf's path,
+#: the access's dims when every tensor dim is one of them with
+#: coefficient 1 (else None), and per tensor dim the access's
+#: ``(iteration dim, |coefficient|)`` terms.
+SliceRow = Tuple[int, int, Optional[Tuple[str, ...]],
+                 Tuple[Tuple[Tuple[str, int], ...], ...]]
+
+
+def _slice_terms(access: TensorAccess) -> Tuple[
+        Optional[Tuple[str, ...]], Tuple[Tuple[Tuple[str, int], ...], ...]]:
+    """The ``(plain dims, terms)`` half of an access's slice row: an
+    extent is ``1 + sum(|c| * (cov_d - 1))`` over its terms, which is
+    ``cov_d`` itself for a plain ``d`` index."""
+    terms = tuple(tuple((d, abs(c)) for d, c in e.terms.items())
+                  for e in access.exprs)
+    plain = (tuple(row[0][0] for row in terms)
+             if all(len(row) == 1 and row[0][1] == 1 for row in terms)
+             else None)
+    return plain, terms
+
+
+class PlanContext(AnalysisContext):
+    """A context for one tree whose loops alone change between runs.
+
+    A per-genome plan (:class:`~repro.engine.GenomePlan`) prices every
+    point of a tune on one tree, re-armed loops-only.  This context
+    compiles, once, what the slice and data-movement analyses derive
+    from the tree's structure:
+
+    * **slice rows** — per node and tensor, every (leaf, access) pair
+      below it as per-tensor-dim ``(iteration dim, |coefficient|)``
+      terms.  A point's extent is ``1 + sum(|c| * (cov_d - 1))`` over
+      the leaf's path coverage, max-merged over the pairs — what
+      :meth:`AffineExpr.extent_over` and :func:`merged_extents` give.
+    * **walk recipes** — per (node, tensor, access) the ordered walk
+      segments of §5.1.1/§5.1.2
+      (:class:`~repro.analysis.datamovement.WalkRecipe`), compiled by
+      the data-movement pass on first use into :attr:`walk_recipes`.
+
+    A point then only substitutes the nodes' current loops.  The tables
+    live as long as the context; a structural :meth:`invalidate` drops
+    the recipes (they read bindings and tensor homes), while the slice
+    rows read only the operator->leaf structure every invalidation
+    keeps.  It never serves a shared artifact store.
+    """
+
+    def __init__(self, tree: AnalysisTree, arch: Architecture, *,
+                 model_eviction: bool = True, model_rmw: bool = True,
+                 check_memory: bool = True):
+        super().__init__(tree, arch, model_eviction=model_eviction,
+                         model_rmw=model_rmw, check_memory=check_memory)
+        #: (id(node), id(access)) -> WalkRecipe.
+        self.walk_recipes = {}
+        #: Per leaf, in leaf order: its op's dims and its path, leaf to
+        #: root.
+        self._paths: List[Tuple[Tuple[str, ...], List[TileNode]]] = []
+        index: Dict[int, int] = {}
+        depth: Dict[Tuple[int, int], int] = {}
+        for leaf in tree.root.leaves():
+            index[id(leaf)] = len(self._paths)
+            path = [leaf, *leaf.ancestors()]
+            depth.update(((id(leaf), id(n)), i) for i, n in enumerate(path))
+            self._paths.append((tuple(leaf.op.dims), path))
+        #: id(node) -> ((tensor, slice rows), ...) in tensor order.
+        self._rows: Dict[int, Tuple[Tuple[str, Tuple[SliceRow, ...]],
+                                    ...]] = {}
+        for node in tree.nodes():
+            tensors = self.node_tensors(node)
+            self._rows[id(node)] = tuple(
+                (name, tuple(
+                    (index[id(leaf)], depth[id(leaf), id(node)])
+                    + _slice_terms(access)
+                    for leaf, access in tensors.accesses[name]))
+                for name in tensors.tensors)
+        #: Per leaf, the coverage at each node of its path (this
+        #: point's loops; built on first use).
+        self._coverage: Optional[List[List[Dict[str, int]]]] = None
+
+    def invalidate(self, subtree: Optional[TileNode] = None, *,
+                   loops_only: bool = False) -> None:
+        super().invalidate(subtree, loops_only=loops_only)
+        self._coverage = None
+        if not loops_only:
+            self.walk_recipes.clear()
+
+    def node_slices(self, node: TileNode) -> NodeSlices:
+        cached = self._slices.get(id(node))
+        if cached is not None:
+            self.memo_hits += 1
+            return cached
+        rows = self._rows.get(id(node))
+        if rows is None:
+            self.fingerprint(node)  # raises ForeignNodeError
+        coverage = self._coverage
+        if coverage is None:
+            coverage = self._coverage = [_path_coverage(dims, path)
+                                         for dims, path in self._paths]
+        extents: Dict[str, Tuple[int, ...]] = {}
+        staged_words: Dict[str, float] = {}
+        for name, pairs in rows:
+            merged: Optional[List[int]] = None
+            for leaf, depth, plain, terms in pairs:
+                cov = coverage[leaf][depth]
+                if plain is not None:
+                    ext = list(map(cov.__getitem__, plain))
+                else:
+                    ext = []
+                    for row in terms:
+                        e = 1
+                        for d, c in row:
+                            e += c * (cov[d] - 1)
+                        ext.append(e)
+                merged = ext if merged is None else [
+                    a if a >= b else b for a, b in zip(merged, ext)]
+            extents[name] = box = tuple(merged)
+            volume = 1
+            for e in box:
+                volume *= e
+            staged_words[name] = float(volume)
+        cached = self._slices[id(node)] = NodeSlices.from_extents(
+            self.node_tensors(node), extents, staged_words)
+        return cached
+
+    def subtree_uses(self, node: TileNode, tensor_name: str) -> bool:
+        return tensor_name in self.node_tensors(node).accesses
+
+
+def _path_coverage(dims: Tuple[str, ...],
+                   path: List[TileNode]) -> List[Dict[str, int]]:
+    """``slice_coverage(node, leaf)`` at every node of a leaf's ``path``
+    (leaf first, with the leaf op's ``dims``), in path order: each node
+    applies its unit-step spatial loops to the coverage below it, then
+    all its loops for the next node up (``apply_loops``' arithmetic,
+    inner loops first)."""
+    below = dict.fromkeys(dims, 1)
+    out: List[Dict[str, int]] = []
+    for node in path:
+        here = below
+        for lp in reversed(node.spatial_loops):
+            if lp.step == 1 and lp.dim in here:
+                if here is below:
+                    here = dict(below)
+                here[lp.dim] += lp.count - 1
+        out.append(here)
+        if node.loops:
+            below = dict(below)
+            for lp in reversed(node.loops):
+                if lp.dim in below:
+                    below[lp.dim] += lp.step * (lp.count - 1)
+    return out

@@ -40,12 +40,19 @@ untouched sibling subtrees, but along the mutated path itself.  The
 recursion results are integers, so serving them from cache and
 re-applying the float spatial multiplier is byte-identical to a
 from-scratch run.
+
+A per-genome plan's :class:`~repro.analysis.context.PlanContext` takes
+the compiled route instead: each (node, tensor, access) walk is a
+:class:`WalkRecipe` fixed for the plan's life, and its volume is
+:func:`recursion_volume` over the access's precomputed per-dim
+:data:`Moves`, so a point only gathers the nodes' current loops.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import (Dict, Iterable, List, Mapping, Optional, Sequence,
+                    Tuple)
 
 from ..arch import Architecture
 from ..ir import TensorAccess
@@ -80,17 +87,173 @@ class DataMovementResult:
         return self.node_flows[id(node)]
 
 
+#: How one step of a loop moves an access's slice: the nonzero
+#: ``(tensor dim, coefficient)`` pairs of the loop's dim, or None when
+#: it does not move the slice.
+Moves = Optional[Tuple[Tuple[int, int], ...]]
+
+
 class _Walk:
     """The truncated ancestor loop walk for one (node, tensor) pair."""
 
-    __slots__ = ("loops", "multiplier", "multiplied")
+    __slots__ = ("loops", "multiplier", "multiplied", "moves", "moved")
 
     def __init__(self, loops: List[Loop], multiplier: float,
-                 multiplied: List[Loop]):
+                 multiplied: List[Loop],
+                 moves: Optional[Mapping[str, Moves]] = None):
         self.loops = loops  # outer -> inner
         self.multiplier = multiplier
         #: Loops folded into the multiplier, in multiplication order.
         self.multiplied = multiplied
+        #: The access's :data:`Moves` per dim, for walks a
+        #: :class:`WalkRecipe` gathers (None: the tree path's walks).
+        self.moves = moves
+        #: The boundary recursion over ``loops`` once computed (walks
+        #: with ``moves`` only).
+        self.moved: Optional[int] = None
+
+
+def moves_of(access: TensorAccess, dim: str) -> Moves:
+    """The :data:`Moves` of a loop over ``dim`` for ``access``."""
+    return tuple((k, c) for k, c in enumerate(access.coefficients(dim))
+                 if c) or None
+
+
+#: :class:`WalkRecipe` segment kinds: all temporal loops of a node; its
+#: displacing spatial loops; its displacing block (step > 1) spatial
+#: loops.
+_TEMPORAL, _SPATIAL, _BLOCKS = range(3)
+
+
+class WalkRecipe:
+    """The structure-only form of one (node, tensor, access) walk.
+
+    :meth:`DataMovementAnalysis._build_walk` decides, from the tree's
+    bindings and the tensor's home, which nodes' temporal loops are
+    walked and which loops multiply; only the loops themselves change
+    between the points of a per-genome tune.  A recipe records those
+    decisions once, in walk order:
+
+    * ``walked`` — the nodes whose temporal loops are walked, outer to
+      inner: the node itself (unless a Seq node evicts the tensor
+      between its own iterations) and its ancestors up to the first
+      Seq eviction or the tensor's LCA home;
+    * ``multiplied`` — ``(node, kind)`` segments in multiplication
+      order: the node's evicted temporal loops, its displacing block
+      spatial loops, then per ancestor its displacing spatial loops and,
+      past the stop, its temporal loops;
+
+    plus the access's :data:`Moves` per dim.  :meth:`walk`
+    gathers the nodes' current loops into the same :class:`_Walk`
+    :meth:`~DataMovementAnalysis._build_walk` builds (property-tested
+    on every registry tree).
+    """
+
+    __slots__ = ("walked", "multiplied", "moves")
+
+    def __init__(self, ctx: AnalysisContext, node: TileNode,
+                 tensor_name: str, access: TensorAccess,
+                 home: Optional[TileNode]):
+        walked: List[TileNode] = []  # inner -> outer
+        multiplied: List[Tuple[TileNode, int]] = []
+        if ctx.self_evicts(node, tensor_name):
+            multiplied.append((node, _TEMPORAL))
+        else:
+            walked.append(node)
+        multiplied.append((node, _BLOCKS))
+        stopped = False
+        current = node
+        while current.parent is not None:
+            parent = current.parent
+            multiplied.append((parent, _SPATIAL))
+            if (not stopped and ctx.model_eviction
+                    and ctx.evicted_at(parent, current, tensor_name)):
+                stopped = True
+            if stopped:
+                multiplied.append((parent, _TEMPORAL))
+            else:
+                walked.append(parent)
+            if parent is home:
+                stopped = True
+            current = parent
+        walked.reverse()
+        self.walked: Tuple[TileNode, ...] = tuple(walked)
+        self.multiplied: Tuple[Tuple[TileNode, int], ...] = tuple(multiplied)
+        dims = {d for op in ctx.tree.workload.operators for d in op.dims}
+        self.moves: Dict[str, Moves] = {d: moves_of(access, d)
+                                        for d in sorted(dims)}
+
+    def walk(self) -> _Walk:
+        """The walk over the nodes' current loops."""
+        loops: List[Loop] = []
+        for node in self.walked:
+            loops.extend(node.temporal_loops)
+        multiplied: List[Loop] = []
+        moves = self.moves
+        for node, kind in self.multiplied:
+            if kind == _TEMPORAL:
+                multiplied.extend(node.temporal_loops)
+                continue
+            for lp in node.spatial_loops:
+                if moves[lp.dim] is not None and (kind == _SPATIAL
+                                                  or lp.step != 1):
+                    multiplied.append(lp)
+        multiplier = 1.0
+        for lp in multiplied:
+            multiplier *= lp.count
+        return _Walk(loops, multiplier, multiplied, moves)
+
+
+def recursion_volume(extents: Sequence[int],
+                     terms: Iterable[Tuple[int, int, Moves]]) -> int:
+    """The §5.1.1 boundary recursion in one inner→outer pass.
+
+    ``terms`` holds one ``(count, step, moves)`` triple per walk loop,
+    inner to outer, where ``moves`` is the access's :data:`Moves` for
+    the loop's dim.  Trip-count-1 loops may be left out: they neither
+    move the slice nor wrap.
+
+    Equals ``movement_recursion(box_volume(extents), counts,
+    [delta_volume(extents, loop_displacement(access, lp, inner))])``
+    exactly (property-tested): displacement is linear, so the inner
+    loops' wrap-around is a running ``back`` vector instead of a
+    re-summed suffix per loop.  ``free`` holds each dim's overlap of the
+    slice with its wrapped-back self and ``still`` their product: a
+    loop that does not move the slice overlaps by ``still``, and one
+    that moves only dim ``k`` by ``still`` with ``free[k]`` swapped for
+    dim ``k``'s shifted overlap.
+    """
+    volume = box_volume(extents)
+    back = [0] * len(extents)
+    free = [e if e > 0 else 0 for e in extents]
+    still = volume
+    s = 0
+    for count, step, moves in terms:
+        if moves is None:
+            overlap = still
+        elif len(moves) == 1 and free[moves[0][0]]:
+            k, c = moves[0]
+            x = extents[k] - abs(c * step - back[k])
+            overlap = still // free[k] * x if x > 0 else 0
+        else:
+            shifted = list(back)
+            for k, c in moves:
+                shifted[k] -= c * step
+            overlap = 1
+            for e, b in zip(extents, shifted):
+                x = e - abs(b)
+                overlap *= x if x > 0 else 0
+        if moves is not None and count != 1:
+            wrap = (count - 1) * step
+            for k, c in moves:
+                back[k] += c * wrap
+                x = extents[k] - abs(back[k])
+                free[k] = x if x > 0 else 0
+            still = 1
+            for x in free:
+                still *= x
+        s = (count - 1) * (volume - overlap + s) + s
+    return volume + s
 
 
 class DataMovementAnalysis:
@@ -120,6 +283,9 @@ class DataMovementAnalysis:
         #: Bound "walkvol" store of the shared artifact cache (or None);
         #: probed directly — this is the hottest lookup in the system.
         self._volumes = self.ctx.shared_store("walkvol")
+        #: The context's compiled walk recipes (a per-genome plan's
+        #: :class:`~repro.analysis.context.PlanContext`), else None.
+        self._recipes = self.ctx.walk_recipes
 
     # ------------------------------------------------------------------
     def run(self) -> DataMovementResult:
@@ -128,7 +294,7 @@ class DataMovementAnalysis:
         # Pre-order: float accumulation order is part of the
         # byte-identity contract.
         node_flows = {id(node): self._analyze_node(node, traffic)
-                      for node in self.tree.root.walk()}
+                      for node in self.tree.nodes()}
         self._add_compute_accesses(traffic)
         return DataMovementResult(traffic=traffic, node_flows=node_flows)
 
@@ -158,7 +324,7 @@ class DataMovementAnalysis:
 
             if reader_pairs:
                 leaf, access = reader_pairs[0]
-                walk = self._build_walk(node, tensor_name, access, home)
+                walk = self._walk(node, tensor_name, access, home)
                 words = self._walk_volume(extents, access, walk)
                 flows.fills[tensor_name] = (
                     flows.fills.get(tensor_name, 0.0) + words)
@@ -166,7 +332,7 @@ class DataMovementAnalysis:
                 source.add("read", tensor_name, words)
             if writer_pairs:
                 leaf, access = writer_pairs[0]
-                walk = self._build_walk(node, tensor_name, access, home)
+                walk = self._walk(node, tensor_name, access, home)
                 words = self._walk_volume(extents, access, walk)
                 flows.updates[tensor_name] = (
                     flows.updates.get(tensor_name, 0.0) + words)
@@ -193,10 +359,27 @@ class DataMovementAnalysis:
         for lp in walk.multiplied:
             if lp.dim in reduction_dims:
                 mult_red *= lp.count
-        ideal_walk = _Walk(loops, walk.multiplier / max(1.0, mult_red), [])
+        ideal_walk = _Walk(loops, walk.multiplier / max(1.0, mult_red), [],
+                           walk.moves)
+        if len(loops) == len(walk.loops):
+            ideal_walk.moved = walk.moved  # the same recursion
         return self._walk_volume(extents, access, ideal_walk)
 
     # ------------------------------------------------------------------
+    def _walk(self, node: TileNode, tensor_name: str, access: TensorAccess,
+              home: Optional[TileNode]) -> _Walk:
+        """The walk of one (node, tensor, access): from the context's
+        compiled recipe when it keeps them, else built afresh."""
+        recipes = self._recipes
+        if recipes is None:
+            return self._build_walk(node, tensor_name, access, home)
+        key = (id(node), id(access))
+        recipe = recipes.get(key)
+        if recipe is None:
+            recipe = recipes[key] = WalkRecipe(self.ctx, node, tensor_name,
+                                               access, home)
+        return recipe.walk()
+
     def _build_walk(self, node: TileNode, tensor_name: str,
                     access: TensorAccess,
                     home: Optional[TileNode]) -> _Walk:
@@ -254,7 +437,20 @@ class DataMovementAnalysis:
         reproduces the uncached float bit-for-bit.  The cache key projects
         the walk onto the access's referenced dims — see
         :meth:`_projected_walk` for why that projection is exact.
+
+        A walk a :class:`WalkRecipe` gathered carries its access's
+        :data:`Moves` instead: its recursion is :func:`recursion_volume`
+        over them, without the trip-count-1 loops, computed once per
+        walk (the RMW ideal walk reuses it when no loop was dropped).
         """
+        moves = walk.moves
+        if moves is not None:
+            moved = walk.moved
+            if moved is None:
+                moved = walk.moved = recursion_volume(extents, [
+                    (lp.count, lp.step, moves[lp.dim])
+                    for lp in reversed(walk.loops) if lp.count != 1])
+            return moved * walk.multiplier
         store = self._volumes
         if store is not None:
             key = (access.signature()[0], tuple(extents),
@@ -273,26 +469,11 @@ class DataMovementAnalysis:
     @staticmethod
     def _recursion_volume(extents: Sequence[int], access: TensorAccess,
                           loops: Sequence[Loop]) -> int:
-        """The §5.1.1 boundary recursion in one inner→outer pass.
-
-        Equals ``movement_recursion(box_volume(extents), counts,
-        [delta_volume(extents, loop_displacement(access, lp, inner))])``
-        exactly: displacement is linear, so the inner loops' wrap-around
-        is a running ``back`` sum instead of a re-summed suffix per loop.
-        """
-        volume = box_volume(extents)
-        back = [0] * len(extents)
-        s = 0
-        for lp in reversed(loops):
-            coeffs = access.coefficients(lp.dim)
-            step, count = lp.step, lp.count
-            overlap = 1
-            for e, c, b in zip(extents, coeffs, back):
-                overlap *= max(0, e - abs(c * step - b))
-            s = (count - 1) * (volume - overlap + s) + s
-            wrap = (count - 1) * step
-            back = [b + c * wrap for b, c in zip(back, coeffs)]
-        return volume + s
+        """:func:`recursion_volume` over a walk's loops (outer -> inner)
+        and the access's moves for them."""
+        return recursion_volume(extents, [
+            (lp.count, lp.step, moves_of(access, lp.dim))
+            for lp in reversed(loops)])
 
     def _projected_walk(self, access: TensorAccess,
                         loops: Sequence[Loop]) -> str:

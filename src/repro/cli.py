@@ -467,6 +467,28 @@ def cmd_client(args) -> int:
         raise SystemExit(str(exc))
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A subcommand's parser: positionals may follow options.
+
+    argparse binds an optional positional (``client``'s job id,
+    ``runs``' run ids, ``explain``'s names) as soon as the positionals
+    before an option are consumed, so ``client watch --url URL JOB``
+    would reject ``JOB``.  Intermixed parsing reads the options first
+    and then every positional, wherever it stands.
+    """
+
+    _intermixing = False
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._intermixing:  # the two passes of the intermixed parse
+            return super().parse_known_args(args, namespace)
+        self._intermixing = True
+        try:
+            return self.parse_known_intermixed_args(args, namespace)
+        finally:
+            self._intermixing = False
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     out = common.add_argument_group("output")
@@ -493,7 +515,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     parser = argparse.ArgumentParser(
         prog="repro", description="TileFlow reproduction CLI")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_CommandParser)
 
     p = sub.add_parser("evaluate", parents=[common],
                        help="evaluate one dataflow")

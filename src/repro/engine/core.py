@@ -8,7 +8,9 @@ the whole analysis — over one of two kinds of analysis context:
 
 * **Tune path** — :meth:`EvaluationEngine.tune_genome` prices every
   MCTS point on one :class:`GenomePlan`: one tree, re-armed loops-only
-  per point, on a context with no shared store.
+  per point, on a :class:`~repro.analysis.PlanContext` that compiles
+  the tree's slice rows and walk recipes once and serves no shared
+  store.
 * **Tree path** — everything else (template tunes, pre-built trees, the
   champion's ``full=True`` evaluation, the batched cross-check) builds
   a tree per evaluation over a persistent
@@ -36,7 +38,8 @@ from dataclasses import dataclass, fields
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .. import obs
-from ..analysis import AnalysisContext, EvaluationResult, TileFlowModel
+from ..analysis import (AnalysisContext, EvaluationResult, PlanContext,
+                        TileFlowModel)
 from ..arch import Architecture
 from ..ir import Workload
 from ..mapper.cost import Cost, edp_cost, latency_cost
@@ -519,6 +522,10 @@ class GenomePlan:
     genome's :class:`~repro.mapper.encoding.GenomeLoops` (the skeleton
     :func:`build_genome_tree` uses too) and re-arms the context
     loops-only, keeping every structure-only fact for the whole tune.
+    The context is a :class:`~repro.analysis.PlanContext`: its slice
+    rows and walk recipes are compiled once per plan, so a point only
+    substitutes the nodes' current loops into them.  They die with the
+    plan.
     """
 
     __slots__ = ("skeleton", "tree", "context")
@@ -527,7 +534,10 @@ class GenomePlan:
         self.skeleton = GenomeLoops(engine.workload, engine.arch, genome)
         self.tree = build_genome_tree(engine.workload, engine.arch,
                                       genome, {})
-        self.context = engine.model.context(self.tree)
+        self.context = PlanContext(
+            self.tree, engine.arch,
+            model_eviction=engine.model.model_eviction,
+            model_rmw=engine.model.model_rmw)
 
     def rearm(self, factors: Mapping[str, int]) -> AnalysisContext:
         """The context, re-armed for ``factors``' loops."""

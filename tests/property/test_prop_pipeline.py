@@ -7,8 +7,9 @@ pipeline:
   payloads (every named attention/conv dataflow on Edge/Cloud plus 30
   random genome trees) frozen from the pre-refactor monolith.  The full
   pipeline must reproduce the file **byte-for-byte**, also through one
-  shared subtree cache and through evaluation engines with no cache, a
-  small evicting cache and the default one.  Regenerate after an
+  shared subtree cache, through evaluation engines with no cache, a
+  small evicting cache and the default one, and on the compiled
+  per-genome plan context (``PlanContext``).  Regenerate after an
   intentional model change with
   ``PYTHONPATH=src python tests/property/test_prop_pipeline.py``.
 * A hypothesis sweep comparing the pipeline against an *independent*
@@ -25,7 +26,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro import arch as arch_mod
 from repro.analysis import (DataMovementAnalysis, LatencyAnalysis,
-                            ResourceAnalysis, TileFlowModel, compute_energy)
+                            PlanContext, ResourceAnalysis, TileFlowModel,
+                            compute_energy)
 from repro.dataflows import (ATTENTION_DATAFLOWS, CONV_DATAFLOWS,
                              attention_dataflow, conv_dataflow)
 from repro.engine import EvaluationEngine
@@ -38,7 +40,7 @@ ORACLE_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "data",
                            "analysis_oracle.json")
 
 
-def oracle_entries(artifact_cache=None, engine_kwargs=None):
+def oracle_entries(artifact_cache=None, engine_kwargs=None, compiled=False):
     """Recompute every frozen-oracle entry with the current model.
 
     ``artifact_cache`` optionally threads one shared
@@ -47,13 +49,18 @@ def oracle_entries(artifact_cache=None, engine_kwargs=None):
     bytes.  ``engine_kwargs`` instead evaluates through one
     :class:`~repro.engine.EvaluationEngine` per (workload, arch) pair
     built with them, by ``evaluate_tree(full=True)`` — the evaluation
-    service's job path.
+    service's job path.  ``compiled`` evaluates each tree on a fresh
+    :class:`~repro.analysis.PlanContext` — a genome tune's slice rows
+    and walk recipes.
     """
     def evaluator(wl, spec):
         if engine_kwargs is not None:
             engine = EvaluationEngine(wl, spec, **engine_kwargs)
             return lambda tree: engine.evaluate_tree(tree, full=True)
         model = TileFlowModel(spec)
+        if compiled:
+            return lambda tree: model.evaluate(
+                tree, context=PlanContext(tree, spec))
         if artifact_cache is None:
             return model.evaluate
         return lambda tree: model.evaluate(tree, context=model.context(
@@ -109,6 +116,15 @@ def test_frozen_oracle_byte_identity_incremental():
                          sort_keys=True, indent=1)
     assert cache.hits > 0  # the cache actually served artifacts
     assert current == frozen
+
+
+def test_frozen_oracle_byte_identity_compiled():
+    """Compiled slice rows and walk recipes reproduce the frozen oracle
+    byte-for-byte."""
+    with open(ORACLE_PATH) as fh:
+        frozen = fh.read()
+    assert json.dumps(oracle_entries(compiled=True), sort_keys=True,
+                      indent=1) == frozen
 
 
 def test_frozen_oracle_byte_identity_through_engines():

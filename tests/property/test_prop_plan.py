@@ -9,9 +9,13 @@ path to the tree path:
   workload, both objectives, ``respect_memory`` and the pre-screen on
   and off, each point's plan cost equals the objective of a plain
   ``TileFlowModel.evaluate`` of a freshly built tree, the re-looped
-  tree's loops equal the fresh tree's node for node, and every
-  ``prescreen.reject`` event carries the same digest and codes;
-* over all registry dataflow trees, re-arming a context after an
+  tree's loops equal the fresh tree's node for node, every node's
+  slice extents and staged words (from the plan's compiled slice rows)
+  and fills and updates (from its walk recipes) equal the fresh
+  context's, and every ``prescreen.reject`` event carries the same
+  digest and codes;
+* over all registry dataflow trees, re-arming a context — a plain one
+  and a compiled :class:`~repro.analysis.PlanContext` — after an
   in-place loop change gives the same result as a fresh context, and a
   loop change that breaks coverage raises ``check_tree``'s message.
 """
@@ -22,7 +26,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import arch, workloads
-from repro.analysis import TileFlowModel
+from repro.analysis import PlanContext, TileFlowModel
 from repro.dataflows import dataflow_for, dataflow_names
 from repro.engine import EvaluationEngine, GenomePlan, prescreen
 from repro.errors import TreeValidationError
@@ -96,8 +100,10 @@ def test_plan_prices_every_point_like_a_fresh_tree(
             lambda: engine.cost_of(engine.evaluate_genome(genome, point,
                                                           plan=plan))))
         fresh = build_genome_tree(workload, spec, genome, point)
+        fresh_ctx = model.context(fresh)
         assert priced == _outcome(lambda: OBJECTIVES[objective](
-            model.evaluate(fresh), respect_memory))
+            model.evaluate(fresh, context=fresh_ctx), respect_memory))
+        _assert_same_geometry(plan.context, fresh_ctx)
         assert [(n.label(), n.level, n.loops) for n in plan.tree.nodes()] \
             == [(n.label(), n.level, n.loops) for n in fresh.nodes()]
         assert genome_loops(workload, spec, genome, point) == [
@@ -107,6 +113,25 @@ def test_plan_prices_every_point_like_a_fresh_tree(
         assert plan_rejects == tree_rejects
     # The plan never touches the shared cache.
     assert engine.stats.subtree_hits == engine.stats.subtree_misses == 0
+
+
+def _assert_same_geometry(ctx, fresh_ctx):
+    """Every node's slices, and fills and updates where ``ctx`` ran the
+    data movement, equal ``fresh_ctx``'s, in the same key order."""
+    if not ctx.has("slices"):  # the point failed validation
+        return
+    movement = ctx.get("movement")
+    for node, ref in zip(ctx.tree.nodes(), fresh_ctx.tree.nodes()):
+        mine, theirs = ctx.node_slices(node), fresh_ctx.node_slices(ref)
+        assert list(mine.extents.items()) == list(theirs.extents.items())
+        assert (list(mine.staged_words.items())
+                == list(theirs.staged_words.items()))
+        if movement is not None:
+            flows = movement.flows(node)
+            expected = fresh_ctx.get("movement").flows(ref)
+            assert list(flows.fills.items()) == list(expected.fills.items())
+            assert (list(flows.updates.items())
+                    == list(expected.updates.items()))
 
 
 def _registry_trees():
@@ -137,18 +162,29 @@ def _run(model, tree, spec, context=None):
 
 
 def test_rearm_equals_a_fresh_context_on_every_registry_tree():
+    _check_rearm(lambda model, tree, spec: model.context(tree))
+
+
+def test_compiled_rearm_equals_a_fresh_context_on_every_registry_tree():
+    _check_rearm(lambda model, tree, spec: PlanContext(tree, spec))
+
+
+def _check_rearm(make_context):
     trees = 0
     for spec, tree in _registry_trees():
         trees += 1
         model = TileFlowModel(spec)
-        ctx = model.context(tree)
+        ctx = make_context(model, tree, spec)
         before = _run(model, tree, spec, ctx)
+        assert before == _run(model, tree, spec), tree.name
         for node in tree.nodes():
             node.loops = _widened(node.loops)
         ctx.invalidate(loops_only=True)
         after = _run(model, tree, spec, ctx)
-        assert after == _run(model, tree, spec), tree.name
+        fresh_ctx = model.context(tree)
+        assert after == _run(model, tree, spec, fresh_ctx), tree.name
         assert after != before, tree.name
+        _assert_same_geometry(ctx, fresh_ctx)
     assert trees == 172
 
 

@@ -1,15 +1,21 @@
 """Property tests: the linear-time scalar geometry equals the Fig. 5 reference.
 
 * ``DataMovementAnalysis._recursion_volume`` (one inner->outer pass with a
-  running wrap-around vector) equals the reference composition
-  ``movement_recursion(box_volume, counts, [delta_volume(extents,
-  loop_displacement(access, loop, inner_loops))])`` on random walks,
-  including windowed ``h + r``, strided and constant index expressions and
-  trip-count-1 loops.
+  running wrap-around vector) and ``recursion_volume`` over precomputed
+  per-dim moves (with or without the trip-count-1 loops) equal the
+  reference composition ``movement_recursion(box_volume, counts,
+  [delta_volume(extents, loop_displacement(access, loop, inner_loops))])``
+  on random walks, including windowed ``h + r``, strided and constant
+  index expressions and trip-count-1 loops.
+* On every registry tree, with and without Seq eviction, the walk a
+  ``WalkRecipe`` gathers equals ``DataMovementAnalysis._build_walk`` for
+  every (node, tensor, access), before and after the tree's loops change,
+  and so does the volume priced from it.
 * ``AnalysisContext.path_coverage`` (one upward walk per leaf) equals
   ``slice_coverage(node, leaf)`` for every (node, leaf) pair of every
-  registry dataflow tree, and slice geometry built from it equals slice
-  geometry built pair by pair.
+  registry dataflow tree, and slice geometry built from it, or from a
+  ``PlanContext``'s compiled slice rows, equals slice geometry built pair
+  by pair.
 """
 
 import pytest
@@ -17,10 +23,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro import arch, workloads
 from repro.analysis import (AnalysisContext, DataMovementAnalysis,
-                            NodeSlices, box_volume, delta_volume,
-                            loop_displacement, merged_extents,
-                            movement_recursion, slice_coverage,
-                            slice_extents)
+                            NodeSlices, PlanContext, WalkRecipe, box_volume,
+                            delta_volume, loop_displacement, merged_extents,
+                            movement_recursion, recursion_volume,
+                            slice_coverage, slice_extents)
+from repro.analysis.datamovement import moves_of
 from repro.dataflows import dataflow_for, dataflow_names
 from repro.ir import Tensor, TensorAccess
 from repro.ir.expr import const, dim
@@ -66,6 +73,17 @@ def test_linear_recursion_equals_reference(case):
             == _reference(extents, access, walk))
 
 
+@given(walks(), st.booleans())
+@settings(max_examples=400, deadline=None)
+def test_compiled_recursion_equals_reference(case, skip_single_trips):
+    access, extents, walk = case
+    terms = [(lp.count, lp.step, moves_of(access, lp.dim))
+             for lp in reversed(walk)
+             if lp.count != 1 or not skip_single_trips]
+    assert (recursion_volume(extents, terms)
+            == _reference(extents, access, walk))
+
+
 @given(walks(), st.integers(1, 16))
 @settings(max_examples=100, deadline=None)
 def test_coefficients_scale_to_displacement(case, step):
@@ -95,10 +113,64 @@ def test_path_coverage_matches_slice_coverage(workload_name):
             assert set(covs) == {id(n) for n in path}
             for node in path:
                 assert covs[id(node)] == slice_coverage(node, leaf)
+        compiled = PlanContext(tree, spec)
         for node in tree.root.walk():
             slices = NodeSlices(node, ctx.path_coverage)
+            rows = compiled.node_slices(node)
+            assert rows.tensors == slices.tensors
             for name in slices.tensors:
                 pairs = (slices.readers.get(name, [])
                          + slices.writers.get(name, []))
                 assert slices.extents[name] == merged_extents(
                     [slice_extents(node, leaf, a) for leaf, a in pairs])
+                assert rows.extents[name] == slices.extents[name]
+                assert rows.staged_words[name] == float(
+                    box_volume(slices.extents[name]))
+
+
+def _all_registry_trees():
+    for workload_name in (list(workloads.ATTENTION_SHAPES)
+                          + list(workloads.CONV_CHAIN_SHAPES)):
+        yield from _registry_trees(workload_name)
+
+
+def _assert_recipes_rebuild_every_walk(ctx, recipes):
+    """Gather every (node, tensor, access) walk from ``recipes``
+    (compiled on first use) and compare it with the reference walk."""
+    dm = DataMovementAnalysis(ctx.tree, ctx.arch, context=ctx)
+    walks = 0
+    for node in ctx.tree.nodes():
+        slices = ctx.node_slices(node)
+        for name in slices.tensors:
+            home = ctx.home(name)
+            extents = slices.extents[name]
+            for _leaf, access in ctx.node_tensors(node).accesses[name]:
+                walks += 1
+                key = (id(node), id(access))
+                if key not in recipes:
+                    recipes[key] = WalkRecipe(ctx, node, name, access, home)
+                gathered = recipes[key].walk()
+                built = dm._build_walk(node, name, access, home)
+                assert gathered.loops == built.loops
+                assert gathered.multiplier == built.multiplier
+                assert gathered.multiplied == built.multiplied
+                assert (dm._walk_volume(extents, access, gathered)
+                        == dm._walk_volume(extents, access, built))
+    return walks
+
+
+@pytest.mark.parametrize("model_eviction", [True, False])
+def test_recipes_rebuild_every_walk_on_every_registry_tree(model_eviction):
+    trees = walks = 0
+    for spec, tree in _all_registry_trees():
+        trees += 1
+        ctx = PlanContext(tree, spec, model_eviction=model_eviction)
+        recipes = {}
+        walks += _assert_recipes_rebuild_every_walk(ctx, recipes)
+        # Recipes read no loops: re-arm with other loops and re-check.
+        for node in tree.nodes():
+            node.loops = [Loop(lp.dim, lp.count + 1, lp.step, lp.spatial)
+                          for lp in node.loops]
+        ctx.invalidate(loops_only=True)
+        _assert_recipes_rebuild_every_walk(ctx, recipes)
+    assert trees == 172 and walks > 0

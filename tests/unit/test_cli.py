@@ -40,6 +40,30 @@ class TestParser:
                                        "ev.jsonl"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("verb", ["status", "watch", "result"])
+    @pytest.mark.parametrize("id_first", [True, False])
+    def test_client_job_id_before_or_after_options(self, verb, id_first):
+        # The optional job id used to be bound, empty, together with the
+        # verb, so an id after --url was an "unrecognized argument".
+        options = ["--url", "http://127.0.0.1:1"]
+        argv = (["client", verb, "job-000007", *options] if id_first
+                else ["client", verb, *options, "job-000007"])
+        args = build_parser().parse_args(argv)
+        assert (args.verb, args.job_id, args.url) == (
+            verb, "job-000007", "http://127.0.0.1:1")
+
+    def test_runs_ids_may_follow_options(self):
+        args = build_parser().parse_args(
+            ["runs", "diff", "--root", "ledger", "run-a", "run-b"])
+        assert (args.verb, args.run_ids, args.root) == (
+            "diff", ["run-a", "run-b"], "ledger")
+
+    def test_stray_positionals_still_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["client", "watch", "job-1", "job-2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: job-2" in capsys.readouterr().err
+
     def test_serve_accepts_numeric_flag_floors(self):
         args = build_parser().parse_args(
             ["serve", "--workers", "1", "--max-queue", "1",
