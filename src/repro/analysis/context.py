@@ -46,6 +46,8 @@ from ..errors import ForeignNodeError
 from ..ir import TensorAccess
 from ..tile.bindings import Binding
 from ..tile.tree import AnalysisTree, FusionNode, OpTile, TileNode
+from ..tile.validate import (fused_producers, raise_invalid,
+                             structure_verdict, validate_tree_local)
 from .fingerprint import cache_namespace, node_fingerprints
 from .slices import box_volume, merged_extents
 
@@ -183,8 +185,12 @@ class AnalysisContext:
     can serve many workloads/architectures.
     """
 
-    #: Compiled walk recipes, kept only by a :class:`PlanContext`.
-    walk_recipes: Optional[Dict[Tuple[int, int], Any]] = None
+    #: ``id(node) ->`` the node's crossing tensors with their compiled
+    #: walk recipes, kept only by a :class:`PlanContext`.
+    walk_recipes: Optional[Dict[int, Any]] = None
+    #: The tree's nodes as the bound, resource and latency passes read
+    #: them (:class:`PlanNode`), kept only by a :class:`PlanContext`.
+    plan_nodes: Optional[Tuple["PlanNode", ...]] = None
 
     def __init__(self, tree: AnalysisTree, arch: Architecture, *,
                  model_eviction: bool = True, model_rmw: bool = True,
@@ -198,6 +204,9 @@ class AnalysisContext:
         self.check_memory = check_memory
         #: Optional persistent cross-evaluation artifact store.
         self.artifact_cache = artifact_cache
+        #: Tensor name -> bytes per word.
+        self.word_bytes: Dict[str, int] = {
+            t.name: t.word_bytes for t in tree.workload.tensors()}
         #: Names of passes that have finished, in execution order.
         self.completed: List[str] = []
         #: True when a run stopped at the first violation-producing pass.
@@ -232,7 +241,7 @@ class AnalysisContext:
         #: ``None`` asks about the node's own iterations.
         self._evictions: Dict[Tuple[int, Optional[int], str], bool] = {}
         #: Verdict of the §4 rules that read no loop counts (None until
-        #: :func:`~repro.tile.validate.validate_tree_local` checks).
+        #: :func:`~repro.tile.validate.structure_verdict` checks).
         self.structure_ok: Optional[bool] = None
 
     # -- artifacts -------------------------------------------------------
@@ -368,6 +377,12 @@ class AnalysisContext:
             self._evictions.clear()
             self.structure_ok = None
 
+    # -- validation ------------------------------------------------------
+    def validate(self) -> None:
+        """Check the tree against §4 (the validate pass): the loop-free
+        rules once per context, loop rules and coverage every call."""
+        validate_tree_local(self)
+
     # -- memoized per-node intermediates ---------------------------------
     def node_slices(self, node: TileNode) -> NodeSlices:
         fp = self.fingerprint(node)
@@ -400,6 +415,7 @@ class AnalysisContext:
         covs = self._path_cov.get(id(leaf))
         if covs is None:
             path = [leaf, *leaf.ancestors()]
+            # zip drops the trailing root coverage.
             covs = self._path_cov[id(leaf)] = dict(zip(
                 map(id, path), _path_coverage(tuple(leaf.op.dims), path)))
         return covs
@@ -556,29 +572,87 @@ def _slice_terms(access: TensorAccess) -> Tuple[
     return plain, terms
 
 
+class PlanNode:
+    """One node of a plan's tree as the bound, resource and latency
+    passes read it, fixed for the plan's life.
+
+    ``children`` are pre-order positions in
+    :attr:`PlanContext.plan_nodes`.  ``staged`` holds, in the node's
+    tensor order, each tensor's ``(name, word bytes, buffering
+    factor)``: 2.0 for a tensor crossing into the node's buffer
+    (:meth:`AnalysisContext.tensor_crossing`, double-buffered), else
+    1.0.  ``memory`` is the node's level and ``source_bandwidth`` its
+    source level's aggregate bytes per cycle; ``pool`` and
+    ``ops_per_point`` price a leaf's compute.
+    """
+
+    __slots__ = ("node", "children", "leaf", "fusion", "seq",
+                 "shares_time", "mac", "level", "source_level", "memory",
+                 "source_bandwidth", "staged", "pool", "ops_per_point")
+
+    def __init__(self, ctx: "PlanContext", node: TileNode,
+                 index: Dict[int, int]):
+        arch = ctx.arch
+        parent = node.parent
+        self.node = node
+        self.children = tuple(index[id(c)] for c in node.children_nodes())
+        self.leaf = not self.children
+        self.fusion = isinstance(node, FusionNode)
+        self.seq = self.fusion and node.binding is Binding.SEQ
+        self.shares_time = (self.fusion
+                            and node.binding.shares_compute_in_time)
+        self.level = node.level
+        self.source_level = (parent.level if parent is not None
+                             else arch.dram_index)
+        self.memory = arch.level(node.level)
+        source = arch.level(self.source_level)
+        self.source_bandwidth = (source.bytes_per_cycle(arch.frequency_ghz)
+                                 * source.fanout)
+        word_bytes = ctx.word_bytes
+        self.staged = tuple(
+            (name, word_bytes[name],
+             2.0 if ctx.tensor_crossing(node, name) else 1.0)
+            for name in ctx.node_tensors(node).tensors)
+        op = node.op if self.leaf else None
+        self.mac = op is not None and op.kind == "mac"
+        self.pool = arch.compute_units(op.kind) if op is not None else 0
+        self.ops_per_point = op.ops_per_point if op is not None else 0.0
+
+
 class PlanContext(AnalysisContext):
     """A context for one tree whose loops alone change between runs.
 
     A per-genome plan (:class:`~repro.engine.GenomePlan`) prices every
     point of a tune on one tree, re-armed loops-only.  This context
-    compiles, once, what the slice and data-movement analyses derive
-    from the tree's structure:
+    compiles, once, what the analyses derive from the tree's structure:
 
     * **slice rows** — per node and tensor, every (leaf, access) pair
       below it as per-tensor-dim ``(iteration dim, |coefficient|)``
       terms.  A point's extent is ``1 + sum(|c| * (cov_d - 1))`` over
       the leaf's path coverage, max-merged over the pairs — what
       :meth:`AffineExpr.extent_over` and :func:`merged_extents` give.
-    * **walk recipes** — per (node, tensor, access) the ordered walk
-      segments of §5.1.1/§5.1.2
+    * **walk recipes** — per node, the tensors crossing into its
+      buffer, each with its first reader's and first writer's ordered
+      walk segments of §5.1.1/§5.1.2
       (:class:`~repro.analysis.datamovement.WalkRecipe`), compiled by
       the data-movement pass on first use into :attr:`walk_recipes`.
+    * **fusion rules** — per fusion node, the dims its loops may
+      iterate (those of the operators below it) and the §4.1 reduction
+      dims they may not; :meth:`validate` checks a point's loops
+      against them and its root coverage from the same per-leaf path
+      coverage the slice rows read.
+    * **plan nodes** — the pre-order :class:`PlanNode` table the
+      bound, resource and latency passes walk instead of the tree
+      (children before parents for the bottom-up recursions), with
+      this point's ``NumPE`` demands and execution counts kept as
+      lists indexed by position.
 
     A point then only substitutes the nodes' current loops.  The tables
     live as long as the context; a structural :meth:`invalidate` drops
-    the recipes (they read bindings and tensor homes), while the slice
-    rows read only the operator->leaf structure every invalidation
-    keeps.  It never serves a shared artifact store.
+    the recipes and plan nodes (they read bindings, levels and tensor
+    homes), while the slice rows and fusion rules read only the
+    operator->leaf structure every invalidation keeps.  It never serves
+    a shared artifact store.
     """
 
     def __init__(self, tree: AnalysisTree, arch: Architecture, *,
@@ -586,11 +660,17 @@ class PlanContext(AnalysisContext):
                  check_memory: bool = True):
         super().__init__(tree, arch, model_eviction=model_eviction,
                          model_rmw=model_rmw, check_memory=check_memory)
-        #: (id(node), id(access)) -> WalkRecipe.
+        #: id(node) -> its :data:`~repro.analysis.datamovement.Crossing`
+        #: list.
         self.walk_recipes = {}
+        #: id(node) -> pre-order position.
+        self._position: Dict[int, int] = {
+            id(n): i for i, n in enumerate(tree.nodes())}
         #: Per leaf, in leaf order: its op's dims and its path, leaf to
         #: root.
         self._paths: List[Tuple[Tuple[str, ...], List[TileNode]]] = []
+        #: Per leaf, its op's ``(dim, size)`` pairs (root coverage).
+        self._sizes: List[Tuple[Tuple[str, int], ...]] = []
         index: Dict[int, int] = {}
         depth: Dict[Tuple[int, int], int] = {}
         for leaf in tree.root.leaves():
@@ -598,9 +678,13 @@ class PlanContext(AnalysisContext):
             path = [leaf, *leaf.ancestors()]
             depth.update(((id(leaf), id(n)), i) for i, n in enumerate(path))
             self._paths.append((tuple(leaf.op.dims), path))
+            self._sizes.append(tuple(leaf.op.dims.items()))
         #: id(node) -> ((tensor, slice rows), ...) in tensor order.
         self._rows: Dict[int, Tuple[Tuple[str, Tuple[SliceRow, ...]],
                                     ...]] = {}
+        #: (fusion node, allowed loop dims, forbidden loop dims).
+        self._fusion_rules: List[Tuple[TileNode, FrozenSet[str],
+                                       FrozenSet[str]]] = []
         for node in tree.nodes():
             tensors = self.node_tensors(node)
             self._rows[id(node)] = tuple(
@@ -609,16 +693,71 @@ class PlanContext(AnalysisContext):
                     + _slice_terms(access)
                     for leaf, access in tensors.accesses[name]))
                 for name in tensors.tensors)
-        #: Per leaf, the coverage at each node of its path (this
-        #: point's loops; built on first use).
+            if isinstance(node, FusionNode):
+                ops = node.subtree_ops()
+                self._fusion_rules.append((
+                    node, frozenset(d for op in ops for d in op.dims),
+                    frozenset(d for op in fused_producers(tree.workload, ops)
+                              for d in op.reduction_dims)))
+        self._plan_nodes: Optional[Tuple[PlanNode, ...]] = None
+        # Per point (this point's loops; built on first use): per leaf
+        # the coverage at each node of its path and at the root, and per
+        # node position its NumPE demand and execution count.
         self._coverage: Optional[List[List[Dict[str, int]]]] = None
+        self._demands: Optional[List[Tuple[int, int]]] = None
+        self._executions_at: Optional[List[int]] = None
 
     def invalidate(self, subtree: Optional[TileNode] = None, *,
                    loops_only: bool = False) -> None:
         super().invalidate(subtree, loops_only=loops_only)
-        self._coverage = None
+        self._coverage = self._demands = self._executions_at = None
         if not loops_only:
             self.walk_recipes.clear()
+            self._plan_nodes = None
+
+    @property
+    def plan_nodes(self) -> Tuple[PlanNode, ...]:
+        table = self._plan_nodes
+        if table is None:
+            table = self._plan_nodes = tuple(
+                PlanNode(self, node, self._position)
+                for node in self.tree.nodes())
+        return table
+
+    def _at(self, node: TileNode) -> int:
+        """The node's pre-order position."""
+        try:
+            return self._position[id(node)]
+        except KeyError:
+            self.fingerprint(node)  # raises ForeignNodeError
+            raise
+
+    def _leaf_coverage(self) -> List[List[Dict[str, int]]]:
+        coverage = self._coverage
+        if coverage is None:
+            coverage = self._coverage = [_path_coverage(dims, path)
+                                         for dims, path in self._paths]
+        return coverage
+
+    def validate(self) -> None:
+        """The §4 check from the compiled fusion rules and per-leaf path
+        coverage; anything invalid raises the tree path's error."""
+        if not (structure_verdict(self) and self._loops_valid()):
+            raise_invalid(self.tree)
+
+    def _loops_valid(self) -> bool:
+        """Whether this point's loops pass the §4 loop rules (fusion
+        loop dims, §4.1 reduction rule) and cover every operator."""
+        for node, allowed, forbidden in self._fusion_rules:
+            for lp in node.loops:
+                if lp.dim not in allowed or lp.dim in forbidden:
+                    return False
+        for covs, sizes in zip(self._leaf_coverage(), self._sizes):
+            root = covs[-1]
+            for d, size in sizes:
+                if root[d] < size:
+                    return False
+        return True
 
     def node_slices(self, node: TileNode) -> NodeSlices:
         cached = self._slices.get(id(node))
@@ -628,10 +767,7 @@ class PlanContext(AnalysisContext):
         rows = self._rows.get(id(node))
         if rows is None:
             self.fingerprint(node)  # raises ForeignNodeError
-        coverage = self._coverage
-        if coverage is None:
-            coverage = self._coverage = [_path_coverage(dims, path)
-                                         for dims, path in self._paths]
+        coverage = self._leaf_coverage()
         extents: Dict[str, Tuple[int, ...]] = {}
         staged_words: Dict[str, float] = {}
         for name, pairs in rows:
@@ -661,14 +797,56 @@ class PlanContext(AnalysisContext):
     def subtree_uses(self, node: TileNode, tensor_name: str) -> bool:
         return tensor_name in self.node_tensors(node).accesses
 
+    def num_pe(self, node: TileNode) -> Tuple[int, int]:
+        demands = self._demands
+        if demands is None:
+            # ``num_pe_demand`` over the plan nodes, children first.
+            table = self.plan_nodes
+            demands = self._demands = [(0, 0)] * len(table)
+            for i in range(len(table) - 1, -1, -1):
+                entry = table[i]
+                sp = entry.node.spatial_trip_count
+                if entry.leaf:
+                    demands[i] = (sp, 0) if entry.mac else (0, sp)
+                    continue
+                mac = vec = 0  # demands are >= 0: max from 0 is exact
+                for c in entry.children:
+                    m, v = demands[c]
+                    if not entry.shares_time:
+                        mac, vec = mac + m, vec + v
+                    else:
+                        mac, vec = max(mac, m), max(vec, v)
+                demands[i] = (sp * mac, sp * vec)
+        return demands[self._at(node)]
+
+    def executions(self, node: TileNode) -> int:
+        counts = self._executions_at
+        if counts is None:
+            table = self.plan_nodes
+            counts = self._executions_at = [1] * len(table)
+            for i, entry in enumerate(table):
+                if entry.children:
+                    n = counts[i] * entry.node.trip_count
+                    for c in entry.children:
+                        counts[c] = n
+        return counts[self._at(node)]
+
+    def staged_bytes_lower_bound(self, node: TileNode) -> float:
+        words = self.node_slices(node).staged_words
+        entry = self.plan_nodes[self._at(node)]
+        total = 0.0
+        for name, word_bytes, factor in entry.staged:
+            total += factor * words[name] * word_bytes
+        return total
+
 
 def _path_coverage(dims: Tuple[str, ...],
                    path: List[TileNode]) -> List[Dict[str, int]]:
     """``slice_coverage(node, leaf)`` at every node of a leaf's ``path``
-    (leaf first, with the leaf op's ``dims``), in path order: each node
-    applies its unit-step spatial loops to the coverage below it, then
-    all its loops for the next node up (``apply_loops``' arithmetic,
-    inner loops first)."""
+    (leaf first, with the leaf op's ``dims``), in path order, then the
+    root coverage the §4 rule checks: each node applies its unit-step
+    spatial loops to the coverage below it, then all its loops for the
+    next node up (``apply_loops``' arithmetic, inner loops first)."""
     below = dict.fromkeys(dims, 1)
     out: List[Dict[str, int]] = []
     for node in path:
@@ -684,4 +862,5 @@ def _path_coverage(dims: Tuple[str, ...],
             for lp in reversed(node.loops):
                 if lp.dim in below:
                     below[lp.dim] += lp.step * (lp.count - 1)
+    out.append(below)
     return out

@@ -51,14 +51,14 @@ the compiled route instead: each (node, tensor, access) walk is a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (Dict, Iterable, List, Mapping, Optional, Sequence,
-                    Tuple)
+from typing import (Dict, FrozenSet, Iterable, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 from ..arch import Architecture
 from ..ir import TensorAccess
 from ..tile.loops import Loop
 from ..tile.tree import AnalysisTree, TileNode
-from .context import AnalysisContext
+from .context import AnalysisContext, NodeSlices
 from .metrics import LevelTraffic
 from .slices import box_volume
 
@@ -204,6 +204,16 @@ class WalkRecipe:
         return _Walk(loops, multiplier, multiplied, moves)
 
 
+#: One side of a :data:`Crossing`: the access, its compiled
+#: :class:`WalkRecipe` (None: the walk is built afresh) and the leaf
+#: operator's reduction dims.
+Side = Tuple[TensorAccess, Optional[WalkRecipe], FrozenSet[str]]
+#: A tensor crossing into a node's buffer: its name, then the
+#: :data:`Side` of its first reader and of its first writer (None
+#: without one).
+Crossing = Tuple[str, Optional[Side], Optional[Side]]
+
+
 def recursion_volume(extents: Sequence[int],
                      terms: Iterable[Tuple[int, int, Moves]]) -> int:
     """The §5.1.1 boundary recursion in one inner→outer pass.
@@ -283,7 +293,8 @@ class DataMovementAnalysis:
         #: Bound "walkvol" store of the shared artifact cache (or None);
         #: probed directly — this is the hottest lookup in the system.
         self._volumes = self.ctx.shared_store("walkvol")
-        #: The context's compiled walk recipes (a per-genome plan's
+        #: The context's compiled per-node :data:`Crossing` lists (a
+        #: per-genome plan's
         #: :class:`~repro.analysis.context.PlanContext`), else None.
         self._recipes = self.ctx.walk_recipes
 
@@ -309,30 +320,22 @@ class DataMovementAnalysis:
         # Residency equals the slice geometry verbatim; the dict is
         # shared read-only (NodeSlices instances may be cache entries).
         flows.staged_words = slices.staged_words
-        for tensor_name in slices.tensors:
-            # Fills/updates exist only for tensors whose slices cross
-            # into this node's buffer from a higher level (§5.1).
-            if not self.ctx.tensor_crossing(node, tensor_name):
-                continue
-            reader_pairs = slices.readers.get(tensor_name, [])
-            writer_pairs = slices.writers.get(tensor_name, [])
+        for tensor_name, reader, writer in self._crossings(node, slices):
             # A slice is one buffer instance's residency: loops below the
             # node plus its unit-step (PE-lane) spatial loops.  Block-
             # distributing spatial loops multiply traffic in the walk.
             extents = slices.extents[tensor_name]
-            home = self.ctx.home(tensor_name)
-
-            if reader_pairs:
-                leaf, access = reader_pairs[0]
-                walk = self._walk(node, tensor_name, access, home)
+            if reader is not None:
+                access = reader[0]
+                walk = self._walk(node, tensor_name, reader)
                 words = self._walk_volume(extents, access, walk)
                 flows.fills[tensor_name] = (
                     flows.fills.get(tensor_name, 0.0) + words)
                 target.add("fill", tensor_name, words)
                 source.add("read", tensor_name, words)
-            if writer_pairs:
-                leaf, access = writer_pairs[0]
-                walk = self._walk(node, tensor_name, access, home)
+            if writer is not None:
+                access = writer[0]
+                walk = self._walk(node, tensor_name, writer)
                 words = self._walk_volume(extents, access, walk)
                 flows.updates[tensor_name] = (
                     flows.updates.get(tensor_name, 0.0) + words)
@@ -341,8 +344,8 @@ class DataMovementAnalysis:
                 # reduction-free ideal is a partial sum written back early
                 # (an outer reduction loop displaced the slice), and each
                 # such writeback is refetched before accumulation resumes.
-                red = leaf.op.reduction_dims
-                ideal = self._ideal_update_volume(extents, access, walk, red)
+                ideal = self._ideal_update_volume(extents, access, walk,
+                                                  writer[2])
                 rmw = max(0.0, words - ideal) if self.model_rmw else 0.0
                 if rmw > 0:
                     flows.fills[tensor_name] = (
@@ -350,6 +353,37 @@ class DataMovementAnalysis:
                     target.add("fill", tensor_name, rmw)
                     source.add("read", tensor_name, rmw)
         return flows
+
+    def _crossings(self, node: TileNode,
+                   slices: NodeSlices) -> Sequence[Crossing]:
+        """The tensors whose slices cross into ``node``'s buffer from a
+        higher level (§5.1; only they get fills/updates), in tensor
+        order, with their first reader and first writer.  A context that
+        keeps walk recipes compiles them once per node, recipes
+        included."""
+        recipes = self._recipes
+        if recipes is not None:
+            compiled = recipes.get(id(node))
+            if compiled is not None:
+                return compiled
+        ctx = self.ctx
+        crossings: List[Crossing] = []
+        for name in slices.tensors:
+            if not ctx.tensor_crossing(node, name):
+                continue
+            sides: List[Optional[Side]] = []
+            for pairs in (slices.readers.get(name), slices.writers.get(name)):
+                if not pairs:
+                    sides.append(None)
+                    continue
+                leaf, access = pairs[0]
+                recipe = (WalkRecipe(ctx, node, name, access, ctx.home(name))
+                          if recipes is not None else None)
+                sides.append((access, recipe, leaf.op.reduction_dims))
+            crossings.append((name, sides[0], sides[1]))
+        if recipes is not None:
+            recipes[id(node)] = crossings
+        return crossings
 
     def _ideal_update_volume(self, extents, access, walk: "_Walk",
                              reduction_dims) -> float:
@@ -366,19 +400,14 @@ class DataMovementAnalysis:
         return self._walk_volume(extents, access, ideal_walk)
 
     # ------------------------------------------------------------------
-    def _walk(self, node: TileNode, tensor_name: str, access: TensorAccess,
-              home: Optional[TileNode]) -> _Walk:
-        """The walk of one (node, tensor, access): from the context's
-        compiled recipe when it keeps them, else built afresh."""
-        recipes = self._recipes
-        if recipes is None:
-            return self._build_walk(node, tensor_name, access, home)
-        key = (id(node), id(access))
-        recipe = recipes.get(key)
-        if recipe is None:
-            recipe = recipes[key] = WalkRecipe(self.ctx, node, tensor_name,
-                                               access, home)
-        return recipe.walk()
+    def _walk(self, node: TileNode, tensor_name: str, side: Side) -> _Walk:
+        """The walk of one (node, tensor, access): from its compiled
+        recipe when the context keeps them, else built afresh."""
+        access, recipe, _ = side
+        if recipe is not None:
+            return recipe.walk()
+        return self._build_walk(node, tensor_name, access,
+                                self.ctx.home(tensor_name))
 
     def _build_walk(self, node: TileNode, tensor_name: str,
                     access: TensorAccess,
@@ -519,7 +548,10 @@ class DataMovementAnalysis:
         accumulator to the leaf-level buffer (registers); these are the
         "Reg" accesses of the paper's energy breakdown (Fig. 13).
         """
-        for leaf in self.tree.root.leaves():
+        table = self.ctx.plan_nodes
+        leaves = (self.tree.root.leaves() if table is None
+                  else [entry.node for entry in table if entry.leaf])
+        for leaf in leaves:
             points = leaf.trip_count * self.ctx.executions(leaf)
             level = traffic[leaf.level]
             for access in leaf.op.inputs:

@@ -21,12 +21,12 @@ The §7.5 slow-down metric (access latency over compute latency, floored at
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..arch import Architecture
 from ..tile.bindings import Binding
 from ..tile.tree import AnalysisTree, FusionNode, OpTile, TileNode
-from .context import AnalysisContext
+from .context import AnalysisContext, PlanNode
 from .datamovement import DataMovementResult
 from .metrics import LevelTraffic
 
@@ -36,7 +36,9 @@ class LatencyAnalysis:
 
     Per-node execution counts (ancestor loop products) come from the
     shared :class:`AnalysisContext` so they are computed once per
-    evaluation rather than per analysis.
+    evaluation rather than per analysis.  On a
+    :class:`~repro.analysis.context.PlanContext` the composition runs
+    over its compiled plan nodes.
     """
 
     def __init__(self, tree: AnalysisTree, arch: Architecture,
@@ -51,8 +53,57 @@ class LatencyAnalysis:
     # ------------------------------------------------------------------
     def run(self) -> Tuple[float, Dict[int, float]]:
         """Return (total latency cycles, per-level slow-down)."""
-        cycles = self._node_latency(self.tree.root, concurrency=1.0)
+        table = self.ctx.plan_nodes
+        cycles = (self._node_latency(self.tree.root, concurrency=1.0)
+                  if table is None else self._plan_latency(table))
         return cycles, self._slowdown(cycles)
+
+    def _plan_latency(self, table: Sequence[PlanNode]) -> float:
+        """:meth:`_node_latency` of the root over a plan's nodes: the
+        concurrency threaded down in pre-order, then the latencies
+        composed children first, with the same float operations in the
+        same order."""
+        ctx = self.ctx
+        flows_of = self.movement.node_flows
+        n = len(table)
+        concurrency = [1.0] * n
+        for i, entry in enumerate(table):
+            if entry.children:
+                below = concurrency[i] * entry.node.spatial_trip_count
+                for c in entry.children:
+                    concurrency[c] = below
+        latency = [0.0] * n
+        # Per node, :meth:`_child_io_cycles` against its source level.
+        io_total = [0.0] * n
+        for i in range(n - 1, -1, -1):
+            entry = table[i]
+            node = entry.node
+            io_cycles = 0.0
+            if entry.level < entry.source_level:
+                flows = flows_of[id(node)]
+                executions = max(1.0, float(ctx.executions(node)))
+                loaded = self._bytes(flows.fills)
+                stored = self._bytes(flows.updates)
+                bw = max(1e-9, entry.source_bandwidth
+                         / max(1.0, concurrency[i]))
+                io_cycles = (loaded / executions + stored / executions) / bw
+                io_total[i] = (loaded + stored) / executions / bw
+            if entry.leaf:
+                waves = max(1.0, node.spatial_trip_count / entry.pool)
+                inner = (node.temporal_trip_count * waves
+                         * entry.ops_per_point)
+            elif not entry.fusion:
+                inner = node.temporal_trip_count * latency[entry.children[0]]
+            else:
+                lats = [latency[c] for c in entry.children]
+                if entry.shares_time:
+                    inner = node.temporal_trip_count * sum(lats)
+                else:
+                    io_sum = sum(io_total[c] for c in entry.children)
+                    inner = node.temporal_trip_count * max(max(lats),
+                                                           io_sum)
+            latency[i] = max(io_cycles, inner)
+        return latency[0]
 
     # ------------------------------------------------------------------
     def _node_latency(self, node: TileNode, concurrency: float) -> float:
@@ -116,9 +167,10 @@ class LatencyAnalysis:
 
     # ------------------------------------------------------------------
     def _bytes(self, words_by_tensor: Dict[str, float]) -> float:
+        word_bytes = self.ctx.word_bytes
         total = 0.0
         for tensor_name, words in words_by_tensor.items():
-            total += words * self.tree.workload.tensor(tensor_name).word_bytes
+            total += words * word_bytes[tensor_name]
         return total
 
     def _shared_bandwidth(self, level_idx: int, concurrency: float) -> float:
@@ -132,12 +184,14 @@ class LatencyAnalysis:
     def _slowdown(self, compute_cycles: float) -> Dict[int, float]:
         """§7.5: per-level access latency over total latency, floored at 1."""
         result: Dict[int, float] = {}
+        word_bytes: Optional[float] = None
         for level_idx in range(self.arch.num_levels):
             traffic = self.movement.traffic.get(level_idx)
             if traffic is None:
                 result[level_idx] = 1.0
                 continue
-            word_bytes = self._mean_word_bytes()
+            if word_bytes is None:
+                word_bytes = self._mean_word_bytes()
             level = self.arch.level(level_idx)
             bw = level.bytes_per_cycle(self.arch.frequency_ghz) * level.fanout
             access_cycles = traffic.total_words * word_bytes / bw
@@ -148,3 +202,4 @@ class LatencyAnalysis:
     def _mean_word_bytes(self) -> float:
         tensors = self.tree.workload.tensors()
         return sum(t.word_bytes for t in tensors) / len(tensors)
+

@@ -31,7 +31,6 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from .. import obs
-from ..tile.validate import validate_tree_local
 from .context import AnalysisContext
 from .energy import compute_energy
 
@@ -71,17 +70,18 @@ class AnalysisPass:
 class ValidatePass(AnalysisPass):
     """Structural validation (§4); raises on malformed trees.
 
-    :func:`~repro.tile.validate.validate_tree_local` runs the loop-free
-    rules once per context and the loop rules and coverage every call;
-    invalid trees raise :func:`~repro.tile.validate.validate_tree`'s
-    error.
+    :meth:`AnalysisContext.validate` runs the loop-free rules once per
+    context and the loop rules and coverage every call (a
+    :class:`~repro.analysis.context.PlanContext` from its compiled
+    tables); invalid trees raise
+    :func:`~repro.tile.validate.validate_tree`'s error.
     """
 
     name = "validate"
     writes = ("validated",)
 
     def run(self, ctx: AnalysisContext) -> None:
-        validate_tree_local(ctx)
+        ctx.validate()
         ctx.put("validated", True)
 
 
@@ -121,6 +121,10 @@ class ResourceBoundsPass(AnalysisPass):
       level's final per-instance footprint: the footprint recursion
       only *adds* child contributions on top.
 
+    On a :class:`~repro.analysis.context.PlanContext` the demand, the
+    staged bytes and each node's level come from its compiled plan
+    nodes.
+
     Both are conservative: a mapping rejected here would also be
     rejected by the full resource analysis (property-tested in
     ``tests/property/test_prop_engine.py``).  At most one compute and
@@ -148,8 +152,13 @@ class ResourceBoundsPass(AnalysisPass):
                 f"{ctx.arch.vector_pe_count} available {PRESCREEN_TAG}")
             codes.append(f"compute.vector:{vec}>{ctx.arch.vector_pe_count}")
         if ctx.check_memory:
-            for node in ctx.tree.nodes():
-                level = ctx.arch.level(node.level)
+            table = ctx.plan_nodes
+            if table is None:
+                levels = ((n, ctx.arch.level(n.level))
+                          for n in ctx.tree.nodes())
+            else:
+                levels = ((entry.node, entry.memory) for entry in table)
+            for node, level in levels:
                 if level.capacity_bytes is None:
                     continue
                 used = ctx.staged_bytes_lower_bound(node)

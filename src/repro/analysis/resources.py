@@ -19,12 +19,12 @@ human-readable strings; mappers use them to reject candidates.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..arch import Architecture
 from ..tile.bindings import Binding
 from ..tile.tree import AnalysisTree, FusionNode, OpTile, TileNode
-from .context import AnalysisContext
+from .context import AnalysisContext, PlanNode
 from .datamovement import DataMovementResult
 from .metrics import ResourceUsage
 
@@ -35,7 +35,9 @@ class ResourceAnalysis:
     The ``NumPE`` recursion lives in
     :func:`~repro.analysis.context.num_pe_demand`; passing a shared
     :class:`AnalysisContext` reuses its memoized value (the feasibility
-    bounds pass computes the same demand).
+    bounds pass computes the same demand).  On a
+    :class:`~repro.analysis.context.PlanContext` the footprint and
+    instance recursions run over its compiled plan nodes.
     """
 
     def __init__(self, tree: AnalysisTree, arch: Architecture,
@@ -50,8 +52,12 @@ class ResourceAnalysis:
     # ------------------------------------------------------------------
     def run(self) -> Tuple[ResourceUsage, List[str]]:
         mac_pe, vec_pe = self._num_pe(self.tree.root)
-        footprint = self._footprint(self.tree.root)
-        instances = self._instances(self.tree.root)
+        table = self.ctx.plan_nodes
+        if table is None:
+            footprint = self._footprint(self.tree.root)
+            instances = self._instances(self.tree.root)
+        else:
+            footprint, instances = self._plan_usage(table)
         usage = ResourceUsage(
             num_pe=mac_pe, num_vector_pe=vec_pe,
             footprint_bytes=footprint, instances_used=instances)
@@ -117,6 +123,47 @@ class ResourceAnalysis:
         usage[node.level] = max(usage.get(node.level, 0), 1)
         sp = node.spatial_trip_count
         return {level: n * sp for level, n in usage.items()}
+
+    def _plan_usage(self, table: Sequence[PlanNode]
+                    ) -> Tuple[Dict[int, float], Dict[int, int]]:
+        """:meth:`_footprint` and :meth:`_instances` of the root over a
+        plan's nodes, children before parents: the same float
+        operations, in the same order, into dicts of the same key
+        order."""
+        words_of = self.ctx.node_slices
+        feet: List[Dict[int, float]] = [{}] * len(table)
+        counts: List[Dict[int, int]] = [{}] * len(table)
+        for i in range(len(table) - 1, -1, -1):
+            entry = table[i]
+            node, level = entry.node, entry.level
+            words = words_of(node).staged_words
+            own = 0.0
+            for name, word_bytes, factor in entry.staged:
+                own += words[name] * word_bytes * factor
+            if entry.leaf:
+                feet[i] = {level: own}
+                counts[i] = {level: 1}
+                continue
+            if entry.fusion:
+                usage: Dict[int, float] = {}
+                used_by: Dict[int, int] = {}
+                for c in entry.children:
+                    for lvl, used in feet[c].items():
+                        if entry.seq:
+                            usage[lvl] = max(usage.get(lvl, 0.0), used)
+                        else:
+                            usage[lvl] = usage.get(lvl, 0.0) + used
+                    for lvl, n in counts[c].items():
+                        used_by[lvl] = max(used_by.get(lvl, 0), n)
+            else:
+                usage = dict(feet[entry.children[0]])
+                used_by = dict(counts[entry.children[0]])
+            usage[level] = usage.get(level, 0.0) + own
+            used_by[level] = max(used_by.get(level, 0), 1)
+            sp = node.spatial_trip_count
+            feet[i] = usage
+            counts[i] = {lvl: n * sp for lvl, n in used_by.items()}
+        return feet[0], counts[0]
 
     # ------------------------------------------------------------------
     def _violations(self, usage: ResourceUsage) -> List[str]:

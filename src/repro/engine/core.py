@@ -9,8 +9,8 @@ the whole analysis — over one of two kinds of analysis context:
 * **Tune path** — :meth:`EvaluationEngine.tune_genome` prices every
   MCTS point on one :class:`GenomePlan`: one tree, re-armed loops-only
   per point, on a :class:`~repro.analysis.PlanContext` that compiles
-  the tree's slice rows and walk recipes once and serves no shared
-  store.
+  the tree's slice rows, walk recipes, fusion rules and plan nodes
+  once and serves no shared store.
 * **Tree path** — everything else (template tunes, pre-built trees, the
   champion's ``full=True`` evaluation, the batched cross-check) builds
   a tree per evaluation over a persistent
@@ -518,14 +518,15 @@ class EvaluationEngine:
 class GenomePlan:
     """One genome's tree and analysis context, re-armed per MCTS point.
 
-    The tree is built once; a point assigns every node its loops from the
+    The tree is built once; a point takes every node's loops from the
     genome's :class:`~repro.mapper.encoding.GenomeLoops` (the skeleton
-    :func:`build_genome_tree` uses too) and re-arms the context
-    loops-only, keeping every structure-only fact for the whole tune.
-    The context is a :class:`~repro.analysis.PlanContext`: its slice
-    rows and walk recipes are compiled once per plan, so a point only
-    substitutes the nodes' current loops into them.  They die with the
-    plan.
+    :func:`build_genome_tree` uses too), which interns them, and only
+    the nodes whose loops changed are assigned (and drop their cached
+    loop split).  The context is then re-armed loops-only, keeping
+    every structure-only fact for the whole tune.  It is a :class:`~repro.analysis.PlanContext`: its slice rows, walk
+    recipes, fusion rules and plan nodes are compiled once per plan, so
+    a point only substitutes the nodes' current loops into them.  They
+    die with the plan.
     """
 
     __slots__ = ("skeleton", "tree", "context")
@@ -543,7 +544,7 @@ class GenomePlan:
         """The context, re-armed for ``factors``' loops."""
         for node, loops in zip(self.tree.nodes(),
                                self.skeleton.loops(factors)):
-            if node.loops is not loops:  # leaf loops are shared tuples
+            if node.loops != loops:  # interned: equal loops are `is`
                 node.loops = loops
         self.context.invalidate(loops_only=True)
         return self.context

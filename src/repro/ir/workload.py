@@ -61,6 +61,13 @@ class Workload:
                     raise WorkloadError(
                         f"workload {name!r}: {op.name!r} consumes "
                         f"{t.name!r} before {prod.name!r} produces it")
+        consumers: Dict[str, List[Operator]] = {}
+        for op in self.operators:
+            for tensor in dict.fromkeys(a.tensor.name for a in op.inputs):
+                consumers.setdefault(tensor, []).append(op)
+        #: tensor name -> the operators reading it, in operator order.
+        self._consumers: Dict[str, Tuple[Operator, ...]] = {
+            t: tuple(ops) for t, ops in consumers.items()}
 
     # ------------------------------------------------------------------
     # Lookup
@@ -86,9 +93,9 @@ class Workload:
         return self._producer.get(tensor_name)
 
     def consumers(self, tensor_name: str) -> Tuple[Operator, ...]:
-        """Operators reading ``tensor_name`` as an input."""
-        return tuple(op for op in self.operators
-                     if any(a.tensor.name == tensor_name for a in op.inputs))
+        """Operators reading ``tensor_name`` as an input, in operator
+        order (indexed at construction)."""
+        return self._consumers.get(tensor_name, ())
 
     # ------------------------------------------------------------------
     # Classification

@@ -32,7 +32,7 @@ from ..ir import Operator, Workload
 from ..tile.bindings import Binding
 from ..tile.loops import Loop, spatial, temporal
 from ..tile.tree import AnalysisTree, FusionNode, OpTile, TileNode
-from ..tile.validate import ASSOCIATIVE_KINDS
+from ..tile.validate import fused_producers
 from .factors import FactorSpace
 
 #: Bindings the GA may assign to a fused edge.
@@ -170,15 +170,8 @@ def shared_tileable_dims(workload: Workload,
     common = set(group[0].dims)
     for op in group[1:]:
         common &= set(op.dims)
-    names_in_group = {op.name for op in group}
-    for op in group:
-        if op.kind in ASSOCIATIVE_KINDS:
-            continue
-        consumed_inside = any(
-            c.name in names_in_group
-            for c in workload.consumers(op.output.tensor.name))
-        if consumed_inside:
-            common -= op.reduction_dims
+    for op in fused_producers(workload, group):
+        common -= op.reduction_dims
     sizes = group[-1].dims
     # Tie-break equal-sized dims by name: ``common`` is a set, so sorting
     # by size alone would leave ties in hash order, making tree
@@ -256,6 +249,12 @@ class GenomeLoops:
                             for d, size in op.dims.items())
                 chains.append((op, mid, leaf))
             self.groups.append((dims, chains))
+        #: ``(node position, dim, count, step, spatial)`` -> the one
+        #: :class:`Loop` with those fields at that node, built (and
+        #: validated) once per skeleton.  Keyed per node so that no
+        #: Loop object sits at two nodes of one tree (the batched
+        #: layer maps loops to factor slots by identity).
+        self._interned: Dict[Tuple[int, str, int, int, bool], Loop] = {}
 
     def loops(self, factors: Mapping[str, int]) -> List[Tuple[Loop, ...]]:
         """The loops of every node for ``factors``, in pre-order.
@@ -263,9 +262,15 @@ class GenomeLoops:
         Fusion groups tile their shared tileable dims at the outermost
         on-chip level (factor ``g{i}_{dim}``, spatially split over the
         level-1 fanout first).  All tiling is imperfect (ceil).
+
+        Loops are interned: every point gets the same :class:`Loop`
+        object for the same fields at the same node, so comparing a
+        node's old and new loops compares identities until they differ.
         """
+        make = self._loop
         out: List[Tuple[Loop, ...]] = [()] if self.root else []
         for dims, chains in self.groups:
+            at = len(out)
             tile: Dict[str, int] = {}
             loops: List[Loop] = []
             spatial_budget = self.units
@@ -276,19 +281,28 @@ class GenomeLoops:
                 if spatial_budget > 1 and blocks > 1:
                     split = min(spatial_budget, blocks)
                     per = _ceil(blocks, split)
-                    loops.append(spatial(d, split, per * step))
+                    loops.append(make(at, d, split, per * step, True))
                     blocks = per
                     spatial_budget = max(1, spatial_budget // split)
                 if blocks > 1:
-                    loops.append(temporal(d, blocks, step))
+                    loops.append(make(at, d, blocks, step, False))
             out.append(tuple(loops))
             for _, mid, leaf in chains:
+                at = len(out)
                 out.append(tuple(
-                    temporal(d, count, ext) for d, size, ext in mid
+                    make(at, d, count, ext, False) for d, size, ext in mid
                     for count in (_ceil(min(size, tile.get(d, size)), ext),)
                     if count > 1))
                 out.append(leaf)
         return out
+
+    def _loop(self, at: int, dim: str, count: int, step: int,
+              is_spatial: bool) -> Loop:
+        key = (at, dim, count, step, is_spatial)
+        lp = self._interned.get(key)
+        if lp is None:
+            lp = self._interned[key] = Loop(dim, count, step, is_spatial)
+        return lp
 
 
 def genome_loops(workload: Workload, arch: Architecture, genome: Genome,

@@ -17,7 +17,9 @@ to HTTP 429), submissions after :meth:`close` raise
 Each job also buffers its own event stream (the per-job
 :class:`~repro.obs.events.CallbackSink` appends here) guarded by a
 condition variable, which is what ``GET /jobs/<id>/events`` long-polls
-to stream NDJSON progress while the job runs.
+to stream NDJSON progress while the job runs.  The buffer keeps the
+first :data:`MAX_JOB_EVENTS` events and then only ``run.end``; the rest
+are counted as ``events_dropped``.
 """
 
 from __future__ import annotations
@@ -36,6 +38,12 @@ FAILED = "failed"
 CANCELLED = "cancelled"
 STATES = (QUEUED, RUNNING, DONE, FAILED, CANCELLED)
 TERMINAL_STATES = frozenset({DONE, FAILED, CANCELLED})
+
+#: Events one job buffers before it drops all but ``run.end``: a search
+#: at CLI defaults emits about 1,000, while the largest search
+#: ``validate_spec`` admits emits over 8 million ``mcts.sample`` events,
+#: about 500 bytes each.
+MAX_JOB_EVENTS = 20_000
 
 
 class QueueFull(Exception):
@@ -69,14 +77,21 @@ class Job:
         self.error: Optional[str] = None
         #: Ledger run id when the job was persisted (``runs/<id>/``).
         self.run_id: Optional[str] = None
-        #: The job's full event stream (JSON-safe dicts, emission order).
+        #: The job's event stream (JSON-safe dicts, emission order): the
+        #: first :data:`MAX_JOB_EVENTS` events, then only ``run.end``.
         self.events: List[Dict[str, Any]] = []
+        #: Events not buffered because the stream was over the cap.
+        self.events_dropped = 0
         self._cond = threading.Condition()
 
     # -- event stream ----------------------------------------------------
     def append_event(self, event: Dict[str, Any]) -> None:
         with self._cond:
-            self.events.append(event)
+            if (len(self.events) < MAX_JOB_EVENTS
+                    or event.get("kind") == "run.end"):
+                self.events.append(event)
+            else:
+                self.events_dropped += 1
             self._cond.notify_all()
 
     def wait_events(self, since: int, timeout: Optional[float] = 0.5
@@ -108,7 +123,7 @@ class Job:
             "id": self.id, "kind": self.kind, "state": self.state,
             "created": self.created, "started": self.started,
             "finished": self.finished, "events": len(self.events),
-            "run_id": self.run_id,
+            "events_dropped": self.events_dropped, "run_id": self.run_id,
         }
         if self.error is not None:
             out["error"] = self.error

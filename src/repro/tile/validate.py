@@ -22,16 +22,18 @@ violation; :func:`check_tree` returns the list of all violation messages,
 running each node-local rule (``_check_*``) over the nodes in pre-order,
 rule by rule.  :func:`validate_tree_local` runs the same rules over an
 analysis context, checking the rules that read no loop counts
-(:data:`STRUCTURE_RULES`) once per context.  Whatever it finds invalid
-falls back to :func:`check_tree`, so the error message lists problems
-in the canonical order.
+(:data:`STRUCTURE_RULES`) once per context
+(:func:`structure_verdict`).  Whatever a local check finds invalid
+falls back to :func:`check_tree` (:func:`raise_invalid`), so the error
+message lists problems in the canonical order.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Sequence
 
 from ..errors import TreeValidationError
+from ..ir import Operator
 from .coverage import apply_loops
 from .bindings import Binding
 from .tree import AnalysisTree, FusionNode, OpTile, TileNode
@@ -69,15 +71,24 @@ def validate_tree_local(ctx) -> None:
     typed: ``tree`` and its ``structure_ok`` verdict, which a loops-only
     ``invalidate`` keeps); the loop rules and coverage run every call.
     """
-    problems: List[str] = []
-    if ctx.structure_ok is None:
-        _apply(STRUCTURE_RULES, ctx.tree, problems)
-        ctx.structure_ok = not problems
-    if ctx.structure_ok:
+    if structure_verdict(ctx):
+        problems: List[str] = []
         _apply(LOOP_RULES, ctx.tree, problems)
         problems.extend(_coverage_problems(ctx.tree))
-    if problems or not ctx.structure_ok:
-        _invalid(ctx.tree)
+        if not problems:
+            return
+    raise_invalid(ctx.tree)
+
+
+def structure_verdict(ctx) -> bool:
+    """Whether ``ctx.tree`` passes the rules that read no loop counts
+    (:data:`STRUCTURE_RULES`), checked once per context: the verdict is
+    kept in ``ctx.structure_ok``."""
+    if ctx.structure_ok is None:
+        problems: List[str] = []
+        _apply(STRUCTURE_RULES, ctx.tree, problems)
+        ctx.structure_ok = not problems
+    return ctx.structure_ok
 
 
 def _apply(rules, tree: AnalysisTree, problems: List[str]) -> None:
@@ -87,8 +98,8 @@ def _apply(rules, tree: AnalysisTree, problems: List[str]) -> None:
             rule(node, tree.workload, problems)
 
 
-def _invalid(tree: AnalysisTree) -> None:
-    """Raise the canonical error for a tree the local check found invalid."""
+def raise_invalid(tree: AnalysisTree) -> None:
+    """Raise the canonical error for a tree a local check found invalid."""
     validate_tree(tree)  # canonical problem order; raises
     raise TreeValidationError(  # pragma: no cover - local/full skew
         f"tree {tree.name!r} is invalid (local validation found "
@@ -157,15 +168,7 @@ def _check_reduction_rule(node: TileNode, workload,
                           problems: List[str]) -> None:
     if not isinstance(node, FusionNode) or not node.loops:
         return
-    ops_here = {op.name: op for op in node.subtree_ops()}
-    for op in ops_here.values():
-        if op.kind in ASSOCIATIVE_KINDS:
-            continue
-        out = op.output.tensor.name
-        consumed_inside = any(c.name in ops_here
-                              for c in workload.consumers(out))
-        if not consumed_inside:
-            continue
+    for op in fused_producers(workload, node.subtree_ops()):
         for lp in node.loops:
             if lp.dim in op.reduction_dims:
                 problems.append(
@@ -173,6 +176,18 @@ def _check_reduction_rule(node: TileNode, workload,
                     f"is a reduction dim of fused producer {op.name!r} "
                     f"(§4.1 forbids producer reduction loops above the "
                     f"fusion point)")
+
+
+def fused_producers(workload, ops: Sequence[Operator]
+                    ) -> List[Operator]:
+    """The operators of ``ops`` whose reduction dims §4.1 forbids as
+    loops above a fusion point holding all of ``ops``: the
+    non-associative producers whose output another of ``ops`` consumes,
+    in ``ops`` order."""
+    names = {op.name for op in ops}
+    return [op for op in ops if op.kind not in ASSOCIATIVE_KINDS
+            and any(c.name in names
+                    for c in workload.consumers(op.output.tensor.name))]
 
 
 def _check_sibling_order(node: TileNode, workload,

@@ -14,6 +14,14 @@ path to the tree path:
   and fills and updates (from its walk recipes) equal the fresh
   context's, and every ``prescreen.reject`` event carries the same
   digest and codes;
+* at every point of every registry genome — unfused, fully fused under
+  each edge binding and seeded random ones, on stock and shrunk
+  architectures — what the plan compiles (the validation verdict,
+  ``bound_violations`` and their codes, the ``resources`` usage and
+  violations, the latency cycles and slow-down) equals a fresh tree
+  context's bit for bit, including CC1 points that fail the §4
+  coverage rule, and plan trees given loops that break a §4 loop rule
+  or coverage raise the tree path's message;
 * over all registry dataflow trees, re-arming a context — a plain one
   and a compiled :class:`~repro.analysis.PlanContext` — after an
   in-place loop change gives the same result as a fresh context, and a
@@ -27,14 +35,17 @@ from hypothesis import given, settings, strategies as st
 
 from repro import arch, workloads
 from repro.analysis import PlanContext, TileFlowModel
+from repro.analysis.pipeline import PRESCREEN_PIPELINE
 from repro.dataflows import dataflow_for, dataflow_names
 from repro.engine import EvaluationEngine, GenomePlan, prescreen
 from repro.errors import TreeValidationError
-from repro.mapper import (Genome, build_genome_tree, edp_cost,
-                          genome_factor_space, genome_loops, latency_cost)
+from repro.mapper import (EDGE_BINDINGS, Genome, build_genome_tree,
+                          edp_cost, genome_factor_space, genome_loops,
+                          latency_cost)
 from repro.obs import events
-from repro.tile.loops import Loop
-from repro.tile.validate import check_tree
+from repro.tile.loops import Loop, temporal
+from repro.tile.tree import FusionNode
+from repro.tile.validate import check_tree, fused_producers
 
 WORKLOADS = list(workloads.ATTENTION_SHAPES) + list(
     workloads.CONV_CHAIN_SHAPES)
@@ -132,6 +143,94 @@ def _assert_same_geometry(ctx, fresh_ctx):
             assert list(flows.fills.items()) == list(expected.fills.items())
             assert (list(flows.updates.items())
                     == list(expected.updates.items()))
+
+
+def _registry_genomes(workload):
+    """Unfused, fully fused under each edge binding, and two seeded
+    random genomes (distinct, in that order)."""
+    genomes = [Genome.unfused(workload)] + [
+        Genome.fully_fused(workload, binding) for binding in EDGE_BINDINGS]
+    rng = random.Random(len(workload.operators))
+    genomes += [Genome.random(workload, rng) for _ in range(2)]
+    return list(dict.fromkeys(genomes))
+
+
+def _points(space, rng):
+    """Every factor at its lowest choice, at its highest, the default
+    point, and three random points."""
+    return ([{n: v[0] for n, v in space.choices.items()},
+             {n: v[-1] for n, v in space.choices.items()},
+             space.default_point()]
+            + [space.random_point(rng) for _ in range(3)])
+
+
+def _compiled_results(model, ctx):
+    """The validation error, or the repr (exact for floats) of the
+    bounds, resources and latency artifacts the full pipeline leaves in
+    ``ctx``."""
+    try:
+        PRESCREEN_PIPELINE.run(ctx)
+    except TreeValidationError as exc:
+        return str(exc)
+    model.evaluate(ctx.tree, context=ctx)
+    usage = ctx.get("resources")
+    cycles, slowdown = ctx.get("latency")
+    return repr((ctx.get("bound_violations"),
+                 ctx.get("bound_violation_codes"),
+                 usage.num_pe, usage.num_vector_pe,
+                 list(usage.footprint_bytes.items()),
+                 list(usage.instances_used.items()),
+                 ctx.get("violations"), cycles, list(slowdown.items())))
+
+
+def _broken_loops(tree):
+    """(node, loops) variants of a tree's nodes: each fusion node with
+    an extra loop over each §4.1-forbidden dim and over a dim no
+    operator has, and each multi-trip loop one trip short."""
+    for node in tree.nodes():
+        if isinstance(node, FusionNode):
+            ops = node.subtree_ops()
+            forbidden = sorted({d for op in fused_producers(tree.workload,
+                                                            ops)
+                                for d in op.reduction_dims})
+            for dim in forbidden + ["nodim"]:
+                yield node, node.loops + (temporal(dim, 2, 1),)
+        for i, lp in enumerate(node.loops):
+            if lp.count > 1:
+                short = Loop(lp.dim, lp.count - 1, lp.step, lp.spatial)
+                yield node, node.loops[:i] + (short,) + node.loops[i + 1:]
+
+
+@pytest.mark.parametrize("workload_name", WORKLOADS)
+def test_compiled_passes_equal_a_fresh_tree_at_every_point(workload_name):
+    workload = workloads.by_name(workload_name)
+    rng = random.Random(11)
+    invalid = broken = 0
+    for spec in ARCHS:
+        engine = EvaluationEngine(workload, spec)
+        model = TileFlowModel(spec)
+        for genome in _registry_genomes(workload):
+            plan = GenomePlan(engine, genome)
+            space = genome_factor_space(workload, genome)
+            for point in _points(space, rng):
+                compiled = _compiled_results(model, plan.rearm(point))
+                fresh = build_genome_tree(workload, spec, genome, point)
+                assert compiled == _compiled_results(
+                    model, model.context(fresh)), (genome, point)
+                invalid += compiled.startswith("tree ")
+            if spec is not ARCHS[0]:
+                continue  # the §4 rules read no architecture
+            for node, loops in _broken_loops(plan.tree):
+                kept, node.loops = node.loops, loops
+                plan.context.invalidate(loops_only=True)
+                compiled = _compiled_results(model, plan.context)
+                assert compiled == _compiled_results(
+                    model, model.context(plan.tree)), (genome, loops)
+                broken += compiled.startswith("tree ")
+                node.loops = kept
+    assert broken > 0
+    if workload_name == "CC1":  # fused conv chains under-cover halos
+        assert invalid > 0
 
 
 def _registry_trees():

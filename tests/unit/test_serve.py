@@ -108,6 +108,39 @@ class TestJobQueue:
         assert fresh == [] and done is True
 
 
+class TestJobEventCap:
+    def test_search_job_over_the_cap_keeps_its_end(self, monkeypatch):
+        """Past ``MAX_JOB_EVENTS`` a job stores only ``run.end`` and
+        counts the rest as dropped."""
+        from repro.serve import jobs as jobs_mod
+        spec = {"workload": "Bert-S", "generations": 1, "population": 4,
+                "samples": 5}
+        # No subtree cache: both runs emit the same events.
+        svc = EvaluationService(workers=1, subtree_cache_size=0).start()
+        try:
+            full = svc.submit("search", spec)
+            assert svc.wait_drained(timeout=120)
+            cap = 10
+            monkeypatch.setattr(jobs_mod, "MAX_JOB_EVENTS", cap)
+            capped = svc.submit("search", spec)
+            assert svc.wait_drained(timeout=120)
+        finally:
+            svc.stop(timeout=5)
+        assert full.state == capped.state == "done", capped.error
+        emitted = len(full.events)
+        assert full.events_dropped == 0 and emitted > cap + 1
+        assert len(capped.events) == cap + 1
+        assert capped.events[:cap] == [
+            dict(e, t=c["t"]) for e, c in zip(full.events[:cap],
+                                              capped.events)]
+        assert capped.events[-1]["kind"] == "run.end"
+        view = capped.to_dict()
+        assert view["events"] == cap + 1
+        assert view["events_dropped"] == emitted - cap - 1
+        fresh, done = capped.wait_events(0, timeout=0)
+        assert done and fresh[-1]["kind"] == "run.end"
+
+
 # ---------------------------------------------------------------------------
 # Spec validation (the HTTP 400 layer).
 
