@@ -161,8 +161,8 @@ def cmd_search(args) -> int:
         ledger = ledger_mod.RunLedger(args.ledger)
         run_id = args.run_id or ledger.new_run_id(salt=args.workload)
         manifest = search_run_manifest(
-            run_id=run_id, engine=engine, workload=workload, arch=spec,
-            result=result, generations=args.generations,
+            run_id=run_id, engine=engine, result=result,
+            generations=args.generations,
             population=args.population, samples=args.samples,
             workers=args.workers, seed=args.seed, wall_s=wall_s)
         try:

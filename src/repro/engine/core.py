@@ -203,6 +203,12 @@ class EvaluationEngine:
                                   if subtree_cache_size > 0 else None)
         self._base = (workload_fingerprint(workload), arch_fingerprint(arch),
                       model_eviction, model_rmw)
+        #: Hex digests of the workload, arch and namespace (workload +
+        #: arch + model flags) fingerprints, taken once: every ledger
+        #: manifest of this engine's runs carries them.
+        self.workload_digest = digest(self._base[0])
+        self.arch_digest = digest(self._base[1])
+        self.namespace_digest = digest(self._base)
         #: This engine's slice of a (possibly shared) subtree cache —
         #: the same namespace its analysis contexts bind stores under.
         self._subtree_ns = cache_namespace(workload, arch, model_eviction,
@@ -379,12 +385,6 @@ class EvaluationEngine:
         return self._evaluate(self._tree_context(tree),
                               lambda: (self._base, "tree", tree.name),
                               full=full)
-
-    @property
-    def namespace_digest(self) -> str:
-        """Hex digest of this engine's cache namespace (workload + arch
-        + model flags) — the run ledger's ``namespace`` field."""
-        return digest(self._base)
 
     # -- per-genome MCTS tuning ------------------------------------------
     def tune_genome(self, genome: Genome, seed: int,

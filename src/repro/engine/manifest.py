@@ -17,16 +17,24 @@ from __future__ import annotations
 
 from typing import Any, Dict, Mapping, Optional
 
-from ..arch import Architecture
-from ..ir import Workload
 from ..mapper.mapper import MapperResult
 from ..obs import events as events_mod
 from ..obs import ledger as ledger_mod
-from .signature import arch_fingerprint, digest, workload_fingerprint
 
 
-def search_run_manifest(*, run_id: str, engine, workload: Workload,
-                        arch: Architecture, result: MapperResult,
+def _subject(engine) -> Dict[str, Any]:
+    """The workload, arch and namespace fields of a manifest, from the
+    digests the engine took when it was built."""
+    return {
+        "workload": {"name": engine.workload.name,
+                     "fingerprint": engine.workload_digest},
+        "arch": {"name": engine.arch.name,
+                 "fingerprint": engine.arch_digest},
+        "namespace": engine.namespace_digest,
+    }
+
+
+def search_run_manifest(*, run_id: str, engine, result: MapperResult,
                         generations: int, population: int, samples: int,
                         workers: int, seed: int, wall_s: float,
                         counters: Optional[Mapping[str, Any]] = None,
@@ -44,16 +52,12 @@ def search_run_manifest(*, run_id: str, engine, workload: Workload,
         "cost": events_mod.jsonable_cost(result.best_cost),
         "signature": engine.mapping_digest(result.best_genome,
                                            result.best_factors),
-        "genome": result.best_genome.describe(workload),
+        "genome": result.best_genome.describe(engine.workload),
         "encoding": result.best_genome.encode(),
         "factors": dict(result.best_factors),
     }
     return ledger_mod.build_manifest(
-        run_id=run_id, command="search",
-        workload={"name": workload.name,
-                  "fingerprint": digest(workload_fingerprint(workload))},
-        arch={"name": arch.name,
-              "fingerprint": digest(arch_fingerprint(arch))},
+        run_id=run_id, command="search", **_subject(engine),
         config=dict(engine.config(), generations=generations,
                     population=population, samples=samples,
                     workers=workers),
@@ -62,12 +66,10 @@ def search_run_manifest(*, run_id: str, engine, workload: Workload,
         counters=dict(counters if counters is not None
                       else engine.stats.to_dict()),
         wall_s=wall_s,
-        namespace=engine.namespace_digest,
         extra=extra)
 
 
-def evaluate_run_manifest(*, run_id: str, engine, workload: Workload,
-                          arch: Architecture, dataflow: str, result,
+def evaluate_run_manifest(*, run_id: str, engine, dataflow: str, result,
                           wall_s: float,
                           counters: Optional[Mapping[str, Any]] = None,
                           extra: Optional[Mapping[str, Any]] = None
@@ -84,16 +86,11 @@ def evaluate_run_manifest(*, run_id: str, engine, workload: Workload,
         "energy_pj": events_mod.jsonable_cost(result.energy_pj),
     }
     return ledger_mod.build_manifest(
-        run_id=run_id, command="evaluate",
-        workload={"name": workload.name,
-                  "fingerprint": digest(workload_fingerprint(workload))},
-        arch={"name": arch.name,
-              "fingerprint": digest(arch_fingerprint(arch))},
+        run_id=run_id, command="evaluate", **_subject(engine),
         config=dict(engine.config()),
         seeds={},
         champion=champion,
         counters=dict(counters if counters is not None
                       else engine.stats.to_dict()),
         wall_s=wall_s,
-        namespace=engine.namespace_digest,
         extra=extra)

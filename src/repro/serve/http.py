@@ -22,6 +22,12 @@ Built on :class:`http.server.ThreadingHTTPServer` with HTTP/1.0
 connection-per-request semantics: the events endpoint streams NDJSON
 lines as the job produces them and signals completion by closing the
 connection — no chunked encoding, readable with bare ``urllib``.
+
+Each JSON response goes out in one socket write (status line, headers
+and body together), and the events stream sends each batch of fresh
+events in one write, the first batch together with the headers: every
+write is a syscall the handler thread makes without the GIL and must
+then wait to get back.
 """
 
 from __future__ import annotations
@@ -69,6 +75,14 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
     def service(self) -> EvaluationService:
         return self.server.service
 
+    def _end_headers_with(self, body: bytes) -> None:
+        """:meth:`end_headers`, sending ``body`` in the same write."""
+        if self.request_version != "HTTP/0.9":  # 0.9 has no headers
+            body = b"".join(self._headers_buffer) + b"\r\n" + body
+            self._headers_buffer = []
+        if body:
+            self.wfile.write(body)
+
     def _send_json(self, code: int, payload: Dict[str, Any],
                    headers: Optional[Dict[str, str]] = None) -> None:
         body = (json.dumps(payload, sort_keys=True,
@@ -78,8 +92,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         for name, value in (headers or {}).items():
             self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+        self._end_headers_with(body)
 
     def _error(self, code: int, message: str,
                headers: Optional[Dict[str, str]] = None) -> None:
@@ -226,18 +239,20 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         follow = query.get("follow", ["1"])[0] not in ("0", "false")
         self.send_response(200)
         self.send_header("Content-Type", "application/x-ndjson")
-        self.end_headers()
+        head_sent = False
         try:
             while True:
                 fresh, done = job.wait_events(
                     since, timeout=0.5 if follow else 0)
-                for event in fresh:
-                    self.wfile.write(
-                        (json.dumps(event, sort_keys=True,
-                                    allow_nan=False) + "\n").encode())
+                batch = "".join(json.dumps(event, sort_keys=True,
+                                           allow_nan=False) + "\n"
+                                for event in fresh).encode()
                 since += len(fresh)
-                if fresh:
-                    self.wfile.flush()
+                if not head_sent:
+                    self._end_headers_with(batch)
+                    head_sent = True
+                elif batch:
+                    self.wfile.write(batch)
                 if done or not follow:
                     return
         except (BrokenPipeError, ConnectionResetError):

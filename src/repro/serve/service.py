@@ -40,8 +40,10 @@ import time
 from typing import Any, Dict, List, Optional, Tuple
 
 from .. import arch as arch_mod
+from .. import obs
 from .. import workloads as workloads_mod
-from ..dataflows import dataflow_for, dataflow_names
+from ..dataflows import (ATTENTION_DATAFLOWS, CONV_DATAFLOWS, dataflow_for,
+                         dataflow_names)
 from ..engine import EvaluationEngine
 from ..engine.cache import DEFAULT_SUBTREE_CACHE_SIZE, SubtreeArtifactCache
 from ..engine.manifest import evaluate_run_manifest, search_run_manifest
@@ -49,6 +51,7 @@ from ..errors import TileFlowError
 from ..mapper import TileFlowMapper
 from ..obs import events as events_mod
 from ..obs import ledger as ledger_mod
+from ..tile.tree import AnalysisTree
 from .jobs import Job, JobQueue
 
 #: Per-kind hard bounds on search effort a single HTTP job may request
@@ -57,6 +60,16 @@ from .jobs import Job, JobQueue
 MAX_GENERATIONS = 64
 MAX_POPULATION = 64
 MAX_SAMPLES = 2000
+
+
+#: Registry workload name -> its dataflow family, read off the shape
+#: tables so that validating a spec builds no workload.
+_REGISTRY_DATAFLOWS: Dict[str, Tuple[str, ...]] = {
+    **{name: tuple(ATTENTION_DATAFLOWS)
+       for name in workloads_mod.ATTENTION_SHAPES},
+    **{name: tuple(CONV_DATAFLOWS)
+       for name in workloads_mod.CONV_CHAIN_SHAPES},
+}
 
 
 class SpecError(ValueError):
@@ -72,6 +85,28 @@ def _positive(spec: Dict[str, Any], key: str, default: int,
     if not 1 <= value <= bound:
         raise SpecError(f"spec field {key!r} must be in [1, {bound}]")
     return value
+
+
+class EngineSlot:
+    """One persistent engine, the lock its jobs run under, and its
+    dataflow trees, each built once on first use.  The registry bounds
+    how many trees there can be."""
+
+    __slots__ = ("engine", "lock", "trees")
+
+    def __init__(self, engine: EvaluationEngine):
+        self.engine = engine
+        self.lock = threading.Lock()
+        self.trees: Dict[str, AnalysisTree] = {}
+
+    def tree(self, dataflow: str) -> AnalysisTree:
+        """The engine's tree for named dataflow ``dataflow``; call it
+        under :attr:`lock`."""
+        tree = self.trees.get(dataflow)
+        if tree is None:
+            tree = self.trees[dataflow] = dataflow_for(
+                self.engine.workload, dataflow, self.engine.arch)
+        return tree
 
 
 class EvaluationService:
@@ -114,8 +149,7 @@ class EvaluationService:
         self.subtree_cache = SubtreeArtifactCache(subtree_cache_size)
         self.started = time.time()
         self._lock = threading.Lock()
-        self._engines: Dict[Tuple[str, str], EvaluationEngine] = {}
-        self._engine_locks: Dict[Tuple[str, str], threading.Lock] = {}
+        self._engines: Dict[Tuple[str, str], EngineSlot] = {}
         self._threads: List[threading.Thread] = []
         self._draining = False
         self._stopped = False
@@ -158,37 +192,47 @@ class EvaluationService:
         for t in self._threads:
             t.join(timeout)
         with self._lock:
-            engines = list(self._engines.values())
-        for engine in engines:
-            engine.shutdown()
+            slots = list(self._engines.values())
+        for slot in slots:
+            slot.engine.shutdown()
         self._stopped = True
 
     # -- submission ------------------------------------------------------
     def submit(self, kind: str, spec: Dict[str, Any]) -> Job:
         """Validate ``spec`` and enqueue it; raises :class:`SpecError`,
         ``QueueFull``, or ``QueueClosed``."""
-        normalized = self.validate_spec(kind, spec)
+        with obs.span("serve.validate", "serve"):
+            normalized = self.validate_spec(kind, spec)
         return self.queue.submit(kind, normalized)
 
     def validate_spec(self, kind: str,
                       spec: Dict[str, Any]) -> Dict[str, Any]:
         """Resolve registry names eagerly so bad requests fail at submit
-        time (HTTP 400), not inside a worker."""
+        time (HTTP 400), not inside a worker.
+
+        Names are looked up in the shape tables and the preset registry
+        without building anything; only a name missing there goes
+        through ``by_name``, whose ``KeyError`` text (listing the known
+        names) becomes the error.
+        """
         if not isinstance(spec, dict):
             raise SpecError("spec must be a JSON object")
         out = dict(spec)
-        try:
-            workload = workloads_mod.by_name(str(spec.get("workload", "")))
-        except KeyError as exc:
-            raise SpecError(str(exc.args[0]) if exc.args else str(exc))
-        out["workload"] = str(spec.get("workload"))
+        workload_name = str(spec.get("workload", ""))
+        known = _REGISTRY_DATAFLOWS.get(workload_name)
+        if known is None:
+            try:
+                known = dataflow_names(workloads_mod.by_name(workload_name))
+            except KeyError as exc:
+                raise SpecError(_key_error_text(exc))
+        out["workload"] = workload_name
         arch_name = str(spec.get("arch", "edge"))
-        try:
-            arch_mod.by_name(arch_name)
-        except KeyError as exc:
-            raise SpecError(str(exc.args[0]) if exc.args else str(exc))
+        if arch_name.lower() not in arch_mod.PRESETS:
+            try:
+                arch_mod.by_name(arch_name)
+            except KeyError as exc:
+                raise SpecError(_key_error_text(exc))
         out["arch"] = arch_name
-        known = dataflow_names(workload)
         if kind == "evaluate":
             name = spec.get("dataflow")
             if name not in known:
@@ -218,22 +262,19 @@ class EvaluationService:
         return out
 
     # -- engines ---------------------------------------------------------
-    def engine_for(self, workload_name: str, arch_name: str
-                   ) -> Tuple[EvaluationEngine, threading.Lock]:
-        """The persistent engine (and its job lock) for one registry
-        (workload, arch) pair, built on first use over the shared
-        artifact cache."""
+    def engine_for(self, workload_name: str, arch_name: str) -> EngineSlot:
+        """The persistent engine (with its job lock and trees) for one
+        registry (workload, arch) pair, built on first use over the
+        shared artifact cache."""
         key = (workload_name, arch_name.lower())
         with self._lock:
-            engine = self._engines.get(key)
-            if engine is None:
-                engine = EvaluationEngine(
+            slot = self._engines.get(key)
+            if slot is None:
+                slot = self._engines[key] = EngineSlot(EvaluationEngine(
                     workloads_mod.by_name(workload_name),
                     arch_mod.by_name(arch_name),
-                    subtree_cache=self.subtree_cache)
-                self._engines[key] = engine
-                self._engine_locks[key] = threading.Lock()
-            return engine, self._engine_locks[key]
+                    subtree_cache=self.subtree_cache))
+            return slot
 
     # -- worker loop -----------------------------------------------------
     def _worker_loop(self) -> None:
@@ -276,31 +317,38 @@ class EvaluationService:
             bus.close()
 
     def _record(self, job: Job, manifest_of) -> Optional[str]:
-        """Persist a completed job as a ledger run (when configured)."""
+        """Persist a completed job as a ledger run (when configured).
+
+        Called after the engine lock is released: a manifest reads only
+        the engine's digests and configuration, and the run id is unique
+        per job.
+        """
         if self.ledger is None:
             return None
-        run_id = self.ledger.new_run_id(
-            salt=f"{job.spec.get('workload')}-{job.id}")
-        self.ledger.record(manifest_of(run_id))
+        with obs.span("serve.record", "serve"):
+            run_id = self.ledger.new_run_id(
+                salt=f"{job.spec.get('workload')}-{job.id}")
+            self.ledger.record(manifest_of(run_id))
         job.run_id = run_id
         return run_id
 
     def _run_evaluate(self, job: Job) -> Dict[str, Any]:
         spec = job.spec
-        engine, lock = self.engine_for(spec["workload"], spec["arch"])
-        with lock:
-            tree = dataflow_for(engine.workload, spec["dataflow"],
-                                engine.arch)
+        slot = self.engine_for(spec["workload"], spec["arch"])
+        engine = slot.engine
+        with slot.lock:
+            with obs.span("serve.tree", "serve"):
+                tree = slot.tree(spec["dataflow"])
             before = engine.stats.to_dict()
             start = time.perf_counter()
-            result = engine.evaluate_tree(tree)
+            with obs.span("serve.evaluate", "serve"):
+                result = engine.evaluate_tree(tree)
             wall_s = time.perf_counter() - start
             counters = _delta(before, engine.stats.to_dict())
-            run_id = self._record(job, lambda rid: evaluate_run_manifest(
-                run_id=rid, engine=engine, workload=engine.workload,
-                arch=engine.arch, dataflow=spec["dataflow"], result=result,
-                wall_s=wall_s, counters=counters,
-                extra={"job": job.id}))
+        run_id = self._record(job, lambda rid: evaluate_run_manifest(
+            run_id=rid, engine=engine, dataflow=spec["dataflow"],
+            result=result, wall_s=wall_s, counters=counters,
+            extra={"job": job.id}))
         return {
             "workload": spec["workload"], "arch": spec["arch"],
             "dataflow": spec["dataflow"],
@@ -314,8 +362,9 @@ class EvaluationService:
 
     def _run_search(self, job: Job) -> Dict[str, Any]:
         spec = job.spec
-        engine, lock = self.engine_for(spec["workload"], spec["arch"])
-        with lock:
+        slot = self.engine_for(spec["workload"], spec["arch"])
+        engine = slot.engine
+        with slot.lock:
             mapper = TileFlowMapper(engine.workload, engine.arch,
                                     seed=spec["seed"], engine=engine)
             before = engine.stats.to_dict()
@@ -325,20 +374,19 @@ class EvaluationService:
                                     mcts_samples=spec["samples"])
             wall_s = time.perf_counter() - start
             counters = _delta(before, engine.stats.to_dict())
-            champion = {
-                "cost": events_mod.jsonable_cost(result.best_cost),
-                "signature": engine.mapping_digest(result.best_genome,
-                                                   result.best_factors),
-                "genome": result.best_genome.describe(engine.workload),
-                "factors": dict(result.best_factors),
-            }
-            run_id = self._record(job, lambda rid: search_run_manifest(
-                run_id=rid, engine=engine, workload=engine.workload,
-                arch=engine.arch, result=result,
-                generations=spec["generations"],
-                population=spec["population"], samples=spec["samples"],
-                workers=1, seed=spec["seed"], wall_s=wall_s,
-                counters=counters, extra={"job": job.id}))
+        champion = {
+            "cost": events_mod.jsonable_cost(result.best_cost),
+            "signature": engine.mapping_digest(result.best_genome,
+                                               result.best_factors),
+            "genome": result.best_genome.describe(engine.workload),
+            "factors": dict(result.best_factors),
+        }
+        run_id = self._record(job, lambda rid: search_run_manifest(
+            run_id=rid, engine=engine, result=result,
+            generations=spec["generations"],
+            population=spec["population"], samples=spec["samples"],
+            workers=1, seed=spec["seed"], wall_s=wall_s,
+            counters=counters, extra={"job": job.id}))
         return {
             "workload": spec["workload"], "arch": spec["arch"],
             "champion": champion,
@@ -348,16 +396,16 @@ class EvaluationService:
 
     def _run_sweep(self, job: Job) -> Dict[str, Any]:
         spec = job.spec
-        engine, lock = self.engine_for(spec["workload"], spec["arch"])
+        slot = self.engine_for(spec["workload"], spec["arch"])
+        engine = slot.engine
         names = spec.get("dataflows") or list(
             dataflow_names(engine.workload))
         rows: List[Dict[str, Any]] = []
-        with lock:
+        with slot.lock:
             before = engine.stats.to_dict()
             start = time.perf_counter()
             for name in names:
-                tree = dataflow_for(engine.workload, name, engine.arch)
-                result = engine.evaluate_tree(tree)
+                result = engine.evaluate_tree(slot.tree(name))
                 rows.append({
                     "dataflow": name,
                     "latency_cycles": events_mod.jsonable_cost(
@@ -389,12 +437,11 @@ class EvaluationService:
         blocks new ones for the instant the clear takes.
         """
         with self._lock:
-            pairs = sorted(self._engine_locks.items())
-            engine_count = len(self._engines)
+            locks = [slot.lock for _, slot in sorted(self._engines.items())]
         acquired = []
         deadline = time.monotonic() + timeout
         try:
-            for key, lock in pairs:
+            for lock in locks:
                 if not lock.acquire(
                         timeout=max(0.0, deadline - time.monotonic())):
                     return {"cleared": False,
@@ -408,7 +455,7 @@ class EvaluationService:
             for lock in acquired:
                 lock.release()
         return {"cleared": True, "entries_dropped": entries,
-                "engines": engine_count,
+                "engines": len(locks),
                 "counters_reset": bool(reset_counters)}
 
     # -- introspection ---------------------------------------------------
@@ -416,9 +463,9 @@ class EvaluationService:
         """The ``GET /stats`` payload: queue, engines, shared cache."""
         with self._lock:
             engines = {
-                f"{wl}/{ar}": dict(engine.stats.to_dict(),
-                                   namespace=engine.namespace_digest)
-                for (wl, ar), engine in self._engines.items()
+                f"{wl}/{ar}": dict(slot.engine.stats.to_dict(),
+                                   namespace=slot.engine.namespace_digest)
+                for (wl, ar), slot in self._engines.items()
             }
         # Batched cohort pricing, aggregated across engines: how many
         # search candidates the array-native sweeps committed vs bounced
@@ -449,6 +496,10 @@ class EvaluationService:
                             in sorted(cache.counts_by_kind().items())},
             },
         }
+
+
+def _key_error_text(exc: KeyError) -> str:
+    return str(exc.args[0]) if exc.args else str(exc)
 
 
 def _delta(before: Dict[str, int], after: Dict[str, int]

@@ -171,6 +171,33 @@ class TestSpecValidation:
                                          "samples": 10 ** 9})
 
 
+    def test_registry_family_resolved_from_the_name(self):
+        from repro import workloads
+        from repro.dataflows import dataflow_names
+
+        svc = EvaluationService()
+        names = (sorted(workloads.ATTENTION_SHAPES)
+                 + sorted(workloads.CONV_CHAIN_SHAPES))
+        for name in names:
+            spec = svc.validate_spec("sweep", {"workload": name})
+            assert spec["dataflows"] == list(
+                dataflow_names(workloads.by_name(name))), name
+
+    def test_registry_names_resolve_without_building(self, monkeypatch):
+        from repro.serve import service
+
+        def refuse(name):
+            raise AssertionError(f"built {name!r} to validate a spec")
+
+        monkeypatch.setattr(service.workloads_mod, "by_name", refuse)
+        monkeypatch.setattr(service.arch_mod, "by_name", refuse)
+        svc = EvaluationService()
+        spec = svc.validate_spec("evaluate", {"workload": "CC1",
+                                              "arch": "Cloud",
+                                              "dataflow": "isos"})
+        assert (spec["workload"], spec["arch"]) == ("CC1", "Cloud")
+
+
 class TestConstructorFloors:
     @pytest.mark.parametrize("kwargs", [
         {"workers": 0}, {"max_queue": 0}, {"subtree_cache_size": -1}])
@@ -193,11 +220,13 @@ class TestConstructorFloors:
 
 
 class TestTracedService:
-    def test_job_streams_carry_only_events_while_serve_traces(self):
+    def test_job_streams_carry_only_events_while_serve_traces(
+            self, tmp_path):
         """``repro serve --trace``: job threads' spans and counters go to
         the global profiling bus, never into a job's event stream."""
         from repro import obs
-        svc = EvaluationService(workers=2).start()
+        svc = EvaluationService(workers=2,
+                                ledger_root=str(tmp_path / "runs")).start()
         try:
             with obs.capture() as trace:
                 jobs = [svc.submit("evaluate", {"workload": "Bert-S",
@@ -216,11 +245,73 @@ class TestTracedService:
                                                       "cache"}
         recorded = list(trace.records)
         names = {r.name for r in recorded if r.type == "span"}
-        assert {"model.evaluate", "mcts.sample"} <= names
+        assert {"model.evaluate", "mcts.sample", "serve.validate",
+                "serve.tree", "serve.evaluate", "serve.record"} <= names
         assert obs.fold_counts(recorded)["engine.evaluations"] > 0
         # No event reached the global bus: each job thread's local bus
         # shadows it.
         assert not [r for r in recorded if r.type == "event"]
+
+
+# ---------------------------------------------------------------------------
+# Trees and fingerprint digests memoized per engine: results and ledger
+# manifests must equal freshly computed ones.
+
+class TestMemoizedTreesAndDigests:
+    def test_repeat_jobs_match_fresh_runs_and_fingerprints(self, tmp_path):
+        from repro import arch, workloads
+        from repro.analysis import TileFlowModel
+        from repro.dataflows import dataflow_for
+        from repro.engine.signature import (arch_fingerprint, digest,
+                                            workload_fingerprint)
+        from repro.obs.ledger import RunLedger
+
+        def fresh(workload_name, arch_name, dataflow):
+            workload = workloads.by_name(workload_name)
+            spec = arch.by_name(arch_name)
+            result = TileFlowModel(spec).evaluate(
+                dataflow_for(workload, dataflow, spec))
+            return (events.jsonable_cost(result.latency_cycles),
+                    events.jsonable_cost(result.energy_pj))
+
+        svc = EvaluationService(workers=1,
+                                ledger_root=str(tmp_path / "runs")).start()
+        try:
+            specs = [{"workload": "Bert-S", "dataflow": "flat_hgran"},
+                     {"workload": "Bert-S", "dataflow": "flat_hgran"},
+                     {"workload": "CC1", "arch": "EDGE",
+                      "dataflow": "isos"},
+                     {"workload": "CC1", "arch": "edge",
+                      "dataflow": "isos"}]
+            jobs = [svc.submit("evaluate", spec) for spec in specs]
+            sweep = svc.submit("sweep", {"workload": "Bert-S"})
+            assert svc.wait_drained(timeout=120)
+            slot = svc.engine_for("CC1", "EDGE")
+            assert slot is svc.engine_for("CC1", "edge")
+            assert list(slot.trees) == ["isos"]
+        finally:
+            svc.stop(timeout=5)
+
+        ledger = RunLedger(str(tmp_path / "runs"))
+        for spec, job in zip(specs, jobs):
+            assert job.state == "done", job.error
+            arch_name = spec.get("arch", "edge")
+            result = job.result
+            assert (result["latency_cycles"], result["energy_pj"]) == fresh(
+                spec["workload"], arch_name, spec["dataflow"])
+            manifest = ledger.load(job.run_id)
+            engine = svc.engine_for(spec["workload"], arch_name).engine
+            assert manifest["workload"]["fingerprint"] == digest(
+                workload_fingerprint(workloads.by_name(spec["workload"])))
+            assert manifest["arch"]["fingerprint"] == digest(
+                arch_fingerprint(arch.by_name(arch_name)))
+            assert manifest["namespace"] == digest(engine._base)
+        # The sweep ran on the engine (and the "flat_hgran" tree) the
+        # evaluate jobs warmed, and every row equals a fresh run.
+        assert sweep.state == "done", sweep.error
+        for row in sweep.result["rows"]:
+            assert row["latency_cycles"] == fresh(
+                "Bert-S", "edge", row["dataflow"])[0], row["dataflow"]
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +448,37 @@ class TestHTTPAPI:
         kinds = [e["kind"] for e in lines]
         assert kinds[0] == "run.start" and kinds[-1] == "run.end"
         assert all(e["type"] == "event" for e in lines)
+
+    def test_client_disconnecting_mid_stream(self, server):
+        """Fault injection: a follower hangs up after the first event
+        line; the job, its ledger run and the worker are unaffected."""
+        import socket
+
+        httpd, svc = server
+        _status, job, _ = _request(httpd, "POST", "/jobs", {
+            "kind": "search",
+            "spec": {"workload": "Bert-S", "generations": 2,
+                     "population": 4, "samples": 10}})
+        sock = socket.create_connection(
+            ("127.0.0.1", httpd.server_address[1]), timeout=30)
+        sock.sendall(f"GET /jobs/{job['id']}/events?follow=1 HTTP/1.0"
+                     f"\r\n\r\n".encode())
+        received = b""
+        while b"\n" not in received.partition(b"\r\n\r\n")[2]:
+            chunk = sock.recv(4096)
+            assert chunk, "stream closed before the first event line"
+            received += chunk
+        sock.close()
+        assert svc.wait_drained(timeout=120)
+        record = _request(httpd, "GET", f"/jobs/{job['id']}")[1]
+        assert record["state"] == "done" and record["run_id"]
+        assert all(t.is_alive() for t in svc._threads)
+        _status, nxt, _ = _request(httpd, "POST", "/jobs", {
+            "kind": "evaluate",
+            "spec": {"workload": "Bert-S", "dataflow": "layerwise"}})
+        assert svc.wait_drained(timeout=60)
+        record = _request(httpd, "GET", f"/jobs/{nxt['id']}")[1]
+        assert record["state"] == "done" and record["run_id"]
 
     def test_error_statuses(self, server):
         httpd, _svc = server
