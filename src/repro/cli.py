@@ -435,7 +435,8 @@ def cmd_client(args) -> int:
                 reset_counters=args.reset_counters)
             if outcome.get("cleared"):
                 w.emit(f"cache cleared: {outcome.get('entries_dropped')} "
-                       f"entries dropped across "
+                       f"entries and {outcome.get('results_dropped')} "
+                       f"kept results dropped across "
                        f"{outcome.get('engines')} engine(s)")
             else:
                 w.emit(f"cache clear failed: {outcome.get('error')}")
@@ -461,6 +462,8 @@ def cmd_client(args) -> int:
         return 0
     except ServiceError as exc:
         raise SystemExit(f"service error: {exc}")
+    except BrokenPipeError:  # our stdout closed, e.g. `... | head`
+        raise
     except (ConnectionError, OSError) as exc:
         raise SystemExit(f"cannot reach {args.url}: {exc}")
     except TimeoutError as exc:

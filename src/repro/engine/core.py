@@ -378,9 +378,11 @@ class EvaluationEngine:
         layer.
 
         This is the evaluation service's ``evaluate``/``sweep`` job
-        path: every job pays for a real pipeline run, while subtree
-        artifacts flow through the shared :class:`SubtreeArtifactCache`
-        — a repeated job is served almost entirely from warm artifacts.
+        path, run once per (engine, dataflow): the service keeps the
+        result next to the tree and later jobs reuse it without calling
+        here.  Subtree artifacts flow through the shared
+        :class:`SubtreeArtifactCache`, which serves a first evaluation
+        whatever another evaluation left behind.
         """
         return self._evaluate(self._tree_context(tree),
                               lambda: (self._base, "tree", tree.name),

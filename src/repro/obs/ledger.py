@@ -117,10 +117,11 @@ class RunLedger:
         path = os.path.join(run_dir, MANIFEST_NAME)
         tmp = path + ".tmp"
         try:
+            # One write: json.dump would make one per encoded chunk.
+            text = json.dumps(manifest, indent=2, sort_keys=True,
+                              allow_nan=False) + "\n"
             with open(tmp, "w") as fh:
-                json.dump(manifest, fh, indent=2, sort_keys=True,
-                          allow_nan=False)
-                fh.write("\n")
+                fh.write(text)
             os.replace(tmp, path)  # readers never see a half-written one
         except OSError as exc:  # e.g. a full disk
             try:

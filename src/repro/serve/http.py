@@ -16,7 +16,10 @@ Routes (all JSON unless noted)::
 Status codes: 400 malformed body/kind/spec, 404 unknown job or path,
 409 cancel of a non-queued job, 411 missing Content-Length, 413 body
 over the configured cap, 429 queue full (backpressure), 503 +
-``Retry-After`` while draining.
+``Retry-After`` while draining.  A connection whose reads or writes
+stall for :data:`SOCKET_TIMEOUT_S` (a body shorter than its
+``Content-Length``, an events reader that stops reading) is closed
+without a response.
 
 Built on :class:`http.server.ThreadingHTTPServer` with HTTP/1.0
 connection-per-request semantics: the events endpoint streams NDJSON
@@ -45,6 +48,11 @@ from .service import EvaluationService, SpecError
 DEFAULT_MAX_BODY = 64 * 1024
 #: Seconds a draining server advertises in ``Retry-After``.
 RETRY_AFTER_S = 5
+#: Seconds any one socket read or write may stall before the handler
+#: drops the connection (the stdlib's ``handle_one_request`` closes it
+#: on ``TimeoutError``): a client that sends fewer body bytes than its
+#: ``Content-Length`` would otherwise pin a handler thread forever.
+SOCKET_TIMEOUT_S = 30.0
 
 
 class ServiceHTTPServer(ThreadingHTTPServer):
@@ -65,6 +73,7 @@ class ServiceHTTPServer(ThreadingHTTPServer):
 class ServiceRequestHandler(BaseHTTPRequestHandler):
     # Connection-close semantics: streamed responses end at EOF.
     protocol_version = "HTTP/1.0"
+    timeout = SOCKET_TIMEOUT_S
     server: ServiceHTTPServer
 
     # -- plumbing --------------------------------------------------------

@@ -13,6 +13,17 @@ artifact families apart, and each engine's hit/miss attribution is
 scoped to its own namespace, so per-job counter deltas are exact even
 while jobs on *different* engines run concurrently.
 
+Each engine's slot (:class:`EngineSlot`) also keeps, per dataflow, the
+tree and the :class:`~repro.analysis.metrics.EvaluationResult` of the
+first job that named it.  The §5 model is a deterministic function of
+the tree and the architecture, so later ``evaluate`` jobs and ``sweep``
+rows on that slot reuse the kept result and skip the engine: they
+report a zero counter delta and the lookup's ``wall_s``, and still
+write their own ledger manifest.  The registry bounds slots ×
+dataflows, so the kept results need no size bound.  ``POST
+/admin/cache/clear`` drops them together with the shared cache, so the
+next job runs cold.
+
 Each job runs with a **thread-local event bus** (a
 :class:`~repro.obs.events.CallbackSink` appending to the job's buffer),
 so concurrent jobs produce isolated, in-order event streams framed by
@@ -42,6 +53,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from .. import arch as arch_mod
 from .. import obs
 from .. import workloads as workloads_mod
+from ..analysis.metrics import EvaluationResult
 from ..dataflows import (ATTENTION_DATAFLOWS, CONV_DATAFLOWS, dataflow_for,
                          dataflow_names)
 from ..engine import EvaluationEngine
@@ -89,24 +101,32 @@ def _positive(spec: Dict[str, Any], key: str, default: int,
 
 class EngineSlot:
     """One persistent engine, the lock its jobs run under, and its
-    dataflow trees, each built once on first use.  The registry bounds
-    how many trees there can be."""
+    dataflow trees and their evaluation results, each made once on
+    first use.  The registry bounds how many there can be.  Read and
+    fill :attr:`trees` and :attr:`results` only under :attr:`lock`."""
 
-    __slots__ = ("engine", "lock", "trees")
+    __slots__ = ("engine", "lock", "trees", "results")
 
     def __init__(self, engine: EvaluationEngine):
         self.engine = engine
         self.lock = threading.Lock()
         self.trees: Dict[str, AnalysisTree] = {}
+        self.results: Dict[str, EvaluationResult] = {}
 
-    def tree(self, dataflow: str) -> AnalysisTree:
-        """The engine's tree for named dataflow ``dataflow``; call it
-        under :attr:`lock`."""
-        tree = self.trees.get(dataflow)
-        if tree is None:
-            tree = self.trees[dataflow] = dataflow_for(
-                self.engine.workload, dataflow, self.engine.arch)
-        return tree
+    def result(self, dataflow: str) -> EvaluationResult:
+        """The engine's evaluation of named dataflow ``dataflow``: run
+        on the first call and kept.  Callers copy scalars out of it and
+        never change it."""
+        result = self.results.get(dataflow)
+        if result is None:
+            with obs.span("serve.tree", "serve"):
+                tree = self.trees.get(dataflow)
+                if tree is None:
+                    tree = self.trees[dataflow] = dataflow_for(
+                        self.engine.workload, dataflow, self.engine.arch)
+            result = self.results[dataflow] = self.engine.evaluate_tree(
+                tree)
+        return result
 
 
 class EvaluationService:
@@ -337,12 +357,10 @@ class EvaluationService:
         slot = self.engine_for(spec["workload"], spec["arch"])
         engine = slot.engine
         with slot.lock:
-            with obs.span("serve.tree", "serve"):
-                tree = slot.tree(spec["dataflow"])
             before = engine.stats.to_dict()
             start = time.perf_counter()
             with obs.span("serve.evaluate", "serve"):
-                result = engine.evaluate_tree(tree)
+                result = slot.result(spec["dataflow"])
             wall_s = time.perf_counter() - start
             counters = _delta(before, engine.stats.to_dict())
         run_id = self._record(job, lambda rid: evaluate_run_manifest(
@@ -405,7 +423,7 @@ class EvaluationService:
             before = engine.stats.to_dict()
             start = time.perf_counter()
             for name in names:
-                result = engine.evaluate_tree(slot.tree(name))
+                result = slot.result(name)
                 rows.append({
                     "dataflow": name,
                     "latency_cycles": events_mod.jsonable_cost(
@@ -428,8 +446,9 @@ class EvaluationService:
     # -- cache administration --------------------------------------------
     def clear_cache(self, reset_counters: bool = False,
                     timeout: float = 30.0) -> Dict[str, Any]:
-        """Safely empty the shared artifact cache (``POST
-        /admin/cache/clear``).
+        """Safely empty the shared artifact cache and every slot's kept
+        results (``POST /admin/cache/clear``), so the next job runs
+        cold.
 
         "Safely" means no job observes the cache shrinking mid-run:
         every per-engine job lock is acquired (in a stable order) before
@@ -437,25 +456,28 @@ class EvaluationService:
         blocks new ones for the instant the clear takes.
         """
         with self._lock:
-            locks = [slot.lock for _, slot in sorted(self._engines.items())]
+            slots = [slot for _, slot in sorted(self._engines.items())]
         acquired = []
         deadline = time.monotonic() + timeout
         try:
-            for lock in locks:
-                if not lock.acquire(
+            for slot in slots:
+                if not slot.lock.acquire(
                         timeout=max(0.0, deadline - time.monotonic())):
                     return {"cleared": False,
                             "error": "timed out waiting for running jobs"}
-                acquired.append(lock)
+                acquired.append(slot.lock)
             entries = self.subtree_cache.total
             self.subtree_cache.clear()
             if reset_counters:
                 self.subtree_cache.reset_counters()
+            results = sum(len(slot.results) for slot in slots)
+            for slot in slots:
+                slot.results.clear()
         finally:
             for lock in acquired:
                 lock.release()
         return {"cleared": True, "entries_dropped": entries,
-                "engines": len(locks),
+                "results_dropped": results, "engines": len(slots),
                 "counters_reset": bool(reset_counters)}
 
     # -- introspection ---------------------------------------------------

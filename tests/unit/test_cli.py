@@ -235,3 +235,49 @@ class TestObservabilityFlags:
         assert main(["evaluate", "Bert-S", "tileflow", "--quiet",
                      "--profile"]) == 0
         assert not obs.is_enabled()
+
+
+class TestClientClosedStdout:
+    def test_watch_into_a_reader_that_closes_early_exits_141(self):
+        """`repro client watch JOB | head -1`: the reader closing the
+        pipe ends the command with the SIGPIPE exit code, not with a
+        report that the server cannot be reached."""
+        import json
+        import os
+        import subprocess
+        import sys
+        import threading
+
+        import repro
+        from repro.serve import EvaluationService, make_server
+
+        # No worker threads: the job and its stream are made by hand,
+        # far longer than a pipe buffers.
+        svc = EvaluationService(workers=1)
+        job = svc.queue.submit("evaluate", {})
+        svc.queue.claim(timeout=1)
+        for seq in range(5000):
+            job.append_event({"type": "event", "kind": "run.start",
+                              "seq": seq, "pad": "x" * 64})
+        svc.queue.finish(job, {})
+        httpd = make_server("127.0.0.1", 0, svc)
+        thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+        thread.start()
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(repro.__file__)))
+        try:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "repro", "client", "watch",
+                 "--url", f"http://127.0.0.1:{httpd.server_address[1]}",
+                 job.id],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)
+        finally:
+            httpd.shutdown()
+            httpd.server_close()
+        assert json.loads(first)["seq"] == 0
+        assert proc.returncode == 141, err
+        assert b"cannot reach" not in err
+        assert b"Traceback" not in err

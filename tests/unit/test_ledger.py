@@ -39,6 +39,23 @@ class TestLedger:
         assert loaded == json.loads(json.dumps(manifest))
         assert loaded["version"] == ledger_mod.MANIFEST_VERSION
 
+    def test_record_writes_the_bytes_json_dump_did(self, tmp_path):
+        # The manifest is written in one call; its bytes must be those
+        # of the streaming json.dump it replaced.
+        import io
+        ledger = ledger_mod.RunLedger(str(tmp_path / "runs"))
+        manifest = _manifest("runB", 1234.5678,
+                             counters={"evaluations": 3, "é": 1},
+                             config={"nested": {"b": [1, 2.5, None],
+                                                "a": True}})
+        path = ledger.record(manifest)
+        expected = io.StringIO()
+        json.dump(manifest, expected, indent=2, sort_keys=True,
+                  allow_nan=False)
+        expected.write("\n")
+        with open(path, "rb") as fh:
+            assert fh.read() == expected.getvalue().encode()
+
     def test_new_run_id_never_collides(self, tmp_path):
         ledger = ledger_mod.RunLedger(str(tmp_path / "runs"))
         first = ledger.new_run_id(salt="x")
@@ -62,11 +79,24 @@ class TestLedger:
 
     def test_full_disk_raises_ledger_error_and_leaves_nothing(
             self, tmp_path, monkeypatch):
-        def full_disk(*args, **kwargs):
-            raise OSError(errno.ENOSPC, "No space left on device")
+        class FullDisk:
+            """A file opened for real whose writes fail as on a full
+            disk, so the half-made temporary file must be removed."""
+
+            def __init__(self, path, mode="r"):
+                self.fh = open(path, mode)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                raise OSError(errno.ENOSPC, "No space left on device")
 
         ledger = ledger_mod.RunLedger(str(tmp_path / "runs"))
-        monkeypatch.setattr(ledger_mod.json, "dump", full_disk)
+        monkeypatch.setattr(ledger_mod, "open", FullDisk, raising=False)
         with pytest.raises(ledger_mod.LedgerError) as info:
             ledger.record(_manifest("runA", 100.0))
         assert info.value.__cause__.errno == errno.ENOSPC

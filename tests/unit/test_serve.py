@@ -315,6 +315,94 @@ class TestMemoizedTreesAndDigests:
 
 
 # ---------------------------------------------------------------------------
+# Kept results: each slot evaluates a dataflow once; later evaluate jobs
+# and sweep rows reuse the result and must answer as a fresh engine does.
+
+def _fresh(workload_name, arch_name, dataflow):
+    """(latency_cycles, energy_pj, feasible) of a fresh engine's
+    evaluation of the named dataflow, as the service reports them."""
+    from repro import arch, workloads
+    from repro.dataflows import dataflow_for
+    from repro.engine import EvaluationEngine
+
+    workload = workloads.by_name(workload_name)
+    spec = arch.by_name(arch_name)
+    result = EvaluationEngine(workload, spec).evaluate_tree(
+        dataflow_for(workload, dataflow, spec))
+    return (events.jsonable_cost(result.latency_cycles),
+            events.jsonable_cost(result.energy_pj), result.feasible)
+
+
+class TestKeptResults:
+    def test_sweep_after_evaluates_reuses_their_results(self):
+        names = ["layerwise", "tileflow", "flat_hgran"]
+        svc = EvaluationService(workers=1).start()
+        try:
+            evals = [svc.submit("evaluate", dict(_EVAL_SPEC, dataflow=n))
+                     for n in names[:2]]
+            sweep = svc.submit("sweep", {"workload": "Bert-S",
+                                         "dataflows": names})
+            again = svc.submit("sweep", {"workload": "Bert-S",
+                                         "dataflows": names})
+            assert svc.wait_drained(timeout=60)
+            slot = svc.engine_for("Bert-S", "edge")
+            assert sorted(slot.results) == sorted(names)
+        finally:
+            svc.stop(timeout=5)
+        for job in evals + [sweep, again]:
+            assert job.state == "done", job.error
+        # The sweep ran the engine only for the dataflow no evaluate job
+        # had named; the repeat sweep ran it for none.
+        assert sweep.result["counters"]["evaluations"] == 1
+        assert set(again.result["counters"].values()) == {0}
+        for job in evals:
+            row = next(r for r in sweep.result["rows"]
+                       if r["dataflow"] == job.result["dataflow"])
+            assert (row["latency_cycles"], row["cost"],
+                    row["feasible"]) == (job.result["latency_cycles"],
+                                         job.result["cost"],
+                                         job.result["feasible"])
+        assert again.result["rows"] == sweep.result["rows"]
+        for row in sweep.result["rows"]:
+            latency, _energy, feasible = _fresh("Bert-S", "edge",
+                                                row["dataflow"])
+            assert (row["latency_cycles"], row["feasible"]) == (
+                latency, feasible), row["dataflow"]
+
+    def test_every_registry_spec_cold_and_reused_matches_fresh(self):
+        from repro import workloads
+        from repro.dataflows import dataflow_names
+
+        specs = [{"workload": w, "arch": a, "dataflow": d}
+                 for w in (list(workloads.ATTENTION_SHAPES)
+                           + list(workloads.CONV_CHAIN_SHAPES))
+                 for a in ("edge", "cloud")
+                 for d in dataflow_names(workloads.by_name(w))]
+        assert len(specs) == 172
+        svc = EvaluationService(workers=2, max_queue=len(specs)).start()
+        try:
+            rounds = []
+            for _ in range(2):
+                rounds.append([svc.submit("evaluate", dict(spec))
+                               for spec in specs])
+                assert svc.wait_drained(timeout=300)
+        finally:
+            svc.stop(timeout=5)
+        cold, reused = rounds
+        for spec, first, second in zip(specs, cold, reused):
+            assert first.state == "done", (spec, first.error)
+            assert second.state == "done", (spec, second.error)
+            assert first.result["counters"]["evaluations"] == 1, spec
+            assert set(second.result["counters"].values()) == {0}, spec
+            expected = _fresh(spec["workload"], spec["arch"],
+                              spec["dataflow"])
+            for job in (first, second):
+                assert (job.result["latency_cycles"],
+                        job.result["energy_pj"],
+                        job.result["feasible"]) == expected, spec
+
+
+# ---------------------------------------------------------------------------
 # Cache counter thread-safety (satellite: concurrent readers must not
 # lose hit/miss increments).
 
@@ -480,6 +568,38 @@ class TestHTTPAPI:
         record = _request(httpd, "GET", f"/jobs/{nxt['id']}")[1]
         assert record["state"] == "done" and record["run_id"]
 
+    def test_body_stalled_mid_way_is_dropped(self, server, monkeypatch):
+        """Fault injection: a client sends part of a body shorter than
+        its Content-Length and stalls.  The handler's socket timeout
+        closes that connection, and the server keeps serving."""
+        import socket
+
+        from repro.serve.http import (SOCKET_TIMEOUT_S,
+                                      ServiceRequestHandler)
+
+        # Every connection gets the timeout; shortened here to keep the
+        # test fast.
+        assert ServiceRequestHandler.timeout == SOCKET_TIMEOUT_S > 0
+        monkeypatch.setattr(ServiceRequestHandler, "timeout", 0.3)
+        httpd, svc = server
+        body = json.dumps({"kind": "evaluate",
+                           "spec": dict(_EVAL_SPEC)}).encode()
+        sock = socket.create_connection(
+            ("127.0.0.1", httpd.server_address[1]), timeout=10)
+        sock.sendall(b"POST /jobs HTTP/1.0\r\nContent-Length: "
+                     + str(len(body)).encode() + b"\r\n\r\n"
+                     + body[:len(body) // 2])
+        start = time.monotonic()
+        assert sock.recv(4096) == b""  # closed, with no response
+        assert time.monotonic() - start < 5
+        sock.close()
+        assert svc.queue.jobs() == []
+        status, job, _ = _request(httpd, "POST", "/jobs", {
+            "kind": "evaluate", "spec": dict(_EVAL_SPEC)})
+        assert status == 202
+        assert svc.wait_drained(timeout=30)
+        assert svc.queue.get(job["id"]).state == "done"
+
     def test_error_statuses(self, server):
         httpd, _svc = server
         # 400: bad spec.
@@ -599,15 +719,23 @@ class TestCacheAdmin:
             out = svc.clear_cache()
             assert out["cleared"] is True
             assert out["entries_dropped"] > 0
+            assert out["results_dropped"] == 1
             assert out["counters_reset"] is False
             assert cache.total == 0
+            assert svc.engine_for("Bert-S", "edge").results == {}
             # Lifetime counters deliberately survive a clear...
             assert cache.misses == misses
             # ...and only an explicit reset zeroes them.
             out = svc.clear_cache(reset_counters=True)
             assert out["counters_reset"] is True
+            assert out["results_dropped"] == 0
             assert cache.counts() == (0, 0)
             assert cache.eviction_count == 0
+            # The next job runs cold: an engine run that misses.
+            job = svc.submit("evaluate", dict(_EVAL_SPEC))
+            assert svc.wait_drained(timeout=30)
+            assert job.result["counters"]["evaluations"] == 1
+            assert job.result["counters"]["subtree_misses"] > 0
         finally:
             svc.stop(timeout=5)
 
@@ -631,8 +759,13 @@ class TestCacheAdmin:
         # One in-memory tier holding slice geometry and walk volumes.
         assert set(stats["by_kind"]) == {"slices", "walkvol"}
         assert "tiers" not in stats
+        # Only the first round ran the engine; its hits are walk volumes
+        # one evaluation reads more than once.  The second round reused
+        # the kept results and touched no cache.
         assert stats["hits"] > 0
-        # Results equal a cache-free model evaluation, cold or warm.
+        assert [job.result["counters"]["evaluations"] for job in jobs] \
+            == [1] * len(specs) + [0] * len(specs)
+        # Results equal a cache-free model evaluation, cold or reused.
         for job, spec in zip(jobs, specs + specs):
             spec_arch = arch.by_name(spec["arch"])
             tree = dataflow_for(workloads.by_name(spec["workload"]),
@@ -654,6 +787,7 @@ class TestCacheAdmin:
                                       {"reset_counters": True})
         assert status == 200
         assert payload["cleared"] is True and payload["counters_reset"]
+        assert payload["results_dropped"] == 1
         assert svc.subtree_cache.total == 0
         assert svc.subtree_cache.counts() == (0, 0)
         # The body is optional: no Content-Length is an empty options
