@@ -6,8 +6,7 @@ The analyses compose as an explicit pass pipeline
 ``docs/ARCHITECTURE.md``.
 """
 
-from .context import (AnalysisContext, NodeSlices, PlanContext,
-                      num_pe_demand)
+from .context import AnalysisContext, NodeSlices
 from .datamovement import (DataMovementAnalysis, DataMovementResult,
                            NodeFlows, WalkRecipe, recursion_volume)
 from .fingerprint import (cache_namespace, node_fingerprints,
@@ -28,7 +27,7 @@ from .slices import (box_volume, delta_volume, loop_displacement,
 
 __all__ = [
     "TileFlowModel",
-    "AnalysisContext", "NodeSlices", "PlanContext", "num_pe_demand",
+    "AnalysisContext", "NodeSlices",
     "AnalysisPass", "Pipeline", "PipelineError",
     "DEFAULT_PIPELINE", "PRESCREEN_PIPELINE",
     "ValidatePass", "SlicesPass", "DataMovementPass", "ResourcesPass",

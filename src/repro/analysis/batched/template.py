@@ -48,7 +48,7 @@ import numpy as np
 from ...tile.bindings import Binding
 from ...tile.tree import FusionNode, OpTile, TileNode
 from ..context import AnalysisContext
-from ..datamovement import DataMovementAnalysis
+from ..datamovement import WalkRecipe
 from .cohort import CohortPlan, CohortPlanner
 from .kernels import (F8, I8, BatchedPlanError, add64, box64, movement64,
                       mul64, sub64, abs64)
@@ -136,8 +136,8 @@ class RepStructure:
     """One representative member's real tree plus analysis context.
 
     Built once per representative; the :class:`GroupTemplate` objects
-    harvested from it (one per group) share its tree, context, movement
-    analysis and loop-to-slot resolution.  Construction raises
+    harvested from it (one per group) share its tree, context and
+    loop-to-slot resolution.  Construction raises
     :class:`BatchedPlanError` when the tree does not match the planner's
     slot layout (a planner bug, never a data condition).
     """
@@ -155,8 +155,6 @@ class RepStructure:
         self.ctx = AnalysisContext(self.tree, self.arch,
                                    model_eviction=model_eviction,
                                    model_rmw=model_rmw)
-        self.dm = DataMovementAnalysis(self.tree, self.arch,
-                                       context=self.ctx)
         self.model_rmw = self.ctx.model_rmw
         root = self.tree.root
         self.wrapped = root.level == self.arch.dram_index
@@ -221,7 +219,6 @@ class GroupTemplate:
         self.arch = structure.arch
         self.workload = structure.workload
         self.ctx = structure.ctx
-        self._dm = structure.dm
         self.model_rmw = structure.model_rmw
         self.gnode: TileNode = structure.group_nodes[gi]
         self.nodes: List[TileNode] = list(self.gnode.walk())
@@ -245,18 +242,18 @@ class GroupTemplate:
         self._inst_levels: Optional[Tuple[int, ...]] = None
 
     def _plan_node(self, node: TileNode) -> _NodePlan:
-        slices = self.ctx.node_slices(node)
+        below = self.ctx.node_tensors(node)
         lanes = [lp for lp in node.spatial_loops if lp.step == 1]
         tensors: List[_TensorPlan] = []
-        for name in slices.tensors:
+        for name in below.tensors:
             crossing = self.ctx.tensor_crossing(node, name)
-            pairs = (slices.readers.get(name, [])
-                     + slices.writers.get(name, []))
+            pairs = (below.readers.get(name, [])
+                     + below.writers.get(name, []))
             reader = writer = None
             if crossing:
                 home = self.ctx.home(name)
-                reader_pairs = slices.readers.get(name, [])
-                writer_pairs = slices.writers.get(name, [])
+                reader_pairs = below.readers.get(name, [])
+                writer_pairs = below.writers.get(name, [])
                 if reader_pairs:
                     _leaf, access = reader_pairs[0]
                     walked, mult = self._mirror_walk(node, name, access,
@@ -317,8 +314,9 @@ class GroupTemplate:
 
     def _mirror_walk(self, node: TileNode, tensor_name: str, access,
                      home) -> Tuple[List, List]:
-        """``DataMovementAnalysis._build_walk``'s (walked, multiplied)
-        Loop objects on the representative.
+        """The (walked, multiplied) Loop objects of the scalar analysis'
+        :class:`~repro.analysis.datamovement.WalkRecipe` on the
+        representative.
 
         The group key guarantees every member takes the same branches
         (the walk may climb into the loop-free root wrapper, whose
@@ -326,7 +324,7 @@ class GroupTemplate:
         ``mult`` keeps the scalar multiplication order — the float
         multiplier product replays it element for element.
         """
-        walk = self._dm._build_walk(node, tensor_name, access, home)
+        walk = WalkRecipe(self.ctx, node, tensor_name, access, home).walk()
         return walk.loops, walk.multiplied
 
     # -- evaluation -----------------------------------------------------

@@ -1,60 +1,68 @@
 """Shared per-evaluation analysis state.
 
 :class:`AnalysisContext` is the blackboard one pipeline run
-(:mod:`repro.analysis.pipeline`) writes its artifacts into, plus a memo
-layer for the per-node intermediates several analyses need:
+(:mod:`repro.analysis.pipeline`) writes its artifacts into, and the one
+place the §5 passes read a tree's structure from.  On first use it
+compiles, for any tree, what the passes derive from the tree's
+structure alone:
 
-* **slice geometry** (:class:`NodeSlices`) — the (leaf, access) pairs
-  below a node grouped by tensor, their merged slice extents, and the
-  per-tensor staged word counts.  Data movement (§5.1), the resource
-  footprint (§5.2), and the feasibility bounds all consume these; the
-  context computes them once per node.
-* **loop products** — ``executions(node)`` (how many times a node's
-  subtree runs over the whole execution) and the ``NumPE`` compute
-  demand recursion of §5.2, both exact integer arithmetic.
-* **tensor residency** — the LCA home node of each tensor and the
-  "does this subtree use tensor X" predicate driving Seq eviction.
+* **slice rows** — per node and tensor, every (leaf, access) pair below
+  it as per-tensor-dim ``(iteration dim, |coefficient|)`` terms.  A
+  point's extent is ``1 + sum(|c| * (cov_d - 1))`` over the leaf's path
+  coverage, max-merged over the pairs — what
+  :meth:`AffineExpr.extent_over` and :func:`merged_extents` give.
+* **walk recipes** — per node, the tensors crossing into its buffer,
+  each with its first reader's and first writer's ordered walk segments
+  of §5.1.1/§5.1.2
+  (:class:`~repro.analysis.datamovement.WalkRecipe`), compiled by the
+  data-movement pass into :attr:`AnalysisContext.walk_recipes`.
+* **fusion rules** — per fusion node, the dims its loops may iterate
+  (those of the operators below it) and the §4.1 reduction dims they may
+  not; :meth:`AnalysisContext.validate` checks the loops against them and
+  the root coverage from the same per-leaf path coverage the slice rows
+  read.
+* **plan nodes** — the pre-order :class:`PlanNode` table the bound,
+  resource and latency passes walk instead of the tree (children before
+  parents for the bottom-up recursions).
 
-A context is valid for exactly one ``(tree, arch)`` pair.  With a
-shared :class:`~repro.engine.cache.SubtreeArtifactCache`
-(``artifact_cache``) subtree memos are keyed by the *structural subtree
-fingerprint* (:mod:`repro.analysis.fingerprint`), so slice geometry
-stays valid across trees and persists across evaluations — the
-incremental-evaluation layer.  Without one they are keyed by node
-identity and no fingerprint is computed.
-Either way
+The tree's current loops are then substituted into those tables: per
+leaf its coverage along its path, per node its ``NumPE`` demand and
+execution count, all exact integer arithmetic.  The tensor-residency
+facts — each tensor's LCA home node, which tensors cross into which
+node's buffer, the Seq eviction verdicts — are memoized too.
 
-* querying the context with a node from a *different* tree raises
+A context is valid for exactly one ``(tree, arch)`` pair:
+
+* querying it with a node from a *different* tree raises
   :class:`~repro.errors.ForeignNodeError` instead of silently returning
   stale geometry keyed by a recycled ``id()``;
 * after mutating the context's own tree in place,
-  :meth:`AnalysisContext.invalidate` re-arms it; a loops-only re-arm
-  keeps every structure-only fact, which is how a per-genome tune
-  prices each factor point on one tree.
+  :meth:`AnalysisContext.invalidate` re-arms it.  A loops-only re-arm
+  keeps every compiled table and every structure-only fact, which is
+  how a per-genome tune (:class:`~repro.engine.GenomePlan`) prices each
+  factor point on one tree.
 
-:class:`PlanContext` is that tune's context: it compiles the slice
-geometry and the data-movement walks of its tree down to tables that
-only the loop counts are substituted into.
+An optional shared artifact store (``artifact_cache``, a
+:class:`~repro.engine.cache.SubtreeArtifactCache`) is a memo on top:
+slice geometry is looked up under the node's structural subtree
+fingerprint (:mod:`repro.analysis.fingerprint`) and data-movement
+volumes under their projected walk before they are computed from the
+compiled tables, so trees that share subtrees share that work.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
 from ..arch import Architecture
 from ..errors import ForeignNodeError
 from ..ir import TensorAccess
 from ..tile.bindings import Binding
 from ..tile.tree import AnalysisTree, FusionNode, OpTile, TileNode
-from ..tile.validate import (fused_producers, raise_invalid,
-                             structure_verdict, validate_tree_local)
+from ..tile.validate import fused_producers, raise_invalid, structure_verdict
 from .fingerprint import cache_namespace, node_fingerprints
-from .slices import box_volume, merged_extents
 
 AccessPairs = List[Tuple[OpTile, TensorAccess]]
-#: ``id(node) -> slice_coverage(node, leaf)`` along one leaf's path
-#: (:meth:`AnalysisContext.path_coverage`).
-PathCoverage = Dict[int, Dict[str, int]]
 
 
 class NodeTensors:
@@ -86,90 +94,97 @@ class NodeTensors:
 class NodeSlices:
     """Slice geometry of one tree node, grouped by tensor.
 
-    ``readers``, ``writers`` and ``tensors`` come from the node's
-    :class:`NodeTensors` (built here unless given); ``extents[t]``
-    merges the slice bounding boxes of all reads and writes of ``t``
-    below the node, and ``staged_words[t]`` is that box's volume (one
-    buffer instance's residency per time step).
+    ``tensors`` are the node's tensors in :class:`NodeTensors` order;
+    ``extents[t]`` merges the slice bounding boxes of all reads and
+    writes of ``t`` below the node, and ``staged_words[t]`` is that
+    box's volume (one buffer instance's residency per time step).
 
     Instances may be shared across structurally identical subtrees of
     different trees (the engine's subtree artifact cache does exactly
-    that), so consumers must never mutate them; the ``(leaf, access)``
-    pairs are only read for the shared :class:`~repro.ir.Operator` /
-    :class:`~repro.ir.TensorAccess` objects, which are identical for
-    equal-fingerprint subtrees of one workload.
+    that), so consumers must never mutate them.
     """
 
-    __slots__ = ("readers", "writers", "tensors", "extents", "staged_words")
+    __slots__ = ("tensors", "extents", "staged_words")
 
-    def __init__(self, node: TileNode,
-                 path_coverage: Callable[[OpTile], PathCoverage],
-                 tensors: Optional[NodeTensors] = None):
-        if tensors is None:
-            tensors = NodeTensors(node)
-        self.readers = tensors.readers
-        self.writers = tensors.writers
-        self.tensors = tensors.tensors
-        self.extents: Dict[str, Tuple[int, ...]] = {}
-        self.staged_words: Dict[str, float] = {}
-        key = id(node)
-        for name in self.tensors:
-            extents = merged_extents(
-                access.extents_over(path_coverage(leaf)[key])
-                for leaf, access in tensors.accesses[name])
-            self.extents[name] = extents
-            self.staged_words[name] = float(box_volume(extents))
-
-    @classmethod
-    def from_extents(cls, tensors: NodeTensors,
-                     extents: Dict[str, Tuple[int, ...]],
-                     staged_words: Dict[str, float]) -> "NodeSlices":
-        """The slices of a node whose merged ``extents`` and their
-        volumes are known (:class:`PlanContext` derives them from its
-        slice rows); both are keyed in ``tensors.tensors`` order."""
-        slices = cls.__new__(cls)
-        slices.readers = tensors.readers
-        slices.writers = tensors.writers
-        slices.tensors = tensors.tensors
-        slices.extents = extents
-        slices.staged_words = staged_words
-        return slices
+    def __init__(self, tensors: Tuple[str, ...],
+                 extents: Dict[str, Tuple[int, ...]],
+                 staged_words: Dict[str, float]):
+        self.tensors = tensors
+        self.extents = extents
+        self.staged_words = staged_words
 
 
-def num_pe_demand(node: TileNode,
-                  demand: Optional[Callable[[TileNode], Tuple[int, int]]]
-                  = None) -> Tuple[int, int]:
-    """(MAC PEs, vector PEs) used concurrently by the subtree (§5.2).
+#: One (leaf, access) pair of a slice row: the leaf's index in the
+#: context's leaf order, the node's depth on that leaf's path, the
+#: access's dims when every tensor dim is one of them with coefficient 1
+#: (else None), and per tensor dim the access's ``(iteration dim,
+#: |coefficient|)`` terms.
+SliceRow = Tuple[int, int, Optional[Tuple[str, ...]],
+                 Tuple[Tuple[Tuple[str, int], ...], ...]]
 
-    The single home of the paper's ``NumPE`` recursion: concurrent
-    siblings (``Para``/``Pipe``) add their demands, time-shared siblings
-    (``Seq``/``Shar``) take the max, spatial loops multiply.  Purely
-    structural — needs no data-movement information — so the feasibility
-    bounds and the resource analysis share it.  ``demand`` prices the
-    children (default: this recursion; a context passes its memo).
+
+def _slice_terms(access: TensorAccess) -> Tuple[
+        Optional[Tuple[str, ...]], Tuple[Tuple[Tuple[str, int], ...], ...]]:
+    """The ``(plain dims, terms)`` half of an access's slice row: an
+    extent is ``1 + sum(|c| * (cov_d - 1))`` over its terms, which is
+    ``cov_d`` itself for a plain ``d`` index."""
+    terms = tuple(tuple((d, abs(c)) for d, c in e.terms.items())
+                  for e in access.exprs)
+    plain = (tuple(row[0][0] for row in terms)
+             if all(len(row) == 1 and row[0][1] == 1 for row in terms)
+             else None)
+    return plain, terms
+
+
+class PlanNode:
+    """One node of a context's tree as the bound, resource and latency
+    passes read it, fixed until a structural re-arm.
+
+    ``children`` are pre-order positions in
+    :attr:`AnalysisContext.plan_nodes`.  ``staged`` holds, in the node's
+    tensor order, each tensor's ``(name, word bytes, buffering
+    factor)``: 2.0 for a tensor crossing into the node's buffer
+    (:meth:`AnalysisContext.tensor_crossing`, double-buffered), else
+    1.0.  ``memory`` is the node's level and ``source_bandwidth`` its
+    source level's aggregate bytes per cycle; ``pool`` and
+    ``ops_per_point`` price a leaf's compute.
     """
-    if node.is_leaf():
-        assert isinstance(node, OpTile)
-        used = node.spatial_trip_count
-        return (used, 0) if node.op.kind == "mac" else (0, used)
-    demand = demand or num_pe_demand
-    sp = node.spatial_trip_count
-    if isinstance(node, OpTile):
-        mac, vec = demand(node.child)
-        return sp * mac, sp * vec
-    assert isinstance(node, FusionNode)
-    demands = [demand(c) for c in node.children]
-    if node.binding.shares_compute_in_time:
-        mac = max(d[0] for d in demands)
-        vec = max(d[1] for d in demands)
-    else:
-        mac = sum(d[0] for d in demands)
-        vec = sum(d[1] for d in demands)
-    return sp * mac, sp * vec
+
+    __slots__ = ("node", "children", "leaf", "fusion", "seq",
+                 "shares_time", "mac", "level", "source_level", "memory",
+                 "source_bandwidth", "staged", "pool", "ops_per_point")
+
+    def __init__(self, ctx: "AnalysisContext", node: TileNode,
+                 index: Dict[int, int]):
+        arch = ctx.arch
+        parent = node.parent
+        self.node = node
+        self.children = tuple(index[id(c)] for c in node.children_nodes())
+        self.leaf = not self.children
+        self.fusion = isinstance(node, FusionNode)
+        self.seq = self.fusion and node.binding is Binding.SEQ
+        self.shares_time = (self.fusion
+                            and node.binding.shares_compute_in_time)
+        self.level = node.level
+        self.source_level = (parent.level if parent is not None
+                             else arch.dram_index)
+        self.memory = arch.level(node.level)
+        source = arch.level(self.source_level)
+        self.source_bandwidth = (source.bytes_per_cycle(arch.frequency_ghz)
+                                 * source.fanout)
+        word_bytes = ctx.word_bytes
+        self.staged = tuple(
+            (name, word_bytes[name],
+             2.0 if ctx.tensor_crossing(node, name) else 1.0)
+            for name in ctx.node_tensors(node).tensors)
+        op = node.op if self.leaf else None
+        self.mac = op is not None and op.kind == "mac"
+        self.pool = arch.compute_units(op.kind) if op is not None else 0
+        self.ops_per_point = op.ops_per_point if op is not None else 0.0
 
 
 class AnalysisContext:
-    """Blackboard + memo store for one evaluation of one tree.
+    """Blackboard, compiled tables and memo store for one tree.
 
     Passes communicate exclusively through :meth:`put`/:meth:`get`
     artifacts (declared in their ``reads``/``writes``); the memoized
@@ -179,18 +194,11 @@ class AnalysisContext:
     ``artifact_cache`` (duck-typed: ``store(namespace, kind)`` returning
     a dict-backed store, see
     :class:`~repro.engine.cache.SubtreeArtifactCache`) plugs in a
-    persistent cross-evaluation store for subtree-local memos; stores
-    are namespaced by
+    persistent cross-evaluation store for slice geometry and walk
+    volumes; stores are namespaced by
     :func:`~repro.analysis.fingerprint.cache_namespace` so one cache
     can serve many workloads/architectures.
     """
-
-    #: ``id(node) ->`` the node's crossing tensors with their compiled
-    #: walk recipes, kept only by a :class:`PlanContext`.
-    walk_recipes: Optional[Dict[int, Any]] = None
-    #: The tree's nodes as the bound, resource and latency passes read
-    #: them (:class:`PlanNode`), kept only by a :class:`PlanContext`.
-    plan_nodes: Optional[Tuple["PlanNode", ...]] = None
 
     def __init__(self, tree: AnalysisTree, arch: Architecture, *,
                  model_eviction: bool = True, model_rmw: bool = True,
@@ -212,22 +220,17 @@ class AnalysisContext:
         #: True when a run stopped at the first violation-producing pass.
         self.early_exit = False
         self._artifacts: Dict[str, Any] = {}
-        #: ``id(node) -> memo key``: the structural fingerprint with a
-        #: shared store, ``id(node)`` itself without one.
-        self._fps: Optional[Dict[int, Any]] = None
+        #: id(node) -> structural fingerprint (with a shared store only).
+        self._fps: Optional[Dict[int, str]] = None
         self._ns: Optional[str] = None
         #: kind -> bound KindStore of ``artifact_cache`` (lazy).
         self._kind_stores: Dict[str, Any] = {}
-        #: Context-local memo hits (slices/NumPE served from this
-        #: evaluation's own dicts, as opposed to the shared store or a
-        #: fresh compute) — ``repro explain`` provenance attribution.
+        #: Context-local slice memo hits (served from this context's own
+        #: dict, as opposed to the shared store or a fresh compute) —
+        #: ``repro explain`` provenance attribution.
         self.memo_hits = 0
-        # Loop-dependent memos, keyed by :meth:`fingerprint`; path
-        # coverage is keyed by ``id(leaf)``.
+        #: :meth:`fingerprint` -> this point's slices.
         self._slices: Dict[Any, NodeSlices] = {}
-        self._num_pe: Dict[Any, Tuple[int, int]] = {}
-        self._executions: Dict[Any, int] = {}
-        self._path_cov: Dict[int, PathCoverage] = {}
         # Structure-only memos (no loop counts), ``id``-keyed; a
         # loops-only :meth:`invalidate` keeps them.
         self._tensors: Dict[int, NodeTensors] = {}
@@ -243,6 +246,44 @@ class AnalysisContext:
         #: Verdict of the §4 rules that read no loop counts (None until
         #: :func:`~repro.tile.validate.structure_verdict` checks).
         self.structure_ok: Optional[bool] = None
+        # Compiled tables, built on first use.  The tree's node set is
+        # fixed (:meth:`AnalysisTree.nodes`), so positions, leaf paths,
+        # slice rows and fusion rules live as long as the context; walk
+        # recipes and plan nodes read levels, bindings and tensor homes,
+        # which a structural re-arm drops.
+        #: id(node) -> pre-order position.
+        self._position: Dict[int, int] = {
+            id(n): i for i, n in enumerate(tree.nodes())}
+        #: Per leaf, in leaf order: its op's dims and its path, leaf to
+        #: root; its op's ``(dim, size)`` pairs (root coverage); and per
+        #: (leaf, path node) the node's depth on the path.
+        self._paths: Optional[List[Tuple[Tuple[str, ...],
+                                         List[TileNode]]]] = None
+        self._sizes: List[Tuple[Tuple[str, int], ...]] = []
+        self._leaf_index: Dict[int, int] = {}
+        self._depth: Dict[Tuple[int, int], int] = {}
+        #: id(node) -> ((tensor, slice rows), ...) in tensor order.
+        self._rows: Dict[int, Tuple[Tuple[str, Tuple[SliceRow, ...]],
+                                    ...]] = {}
+        #: id(access) -> its :func:`_slice_terms` (shared by the rows of
+        #: every node on its leaf's path).
+        self._terms: Dict[int, Tuple[Any, Any]] = {}
+        #: (fusion node, allowed loop dims, forbidden loop dims).
+        self._fusion_rules: Optional[List[Tuple[
+            TileNode, FrozenSet[str], FrozenSet[str]]]] = None
+        #: id(node) -> its crossing tensors with their compiled walk
+        #: recipes (:data:`~repro.analysis.datamovement.Crossing` list).
+        self.walk_recipes: Dict[int, Any] = {}
+        #: id(access) -> the access's walk moves per dim, shared by its
+        #: recipes (:class:`~repro.analysis.datamovement.WalkRecipe`).
+        self.access_moves: Dict[int, Dict[str, Any]] = {}
+        self._plan_nodes: Optional[Tuple[PlanNode, ...]] = None
+        # Per point (this point's loops; built on first use): per leaf
+        # the coverage at each node of its path and at the root, and per
+        # node position its NumPE demand and execution count.
+        self._coverage: Optional[List[List[Dict[str, int]]]] = None
+        self._demands: Optional[List[Tuple[int, int]]] = None
+        self._executions_at: Optional[List[int]] = None
 
     # -- artifacts -------------------------------------------------------
     def put(self, name: str, value: Any) -> None:
@@ -259,22 +300,15 @@ class AnalysisContext:
         if pass_name not in self.completed:
             self.completed.append(pass_name)
 
-    # -- fingerprints / shared cache -------------------------------------
-    def fingerprint(self, node: TileNode) -> Any:
-        """The node's memo key: its structural subtree fingerprint when
-        a shared store is attached, its ``id`` otherwise.
+    # -- node identity / shared cache ------------------------------------
+    def _at(self, node: TileNode) -> int:
+        """The node's pre-order position.
 
         Raises :class:`ForeignNodeError` for nodes outside this
-        context's tree — including nodes spliced in by an in-place
-        mutation the context has not been told about via
-        :meth:`invalidate`.
+        context's tree.
         """
-        if self._fps is None:
-            self._fps = (node_fingerprints(self.tree.root)
-                         if self.artifact_cache is not None
-                         else {id(n): id(n) for n in self.tree.nodes()})
         try:
-            return self._fps[id(node)]
+            return self._position[id(node)]
         except KeyError:
             raise ForeignNodeError(
                 f"node {node.label()!r} is not part of tree "
@@ -283,68 +317,63 @@ class AnalysisContext:
                 f"invalidate() after mutating this context's tree in place"
             ) from None
 
-    def _namespace(self) -> str:
-        if self._ns is None:
-            self._ns = cache_namespace(self.tree.workload, self.arch,
-                                       self.model_eviction, self.model_rmw)
-        return self._ns
+    def fingerprint(self, node: TileNode) -> Any:
+        """The node's memo key: its structural subtree fingerprint when
+        a shared store is attached, its ``id`` otherwise.
+
+        Raises :class:`ForeignNodeError` for nodes outside this
+        context's tree.
+        """
+        self._at(node)
+        if self.artifact_cache is None:
+            return id(node)
+        if self._fps is None:
+            self._fps = node_fingerprints(self.tree.root)
+        return self._fps[id(node)]
 
     def shared_store(self, kind: str) -> Any:
         """The bound per-kind store of the artifact cache (None without).
 
         The returned :class:`~repro.engine.cache.KindStore` is already
-        namespaced to this context's workload/arch/flags; hot loops may
-        probe its ``data`` dict directly (recording outcomes via
-        ``store.touch(key)``/``store.miss()``) instead of paying
-        :meth:`shared_get` dispatch per lookup.
+        namespaced to this context's workload/arch/flags; hot loops
+        probe its ``data`` dict directly, recording outcomes via
+        ``store.touch(key)``/``store.miss()``.
         """
         if self.artifact_cache is None:
             return None
         store = self._kind_stores.get(kind)
         if store is None:
-            store = self.artifact_cache.store(self._namespace(), kind)
+            if self._ns is None:
+                self._ns = cache_namespace(self.tree.workload, self.arch,
+                                           self.model_eviction,
+                                           self.model_rmw)
+            store = self.artifact_cache.store(self._ns, kind)
             self._kind_stores[kind] = store
         return store
-
-    def shared_get(self, kind: str, key: Any) -> Any:
-        """Look ``key`` up in the cross-evaluation artifact cache."""
-        store = self.shared_store(kind)
-        if store is None:
-            return None
-        value = store.data.get(key)
-        if value is None:
-            store.miss()
-        else:
-            store.touch(key)
-        return value
-
-    def shared_put(self, kind: str, key: Any, value: Any) -> None:
-        store = self.shared_store(kind)
-        if store is not None:
-            store.put(key, value)
 
     def invalidate(self, subtree: Optional[TileNode] = None, *,
                    loops_only: bool = False) -> None:
         """Re-arm the context after an in-place mutation of its tree.
 
-        Drops pipeline artifacts, completed-pass bookkeeping, execution
-        counts (they depend on *ancestor* loops) and path coverage.
-        Subtree memos (slices, NumPE) survive where the mutation cannot
-        have reached them: fingerprint-keyed with a shared store, so
-        untouched subtrees keep their keys; ``id``-keyed without one,
-        so the entries of ``subtree``, its descendants and ancestors
-        (all of them when ``subtree`` is None) are dropped.
+        Drops pipeline artifacts, completed-pass bookkeeping and this
+        point's path coverage, ``NumPE`` demands and execution counts
+        (they depend on *ancestor* loops).  Slices survive where the
+        mutation cannot have reached them: fingerprint-keyed with a
+        shared store, so untouched subtrees keep their keys; ``id``-keyed
+        without one, so the entries of ``subtree``, its descendants and
+        ancestors (all of them when ``subtree`` is None) are dropped.
 
         ``loops_only=True`` promises that only loops changed, not levels
         or bindings: tensor homes, descendant and crossing sets,
-        Seq-eviction decisions, :class:`NodeTensors` and the loop-free
-        §4 verdict then survive too — a per-genome tune re-prices one
-        tree at every factor point this way.
+        Seq-eviction decisions, :class:`NodeTensors`, walk recipes, plan
+        nodes and the loop-free §4 verdict then survive too — a
+        per-genome tune re-prices one tree at every factor point this
+        way.  Slice rows and fusion rules read only the operator->leaf
+        structure, which every mutation must keep.
 
         ``subtree`` must belong to this context's tree (checked via
-        parent pointers).  The mutation must preserve the tree's
-        operator->leaf structure; splicing different *operators* in
-        needs a new ``AnalysisTree`` and a new context.
+        parent pointers).  Splicing different *operators* in needs a new
+        ``AnalysisTree`` and a new context.
         """
         if subtree is not None:
             top = subtree
@@ -358,17 +387,14 @@ class AnalysisContext:
         self._artifacts.clear()
         self.completed.clear()
         self.early_exit = False
-        self._executions.clear()
-        self._path_cov.clear()
+        self._coverage = self._demands = self._executions_at = None
         if self.artifact_cache is not None:
             self._fps = None
         elif subtree is None:
             self._slices.clear()
-            self._num_pe.clear()
         else:
             for node in (*subtree.walk(), *subtree.ancestors()):
                 self._slices.pop(id(node), None)
-                self._num_pe.pop(id(node), None)
         if not loops_only:
             self._homes = {}
             self._homes_built = False
@@ -376,27 +402,157 @@ class AnalysisContext:
             self._descendants.clear()
             self._evictions.clear()
             self.structure_ok = None
+            self.walk_recipes.clear()
+            self._plan_nodes = None
+
+    # -- compiled tables -------------------------------------------------
+    @property
+    def plan_nodes(self) -> Tuple[PlanNode, ...]:
+        """The tree's :class:`PlanNode` table, in pre-order."""
+        table = self._plan_nodes
+        if table is None:
+            table = self._plan_nodes = tuple(
+                PlanNode(self, node, self._position)
+                for node in self.tree.nodes())
+        return table
+
+    def _compile_leaves(self) -> List[Tuple[Tuple[str, ...],
+                                            List[TileNode]]]:
+        """Each leaf's op dims and path, and the slice rows' indexes."""
+        paths: List[Tuple[Tuple[str, ...], List[TileNode]]] = []
+        for leaf in self.tree.root.leaves():
+            self._leaf_index[id(leaf)] = len(paths)
+            path = [leaf, *leaf.ancestors()]
+            self._depth.update(((id(leaf), id(n)), i)
+                               for i, n in enumerate(path))
+            paths.append((tuple(leaf.op.dims), path))
+            self._sizes.append(tuple(leaf.op.dims.items()))
+        self._paths = paths
+        return paths
+
+    def _leaf_coverage(self) -> List[List[Dict[str, int]]]:
+        """This point's :func:`_path_coverage` of every leaf."""
+        coverage = self._coverage
+        if coverage is None:
+            paths = self._paths
+            if paths is None:
+                paths = self._compile_leaves()
+            coverage = self._coverage = [_path_coverage(dims, path)
+                                         for dims, path in paths]
+        return coverage
+
+    def _compile_rows(self, node: TileNode) -> Tuple[
+            Tuple[str, Tuple[SliceRow, ...]], ...]:
+        """The node's slice rows, in tensor order."""
+        if self._paths is None:
+            self._compile_leaves()
+        index, depth, terms = self._leaf_index, self._depth, self._terms
+        tensors = self.node_tensors(node)
+        for pairs in tensors.accesses.values():
+            for _, access in pairs:
+                if id(access) not in terms:
+                    terms[id(access)] = _slice_terms(access)
+        rows = self._rows[id(node)] = tuple(
+            (name, tuple(
+                (index[id(leaf)], depth[id(leaf), id(node)])
+                + terms[id(access)]
+                for leaf, access in tensors.accesses[name]))
+            for name in tensors.tensors)
+        return rows
 
     # -- validation ------------------------------------------------------
     def validate(self) -> None:
-        """Check the tree against §4 (the validate pass): the loop-free
-        rules once per context, loop rules and coverage every call."""
-        validate_tree_local(self)
+        """The §4 check (the validate pass): the loop-free rules once per
+        context, the compiled fusion rules and the root coverage of this
+        point's loops every call; anything invalid raises
+        :func:`~repro.tile.validate.validate_tree`'s error."""
+        if not (structure_verdict(self) and self._loops_valid()):
+            raise_invalid(self.tree)
+
+    def _loops_valid(self) -> bool:
+        """Whether this point's loops pass the §4 loop rules (fusion
+        loop dims, §4.1 reduction rule) and cover every operator."""
+        rules = self._fusion_rules
+        if rules is None:
+            rules = self._fusion_rules = []
+            for node in self.tree.nodes():
+                if isinstance(node, FusionNode):
+                    ops = node.subtree_ops()
+                    rules.append((
+                        node, frozenset(d for op in ops for d in op.dims),
+                        frozenset(d for op in fused_producers(
+                            self.tree.workload, ops)
+                            for d in op.reduction_dims)))
+        for node, allowed, forbidden in rules:
+            for lp in node.loops:
+                if lp.dim not in allowed or lp.dim in forbidden:
+                    return False
+        for covs, sizes in zip(self._leaf_coverage(), self._sizes):
+            root = covs[-1]
+            for d, size in sizes:
+                if root[d] < size:
+                    return False
+        return True
 
     # -- memoized per-node intermediates ---------------------------------
     def node_slices(self, node: TileNode) -> NodeSlices:
-        fp = self.fingerprint(node)
-        cached = self._slices.get(fp)
-        if cached is None:
-            cached = self.shared_get("slices", fp)
-            if cached is None:
-                cached = NodeSlices(node, self.path_coverage,
-                                    self.node_tensors(node))
-                self.shared_put("slices", fp, cached)
-            self._slices[fp] = cached
-        else:
+        """The node's slice geometry at this point: from the context's
+        memo, else the shared store, else its compiled slice rows."""
+        if self.artifact_cache is None:
+            cached = self._slices.get(id(node))
+            if cached is not None:
+                self.memo_hits += 1
+                return cached
+            self._at(node)  # a foreign node raises
+            cached = self._slices[id(node)] = self._compute_slices(node)
+            return cached
+        key = self.fingerprint(node)
+        cached = self._slices.get(key)
+        if cached is not None:
             self.memo_hits += 1
+            return cached
+        store = self.shared_store("slices")
+        cached = store.data.get(key)
+        if cached is None:
+            store.miss()
+            cached = self._compute_slices(node)
+            store.put(key, cached)
+        else:
+            store.touch(key)
+        self._slices[key] = cached
         return cached
+
+    def _compute_slices(self, node: TileNode) -> NodeSlices:
+        """The node's slices from its slice rows (compiled on first
+        use) and this point's leaf coverage."""
+        rows = self._rows.get(id(node))
+        if rows is None:
+            rows = self._compile_rows(node)
+        coverage = self._leaf_coverage()
+        extents: Dict[str, Tuple[int, ...]] = {}
+        staged_words: Dict[str, float] = {}
+        for name, pairs in rows:
+            merged: Optional[List[int]] = None
+            for leaf, depth, plain, terms in pairs:
+                cov = coverage[leaf][depth]
+                if plain is not None:
+                    ext = list(map(cov.__getitem__, plain))
+                else:
+                    ext = []
+                    for row in terms:
+                        e = 1
+                        for d, c in row:
+                            e += c * (cov[d] - 1)
+                        ext.append(e)
+                merged = ext if merged is None else [
+                    a if a >= b else b for a, b in zip(merged, ext)]
+            extents[name] = box = tuple(merged)
+            volume = 1
+            for e in box:
+                volume *= e
+            staged_words[name] = float(volume)
+        return NodeSlices(self._tensors[id(node)].tensors, extents,
+                          staged_words)
 
     def node_tensors(self, node: TileNode) -> NodeTensors:
         """The node's :class:`NodeTensors` (structure only, memoized)."""
@@ -405,29 +561,35 @@ class AnalysisContext:
             tensors = self._tensors[id(node)] = NodeTensors(node)
         return tensors
 
-    def path_coverage(self, leaf: OpTile) -> PathCoverage:
-        """:func:`slice_coverage` of ``leaf`` at every node on its path.
-
-        One upward walk per leaf per context, instead of one walk per
-        (node, access) pair: the coverage strictly below a node is the
-        coverage below its child plus the child's loops.
-        """
-        covs = self._path_cov.get(id(leaf))
-        if covs is None:
-            path = [leaf, *leaf.ancestors()]
-            # zip drops the trailing root coverage.
-            covs = self._path_cov[id(leaf)] = dict(zip(
-                map(id, path), _path_coverage(tuple(leaf.op.dims), path)))
-        return covs
-
     def num_pe(self, node: TileNode) -> Tuple[int, int]:
-        fp = self.fingerprint(node)
-        cached = self._num_pe.get(fp)
-        if cached is None:
-            cached = self._num_pe[fp] = num_pe_demand(node, self.num_pe)
-        else:
-            self.memo_hits += 1
-        return cached
+        """(MAC PEs, vector PEs) used concurrently by the subtree (§5.2).
+
+        The paper's ``NumPE`` recursion over the plan nodes, children
+        first: concurrent siblings (``Para``/``Pipe``) add their
+        demands, time-shared siblings (``Seq``/``Shar``) take the max,
+        spatial loops multiply.  Purely structural — it needs no
+        data-movement information — so the feasibility bounds and the
+        resource analysis share it.
+        """
+        demands = self._demands
+        if demands is None:
+            table = self.plan_nodes
+            demands = self._demands = [(0, 0)] * len(table)
+            for i in range(len(table) - 1, -1, -1):
+                entry = table[i]
+                sp = entry.node.spatial_trip_count
+                if entry.leaf:
+                    demands[i] = (sp, 0) if entry.mac else (0, sp)
+                    continue
+                mac = vec = 0  # demands are >= 0: max from 0 is exact
+                for c in entry.children:
+                    m, v = demands[c]
+                    if not entry.shares_time:
+                        mac, vec = mac + m, vec + v
+                    else:
+                        mac, vec = max(mac, m), max(vec, v)
+                demands[i] = (sp * mac, sp * vec)
+        return demands[self._at(node)]
 
     def executions(self, node: TileNode) -> int:
         """How many times the node's subtree runs over the execution.
@@ -436,25 +598,22 @@ class AnalysisContext:
         node's own loops are *inside* one execution).  Context-local
         only — the value depends on the node's ancestors, so an
         unchanged subtree fingerprint is no licence to reuse it across
-        trees; :meth:`invalidate` clears it wholesale.
+        trees; :meth:`invalidate` drops it.
         """
-        key = self.fingerprint(node)
-        cached = self._executions.get(key)
-        if cached is None:
-            parent = node.parent
-            cached = (1 if parent is None
-                      else self.executions(parent) * parent.trip_count)
-            self._executions[key] = cached
-        return cached
+        counts = self._executions_at
+        if counts is None:
+            table = self.plan_nodes
+            counts = self._executions_at = [1] * len(table)
+            for i, entry in enumerate(table):
+                if entry.children:
+                    n = counts[i] * entry.node.trip_count
+                    for c in entry.children:
+                        counts[c] = n
+        return counts[self._at(node)]
 
     def subtree_uses(self, node: TileNode, tensor_name: str) -> bool:
-        """Whether any leaf below ``node`` reads or writes the tensor.
-
-        Membership in the node's tensors (every access is an input or
-        the output of some leaf op).  It rides the slices memo, which a
-        shared store may serve, but reads only its loop-free half.
-        """
-        return tensor_name in self.node_slices(node).tensors
+        """Whether any leaf below ``node`` reads or writes the tensor."""
+        return tensor_name in self.node_tensors(node).accesses
 
     def self_evicts(self, node: TileNode, tensor_name: str) -> bool:
         """§5.1.2 Seq eviction applied to the node's own iterations: the
@@ -541,297 +700,6 @@ class AnalysisContext:
         that only violate capacity through double-buffered crossing
         tensors.
         """
-        slices = self.node_slices(node)
-        total = 0.0
-        for tensor_name in slices.tensors:
-            factor = 2.0 if self.tensor_crossing(node, tensor_name) else 1.0
-            total += (factor * slices.staged_words[tensor_name]
-                      * self.tree.workload.tensor(tensor_name).word_bytes)
-        return total
-
-
-#: One (leaf, access) pair of a slice row: the leaf's index in
-#: :attr:`PlanContext._paths`, the node's depth on that leaf's path,
-#: the access's dims when every tensor dim is one of them with
-#: coefficient 1 (else None), and per tensor dim the access's
-#: ``(iteration dim, |coefficient|)`` terms.
-SliceRow = Tuple[int, int, Optional[Tuple[str, ...]],
-                 Tuple[Tuple[Tuple[str, int], ...], ...]]
-
-
-def _slice_terms(access: TensorAccess) -> Tuple[
-        Optional[Tuple[str, ...]], Tuple[Tuple[Tuple[str, int], ...], ...]]:
-    """The ``(plain dims, terms)`` half of an access's slice row: an
-    extent is ``1 + sum(|c| * (cov_d - 1))`` over its terms, which is
-    ``cov_d`` itself for a plain ``d`` index."""
-    terms = tuple(tuple((d, abs(c)) for d, c in e.terms.items())
-                  for e in access.exprs)
-    plain = (tuple(row[0][0] for row in terms)
-             if all(len(row) == 1 and row[0][1] == 1 for row in terms)
-             else None)
-    return plain, terms
-
-
-class PlanNode:
-    """One node of a plan's tree as the bound, resource and latency
-    passes read it, fixed for the plan's life.
-
-    ``children`` are pre-order positions in
-    :attr:`PlanContext.plan_nodes`.  ``staged`` holds, in the node's
-    tensor order, each tensor's ``(name, word bytes, buffering
-    factor)``: 2.0 for a tensor crossing into the node's buffer
-    (:meth:`AnalysisContext.tensor_crossing`, double-buffered), else
-    1.0.  ``memory`` is the node's level and ``source_bandwidth`` its
-    source level's aggregate bytes per cycle; ``pool`` and
-    ``ops_per_point`` price a leaf's compute.
-    """
-
-    __slots__ = ("node", "children", "leaf", "fusion", "seq",
-                 "shares_time", "mac", "level", "source_level", "memory",
-                 "source_bandwidth", "staged", "pool", "ops_per_point")
-
-    def __init__(self, ctx: "PlanContext", node: TileNode,
-                 index: Dict[int, int]):
-        arch = ctx.arch
-        parent = node.parent
-        self.node = node
-        self.children = tuple(index[id(c)] for c in node.children_nodes())
-        self.leaf = not self.children
-        self.fusion = isinstance(node, FusionNode)
-        self.seq = self.fusion and node.binding is Binding.SEQ
-        self.shares_time = (self.fusion
-                            and node.binding.shares_compute_in_time)
-        self.level = node.level
-        self.source_level = (parent.level if parent is not None
-                             else arch.dram_index)
-        self.memory = arch.level(node.level)
-        source = arch.level(self.source_level)
-        self.source_bandwidth = (source.bytes_per_cycle(arch.frequency_ghz)
-                                 * source.fanout)
-        word_bytes = ctx.word_bytes
-        self.staged = tuple(
-            (name, word_bytes[name],
-             2.0 if ctx.tensor_crossing(node, name) else 1.0)
-            for name in ctx.node_tensors(node).tensors)
-        op = node.op if self.leaf else None
-        self.mac = op is not None and op.kind == "mac"
-        self.pool = arch.compute_units(op.kind) if op is not None else 0
-        self.ops_per_point = op.ops_per_point if op is not None else 0.0
-
-
-class PlanContext(AnalysisContext):
-    """A context for one tree whose loops alone change between runs.
-
-    A per-genome plan (:class:`~repro.engine.GenomePlan`) prices every
-    point of a tune on one tree, re-armed loops-only.  This context
-    compiles, once, what the analyses derive from the tree's structure:
-
-    * **slice rows** — per node and tensor, every (leaf, access) pair
-      below it as per-tensor-dim ``(iteration dim, |coefficient|)``
-      terms.  A point's extent is ``1 + sum(|c| * (cov_d - 1))`` over
-      the leaf's path coverage, max-merged over the pairs — what
-      :meth:`AffineExpr.extent_over` and :func:`merged_extents` give.
-    * **walk recipes** — per node, the tensors crossing into its
-      buffer, each with its first reader's and first writer's ordered
-      walk segments of §5.1.1/§5.1.2
-      (:class:`~repro.analysis.datamovement.WalkRecipe`), compiled by
-      the data-movement pass on first use into :attr:`walk_recipes`.
-    * **fusion rules** — per fusion node, the dims its loops may
-      iterate (those of the operators below it) and the §4.1 reduction
-      dims they may not; :meth:`validate` checks a point's loops
-      against them and its root coverage from the same per-leaf path
-      coverage the slice rows read.
-    * **plan nodes** — the pre-order :class:`PlanNode` table the
-      bound, resource and latency passes walk instead of the tree
-      (children before parents for the bottom-up recursions), with
-      this point's ``NumPE`` demands and execution counts kept as
-      lists indexed by position.
-
-    A point then only substitutes the nodes' current loops.  The tables
-    live as long as the context; a structural :meth:`invalidate` drops
-    the recipes and plan nodes (they read bindings, levels and tensor
-    homes), while the slice rows and fusion rules read only the
-    operator->leaf structure every invalidation keeps.  It never serves
-    a shared artifact store.
-    """
-
-    def __init__(self, tree: AnalysisTree, arch: Architecture, *,
-                 model_eviction: bool = True, model_rmw: bool = True,
-                 check_memory: bool = True):
-        super().__init__(tree, arch, model_eviction=model_eviction,
-                         model_rmw=model_rmw, check_memory=check_memory)
-        #: id(node) -> its :data:`~repro.analysis.datamovement.Crossing`
-        #: list.
-        self.walk_recipes = {}
-        #: id(node) -> pre-order position.
-        self._position: Dict[int, int] = {
-            id(n): i for i, n in enumerate(tree.nodes())}
-        #: Per leaf, in leaf order: its op's dims and its path, leaf to
-        #: root.
-        self._paths: List[Tuple[Tuple[str, ...], List[TileNode]]] = []
-        #: Per leaf, its op's ``(dim, size)`` pairs (root coverage).
-        self._sizes: List[Tuple[Tuple[str, int], ...]] = []
-        index: Dict[int, int] = {}
-        depth: Dict[Tuple[int, int], int] = {}
-        for leaf in tree.root.leaves():
-            index[id(leaf)] = len(self._paths)
-            path = [leaf, *leaf.ancestors()]
-            depth.update(((id(leaf), id(n)), i) for i, n in enumerate(path))
-            self._paths.append((tuple(leaf.op.dims), path))
-            self._sizes.append(tuple(leaf.op.dims.items()))
-        #: id(node) -> ((tensor, slice rows), ...) in tensor order.
-        self._rows: Dict[int, Tuple[Tuple[str, Tuple[SliceRow, ...]],
-                                    ...]] = {}
-        #: (fusion node, allowed loop dims, forbidden loop dims).
-        self._fusion_rules: List[Tuple[TileNode, FrozenSet[str],
-                                       FrozenSet[str]]] = []
-        for node in tree.nodes():
-            tensors = self.node_tensors(node)
-            self._rows[id(node)] = tuple(
-                (name, tuple(
-                    (index[id(leaf)], depth[id(leaf), id(node)])
-                    + _slice_terms(access)
-                    for leaf, access in tensors.accesses[name]))
-                for name in tensors.tensors)
-            if isinstance(node, FusionNode):
-                ops = node.subtree_ops()
-                self._fusion_rules.append((
-                    node, frozenset(d for op in ops for d in op.dims),
-                    frozenset(d for op in fused_producers(tree.workload, ops)
-                              for d in op.reduction_dims)))
-        self._plan_nodes: Optional[Tuple[PlanNode, ...]] = None
-        # Per point (this point's loops; built on first use): per leaf
-        # the coverage at each node of its path and at the root, and per
-        # node position its NumPE demand and execution count.
-        self._coverage: Optional[List[List[Dict[str, int]]]] = None
-        self._demands: Optional[List[Tuple[int, int]]] = None
-        self._executions_at: Optional[List[int]] = None
-
-    def invalidate(self, subtree: Optional[TileNode] = None, *,
-                   loops_only: bool = False) -> None:
-        super().invalidate(subtree, loops_only=loops_only)
-        self._coverage = self._demands = self._executions_at = None
-        if not loops_only:
-            self.walk_recipes.clear()
-            self._plan_nodes = None
-
-    @property
-    def plan_nodes(self) -> Tuple[PlanNode, ...]:
-        table = self._plan_nodes
-        if table is None:
-            table = self._plan_nodes = tuple(
-                PlanNode(self, node, self._position)
-                for node in self.tree.nodes())
-        return table
-
-    def _at(self, node: TileNode) -> int:
-        """The node's pre-order position."""
-        try:
-            return self._position[id(node)]
-        except KeyError:
-            self.fingerprint(node)  # raises ForeignNodeError
-            raise
-
-    def _leaf_coverage(self) -> List[List[Dict[str, int]]]:
-        coverage = self._coverage
-        if coverage is None:
-            coverage = self._coverage = [_path_coverage(dims, path)
-                                         for dims, path in self._paths]
-        return coverage
-
-    def validate(self) -> None:
-        """The §4 check from the compiled fusion rules and per-leaf path
-        coverage; anything invalid raises the tree path's error."""
-        if not (structure_verdict(self) and self._loops_valid()):
-            raise_invalid(self.tree)
-
-    def _loops_valid(self) -> bool:
-        """Whether this point's loops pass the §4 loop rules (fusion
-        loop dims, §4.1 reduction rule) and cover every operator."""
-        for node, allowed, forbidden in self._fusion_rules:
-            for lp in node.loops:
-                if lp.dim not in allowed or lp.dim in forbidden:
-                    return False
-        for covs, sizes in zip(self._leaf_coverage(), self._sizes):
-            root = covs[-1]
-            for d, size in sizes:
-                if root[d] < size:
-                    return False
-        return True
-
-    def node_slices(self, node: TileNode) -> NodeSlices:
-        cached = self._slices.get(id(node))
-        if cached is not None:
-            self.memo_hits += 1
-            return cached
-        rows = self._rows.get(id(node))
-        if rows is None:
-            self.fingerprint(node)  # raises ForeignNodeError
-        coverage = self._leaf_coverage()
-        extents: Dict[str, Tuple[int, ...]] = {}
-        staged_words: Dict[str, float] = {}
-        for name, pairs in rows:
-            merged: Optional[List[int]] = None
-            for leaf, depth, plain, terms in pairs:
-                cov = coverage[leaf][depth]
-                if plain is not None:
-                    ext = list(map(cov.__getitem__, plain))
-                else:
-                    ext = []
-                    for row in terms:
-                        e = 1
-                        for d, c in row:
-                            e += c * (cov[d] - 1)
-                        ext.append(e)
-                merged = ext if merged is None else [
-                    a if a >= b else b for a, b in zip(merged, ext)]
-            extents[name] = box = tuple(merged)
-            volume = 1
-            for e in box:
-                volume *= e
-            staged_words[name] = float(volume)
-        cached = self._slices[id(node)] = NodeSlices.from_extents(
-            self.node_tensors(node), extents, staged_words)
-        return cached
-
-    def subtree_uses(self, node: TileNode, tensor_name: str) -> bool:
-        return tensor_name in self.node_tensors(node).accesses
-
-    def num_pe(self, node: TileNode) -> Tuple[int, int]:
-        demands = self._demands
-        if demands is None:
-            # ``num_pe_demand`` over the plan nodes, children first.
-            table = self.plan_nodes
-            demands = self._demands = [(0, 0)] * len(table)
-            for i in range(len(table) - 1, -1, -1):
-                entry = table[i]
-                sp = entry.node.spatial_trip_count
-                if entry.leaf:
-                    demands[i] = (sp, 0) if entry.mac else (0, sp)
-                    continue
-                mac = vec = 0  # demands are >= 0: max from 0 is exact
-                for c in entry.children:
-                    m, v = demands[c]
-                    if not entry.shares_time:
-                        mac, vec = mac + m, vec + v
-                    else:
-                        mac, vec = max(mac, m), max(vec, v)
-                demands[i] = (sp * mac, sp * vec)
-        return demands[self._at(node)]
-
-    def executions(self, node: TileNode) -> int:
-        counts = self._executions_at
-        if counts is None:
-            table = self.plan_nodes
-            counts = self._executions_at = [1] * len(table)
-            for i, entry in enumerate(table):
-                if entry.children:
-                    n = counts[i] * entry.node.trip_count
-                    for c in entry.children:
-                        counts[c] = n
-        return counts[self._at(node)]
-
-    def staged_bytes_lower_bound(self, node: TileNode) -> float:
         words = self.node_slices(node).staged_words
         entry = self.plan_nodes[self._at(node)]
         total = 0.0

@@ -25,10 +25,16 @@ inter-tile rules (§5.1.2):
 The result records per-level fill/read/update word counts (the paper's
 Fig. 10d breakdown) and per-node load/store totals for the latency model.
 
-When the context carries a shared artifact cache, the expensive
-arithmetic is cached across evaluations as **projected-walk volumes**:
-the boundary recursion over one (tensor, walk) pair is keyed by the
-walk *projected onto the dims the access actually reads*
+Each (node, tensor, access) walk is a :class:`WalkRecipe` the
+context compiles once: which nodes' temporal loops are walked and which
+loops multiply are fixed by the tree's structure, so a run only gathers
+the nodes' current loops, and the walk's volume is
+:func:`recursion_volume` over the access's precomputed per-dim
+:data:`Moves`.
+
+When the context carries a shared artifact cache, that integer
+recursion is cached across evaluations as a **projected-walk volume**,
+keyed by the walk *projected onto the dims the access actually reads*
 (:meth:`DataMovementAnalysis._projected_walk`): loops over dims an
 access does not reference displace its slice only through inner
 wrap-around, which is itself zero unless a referenced loop sits inside
@@ -40,12 +46,6 @@ untouched sibling subtrees, but along the mutated path itself.  The
 recursion results are integers, so serving them from cache and
 re-applying the float spatial multiplier is byte-identical to a
 from-scratch run.
-
-A per-genome plan's :class:`~repro.analysis.context.PlanContext` takes
-the compiled route instead: each (node, tensor, access) walk is a
-:class:`WalkRecipe` fixed for the plan's life, and its volume is
-:func:`recursion_volume` over the access's precomputed per-dim
-:data:`Moves`, so a point only gathers the nodes' current loops.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ from ..arch import Architecture
 from ..ir import TensorAccess
 from ..tile.loops import Loop
 from ..tile.tree import AnalysisTree, TileNode
-from .context import AnalysisContext, NodeSlices
+from .context import AnalysisContext
 from .metrics import LevelTraffic
 from .slices import box_volume
 
@@ -100,16 +100,14 @@ class _Walk:
 
     def __init__(self, loops: List[Loop], multiplier: float,
                  multiplied: List[Loop],
-                 moves: Optional[Mapping[str, Moves]] = None):
+                 moves: Optional[Mapping[str, Moves]]):
         self.loops = loops  # outer -> inner
         self.multiplier = multiplier
         #: Loops folded into the multiplier, in multiplication order.
         self.multiplied = multiplied
-        #: The access's :data:`Moves` per dim, for walks a
-        #: :class:`WalkRecipe` gathers (None: the tree path's walks).
+        #: The access's :data:`Moves` per dim.
         self.moves = moves
-        #: The boundary recursion over ``loops`` once computed (walks
-        #: with ``moves`` only).
+        #: The boundary recursion over ``loops`` once computed.
         self.moved: Optional[int] = None
 
 
@@ -128,11 +126,10 @@ _TEMPORAL, _SPATIAL, _BLOCKS = range(3)
 class WalkRecipe:
     """The structure-only form of one (node, tensor, access) walk.
 
-    :meth:`DataMovementAnalysis._build_walk` decides, from the tree's
-    bindings and the tensor's home, which nodes' temporal loops are
-    walked and which loops multiply; only the loops themselves change
-    between the points of a per-genome tune.  A recipe records those
-    decisions once, in walk order:
+    The tree's bindings and the tensor's home decide which nodes'
+    temporal loops are walked and which loops multiply; only the loops
+    themselves change between the points of a per-genome tune.  A
+    recipe records those decisions once, in walk order:
 
     * ``walked`` — the nodes whose temporal loops are walked, outer to
       inner: the node itself (unless a Seq node evicts the tensor
@@ -143,10 +140,9 @@ class WalkRecipe:
       spatial loops, then per ancestor its displacing spatial loops and,
       past the stop, its temporal loops;
 
-    plus the access's :data:`Moves` per dim.  :meth:`walk`
-    gathers the nodes' current loops into the same :class:`_Walk`
-    :meth:`~DataMovementAnalysis._build_walk` builds (property-tested
-    on every registry tree).
+    plus the access's :data:`Moves` per dim.  :meth:`walk` gathers the
+    nodes' current loops into a :class:`_Walk` (property-tested on every
+    registry tree against a walk built node by node).
     """
 
     __slots__ = ("walked", "multiplied", "moves")
@@ -179,9 +175,15 @@ class WalkRecipe:
         walked.reverse()
         self.walked: Tuple[TileNode, ...] = tuple(walked)
         self.multiplied: Tuple[Tuple[TileNode, int], ...] = tuple(multiplied)
-        dims = {d for op in ctx.tree.workload.operators for d in op.dims}
-        self.moves: Dict[str, Moves] = {d: moves_of(access, d)
-                                        for d in sorted(dims)}
+        moves = ctx.access_moves.get(id(access))
+        if moves is None:
+            # Only the dims the access reads move its slice.
+            moves = dict.fromkeys(
+                d for op in ctx.tree.workload.operators for d in op.dims)
+            for d in access.signature()[1]:
+                moves[d] = moves_of(access, d)
+            ctx.access_moves[id(access)] = moves
+        self.moves: Dict[str, Moves] = moves
 
     def walk(self) -> _Walk:
         """The walk over the nodes' current loops."""
@@ -205,9 +207,8 @@ class WalkRecipe:
 
 
 #: One side of a :data:`Crossing`: the access, its compiled
-#: :class:`WalkRecipe` (None: the walk is built afresh) and the leaf
-#: operator's reduction dims.
-Side = Tuple[TensorAccess, Optional[WalkRecipe], FrozenSet[str]]
+#: :class:`WalkRecipe` and the leaf operator's reduction dims.
+Side = Tuple[TensorAccess, WalkRecipe, FrozenSet[str]]
 #: A tensor crossing into a node's buffer: its name, then the
 #: :data:`Side` of its first reader and of its first writer (None
 #: without one).
@@ -293,10 +294,6 @@ class DataMovementAnalysis:
         #: Bound "walkvol" store of the shared artifact cache (or None);
         #: probed directly — this is the hottest lookup in the system.
         self._volumes = self.ctx.shared_store("walkvol")
-        #: The context's compiled per-node :data:`Crossing` lists (a
-        #: per-genome plan's
-        #: :class:`~repro.analysis.context.PlanContext`), else None.
-        self._recipes = self.ctx.walk_recipes
 
     # ------------------------------------------------------------------
     def run(self) -> DataMovementResult:
@@ -320,7 +317,7 @@ class DataMovementAnalysis:
         # Residency equals the slice geometry verbatim; the dict is
         # shared read-only (NodeSlices instances may be cache entries).
         flows.staged_words = slices.staged_words
-        for tensor_name, reader, writer in self._crossings(node, slices):
+        for tensor_name, reader, writer in self._crossings(node):
             # A slice is one buffer instance's residency: loops below the
             # node plus its unit-step (PE-lane) spatial loops.  Block-
             # distributing spatial loops multiply traffic in the walk.
@@ -354,35 +351,31 @@ class DataMovementAnalysis:
                     source.add("read", tensor_name, rmw)
         return flows
 
-    def _crossings(self, node: TileNode,
-                   slices: NodeSlices) -> Sequence[Crossing]:
+    def _crossings(self, node: TileNode) -> Sequence[Crossing]:
         """The tensors whose slices cross into ``node``'s buffer from a
         higher level (§5.1; only they get fills/updates), in tensor
-        order, with their first reader and first writer.  A context that
-        keeps walk recipes compiles them once per node, recipes
-        included."""
-        recipes = self._recipes
-        if recipes is not None:
-            compiled = recipes.get(id(node))
-            if compiled is not None:
-                return compiled
+        order, with their first reader and first writer, compiled once
+        per node into the context's walk recipes."""
         ctx = self.ctx
-        crossings: List[Crossing] = []
-        for name in slices.tensors:
+        crossings = ctx.walk_recipes.get(id(node))
+        if crossings is not None:
+            return crossings
+        tensors = ctx.node_tensors(node)
+        crossings = []
+        for name in tensors.tensors:
             if not ctx.tensor_crossing(node, name):
                 continue
             sides: List[Optional[Side]] = []
-            for pairs in (slices.readers.get(name), slices.writers.get(name)):
+            for pairs in (tensors.readers.get(name),
+                          tensors.writers.get(name)):
                 if not pairs:
                     sides.append(None)
                     continue
                 leaf, access = pairs[0]
-                recipe = (WalkRecipe(ctx, node, name, access, ctx.home(name))
-                          if recipes is not None else None)
+                recipe = WalkRecipe(ctx, node, name, access, ctx.home(name))
                 sides.append((access, recipe, leaf.op.reduction_dims))
             crossings.append((name, sides[0], sides[1]))
-        if recipes is not None:
-            recipes[id(node)] = crossings
+        ctx.walk_recipes[id(node)] = crossings
         return crossings
 
     def _ideal_update_volume(self, extents, access, walk: "_Walk",
@@ -401,108 +394,50 @@ class DataMovementAnalysis:
 
     # ------------------------------------------------------------------
     def _walk(self, node: TileNode, tensor_name: str, side: Side) -> _Walk:
-        """The walk of one (node, tensor, access): from its compiled
-        recipe when the context keeps them, else built afresh."""
-        access, recipe, _ = side
-        if recipe is not None:
-            return recipe.walk()
-        return self._build_walk(node, tensor_name, access,
-                                self.ctx.home(tensor_name))
-
-    def _build_walk(self, node: TileNode, tensor_name: str,
-                    access: TensorAccess,
-                    home: Optional[TileNode]) -> _Walk:
-        """Ancestor loop walk with Seq-eviction and LCA truncation."""
-        walk_inner_to_outer: List[Loop] = []
-        multiplied: List[Loop] = []
-        stopped = False
-        # A Seq fusion node evicts a tensor between its own iterations when
-        # the sibling following the tensor's last user does not need it, so
-        # the node's own temporal loops refill rather than reuse.
-        if self.ctx.self_evicts(node, tensor_name):
-            multiplied.extend(node.temporal_loops)
-        else:
-            walk_inner_to_outer.extend(reversed(node.temporal_loops))
-        # The node's own block-distributing spatial loops (step > 1)
-        # spread slices over separate buffer instances.
-        for lp in node.spatial_loops:
-            if lp.step == 1:
-                continue
-            if self._loop_displaces(access, lp):
-                multiplied.append(lp)
-        current: TileNode = node
-        while current.parent is not None:
-            parent = current.parent
-            for lp in parent.spatial_loops:
-                if self._loop_displaces(access, lp):
-                    multiplied.append(lp)
-            if (not stopped and self.model_eviction
-                    and self.ctx.evicted_at(parent, current, tensor_name)):
-                stopped = True
-            if stopped:
-                multiplied.extend(parent.temporal_loops)
-            else:
-                walk_inner_to_outer.extend(reversed(parent.temporal_loops))
-            if parent is home:
-                stopped = True
-            current = parent
-        walk_inner_to_outer.reverse()
-        multiplier = 1.0
-        for lp in multiplied:
-            multiplier *= lp.count
-        return _Walk(walk_inner_to_outer, multiplier, multiplied)
-
-    def _loop_displaces(self, access: TensorAccess, lp: Loop) -> bool:
-        """Whether one step of ``lp`` moves the access's slice."""
-        # Steps are positive, so the slice moves iff some coefficient does.
-        return any(access.coefficients(lp.dim))
+        """The walk of one (node, tensor, access), from its recipe."""
+        return side[1].walk()
 
     def _walk_volume(self, extents: Sequence[int], access: TensorAccess,
                      walk: _Walk) -> float:
-        """Moved words for one (tensor, walk): cached boundary recursion.
+        """Moved words for one (tensor, walk).
 
-        The recursion itself is integer arithmetic, so caching its result
-        (pre-multiplier) and re-applying the float ``walk.multiplier``
-        reproduces the uncached float bit-for-bit.  The cache key projects
-        the walk onto the access's referenced dims — see
-        :meth:`_projected_walk` for why that projection is exact.
-
-        A walk a :class:`WalkRecipe` gathered carries its access's
-        :data:`Moves` instead: its recursion is :func:`recursion_volume`
-        over them, without the trip-count-1 loops, computed once per
-        walk (the RMW ideal walk reuses it when no loop was dropped).
+        The boundary recursion is :func:`recursion_volume` over the
+        walk's :data:`Moves`, without the trip-count-1 loops, computed
+        once per walk (the RMW ideal walk reuses it when no loop was
+        dropped).  It is integer arithmetic, so caching its result
+        (pre-multiplier) in the shared store and re-applying the float
+        ``walk.multiplier`` reproduces the uncached float bit-for-bit.
+        The cache key projects the walk onto the access's referenced
+        dims — see :meth:`_projected_walk` for why that projection is
+        exact.
         """
-        moves = walk.moves
-        if moves is not None:
+        store = self._volumes
+        if store is None:
             moved = walk.moved
             if moved is None:
-                moved = walk.moved = recursion_volume(extents, [
-                    (lp.count, lp.step, moves[lp.dim])
-                    for lp in reversed(walk.loops) if lp.count != 1])
+                moved = self._moved(extents, walk)
             return moved * walk.multiplier
-        store = self._volumes
-        if store is not None:
-            key = (access.signature()[0], tuple(extents),
-                   self._projected_walk(access, walk.loops))
-            moved = store.data.get(key)
+        key = (access.signature()[0], tuple(extents),
+               self._projected_walk(access, walk.loops))
+        moved = store.data.get(key)
+        if moved is None:
+            store.miss()
+            moved = walk.moved
             if moved is None:
-                store.miss()
-                moved = self._recursion_volume(extents, access, walk.loops)
-                store.put(key, moved)
-            else:
-                store.touch(key)
+                moved = self._moved(extents, walk)
+            store.put(key, moved)
         else:
-            moved = self._recursion_volume(extents, access, walk.loops)
+            store.touch(key)
         return moved * walk.multiplier
 
     @staticmethod
-    def _recursion_volume(extents: Sequence[int], access: TensorAccess,
-                          loops: Sequence[Loop]) -> int:
-        """:func:`recursion_volume` over a walk's loops (outer -> inner)
-        and the access's moves for them."""
-        return recursion_volume(extents, [
-            (lp.count, lp.step, moves_of(access, lp.dim))
-            for lp in reversed(loops)])
+    def _moved(extents: Sequence[int], walk: _Walk) -> int:
+        """The walk's boundary recursion, kept on the walk."""
+        moves = walk.moves
+        moved = walk.moved = recursion_volume(extents, [
+            (lp.count, lp.step, moves[lp.dim])
+            for lp in reversed(walk.loops) if lp.count != 1])
+        return moved
 
     def _projected_walk(self, access: TensorAccess,
                         loops: Sequence[Loop]) -> str:
@@ -548,10 +483,10 @@ class DataMovementAnalysis:
         accumulator to the leaf-level buffer (registers); these are the
         "Reg" accesses of the paper's energy breakdown (Fig. 13).
         """
-        table = self.ctx.plan_nodes
-        leaves = (self.tree.root.leaves() if table is None
-                  else [entry.node for entry in table if entry.leaf])
-        for leaf in leaves:
+        for entry in self.ctx.plan_nodes:
+            if not entry.leaf:
+                continue
+            leaf = entry.node
             points = leaf.trip_count * self.ctx.executions(leaf)
             level = traffic[leaf.level]
             for access in leaf.op.inputs:

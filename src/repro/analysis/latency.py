@@ -24,21 +24,18 @@ from __future__ import annotations
 from typing import Dict, Optional, Sequence, Tuple
 
 from ..arch import Architecture
-from ..tile.bindings import Binding
-from ..tile.tree import AnalysisTree, FusionNode, OpTile, TileNode
+from ..tile.tree import AnalysisTree
 from .context import AnalysisContext, PlanNode
 from .datamovement import DataMovementResult
-from .metrics import LevelTraffic
 
 
 class LatencyAnalysis:
     """Computes total cycles and per-level slow-down for a mapping.
 
-    Per-node execution counts (ancestor loop products) come from the
-    shared :class:`AnalysisContext` so they are computed once per
-    evaluation rather than per analysis.  On a
-    :class:`~repro.analysis.context.PlanContext` the composition runs
-    over its compiled plan nodes.
+    The composition runs over the shared :class:`AnalysisContext`'s plan
+    nodes, with per-node execution counts (ancestor loop products) from
+    the context, so they are computed once per evaluation rather than
+    per analysis.
     """
 
     def __init__(self, tree: AnalysisTree, arch: Architecture,
@@ -53,16 +50,22 @@ class LatencyAnalysis:
     # ------------------------------------------------------------------
     def run(self) -> Tuple[float, Dict[int, float]]:
         """Return (total latency cycles, per-level slow-down)."""
-        table = self.ctx.plan_nodes
-        cycles = (self._node_latency(self.tree.root, concurrency=1.0)
-                  if table is None else self._plan_latency(table))
+        cycles = self._latency(self.ctx.plan_nodes)
         return cycles, self._slowdown(cycles)
 
-    def _plan_latency(self, table: Sequence[PlanNode]) -> float:
-        """:meth:`_node_latency` of the root over a plan's nodes: the
-        concurrency threaded down in pre-order, then the latencies
-        composed children first, with the same float operations in the
-        same order."""
+    def _latency(self, table: Sequence[PlanNode]) -> float:
+        """Latency in cycles of one execution of the root.
+
+        The concurrency (spatial copies times concurrent siblings
+        sharing a source level's bandwidth) is threaded down in
+        pre-order, then the latencies compose children first.  A leaf
+        takes its temporal trips times its waves of spatial iterations
+        (when it asks for more lanes than the pool holds, throughput
+        degrades proportionally; resource validation flags that
+        separately).  A node's loads and stores share its source port
+        (half duplex), and both overlap with its children's execution
+        under double buffering.
+        """
         ctx = self.ctx
         flows_of = self.movement.node_flows
         n = len(table)
@@ -73,7 +76,7 @@ class LatencyAnalysis:
                 for c in entry.children:
                     concurrency[c] = below
         latency = [0.0] * n
-        # Per node, :meth:`_child_io_cycles` against its source level.
+        # Per node, its per-execution IO time against its source level.
         io_total = [0.0] * n
         for i in range(n - 1, -1, -1):
             entry = table[i]
@@ -99,71 +102,15 @@ class LatencyAnalysis:
                 if entry.shares_time:
                     inner = node.temporal_trip_count * sum(lats)
                 else:
+                    # Concurrent siblings (Para/Pipe) overlap in time but
+                    # share the staging level's bandwidth, so the
+                    # iteration takes the slowest child or the aggregate
+                    # sibling IO, whichever is longer.
                     io_sum = sum(io_total[c] for c in entry.children)
                     inner = node.temporal_trip_count * max(max(lats),
                                                            io_sum)
             latency[i] = max(io_cycles, inner)
         return latency[0]
-
-    # ------------------------------------------------------------------
-    def _node_latency(self, node: TileNode, concurrency: float) -> float:
-        """Latency in cycles of ONE execution of ``node``."""
-        flows = self.movement.flows(node)
-        executions = max(1.0, float(self.ctx.executions(node)))
-        source_level = (node.parent.level if node.parent is not None
-                        else self.arch.dram_index)
-        io_cycles = 0.0
-        if node.level < source_level:
-            load_bytes = self._bytes(flows.fills) / executions
-            store_bytes = self._bytes(flows.updates) / executions
-            bw = self._shared_bandwidth(source_level, concurrency)
-            # Loads and stores share the source port (half duplex); both
-            # overlap with children execution under double buffering.
-            io_cycles = (load_bytes + store_bytes) / bw
-
-        if node.is_leaf():
-            assert isinstance(node, OpTile)
-            inner = self._perfect_tile_cycles(node)
-        elif isinstance(node, OpTile):
-            inner = node.temporal_trip_count * self._node_latency(
-                node.child, concurrency * node.spatial_trip_count)
-        else:
-            assert isinstance(node, FusionNode)
-            child_conc = concurrency * node.spatial_trip_count
-            lats = [self._node_latency(c, child_conc) for c in node.children]
-            if node.binding.shares_compute_in_time:
-                inner = node.temporal_trip_count * sum(lats)
-            else:
-                # Concurrent siblings (Para/Pipe) overlap in time but share
-                # the staging level's bandwidth, so the iteration takes the
-                # slowest child or the aggregate sibling IO, whichever is
-                # longer (demand-proportional sharing).
-                io_sum = sum(self._child_io_cycles(c, child_conc)
-                             for c in node.children)
-                inner = node.temporal_trip_count * max(max(lats), io_sum)
-        return max(io_cycles, inner)
-
-    def _child_io_cycles(self, child: TileNode, concurrency: float) -> float:
-        """Per-execution IO time of one child against its source level."""
-        if child.parent is None or child.level >= child.parent.level:
-            return 0.0
-        flows = self.movement.flows(child)
-        executions = max(1.0, float(self.ctx.executions(child)))
-        total_bytes = (self._bytes(flows.fills)
-                       + self._bytes(flows.updates)) / executions
-        bw = self._shared_bandwidth(child.parent.level, concurrency)
-        return total_bytes / bw
-
-    def _perfect_tile_cycles(self, leaf: OpTile) -> float:
-        """Cycles of one leaf execution (polyhedron perfect-tile latency).
-
-        Spatial iterations run in parallel; when the leaf asks for more
-        lanes than the pool holds, throughput degrades proportionally
-        (resource validation flags this separately).
-        """
-        pool = self.arch.compute_units(leaf.op.kind)
-        waves = max(1.0, leaf.spatial_trip_count / pool)
-        return leaf.temporal_trip_count * waves * leaf.op.ops_per_point
 
     # ------------------------------------------------------------------
     def _bytes(self, words_by_tensor: Dict[str, float]) -> float:

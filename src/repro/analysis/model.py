@@ -3,10 +3,12 @@
 :class:`TileFlowModel` runs the §5 analyses — structural validation
 (§4), slice geometry, data movement (§5.1), resource usage (§5.2), and
 latency/energy estimation (§5.3) — as an explicit pass pipeline
-(:mod:`repro.analysis.pipeline`) over a shared per-evaluation
-:class:`~repro.analysis.context.AnalysisContext`, and assembles an
-:class:`~repro.analysis.metrics.EvaluationResult` from the context's
-artifacts.
+(:mod:`repro.analysis.pipeline`) over one
+:class:`~repro.analysis.context.AnalysisContext` per tree, and
+assembles an :class:`~repro.analysis.metrics.EvaluationResult` from the
+context's artifacts.  The context compiles the tree's structure into
+tables on first use and substitutes the tree's loops into them; an
+optional shared subtree cache sits on top as a cross-evaluation memo.
 
 Partial evaluation: ``evaluate(until="resources")`` stops after a named
 pass, ``stop_on_violation=True`` stops at the first pass that records
@@ -59,11 +61,11 @@ class TileFlowModel:
 
         Callers that run several pipeline (prefixes) over the same tree
         — the engine's pre-screen-then-evaluate path — create the
-        context once and thread it through, so completed passes and
-        memoized intermediates carry over.  ``artifact_cache`` plugs in
-        a persistent cross-evaluation subtree store
-        (:class:`~repro.engine.cache.SubtreeArtifactCache`), the
-        incremental-evaluation layer.
+        context once and thread it through, so completed passes, the
+        compiled tables and memoized intermediates carry over.
+        ``artifact_cache`` puts a persistent cross-evaluation subtree
+        store (:class:`~repro.engine.cache.SubtreeArtifactCache`), the
+        incremental-evaluation layer, on top of the compiled tables.
         """
         return AnalysisContext(tree, self.arch,
                                model_eviction=self.model_eviction,

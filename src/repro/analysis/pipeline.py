@@ -71,9 +71,8 @@ class ValidatePass(AnalysisPass):
     """Structural validation (§4); raises on malformed trees.
 
     :meth:`AnalysisContext.validate` runs the loop-free rules once per
-    context and the loop rules and coverage every call (a
-    :class:`~repro.analysis.context.PlanContext` from its compiled
-    tables); invalid trees raise
+    context and the loop rules and coverage, from its compiled tables,
+    every call; invalid trees raise
     :func:`~repro.tile.validate.validate_tree`'s error.
     """
 
@@ -121,10 +120,6 @@ class ResourceBoundsPass(AnalysisPass):
       level's final per-instance footprint: the footprint recursion
       only *adds* child contributions on top.
 
-    On a :class:`~repro.analysis.context.PlanContext` the demand, the
-    staged bytes and each node's level come from its compiled plan
-    nodes.
-
     Both are conservative: a mapping rejected here would also be
     rejected by the full resource analysis (property-tested in
     ``tests/property/test_prop_engine.py``).  At most one compute and
@@ -152,16 +147,11 @@ class ResourceBoundsPass(AnalysisPass):
                 f"{ctx.arch.vector_pe_count} available {PRESCREEN_TAG}")
             codes.append(f"compute.vector:{vec}>{ctx.arch.vector_pe_count}")
         if ctx.check_memory:
-            table = ctx.plan_nodes
-            if table is None:
-                levels = ((n, ctx.arch.level(n.level))
-                          for n in ctx.tree.nodes())
-            else:
-                levels = ((entry.node, entry.memory) for entry in table)
-            for node, level in levels:
+            for entry in ctx.plan_nodes:
+                level = entry.memory
                 if level.capacity_bytes is None:
                     continue
-                used = ctx.staged_bytes_lower_bound(node)
+                used = ctx.staged_bytes_lower_bound(entry.node)
                 if used > level.capacity_bytes:
                     problems.append(
                         f"memory: level {level.name} needs at least "

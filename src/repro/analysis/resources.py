@@ -22,8 +22,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..arch import Architecture
-from ..tile.bindings import Binding
-from ..tile.tree import AnalysisTree, FusionNode, OpTile, TileNode
+from ..tile.tree import AnalysisTree
 from .context import AnalysisContext, PlanNode
 from .datamovement import DataMovementResult
 from .metrics import ResourceUsage
@@ -32,12 +31,10 @@ from .metrics import ResourceUsage
 class ResourceAnalysis:
     """Runs the §5.2 recursions over a tree with known data flows.
 
-    The ``NumPE`` recursion lives in
-    :func:`~repro.analysis.context.num_pe_demand`; passing a shared
-    :class:`AnalysisContext` reuses its memoized value (the feasibility
-    bounds pass computes the same demand).  On a
-    :class:`~repro.analysis.context.PlanContext` the footprint and
-    instance recursions run over its compiled plan nodes.
+    The ``NumPE`` demand is the context's
+    (:meth:`~repro.analysis.context.AnalysisContext.num_pe`, shared with
+    the feasibility bounds pass); the footprint and instance recursions
+    run over its plan nodes.
     """
 
     def __init__(self, tree: AnalysisTree, arch: Architecture,
@@ -51,85 +48,29 @@ class ResourceAnalysis:
 
     # ------------------------------------------------------------------
     def run(self) -> Tuple[ResourceUsage, List[str]]:
-        mac_pe, vec_pe = self._num_pe(self.tree.root)
-        table = self.ctx.plan_nodes
-        if table is None:
-            footprint = self._footprint(self.tree.root)
-            instances = self._instances(self.tree.root)
-        else:
-            footprint, instances = self._plan_usage(table)
+        mac_pe, vec_pe = self.ctx.num_pe(self.tree.root)
+        footprint, instances = self._usage(self.ctx.plan_nodes)
         usage = ResourceUsage(
             num_pe=mac_pe, num_vector_pe=vec_pe,
             footprint_bytes=footprint, instances_used=instances)
         return usage, self._violations(usage)
 
-    # ------------------------------------------------------------------
-    def _num_pe(self, node: TileNode) -> Tuple[int, int]:
-        """(MAC PEs, vector PEs) used concurrently by the subtree."""
-        return self.ctx.num_pe(node)
+    def _usage(self, table: Sequence[PlanNode]
+               ) -> Tuple[Dict[int, float], Dict[int, int]]:
+        """The root's footprint and instance occupancy, children before
+        parents.
 
-    # ------------------------------------------------------------------
-    def _staged_bytes(self, node: TileNode) -> float:
-        """Bytes resident in one instance of ``node``'s buffer per step."""
-        flows = self.movement.flows(node)
-        total = 0.0
-        for tensor_name, words in flows.staged_words.items():
-            wb = self.tree.workload.tensor(tensor_name).word_bytes
-            crossing = (tensor_name in flows.fills
-                        or tensor_name in flows.updates)
-            factor = 2.0 if crossing else 1.0  # double buffering
-            total += words * wb * factor
-        return total
-
-    def _footprint(self, node: TileNode) -> Dict[int, float]:
-        """Peak bytes per instance at each memory level for this subtree."""
-        if node.is_leaf():
-            return {node.level: self._staged_bytes(node)}
-        if isinstance(node, OpTile):
-            usage = dict(self._footprint(node.child))
-        else:
-            assert isinstance(node, FusionNode)
-            child_maps = [self._footprint(c) for c in node.children]
-            usage = {}
-            for cmap in child_maps:
-                for level, used in cmap.items():
-                    if node.binding is Binding.SEQ:
-                        usage[level] = max(usage.get(level, 0.0), used)
-                    else:
-                        usage[level] = usage.get(level, 0.0) + used
-        own = self._staged_bytes(node)
-        usage[node.level] = usage.get(node.level, 0.0) + own
-        return usage
-
-    # ------------------------------------------------------------------
-    def _instances(self, node: TileNode) -> Dict[int, int]:
-        """Spatial instances of each level this subtree occupies.
-
-        Siblings under any binding share the same instance set — fusion
-        co-locates their data so the shared buffer can hold the
-        intermediate (concurrent siblings divide *compute*, which NumPE
-        accounts for).  Only spatial loops multiply the instance demand.
+        * **Footprint** — peak bytes per instance at each memory level:
+          a node's own staged bytes (crossing tensors double-buffered)
+          on top of its children's, which ``Seq`` time-shares (max) and
+          every other binding co-stages (sum).
+        * **Instances** — spatial instances of each level the subtree
+          occupies.  Siblings under any binding share the same instance
+          set — fusion co-locates their data so the shared buffer can
+          hold the intermediate (concurrent siblings divide *compute*,
+          which NumPE accounts for).  Only spatial loops multiply the
+          instance demand.
         """
-        if node.is_leaf():
-            return {node.level: 1}
-        if isinstance(node, OpTile):
-            usage = dict(self._instances(node.child))
-        else:
-            assert isinstance(node, FusionNode)
-            usage = {}
-            for child in node.children:
-                for level, n in self._instances(child).items():
-                    usage[level] = max(usage.get(level, 0), n)
-        usage[node.level] = max(usage.get(node.level, 0), 1)
-        sp = node.spatial_trip_count
-        return {level: n * sp for level, n in usage.items()}
-
-    def _plan_usage(self, table: Sequence[PlanNode]
-                    ) -> Tuple[Dict[int, float], Dict[int, int]]:
-        """:meth:`_footprint` and :meth:`_instances` of the root over a
-        plan's nodes, children before parents: the same float
-        operations, in the same order, into dicts of the same key
-        order."""
         words_of = self.ctx.node_slices
         feet: List[Dict[int, float]] = [{}] * len(table)
         counts: List[Dict[int, int]] = [{}] * len(table)

@@ -8,8 +8,8 @@ determinism contract, and guidance on picking ``--workers``.
 
 from .cache import DEFAULT_SUBTREE_CACHE_SIZE, SubtreeArtifactCache
 from .core import EngineStats, EvaluationEngine, GenomePlan
-from .prescreen import (PRESCREEN_TAG, compute_demand, is_prescreened,
-                        prescreen, rejected_result)
+from .prescreen import (PRESCREEN_TAG, is_prescreened, prescreen,
+                        rejected_result)
 from .signature import (arch_fingerprint, cache_namespace, digest,
                         factors_fingerprint, genome_fingerprint,
                         mapping_signature, node_fingerprints,
@@ -19,7 +19,7 @@ from .signature import (arch_fingerprint, cache_namespace, digest,
 __all__ = [
     "EvaluationEngine", "EngineStats", "GenomePlan",
     "SubtreeArtifactCache", "DEFAULT_SUBTREE_CACHE_SIZE",
-    "prescreen", "compute_demand", "rejected_result", "is_prescreened",
+    "prescreen", "rejected_result", "is_prescreened",
     "PRESCREEN_TAG",
     "mapping_signature", "template_signature", "workload_fingerprint",
     "arch_fingerprint", "genome_fingerprint", "factors_fingerprint",

@@ -4,22 +4,26 @@
 :class:`~repro.analysis.model.TileFlowModel`.  Every complete mapping
 takes one pipeline — the cheap feasibility pre-screen
 (:mod:`repro.engine.prescreen`) unless a full result is required, then
-the whole analysis — over one of two kinds of analysis context:
+the whole analysis — over one
+:class:`~repro.analysis.AnalysisContext`, which compiles its tree's
+slice rows, walk recipes, fusion rules and plan nodes on first use and
+substitutes the tree's loops into them.  Contexts differ only in how
+long they live and whether a shared memo sits on top:
 
-* **Tune path** — :meth:`EvaluationEngine.tune_genome` prices every
-  MCTS point on one :class:`GenomePlan`: one tree, re-armed loops-only
-  per point, on a :class:`~repro.analysis.PlanContext` that compiles
-  the tree's slice rows, walk recipes, fusion rules and plan nodes
-  once and serves no shared store.
-* **Tree path** — everything else (template tunes, pre-built trees, the
+* :meth:`EvaluationEngine.tune_genome` prices every MCTS point on one
+  :class:`GenomePlan`: one tree and one context, re-armed loops-only
+  per point, so the compiled tables serve the whole tune.  It touches
+  no shared store.
+* Every other evaluation (template tunes, pre-built trees, the
   champion's ``full=True`` evaluation, the batched cross-check) builds
-  a tree per evaluation over a persistent
-  :class:`~repro.engine.cache.SubtreeArtifactCache` keyed by structural
-  subtree fingerprints.
+  a tree and a fresh context, with the engine's persistent
+  :class:`~repro.engine.cache.SubtreeArtifactCache` attached: slice
+  geometry and walk volumes are looked up there, under structural
+  subtree fingerprints and projected walks, before they are computed.
 
-Both are byte-identical to a plain model run (property-tested).
-Repeated points need no engine-level memo: the MCTS tuner already
-dedups the points of each tune.
+Results are byte-identical either way (property-tested).  Repeated
+points need no engine-level memo: the MCTS tuner already dedups the
+points of each tune.
 
 ``workers > 1`` adds process-level parallelism for GA populations: each
 genome's MCTS factor tune is an independent task (the per-genome seeds
@@ -38,8 +42,7 @@ from dataclasses import dataclass, fields
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .. import obs
-from ..analysis import (AnalysisContext, EvaluationResult, PlanContext,
-                        TileFlowModel)
+from ..analysis import AnalysisContext, EvaluationResult, TileFlowModel
 from ..arch import Architecture
 from ..ir import Workload
 from ..mapper.cost import Cost, edp_cost, latency_cost
@@ -155,7 +158,8 @@ class EvaluationEngine:
         available.  Costs are bit-identical to the scalar path.
     subtree_cache_size:
         Entry bound of the persistent :class:`SubtreeArtifactCache`
-        kept across tree-path evaluations (genome tunes never use it);
+        kept across evaluations of built trees (genome tunes never use
+        it);
         ``0`` runs without one.  Results are byte-identical either way;
         purely a performance knob.
     subtree_cache:
@@ -310,7 +314,8 @@ class EvaluationEngine:
         return result
 
     def _tree_context(self, tree: AnalysisTree) -> AnalysisContext:
-        """A tree-path context: over the persistent subtree cache."""
+        """A fresh context for ``tree``, over the persistent subtree
+        cache."""
         return self.model.context(tree, artifact_cache=self.subtree_cache)
 
     def evaluate_genome(self, genome: Genome,
@@ -322,8 +327,8 @@ class EvaluationEngine:
 
         ``full=True`` guarantees a completely analysed result (champion
         reporting): the pre-screen is bypassed.  ``plan`` is the tune's
-        :class:`GenomePlan` for ``genome``; without one the point takes
-        the tree path.
+        :class:`GenomePlan` for ``genome``; without one the point's tree
+        is built and priced on a fresh context.
         """
         if plan is None:
             ctx = self._tree_context(build_genome_tree(
@@ -525,7 +530,7 @@ class GenomePlan:
     :func:`build_genome_tree` uses too), which interns them, and only
     the nodes whose loops changed are assigned (and drop their cached
     loop split).  The context is then re-armed loops-only, keeping
-    every structure-only fact for the whole tune.  It is a :class:`~repro.analysis.PlanContext`: its slice rows, walk
+    every structure-only fact for the whole tune: its slice rows, walk
     recipes, fusion rules and plan nodes are compiled once per plan, so
     a point only substitutes the nodes' current loops into them.  They
     die with the plan.
@@ -537,7 +542,7 @@ class GenomePlan:
         self.skeleton = GenomeLoops(engine.workload, engine.arch, genome)
         self.tree = build_genome_tree(engine.workload, engine.arch,
                                       genome, {})
-        self.context = PlanContext(
+        self.context = AnalysisContext(
             self.tree, engine.arch,
             model_eviction=engine.model.model_eviction,
             model_rmw=engine.model.model_rmw)

@@ -5,42 +5,33 @@ Before the engine pays for a full evaluation it runs
 slices -> resource bounds — over the candidate's
 :class:`~repro.analysis.context.AnalysisContext`.  The bounds pass
 (:class:`~repro.analysis.pipeline.ResourceBoundsPass`) proves compute
-demand exactly (the structural ``NumPE`` recursion) and lower-bounds
-per-node staged bytes with crossing tensors double-buffered exactly as
-the full resource analysis does; both are conservative, so the screen
-never
-rejects a mapping the full model would find feasible (property-tested
-in ``tests/property/test_prop_engine.py``) and search trajectories are
+demand exactly (the structural ``NumPE`` recursion,
+:meth:`AnalysisContext.num_pe`) and lower-bounds per-node staged bytes
+with crossing tensors double-buffered exactly as the full resource
+analysis does; both are conservative, so the screen never rejects a
+mapping the full model would find feasible (property-tested in
+``tests/property/test_prop_engine.py``) and search trajectories are
 identical with and without it.
 
 Because the prefix runs on the same context a subsequent full
 evaluation resumes, its validation and slice geometry are not repeated
-work — the pipeline skips completed passes.  This module is a thin
-compatibility wrapper; the recursion logic lives in
-:mod:`repro.analysis.context` / :mod:`repro.analysis.pipeline`.
+work — the pipeline skips completed passes.  This module adds what the
+engine needs around the pipeline: the entry point, the placeholder
+result of a rejected mapping, and its recognition.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional
 
-from ..analysis.context import AnalysisContext, num_pe_demand
+from ..analysis.context import AnalysisContext
 from ..analysis.metrics import EvaluationResult, ResourceUsage
 from ..analysis.pipeline import PRESCREEN_PIPELINE, PRESCREEN_TAG
 from ..arch import Architecture
-from ..tile.tree import AnalysisTree, TileNode
+from ..tile.tree import AnalysisTree
 
-__all__ = ["PRESCREEN_TAG", "compute_demand", "prescreen",
-           "rejected_result", "is_prescreened"]
-
-
-def compute_demand(node: TileNode):
-    """(MAC PEs, vector PEs) used concurrently by the subtree.
-
-    Alias of :func:`repro.analysis.context.num_pe_demand` — the single
-    home of the §5.2 ``NumPE`` recursion.
-    """
-    return num_pe_demand(node)
+__all__ = ["PRESCREEN_TAG", "prescreen", "rejected_result",
+           "is_prescreened"]
 
 
 def prescreen(tree: AnalysisTree, arch: Architecture,

@@ -6,10 +6,11 @@ profile report can only hint at:
 * **per-pass self-time** — how long each analysis pass takes, measured
   twice: a *cold* evaluation (empty subtree artifact cache) and a *warm*
   repeat of the identical tree (every subtree artifact cached);
-* **artifact provenance** — for each artifact kind (slice geometry,
-  NumPE, data-movement volumes, validation verdicts), how many lookups
-  were served by the persistent :class:`SubtreeArtifactCache` versus
-  computed fresh, plus how many repeat lookups the per-evaluation
+* **artifact provenance** — for each artifact kind the cache holds
+  (``slices``, slice geometry, and ``walkvol``, data-movement volumes),
+  how many lookups were served by the persistent
+  :class:`SubtreeArtifactCache` versus computed fresh, plus how many
+  repeat slice lookups the per-evaluation
   :class:`~repro.analysis.context.AnalysisContext` memo absorbed;
 * **the exact pre-screen bound** — which machine-readable reason code
   (``compute.mac``, ``compute.vector``, ``memory.capacity:<level>``)

@@ -16,10 +16,11 @@ Routes (all JSON unless noted)::
 Status codes: 400 malformed body/kind/spec, 404 unknown job or path,
 409 cancel of a non-queued job, 411 missing Content-Length, 413 body
 over the configured cap, 429 queue full (backpressure), 503 +
-``Retry-After`` while draining.  A connection whose reads or writes
-stall for :data:`SOCKET_TIMEOUT_S` (a body shorter than its
-``Content-Length``, an events reader that stops reading) is closed
-without a response.
+``Retry-After`` while draining.  A connection is closed without a
+response when its request line, headers and body have not all arrived
+:data:`SOCKET_TIMEOUT_S` after it opened (a body shorter than its
+``Content-Length``, a client trickling bytes in), or when one write
+stalls that long (an events reader that stops reading).
 
 Built on :class:`http.server.ThreadingHTTPServer` with HTTP/1.0
 connection-per-request semantics: the events endpoint streams NDJSON
@@ -35,7 +36,10 @@ then wait to get back.
 
 from __future__ import annotations
 
+import io
 import json
+import socket
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
@@ -48,11 +52,41 @@ from .service import EvaluationService, SpecError
 DEFAULT_MAX_BODY = 64 * 1024
 #: Seconds a draining server advertises in ``Retry-After``.
 RETRY_AFTER_S = 5
-#: Seconds any one socket read or write may stall before the handler
-#: drops the connection (the stdlib's ``handle_one_request`` closes it
-#: on ``TimeoutError``): a client that sends fewer body bytes than its
-#: ``Content-Length`` would otherwise pin a handler thread forever.
+#: Seconds a request (line, headers and body together) may take to
+#: arrive, and any one socket write may stall, before the handler drops
+#: the connection (the stdlib's ``handle_one_request`` closes it on
+#: ``TimeoutError``): a client that sends fewer body bytes than its
+#: ``Content-Length``, or sends them a byte at a time, would otherwise
+#: pin a handler thread.
 SOCKET_TIMEOUT_S = 30.0
+
+
+class _DeadlineReader(io.RawIOBase):
+    """A connection's reads under one deadline, ``seconds`` from now.
+
+    Each ``recv`` waits at most for the time left, so a request that
+    trickles in is dropped when the deadline passes, however often a
+    byte arrives.  The socket's own timeout, the stall bound of each
+    write, is restored after every read.
+    """
+
+    def __init__(self, sock: socket.socket, seconds: float):
+        self._sock = sock
+        self._seconds = seconds
+        self._deadline = time.monotonic() + seconds
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        left = self._deadline - time.monotonic()
+        if left <= 0:
+            raise socket.timeout("request not received in time")
+        self._sock.settimeout(left)
+        try:
+            return self._sock.recv_into(buffer)
+        finally:
+            self._sock.settimeout(self._seconds)
 
 
 class ServiceHTTPServer(ThreadingHTTPServer):
@@ -77,6 +111,13 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
     server: ServiceHTTPServer
 
     # -- plumbing --------------------------------------------------------
+    def setup(self) -> None:
+        super().setup()
+        # The request line, the headers and the body share one deadline.
+        self.rfile.close()
+        self.rfile = io.BufferedReader(
+            _DeadlineReader(self.connection, self.timeout))
+
     def log_message(self, fmt: str, *args: Any) -> None:
         """Quiet by default; the CLI owns user-facing output."""
 

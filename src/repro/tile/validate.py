@@ -20,12 +20,13 @@ Checks (all from §4 of the paper):
 :func:`validate_tree` raises :class:`TreeValidationError` on the first
 violation; :func:`check_tree` returns the list of all violation messages,
 running each node-local rule (``_check_*``) over the nodes in pre-order,
-rule by rule.  :func:`validate_tree_local` runs the same rules over an
-analysis context, checking the rules that read no loop counts
-(:data:`STRUCTURE_RULES`) once per context
-(:func:`structure_verdict`).  Whatever a local check finds invalid
-falls back to :func:`check_tree` (:func:`raise_invalid`), so the error
-message lists problems in the canonical order.
+rule by rule.  An analysis context
+(:meth:`~repro.analysis.context.AnalysisContext.validate`) checks the
+rules that read no loop counts (:data:`STRUCTURE_RULES`) once per
+context (:func:`structure_verdict`) and the loop rules from its compiled
+tables; whatever it finds invalid falls back to :func:`check_tree`
+(:func:`raise_invalid`), so the error message lists problems in the
+canonical order.
 """
 
 from __future__ import annotations
@@ -64,22 +65,6 @@ def validate_tree(tree: AnalysisTree) -> None:
             f"tree {tree.name!r} is invalid:\n  - " + "\n  - ".join(problems))
 
 
-def validate_tree_local(ctx) -> None:
-    """Validate ``ctx.tree``, checking loop-free rules once per context.
-
-    ``ctx`` is an :class:`~repro.analysis.context.AnalysisContext` (duck
-    typed: ``tree`` and its ``structure_ok`` verdict, which a loops-only
-    ``invalidate`` keeps); the loop rules and coverage run every call.
-    """
-    if structure_verdict(ctx):
-        problems: List[str] = []
-        _apply(LOOP_RULES, ctx.tree, problems)
-        problems.extend(_coverage_problems(ctx.tree))
-        if not problems:
-            return
-    raise_invalid(ctx.tree)
-
-
 def structure_verdict(ctx) -> bool:
     """Whether ``ctx.tree`` passes the rules that read no loop counts
     (:data:`STRUCTURE_RULES`), checked once per context: the verdict is
@@ -99,10 +84,10 @@ def _apply(rules, tree: AnalysisTree, problems: List[str]) -> None:
 
 
 def raise_invalid(tree: AnalysisTree) -> None:
-    """Raise the canonical error for a tree a local check found invalid."""
+    """Raise the canonical error for a tree a context found invalid."""
     validate_tree(tree)  # canonical problem order; raises
     raise TreeValidationError(  # pragma: no cover - local/full skew
-        f"tree {tree.name!r} is invalid (local validation found "
+        f"tree {tree.name!r} is invalid (its analysis context found "
         f"problems the full check did not)")
 
 
@@ -215,5 +200,3 @@ def _check_sibling_order(node: TileNode, workload,
 
 #: Node-local rules that read no loop counts.
 STRUCTURE_RULES = (_check_levels, _check_chains, _check_sibling_order)
-#: Node-local rules that read loops (coverage is whole-tree).
-LOOP_RULES = (_check_fusion_loops, _check_reduction_rule)

@@ -8,9 +8,11 @@ pipeline:
   random genome trees) frozen from the pre-refactor monolith.  The full
   pipeline must reproduce the file **byte-for-byte**, also through one
   shared subtree cache, through evaluation engines with no cache, a
-  small evicting cache and the default one, and on the compiled
-  per-genome plan context (``PlanContext``).  Regenerate after an
-  intentional model change with
+  small evicting cache and the default one, and through the
+  tree-walking reference passes of ``tests/tree_reference.py``.
+  Regenerate only as its own justified step, after an intentional
+  model change, with the old -> new diff recorded in CHANGES.md —
+  never to make a check pass — with
   ``PYTHONPATH=src python tests/property/test_prop_pipeline.py``.
 * A hypothesis sweep comparing the pipeline against an *independent*
   composition of the underlying analyses (data movement -> resources ->
@@ -25,8 +27,8 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from repro import arch as arch_mod
-from repro.analysis import (DataMovementAnalysis, LatencyAnalysis,
-                            PlanContext, ResourceAnalysis, TileFlowModel,
+from repro.analysis import (AnalysisContext, DataMovementAnalysis,
+                            LatencyAnalysis, ResourceAnalysis, TileFlowModel,
                             compute_energy)
 from repro.dataflows import (ATTENTION_DATAFLOWS, CONV_DATAFLOWS,
                              attention_dataflow, conv_dataflow)
@@ -35,12 +37,13 @@ from repro.mapper import Genome, build_genome_tree, genome_factor_space
 from repro.workloads import (ATTENTION_SHAPES, CONV_CHAIN_SHAPES,
                              attention_from_shape, conv_chain_from_shape,
                              self_attention)
+from tree_reference import ReferenceModel, TreeContext
 
 ORACLE_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "data",
                            "analysis_oracle.json")
 
 
-def oracle_entries(artifact_cache=None, engine_kwargs=None, compiled=False):
+def oracle_entries(artifact_cache=None, engine_kwargs=None, reference=False):
     """Recompute every frozen-oracle entry with the current model.
 
     ``artifact_cache`` optionally threads one shared
@@ -49,18 +52,16 @@ def oracle_entries(artifact_cache=None, engine_kwargs=None, compiled=False):
     bytes.  ``engine_kwargs`` instead evaluates through one
     :class:`~repro.engine.EvaluationEngine` per (workload, arch) pair
     built with them, by ``evaluate_tree(full=True)`` — the evaluation
-    service's job path.  ``compiled`` evaluates each tree on a fresh
-    :class:`~repro.analysis.PlanContext` — a genome tune's slice rows
-    and walk recipes.
+    service's job path.  ``reference`` evaluates each tree with the
+    tree-walking reference passes (``tests/tree_reference.py``).
     """
     def evaluator(wl, spec):
         if engine_kwargs is not None:
             engine = EvaluationEngine(wl, spec, **engine_kwargs)
             return lambda tree: engine.evaluate_tree(tree, full=True)
+        if reference:
+            return ReferenceModel(spec).evaluate
         model = TileFlowModel(spec)
-        if compiled:
-            return lambda tree: model.evaluate(
-                tree, context=PlanContext(tree, spec))
         if artifact_cache is None:
             return model.evaluate
         return lambda tree: model.evaluate(tree, context=model.context(
@@ -118,12 +119,12 @@ def test_frozen_oracle_byte_identity_incremental():
     assert current == frozen
 
 
-def test_frozen_oracle_byte_identity_compiled():
-    """Compiled slice rows and walk recipes reproduce the frozen oracle
+def test_frozen_oracle_byte_identity_tree_reference():
+    """The tree-walking reference passes reproduce the frozen oracle
     byte-for-byte."""
     with open(ORACLE_PATH) as fh:
         frozen = fh.read()
-    assert json.dumps(oracle_entries(compiled=True), sort_keys=True,
+    assert json.dumps(oracle_entries(reference=True), sort_keys=True,
                       indent=1) == frozen
 
 
@@ -233,19 +234,19 @@ def test_shared_cache_reevaluation_is_byte_identical(seed):
 @given(st.integers(min_value=0, max_value=10 ** 6), st.booleans())
 @settings(max_examples=25, deadline=None)
 def test_local_validation_matches_full_check(seed, corrupt):
-    """``validate_tree_local`` == ``validate_tree``, valid or not.
+    """``AnalysisContext.validate`` == ``validate_tree``, valid or not.
 
     ``corrupt`` flattens every loop over one dim to a single iteration,
-    leaving that dim's coverage product short of its size; the local
-    validator must raise the exact message the full checker raises (it
-    re-runs the full check on any problem precisely to keep the message
-    order canonical), on contexts with and without a subtree cache.
+    leaving that dim's coverage product short of its size; a context's
+    compiled validation must raise the exact message the full checker
+    raises (it re-runs the full check on any problem precisely to keep
+    the message order canonical), on contexts with and without a subtree
+    cache and on the tree-walking reference context.
     """
-    from repro.analysis import AnalysisContext
     from repro.engine.cache import SubtreeArtifactCache
     from repro.errors import TreeValidationError
     from repro.tile.loops import Loop
-    from repro.tile.validate import validate_tree, validate_tree_local
+    from repro.tile.validate import validate_tree
 
     rng = random.Random(seed)
     genome = Genome.random(_WL, rng)
@@ -269,12 +270,14 @@ def test_local_validation_matches_full_check(seed, corrupt):
     except TreeValidationError as err:
         full_error = str(err)
 
-    for cache in (None, SubtreeArtifactCache()):
-        ctx = AnalysisContext(tree, _SPEC, artifact_cache=cache)
+    for ctx in (AnalysisContext(tree, _SPEC),
+                AnalysisContext(tree, _SPEC,
+                                artifact_cache=SubtreeArtifactCache()),
+                TreeContext(tree, _SPEC)):
         for _ in range(2):  # the second call reuses the structure verdict
             local_error = None
             try:
-                validate_tree_local(ctx)
+                ctx.validate()
             except TreeValidationError as err:
                 local_error = str(err)
             assert local_error == full_error

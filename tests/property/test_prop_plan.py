@@ -1,31 +1,34 @@
-"""Property tests: a per-genome plan prices every point like a fresh tree.
+"""Property tests: compiled analysis equals the tree-walking reference.
 
-:meth:`EvaluationEngine.tune_genome` builds one tree per tune and, for
-each MCTS point, assigns its loops and re-arms the analysis context
-loops-only (:class:`~repro.engine.GenomePlan`).  These tests pin that
-path to the tree path:
+Every :class:`~repro.analysis.AnalysisContext` prices its tree from
+compiled slice rows, walk recipes, fusion rules and plan nodes, and
+:meth:`EvaluationEngine.tune_genome` re-arms one such context
+loops-only for each MCTS point (:class:`~repro.engine.GenomePlan`).
+These tests pin both to the tree-walking reference passes of
+``tests/tree_reference.py`` (:class:`ReferenceModel` over a fresh
+:class:`TreeContext` of a freshly built tree):
 
 * over random genomes and random point sequences of every registry
   workload, both objectives, ``respect_memory`` and the pre-screen on
-  and off, each point's plan cost equals the objective of a plain
-  ``TileFlowModel.evaluate`` of a freshly built tree, the re-looped
-  tree's loops equal the fresh tree's node for node, every node's
-  slice extents and staged words (from the plan's compiled slice rows)
-  and fills and updates (from its walk recipes) equal the fresh
-  context's, and every ``prescreen.reject`` event carries the same
-  digest and codes;
+  and off, each point's plan cost equals the reference objective of a
+  freshly built tree, the re-looped tree's loops equal the fresh tree's
+  node for node, every node's slice extents and staged words (from the
+  plan's compiled slice rows) and fills and updates (from its walk
+  recipes) equal the reference context's, and every
+  ``prescreen.reject`` event carries the same digest and codes as an
+  engine evaluation of the freshly built tree;
 * at every point of every registry genome — unfused, fully fused under
   each edge binding and seeded random ones, on stock and shrunk
   architectures — what the plan compiles (the validation verdict,
   ``bound_violations`` and their codes, the ``resources`` usage and
-  violations, the latency cycles and slow-down) equals a fresh tree
-  context's bit for bit, including CC1 points that fail the §4
-  coverage rule, and plan trees given loops that break a §4 loop rule
-  or coverage raise the tree path's message;
-* over all registry dataflow trees, re-arming a context — a plain one
-  and a compiled :class:`~repro.analysis.PlanContext` — after an
-  in-place loop change gives the same result as a fresh context, and a
-  loop change that breaks coverage raises ``check_tree``'s message.
+  violations, the latency cycles and slow-down) equals the reference
+  bit for bit, including CC1 points that fail the §4 coverage rule,
+  and plan trees given loops that break a §4 loop rule or coverage
+  raise the reference's message;
+* over all registry dataflow trees, re-arming a context — one with a
+  shared subtree cache on top and one without — after an in-place
+  loop change gives the same result as a fresh reference context, and
+  a loop change that breaks coverage raises ``check_tree``'s message.
 """
 
 import random
@@ -34,10 +37,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import arch, workloads
-from repro.analysis import PlanContext, TileFlowModel
+from repro.analysis import AnalysisContext, TileFlowModel
 from repro.analysis.pipeline import PRESCREEN_PIPELINE
 from repro.dataflows import dataflow_for, dataflow_names
-from repro.engine import EvaluationEngine, GenomePlan, prescreen
+from repro.engine import (EvaluationEngine, GenomePlan, SubtreeArtifactCache,
+                          prescreen)
 from repro.errors import TreeValidationError
 from repro.mapper import (EDGE_BINDINGS, Genome, build_genome_tree,
                           edp_cost, genome_factor_space, genome_loops,
@@ -46,6 +50,7 @@ from repro.obs import events
 from repro.tile.loops import Loop, temporal
 from repro.tile.tree import FusionNode
 from repro.tile.validate import check_tree, fused_producers
+from tree_reference import ReferenceModel
 
 WORKLOADS = list(workloads.ATTENTION_SHAPES) + list(
     workloads.CONV_CHAIN_SHAPES)
@@ -103,24 +108,24 @@ def test_plan_prices_every_point_like_a_fresh_tree(
     config = dict(objective=objective, respect_memory=respect_memory,
                   prescreen=screen)
     engine = EvaluationEngine(workload, spec, **config)
-    reference = EvaluationEngine(workload, spec, **config)
+    tree_engine = EvaluationEngine(workload, spec, **config)
     plan = GenomePlan(engine, genome)
-    model = TileFlowModel(spec)
+    reference = ReferenceModel(spec)
     for point in points:
         priced, plan_rejects = _rejects(lambda: _outcome(
             lambda: engine.cost_of(engine.evaluate_genome(genome, point,
                                                           plan=plan))))
         fresh = build_genome_tree(workload, spec, genome, point)
-        fresh_ctx = model.context(fresh)
+        fresh_ctx = reference.context(fresh)
         assert priced == _outcome(lambda: OBJECTIVES[objective](
-            model.evaluate(fresh, context=fresh_ctx), respect_memory))
+            reference.evaluate(fresh, context=fresh_ctx), respect_memory))
         _assert_same_geometry(plan.context, fresh_ctx)
         assert [(n.label(), n.level, n.loops) for n in plan.tree.nodes()] \
             == [(n.label(), n.level, n.loops) for n in fresh.nodes()]
         assert genome_loops(workload, spec, genome, point) == [
             n.loops for n in fresh.nodes()]
         _, tree_rejects = _rejects(lambda: _outcome(
-            lambda: reference.evaluate_genome(genome, point)))
+            lambda: tree_engine.evaluate_genome(genome, point)))
         assert plan_rejects == tree_rejects
     # The plan never touches the shared cache.
     assert engine.stats.subtree_hits == engine.stats.subtree_misses == 0
@@ -209,6 +214,7 @@ def test_compiled_passes_equal_a_fresh_tree_at_every_point(workload_name):
     for spec in ARCHS:
         engine = EvaluationEngine(workload, spec)
         model = TileFlowModel(spec)
+        reference = ReferenceModel(spec)
         for genome in _registry_genomes(workload):
             plan = GenomePlan(engine, genome)
             space = genome_factor_space(workload, genome)
@@ -216,7 +222,7 @@ def test_compiled_passes_equal_a_fresh_tree_at_every_point(workload_name):
                 compiled = _compiled_results(model, plan.rearm(point))
                 fresh = build_genome_tree(workload, spec, genome, point)
                 assert compiled == _compiled_results(
-                    model, model.context(fresh)), (genome, point)
+                    reference, reference.context(fresh)), (genome, point)
                 invalid += compiled.startswith("tree ")
             if spec is not ARCHS[0]:
                 continue  # the §4 rules read no architecture
@@ -225,7 +231,7 @@ def test_compiled_passes_equal_a_fresh_tree_at_every_point(workload_name):
                 plan.context.invalidate(loops_only=True)
                 compiled = _compiled_results(model, plan.context)
                 assert compiled == _compiled_results(
-                    model, model.context(plan.tree)), (genome, loops)
+                    reference, reference.context(plan.tree)), (genome, loops)
                 broken += compiled.startswith("tree ")
                 node.loops = kept
     assert broken > 0
@@ -261,11 +267,14 @@ def _run(model, tree, spec, context=None):
 
 
 def test_rearm_equals_a_fresh_context_on_every_registry_tree():
-    _check_rearm(lambda model, tree, spec: model.context(tree))
+    cache = SubtreeArtifactCache()
+    _check_rearm(lambda model, tree, spec: model.context(
+        tree, artifact_cache=cache))
+    assert cache.hits > 0
 
 
 def test_compiled_rearm_equals_a_fresh_context_on_every_registry_tree():
-    _check_rearm(lambda model, tree, spec: PlanContext(tree, spec))
+    _check_rearm(lambda model, tree, spec: AnalysisContext(tree, spec))
 
 
 def _check_rearm(make_context):
@@ -273,15 +282,16 @@ def _check_rearm(make_context):
     for spec, tree in _registry_trees():
         trees += 1
         model = TileFlowModel(spec)
+        reference = ReferenceModel(spec)
         ctx = make_context(model, tree, spec)
         before = _run(model, tree, spec, ctx)
-        assert before == _run(model, tree, spec), tree.name
+        assert before == _run(reference, tree, spec), tree.name
         for node in tree.nodes():
             node.loops = _widened(node.loops)
         ctx.invalidate(loops_only=True)
         after = _run(model, tree, spec, ctx)
-        fresh_ctx = model.context(tree)
-        assert after == _run(model, tree, spec, fresh_ctx), tree.name
+        fresh_ctx = reference.context(tree)
+        assert after == _run(reference, tree, spec, fresh_ctx), tree.name
         assert after != before, tree.name
         _assert_same_geometry(ctx, fresh_ctx)
     assert trees == 172

@@ -1,21 +1,22 @@
 """Property tests: the linear-time scalar geometry equals the Fig. 5 reference.
 
-* ``DataMovementAnalysis._recursion_volume`` (one inner->outer pass with a
-  running wrap-around vector) and ``recursion_volume`` over precomputed
-  per-dim moves (with or without the trip-count-1 loops) equal the
-  reference composition ``movement_recursion(box_volume, counts,
-  [delta_volume(extents, loop_displacement(access, loop, inner_loops))])``
-  on random walks, including windowed ``h + r``, strided and constant
-  index expressions and trip-count-1 loops.
+* The tree reference's ``_recursion_volume`` (one inner->outer pass with
+  a running wrap-around vector over a walk's loops) and
+  ``recursion_volume`` over precomputed per-dim moves (with or without
+  the trip-count-1 loops) equal the reference composition
+  ``movement_recursion(box_volume, counts, [delta_volume(extents,
+  loop_displacement(access, loop, inner_loops))])`` on random walks,
+  including windowed ``h + r``, strided and constant index expressions
+  and trip-count-1 loops.
 * On every registry tree, with and without Seq eviction, the walk a
-  ``WalkRecipe`` gathers equals ``DataMovementAnalysis._build_walk`` for
-  every (node, tensor, access), before and after the tree's loops change,
-  and so does the volume priced from it.
-* ``AnalysisContext.path_coverage`` (one upward walk per leaf) equals
-  ``slice_coverage(node, leaf)`` for every (node, leaf) pair of every
-  registry dataflow tree, and slice geometry built from it, or from a
-  ``PlanContext``'s compiled slice rows, equals slice geometry built pair
-  by pair.
+  ``WalkRecipe`` gathers equals the walk the tree reference builds node
+  by node for every (node, tensor, access), before and after the tree's
+  loops change, and so does the volume priced from it.
+* The tree reference's ``path_coverage`` (one upward walk per leaf)
+  equals ``slice_coverage(node, leaf)`` for every (node, leaf) pair of
+  every registry dataflow tree, and slice geometry built from it, or
+  from an ``AnalysisContext``'s compiled slice rows, equals slice
+  geometry built pair by pair.
 """
 
 import pytest
@@ -23,8 +24,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro import arch, workloads
 from repro.analysis import (AnalysisContext, DataMovementAnalysis,
-                            NodeSlices, PlanContext, WalkRecipe, box_volume,
-                            delta_volume, loop_displacement, merged_extents,
+                            WalkRecipe, box_volume, delta_volume,
+                            loop_displacement, merged_extents,
                             movement_recursion, recursion_volume,
                             slice_coverage, slice_extents)
 from repro.analysis.datamovement import moves_of
@@ -32,6 +33,8 @@ from repro.dataflows import dataflow_for, dataflow_names
 from repro.ir import Tensor, TensorAccess
 from repro.ir.expr import const, dim
 from repro.tile.loops import Loop
+from tree_reference import (TreeContext, TreeDataMovementAnalysis,
+                            tree_node_slices)
 
 DIMS = ("h", "r", "w", "k")
 
@@ -69,7 +72,7 @@ def _reference(extents, access, walk):
 @settings(max_examples=400, deadline=None)
 def test_linear_recursion_equals_reference(case):
     access, extents, walk = case
-    assert (DataMovementAnalysis._recursion_volume(extents, access, walk)
+    assert (TreeDataMovementAnalysis._recursion_volume(extents, access, walk)
             == _reference(extents, access, walk))
 
 
@@ -106,21 +109,22 @@ def _registry_trees(workload_name):
                          + list(workloads.CONV_CHAIN_SHAPES))
 def test_path_coverage_matches_slice_coverage(workload_name):
     for spec, tree in _registry_trees(workload_name):
-        ctx = AnalysisContext(tree, spec)
+        ctx = TreeContext(tree, spec)
         for leaf in tree.root.leaves():
             path = [leaf] + list(leaf.ancestors())
             covs = ctx.path_coverage(leaf)
             assert set(covs) == {id(n) for n in path}
             for node in path:
                 assert covs[id(node)] == slice_coverage(node, leaf)
-        compiled = PlanContext(tree, spec)
+        compiled = AnalysisContext(tree, spec)
         for node in tree.root.walk():
-            slices = NodeSlices(node, ctx.path_coverage)
+            slices = tree_node_slices(node, ctx.path_coverage)
             rows = compiled.node_slices(node)
             assert rows.tensors == slices.tensors
+            tensors = ctx.node_tensors(node)
             for name in slices.tensors:
-                pairs = (slices.readers.get(name, [])
-                         + slices.writers.get(name, []))
+                pairs = (tensors.readers.get(name, [])
+                         + tensors.writers.get(name, []))
                 assert slices.extents[name] == merged_extents(
                     [slice_extents(node, leaf, a) for leaf, a in pairs])
                 assert rows.extents[name] == slices.extents[name]
@@ -138,6 +142,7 @@ def _assert_recipes_rebuild_every_walk(ctx, recipes):
     """Gather every (node, tensor, access) walk from ``recipes``
     (compiled on first use) and compare it with the reference walk."""
     dm = DataMovementAnalysis(ctx.tree, ctx.arch, context=ctx)
+    tree_dm = TreeDataMovementAnalysis(ctx.tree, ctx.arch, context=ctx)
     walks = 0
     for node in ctx.tree.nodes():
         slices = ctx.node_slices(node)
@@ -150,12 +155,12 @@ def _assert_recipes_rebuild_every_walk(ctx, recipes):
                 if key not in recipes:
                     recipes[key] = WalkRecipe(ctx, node, name, access, home)
                 gathered = recipes[key].walk()
-                built = dm._build_walk(node, name, access, home)
+                built = tree_dm._build_walk(node, name, access, home)
                 assert gathered.loops == built.loops
                 assert gathered.multiplier == built.multiplier
                 assert gathered.multiplied == built.multiplied
                 assert (dm._walk_volume(extents, access, gathered)
-                        == dm._walk_volume(extents, access, built))
+                        == tree_dm._walk_volume(extents, access, built))
     return walks
 
 
@@ -164,7 +169,7 @@ def test_recipes_rebuild_every_walk_on_every_registry_tree(model_eviction):
     trees = walks = 0
     for spec, tree in _all_registry_trees():
         trees += 1
-        ctx = PlanContext(tree, spec, model_eviction=model_eviction)
+        ctx = AnalysisContext(tree, spec, model_eviction=model_eviction)
         recipes = {}
         walks += _assert_recipes_rebuild_every_walk(ctx, recipes)
         # Recipes read no loops: re-arm with other loops and re-check.

@@ -10,7 +10,7 @@ from repro import arch, obs
 from repro.analysis import TileFlowModel
 from repro.engine import core
 from repro.engine import (EngineStats, EvaluationEngine, arch_fingerprint,
-                          compute_demand, digest, factors_fingerprint,
+                          digest, factors_fingerprint,
                           genome_fingerprint, is_prescreened,
                           mapping_signature, prescreen, rejected_result,
                           template_signature, workload_fingerprint)
@@ -21,6 +21,7 @@ from repro.obs import events
 from repro.obs.report import engine_effectiveness, render_profile
 from repro.tile import Binding
 from repro.workloads import self_attention
+from tree_reference import num_pe_demand
 
 
 @pytest.fixture
@@ -93,7 +94,10 @@ class TestPrescreen:
 
     def test_compute_demand_matches_full_analysis(self, wl, spec):
         tree = _tree_for(wl, spec)
-        mac, vec = compute_demand(tree.root)
+        ctx = TileFlowModel(spec).context(tree)
+        assert prescreen(tree, spec, context=ctx) == []
+        mac, vec = ctx.num_pe(tree.root)  # the screen's compute demand
+        assert (mac, vec) == num_pe_demand(tree.root)
         result = TileFlowModel(spec).evaluate(tree)
         assert mac == result.resources.num_pe
         assert vec == result.resources.num_vector_pe

@@ -23,7 +23,8 @@ import pytest
 
 from repro import arch as arch_mod
 from repro import obs
-from repro.analysis import AnalysisContext, TileFlowModel, slice_coverage
+from repro.analysis import (AnalysisContext, TileFlowModel, merged_extents,
+                            slice_extents)
 from repro.engine import EvaluationEngine
 from repro.engine.cache import SubtreeArtifactCache
 from repro.errors import ForeignNodeError
@@ -112,17 +113,15 @@ def test_invalidate_recomputes_path_coverage_and_crossing():
     """Id-keyed geometry memos never survive an in-place mutation."""
     tree1, tree2 = _genome_trees()
     ctx = AnalysisContext(tree1, SPEC)
-    leaves = list(tree1.root.leaves())
     tensors = [t.name for t in WL.tensors()]
 
     def snapshot(context):
+        # Slice extents are merged from each leaf's path coverage.
         nodes = list(tree1.root.walk())
-        covs = [[context.path_coverage(leaf)[id(n)] for n in nodes
-                 if id(n) in context.path_coverage(leaf)]
-                for leaf in leaves]
+        extents = [context.node_slices(n).extents for n in nodes]
         crossing = [[context.tensor_crossing(n, t) for t in tensors]
                     for n in nodes]
-        return covs, crossing
+        return extents, crossing
 
     before = snapshot(ctx)
     # A mapper move (loops) plus a level change that stops every tensor
@@ -138,10 +137,11 @@ def test_invalidate_recomputes_path_coverage_and_crossing():
     after = snapshot(ctx)
     assert after == snapshot(AnalysisContext(tree1, SPEC))
     assert after[0] != before[0] and after[1] != before[1]
-    for leaf in leaves:
-        for anc in [leaf] + list(leaf.ancestors()):
-            assert ctx.path_coverage(leaf)[id(anc)] == slice_coverage(
-                anc, leaf)
+    for node in tree1.root.walk():
+        below = ctx.node_tensors(node)
+        for name, pairs in below.accesses.items():
+            assert ctx.node_slices(node).extents[name] == merged_extents(
+                slice_extents(node, leaf, access) for leaf, access in pairs)
 
 
 def test_invalidate_rejects_foreign_subtree():

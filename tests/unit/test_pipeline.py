@@ -8,11 +8,12 @@ from repro.analysis import (DEFAULT_PIPELINE, PRESCREEN_PIPELINE,
                             DataMovementPass, EnergyPass, LatencyPass,
                             Pipeline, PipelineError, ResourceBoundsPass,
                             SlicesPass, TileFlowModel, ValidatePass,
-                            default_passes, num_pe_demand, prescreen_passes)
+                            default_passes, prescreen_passes)
 from repro.analysis.pipeline import check_builtin_pipelines
 from repro.dataflows import attention_dataflow
 from repro.errors import ResourceExceededError
 from repro.workloads import self_attention
+from tree_reference import num_pe_demand
 
 
 def span_names(sink):

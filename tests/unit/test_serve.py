@@ -600,6 +600,52 @@ class TestHTTPAPI:
         assert svc.wait_drained(timeout=30)
         assert svc.queue.get(job["id"]).state == "done"
 
+    def test_request_trickling_in_is_dropped(self, server, monkeypatch):
+        """Fault injection: a client sends its request a byte every
+        0.2 s.  The request line, headers and body share one deadline,
+        so the connection is closed without a response although no
+        single read stalls, no job is created, and the server keeps
+        serving."""
+        import select
+        import socket
+
+        from repro.serve.http import ServiceRequestHandler
+
+        monkeypatch.setattr(ServiceRequestHandler, "timeout", 1.0)
+        httpd, svc = server
+        body = json.dumps({"kind": "evaluate",
+                           "spec": dict(_EVAL_SPEC)}).encode()
+        request = (b"POST /jobs HTTP/1.0\r\nContent-Length: "
+                   + str(len(body)).encode() + b"\r\n\r\n" + body)
+        sock = socket.create_connection(
+            ("127.0.0.1", httpd.server_address[1]), timeout=10)
+        start = time.monotonic()
+        received, closed = b"", False
+        try:
+            for byte in request:
+                if time.monotonic() - start > 5:
+                    break
+                sock.sendall(bytes([byte]))
+                ready, _, _ = select.select([sock], [], [], 0.2)
+                if ready:
+                    chunk = sock.recv(4096)
+                    received += chunk
+                    if not chunk:
+                        closed = True
+                        break
+        except (BrokenPipeError, ConnectionResetError):
+            closed = True
+        finally:
+            sock.close()
+        assert closed and received == b""
+        assert time.monotonic() - start < 5
+        assert svc.queue.jobs() == []
+        status, job, _ = _request(httpd, "POST", "/jobs", {
+            "kind": "evaluate", "spec": dict(_EVAL_SPEC)})
+        assert status == 202
+        assert svc.wait_drained(timeout=30)
+        assert svc.queue.get(job["id"]).state == "done"
+
     def test_error_statuses(self, server):
         httpd, _svc = server
         # 400: bad spec.
