@@ -1,6 +1,6 @@
 """Tree-based analysis: data movement, resources, latency, energy (§5).
 
-The analyses compose as an explicit pass pipeline
+The analyses run as one fixed pass sequence
 (:mod:`repro.analysis.pipeline`) over a shared per-evaluation
 :class:`~repro.analysis.context.AnalysisContext`; see
 ``docs/ARCHITECTURE.md``.
@@ -15,11 +15,10 @@ from .energy import compute_energy
 from .latency import LatencyAnalysis
 from .metrics import EvaluationResult, LevelTraffic, ResourceUsage
 from .model import TileFlowModel
-from .pipeline import (DEFAULT_PIPELINE, PRESCREEN_PIPELINE, AnalysisPass,
-                       DataMovementPass, EnergyPass, LatencyPass, Pipeline,
-                       PipelineError, ResourceBoundsPass, ResourcesPass,
-                       SlicesPass, ValidatePass, default_passes,
-                       prescreen_passes)
+from .pipeline import (DEFAULT_PASSES, PRESCREEN_PASSES, AnalysisPass,
+                       DataMovementPass, EnergyPass, LatencyPass,
+                       ResourceBoundsPass, ResourcesPass, SlicesPass,
+                       ValidatePass, run_passes)
 from .resources import ResourceAnalysis
 from .slices import (box_volume, delta_volume, loop_displacement,
                      merged_extents, movement_recursion, overlap_volume,
@@ -28,11 +27,9 @@ from .slices import (box_volume, delta_volume, loop_displacement,
 __all__ = [
     "TileFlowModel",
     "AnalysisContext", "NodeSlices",
-    "AnalysisPass", "Pipeline", "PipelineError",
-    "DEFAULT_PIPELINE", "PRESCREEN_PIPELINE",
+    "AnalysisPass", "DEFAULT_PASSES", "PRESCREEN_PASSES", "run_passes",
     "ValidatePass", "SlicesPass", "DataMovementPass", "ResourcesPass",
     "ResourceBoundsPass", "LatencyPass", "EnergyPass",
-    "default_passes", "prescreen_passes",
     "DataMovementAnalysis", "DataMovementResult", "NodeFlows",
     "WalkRecipe", "recursion_volume",
     "node_fingerprints", "subtree_fingerprint", "workload_digest",

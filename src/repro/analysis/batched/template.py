@@ -34,8 +34,7 @@ back to the scalar path); float composition replays the scalar
 accumulation order operation for operation, so results are
 bit-identical, not just close.  The composed search cost of a member is
 ``inf`` iff its resource violations are non-empty, else its latency —
-exactly ``latency_cost`` of a scalar ``evaluate(until="latency",
-stop_on_violation=True)`` run.
+exactly ``latency_cost`` of a scalar ``evaluate`` run.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Shared per-evaluation analysis state.
 
-:class:`AnalysisContext` is the blackboard one pipeline run
+:class:`AnalysisContext` is the blackboard one run of the §5 passes
 (:mod:`repro.analysis.pipeline`) writes its artifacts into, and the one
 place the §5 passes read a tree's structure from.  On first use it
 compiles, for any tree, what the passes derive from the tree's
@@ -28,8 +28,9 @@ structure alone:
 The tree's current loops are then substituted into those tables: per
 leaf its coverage along its path, per node its ``NumPE`` demand and
 execution count, all exact integer arithmetic.  The tensor-residency
-facts — each tensor's LCA home node, which tensors cross into which
-node's buffer, the Seq eviction verdicts — are memoized too.
+facts — each tensor's LCA home node, the Seq eviction verdicts — are
+memoized too, and each plan node records the tensors crossing into its
+buffer.
 
 A context is valid for exactly one ``(tree, arch)`` pair:
 
@@ -141,18 +142,20 @@ class PlanNode:
     passes read it, fixed until a structural re-arm.
 
     ``children`` are pre-order positions in
-    :attr:`AnalysisContext.plan_nodes`.  ``staged`` holds, in the node's
-    tensor order, each tensor's ``(name, word bytes, buffering
-    factor)``: 2.0 for a tensor crossing into the node's buffer
-    (:meth:`AnalysisContext.tensor_crossing`, double-buffered), else
-    1.0.  ``memory`` is the node's level and ``source_bandwidth`` its
-    source level's aggregate bytes per cycle; ``pool`` and
-    ``ops_per_point`` price a leaf's compute.
+    :attr:`AnalysisContext.plan_nodes`.  ``crossing`` names, in the
+    node's tensor order, the tensors crossing into the node's buffer
+    (:meth:`AnalysisContext.tensor_crossing`).  ``staged`` holds, in the
+    same order, each tensor's ``(name, word bytes, buffering factor)``:
+    2.0 for a crossing tensor (double-buffered), else 1.0.  ``memory``
+    is the node's level and ``source_bandwidth`` its source level's
+    aggregate bytes per cycle; ``pool`` and ``ops_per_point`` price a
+    leaf's compute.
     """
 
     __slots__ = ("node", "children", "leaf", "fusion", "seq",
                  "shares_time", "mac", "level", "source_level", "memory",
-                 "source_bandwidth", "staged", "pool", "ops_per_point")
+                 "source_bandwidth", "crossing", "staged", "pool",
+                 "ops_per_point")
 
     def __init__(self, ctx: "AnalysisContext", node: TileNode,
                  index: Dict[int, int]):
@@ -173,10 +176,12 @@ class PlanNode:
         self.source_bandwidth = (source.bytes_per_cycle(arch.frequency_ghz)
                                  * source.fanout)
         word_bytes = ctx.word_bytes
+        tensors = ctx.node_tensors(node).tensors
+        self.crossing = tuple(name for name in tensors
+                              if ctx.tensor_crossing(node, name))
         self.staged = tuple(
-            (name, word_bytes[name],
-             2.0 if ctx.tensor_crossing(node, name) else 1.0)
-            for name in ctx.node_tensors(node).tensors)
+            (name, word_bytes[name], 2.0 if name in self.crossing else 1.0)
+            for name in tensors)
         op = node.op if self.leaf else None
         self.mac = op is not None and op.kind == "mac"
         self.pool = arch.compute_units(op.kind) if op is not None else 0
@@ -187,9 +192,8 @@ class AnalysisContext:
     """Blackboard, compiled tables and memo store for one tree.
 
     Passes communicate exclusively through :meth:`put`/:meth:`get`
-    artifacts (declared in their ``reads``/``writes``); the memoized
-    accessors below are shared computation, not artifacts, and may be
-    called by any pass.
+    artifacts; the memoized accessors below are shared computation, not
+    artifacts, and may be called by any pass.
 
     ``artifact_cache`` (duck-typed: ``store(namespace, kind)`` returning
     a dict-backed store, see
@@ -217,8 +221,6 @@ class AnalysisContext:
             t.name: t.word_bytes for t in tree.workload.tensors()}
         #: Names of passes that have finished, in execution order.
         self.completed: List[str] = []
-        #: True when a run stopped at the first violation-producing pass.
-        self.early_exit = False
         self._artifacts: Dict[str, Any] = {}
         #: id(node) -> structural fingerprint (with a shared store only).
         self._fps: Optional[Dict[int, str]] = None
@@ -236,8 +238,6 @@ class AnalysisContext:
         self._tensors: Dict[int, NodeTensors] = {}
         self._homes: Dict[str, Optional[TileNode]] = {}
         self._homes_built = False
-        #: (id(node), tensor) -> crossing?
-        self._crossing: Dict[Tuple[int, str], bool] = {}
         #: id(home) -> strict descendant ids.
         self._descendants: Dict[int, FrozenSet[int]] = {}
         #: (id(parent), id(child), tensor) -> Seq-evicted?  A child of
@@ -291,14 +291,6 @@ class AnalysisContext:
 
     def get(self, name: str, default: Any = None) -> Any:
         return self._artifacts.get(name, default)
-
-    def has(self, name: str) -> bool:
-        return name in self._artifacts
-
-    def mark_completed(self, pass_name: str) -> None:
-        """Record a pass as done without running it (resume / skip)."""
-        if pass_name not in self.completed:
-            self.completed.append(pass_name)
 
     # -- node identity / shared cache ------------------------------------
     def _at(self, node: TileNode) -> int:
@@ -355,7 +347,7 @@ class AnalysisContext:
                    loops_only: bool = False) -> None:
         """Re-arm the context after an in-place mutation of its tree.
 
-        Drops pipeline artifacts, completed-pass bookkeeping and this
+        Drops pass artifacts, completed-pass bookkeeping and this
         point's path coverage, ``NumPE`` demands and execution counts
         (they depend on *ancestor* loops).  Slices survive where the
         mutation cannot have reached them: fingerprint-keyed with a
@@ -364,7 +356,7 @@ class AnalysisContext:
         ancestors (all of them when ``subtree`` is None) are dropped.
 
         ``loops_only=True`` promises that only loops changed, not levels
-        or bindings: tensor homes, descendant and crossing sets,
+        or bindings: tensor homes, descendant sets,
         Seq-eviction decisions, :class:`NodeTensors`, walk recipes, plan
         nodes and the loop-free §4 verdict then survive too — a
         per-genome tune re-prices one tree at every factor point this
@@ -386,7 +378,6 @@ class AnalysisContext:
                     f"context's own tree")
         self._artifacts.clear()
         self.completed.clear()
-        self.early_exit = False
         self._coverage = self._demands = self._executions_at = None
         if self.artifact_cache is not None:
             self._fps = None
@@ -398,7 +389,6 @@ class AnalysisContext:
         if not loops_only:
             self._homes = {}
             self._homes_built = False
-            self._crossing.clear()
             self._descendants.clear()
             self._evictions.clear()
             self.structure_ok = None
@@ -415,6 +405,10 @@ class AnalysisContext:
                 PlanNode(self, node, self._position)
                 for node in self.tree.nodes())
         return table
+
+    def plan_node(self, node: TileNode) -> PlanNode:
+        """The node's :class:`PlanNode`."""
+        return self.plan_nodes[self._at(node)]
 
     def _compile_leaves(self) -> List[Tuple[Tuple[str, ...],
                                             List[TileNode]]]:
@@ -667,19 +661,13 @@ class AnalysisContext:
         analysis records fills/updates for it at this node, and hence
         the resource analysis double-buffers it.
         """
-        key = (id(node), tensor_name)
-        hit = self._crossing.get(key)
-        if hit is None:
-            home = self.home(tensor_name)
-            if home is not None and (node.parent is None
-                                     or id(node) not in self._below(home)):
-                hit = False
-            else:
-                source_level = (node.parent.level if node.parent is not None
-                                else self.arch.dram_index)
-                hit = node.level < source_level
-            self._crossing[key] = hit
-        return hit
+        home = self.home(tensor_name)
+        if home is not None and (node.parent is None
+                                 or id(node) not in self._below(home)):
+            return False
+        source_level = (node.parent.level if node.parent is not None
+                        else self.arch.dram_index)
+        return node.level < source_level
 
     def _below(self, home: TileNode) -> FrozenSet[int]:
         """Ids of ``home``'s strict descendants (lazy, per home node)."""
@@ -701,9 +689,8 @@ class AnalysisContext:
         tensors.
         """
         words = self.node_slices(node).staged_words
-        entry = self.plan_nodes[self._at(node)]
         total = 0.0
-        for name, word_bytes, factor in entry.staged:
+        for name, word_bytes, factor in self.plan_node(node).staged:
             total += factor * words[name] * word_bytes
         return total
 

@@ -362,9 +362,7 @@ class DataMovementAnalysis:
             return crossings
         tensors = ctx.node_tensors(node)
         crossings = []
-        for name in tensors.tensors:
-            if not ctx.tensor_crossing(node, name):
-                continue
+        for name in ctx.plan_node(node).crossing:
             sides: List[Optional[Side]] = []
             for pairs in (tensors.readers.get(name),
                           tensors.writers.get(name)):

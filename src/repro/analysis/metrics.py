@@ -15,7 +15,7 @@ violations (mappers use those to reject/penalize candidates).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
 
 class LevelTraffic:
@@ -82,11 +82,6 @@ class EvaluationResult:
     latency_seconds: float = 0.0
     #: Per-level bandwidth-pressure metric of §7.5 (access/compute ratio).
     slowdown: Dict[int, float] = field(default_factory=dict)
-    #: True when the producing pipeline run stopped early (``until=`` or
-    #: a violation short-circuit); unset fields then hold their defaults.
-    partial: bool = False
-    #: Pipeline passes that actually ran, in order.
-    completed_passes: Tuple[str, ...] = ()
 
     # ------------------------------------------------------------------
     @property

@@ -1,34 +1,22 @@
-"""The pass-based analysis pipeline.
+"""The §5 analysis passes and the fixed sequences they run in.
 
-The TileFlow model (§5) is a sequence of tree analyses — validation,
-slice geometry, data movement, resources, latency, energy — and this
-module makes that sequence explicit: each :class:`AnalysisPass` declares
-the context artifacts it ``reads`` and ``writes``, and a
-:class:`Pipeline` runs passes in order over one
-:class:`~repro.analysis.context.AnalysisContext`, statically checking at
-construction that every read is produced by an earlier pass.
-
-Partial evaluation falls out of the structure:
-
-* ``run(ctx, until="resources")`` stops after a named pass (mapper cost
-  functions that only need latency skip the energy stage),
-* ``run(ctx, stop_on_violation=True)`` stops as soon as a pass records
-  resource violations (infeasible candidates never pay for latency or
-  energy),
-* re-running a pipeline on the same context skips completed passes, so
-  the engine's cheap feasibility prefix (:data:`PRESCREEN_PIPELINE`) is
-  free work for a later full evaluation of the same tree.
+The TileFlow model (§5) is one fixed sequence of tree analyses —
+validation, slice geometry, data movement (§5.1), resources (§5.2),
+latency and energy (§5.3).  Each is an :class:`AnalysisPass`; the
+passes communicate through one
+:class:`~repro.analysis.context.AnalysisContext`'s artifacts.
+:data:`DEFAULT_PASSES` is the full model and :data:`PRESCREEN_PASSES`
+the engine's cheap feasibility prefix; :func:`run_passes` runs either
+over a context, skipping passes the context has already completed, so
+a prefix's work is reused by a later full evaluation of the same tree.
 
 Each pass runs under an ``obs`` span named ``model.pass.<name>`` so the
 profile report breaks evaluation time down per pass.
-
-Run ``python -m repro.analysis.pipeline`` to re-check the wiring of the
-built-in pipelines (CI calls this so mis-ordered passes fail fast).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .. import obs
 from .context import AnalysisContext
@@ -41,30 +29,14 @@ from .energy import compute_energy
 PRESCREEN_TAG = "(prescreen lower bound)"
 
 
-class PipelineError(Exception):
-    """A pipeline's pass wiring is inconsistent."""
-
-
 class AnalysisPass:
-    """One stage of the analysis pipeline.
-
-    Subclasses set ``name``, the artifact names they ``reads`` from and
-    ``writes`` to the context, and implement :meth:`run`.  Passes must
-    communicate only through declared artifacts (plus the context's
-    shared memo accessors); the pipeline's static check relies on the
-    declarations being honest.
-    """
+    """One stage of the analysis: a ``name`` and a :meth:`run` that
+    reads and writes the context's artifacts."""
 
     name: str = ""
-    reads: Tuple[str, ...] = ()
-    writes: Tuple[str, ...] = ()
 
     def run(self, ctx: AnalysisContext) -> None:
         raise NotImplementedError
-
-    def __repr__(self) -> str:
-        return (f"{type(self).__name__}(name={self.name!r}, "
-                f"reads={self.reads!r}, writes={self.writes!r})")
 
 
 class ValidatePass(AnalysisPass):
@@ -77,31 +49,25 @@ class ValidatePass(AnalysisPass):
     """
 
     name = "validate"
-    writes = ("validated",)
 
     def run(self, ctx: AnalysisContext) -> None:
         ctx.validate()
-        ctx.put("validated", True)
 
 
 class SlicesPass(AnalysisPass):
     """Populate per-node slice geometry (extents, staged words)."""
 
     name = "slices"
-    writes = ("slices",)
 
     def run(self, ctx: AnalysisContext) -> None:
         for node in ctx.tree.nodes():
             ctx.node_slices(node)
-        ctx.put("slices", True)
 
 
 class DataMovementPass(AnalysisPass):
     """The §5.1 boundary recursion over the whole tree."""
 
     name = "datamovement"
-    reads = ("slices",)
-    writes = ("movement",)
 
     def run(self, ctx: AnalysisContext) -> None:
         from .datamovement import DataMovementAnalysis
@@ -127,8 +93,6 @@ class ResourceBoundsPass(AnalysisPass):
     """
 
     name = "resource_bounds"
-    reads = ("slices",)
-    writes = ("bound_violations", "bound_violation_codes")
 
     def run(self, ctx: AnalysisContext) -> None:
         problems: List[str] = []
@@ -169,8 +133,6 @@ class ResourcesPass(AnalysisPass):
     """The §5.2 NumPE/FootPrint recursions and violation checks."""
 
     name = "resources"
-    reads = ("slices", "movement")
-    writes = ("resources", "violations")
 
     def run(self, ctx: AnalysisContext) -> None:
         from .resources import ResourceAnalysis
@@ -184,8 +146,6 @@ class LatencyPass(AnalysisPass):
     """The §5.3 bottom-up latency composition + §7.5 slow-down."""
 
     name = "latency"
-    reads = ("movement",)
-    writes = ("latency",)
 
     def run(self, ctx: AnalysisContext) -> None:
         from .latency import LatencyAnalysis
@@ -197,8 +157,6 @@ class EnergyPass(AnalysisPass):
     """Per-component energy from the aggregate traffic (§5.3)."""
 
     name = "energy"
-    reads = ("movement",)
-    writes = ("energy",)
 
     def run(self, ctx: AnalysisContext) -> None:
         movement = ctx.get("movement")
@@ -206,103 +164,23 @@ class EnergyPass(AnalysisPass):
             ctx.tree.workload, ctx.arch, movement.traffic))
 
 
-class Pipeline:
-    """An ordered sequence of passes with statically checked wiring."""
-
-    def __init__(self, passes: Sequence[AnalysisPass]):
-        self.passes: Tuple[AnalysisPass, ...] = tuple(passes)
-        self.check()
-
-    def check(self) -> None:
-        """Raise :class:`PipelineError` unless every read is satisfied.
-
-        Each pass may only read artifacts some *earlier* pass writes,
-        and pass names must be unique (they key resume bookkeeping).
-        """
-        produced: set = set()
-        seen: set = set()
-        for p in self.passes:
-            if not p.name:
-                raise PipelineError(f"pass {p!r} has no name")
-            if p.name in seen:
-                raise PipelineError(f"duplicate pass name {p.name!r}")
-            seen.add(p.name)
-            missing = [r for r in p.reads if r not in produced]
-            if missing:
-                raise PipelineError(
-                    f"pass {p.name!r} reads {missing} before any earlier "
-                    f"pass writes them (order: "
-                    f"{[q.name for q in self.passes]})")
-            produced.update(p.writes)
-
-    def names(self) -> Tuple[str, ...]:
-        return tuple(p.name for p in self.passes)
-
-    # ------------------------------------------------------------------
-    def run(self, ctx: AnalysisContext, until: Optional[str] = None,
-            stop_on_violation: bool = False) -> AnalysisContext:
-        """Run the passes over ``ctx`` in order.
-
-        Passes already recorded in ``ctx.completed`` are skipped, so a
-        context that ran a prefix pipeline resumes where it stopped.
-
-        Parameters
-        ----------
-        until:
-            Stop (inclusively) after the named pass.  Must name a pass
-            of this pipeline.
-        stop_on_violation:
-            Stop as soon as the ``violations`` artifact is non-empty
-            (sets ``ctx.early_exit`` and bumps ``model.early_exit``).
-        """
-        if until is not None and until not in self.names():
-            raise ValueError(f"until={until!r} names no pass in "
-                             f"{self.names()}")
-        for p in self.passes:
-            if p.name in ctx.completed:
-                if p.name == until:
-                    break
-                continue
-            with obs.span(f"model.pass.{p.name}", "analysis",
-                          tree=ctx.tree.name):
-                p.run(ctx)
-            ctx.completed.append(p.name)
-            if stop_on_violation and ctx.get("violations"):
-                ctx.early_exit = True
-                obs.count("model.early_exit")
-                break
-            if p.name == until:
-                break
-        return ctx
-
-
-def default_passes() -> Tuple[AnalysisPass, ...]:
-    """Fresh instances of the full §5 pipeline, in canonical order."""
-    return (ValidatePass(), SlicesPass(), DataMovementPass(),
-            ResourcesPass(), LatencyPass(), EnergyPass())
-
-
-def prescreen_passes() -> Tuple[AnalysisPass, ...]:
-    """The cheap feasibility prefix the engine runs before full work."""
-    return (ValidatePass(), SlicesPass(), ResourceBoundsPass())
-
-
 #: The full §5 analysis, in canonical order.
-DEFAULT_PIPELINE = Pipeline(default_passes())
+DEFAULT_PASSES: Tuple[AnalysisPass, ...] = (
+    ValidatePass(), SlicesPass(), DataMovementPass(), ResourcesPass(),
+    LatencyPass(), EnergyPass())
 
 #: The cheap feasibility prefix (validate -> slices -> resource bounds).
-PRESCREEN_PIPELINE = Pipeline(prescreen_passes())
+PRESCREEN_PASSES: Tuple[AnalysisPass, ...] = (
+    ValidatePass(), SlicesPass(), ResourceBoundsPass())
 
 
-def check_builtin_pipelines() -> str:
-    """Re-check the wiring of the built-in pipelines (CI entry point)."""
-    lines = []
-    for label, pipe in (("default", DEFAULT_PIPELINE),
-                        ("prescreen", PRESCREEN_PIPELINE)):
-        pipe.check()
-        lines.append(f"{label}: {' -> '.join(pipe.names())} OK")
-    return "\n".join(lines)
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised by CI
-    print(check_builtin_pipelines())
+def run_passes(ctx: AnalysisContext, passes: Sequence[AnalysisPass]) -> None:
+    """Run ``passes`` over ``ctx`` in order, skipping those already in
+    ``ctx.completed`` (a context that ran a prefix resumes after it)."""
+    for p in passes:
+        if p.name in ctx.completed:
+            continue
+        with obs.span(f"model.pass.{p.name}", "analysis",
+                      tree=ctx.tree.name):
+            p.run(ctx)
+        ctx.completed.append(p.name)

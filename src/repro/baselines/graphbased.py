@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-from ..analysis import (DataMovementPass, EnergyPass, LatencyPass, Pipeline,
+from ..analysis import (DataMovementPass, EnergyPass, LatencyPass,
                         SlicesPass, TileFlowModel, ValidatePass)
 from ..arch import Architecture
 from ..dataflows.attention_dataflows import layerwise as attention_layerwise
@@ -21,11 +21,14 @@ from ..dataflows.conv_dataflows import conv_layerwise
 from ..errors import MappingError
 from ..ir import Workload
 
-#: The scheme only reads latency + energy, and single-op layerwise
-#: mappings need no feasibility verdict — so its pipeline drops the
-#: resource pass entirely instead of computing and discarding it.
-_GRAPH_PIPELINE = Pipeline((ValidatePass(), SlicesPass(),
-                            DataMovementPass(), LatencyPass(), EnergyPass()))
+
+class _PerOpModel(TileFlowModel):
+    """The scheme only reads latency + energy, and single-op layerwise
+    mappings need no feasibility verdict — so its passes drop the
+    resource pass entirely instead of computing and discarding it."""
+
+    passes = (ValidatePass(), SlicesPass(), DataMovementPass(),
+              LatencyPass(), EnergyPass())
 
 
 @dataclass
@@ -43,7 +46,7 @@ class GraphBasedModel:
 
     def __init__(self, arch: Architecture):
         self.arch = arch
-        self.model = TileFlowModel(arch, pipeline=_GRAPH_PIPELINE)
+        self.model = _PerOpModel(arch)
 
     def evaluate(self, workload: Workload) -> GraphBasedResult:
         """Estimate a fused execution from unfused per-op evaluations.

@@ -263,8 +263,8 @@ class EvaluationEngine:
         """The one evaluation pipeline: pre-screen, full analysis.
 
         One context serves the screen and the evaluation: the screen's
-        validation and slice geometry are reused when the pipeline
-        resumes for the full run.  ``signature`` produces the mapping's
+        validation and slice geometry are reused when the full run
+        resumes after it.  ``signature`` produces the mapping's
         canonical signature; it is only called when the event bus is
         live, to digest a pre-screen rejection.
         """

@@ -1,7 +1,7 @@
-"""Cheap feasibility pre-screen: the analysis pipeline's cheap prefix.
+"""Cheap feasibility pre-screen: the analysis passes' cheap prefix.
 
 Before the engine pays for a full evaluation it runs
-:data:`~repro.analysis.pipeline.PRESCREEN_PIPELINE` — validate ->
+:data:`~repro.analysis.pipeline.PRESCREEN_PASSES` — validate ->
 slices -> resource bounds — over the candidate's
 :class:`~repro.analysis.context.AnalysisContext`.  The bounds pass
 (:class:`~repro.analysis.pipeline.ResourceBoundsPass`) proves compute
@@ -15,9 +15,10 @@ identical with and without it.
 
 Because the prefix runs on the same context a subsequent full
 evaluation resumes, its validation and slice geometry are not repeated
-work — the pipeline skips completed passes.  This module adds what the
-engine needs around the pipeline: the entry point, the placeholder
-result of a rejected mapping, and its recognition.
+work — :func:`~repro.analysis.pipeline.run_passes` skips completed
+passes.  This module adds what the engine needs around the prefix: the
+entry point, the placeholder result of a rejected mapping, and its
+recognition.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import List, Optional
 
 from ..analysis.context import AnalysisContext
 from ..analysis.metrics import EvaluationResult, ResourceUsage
-from ..analysis.pipeline import PRESCREEN_PIPELINE, PRESCREEN_TAG
+from ..analysis.pipeline import PRESCREEN_PASSES, PRESCREEN_TAG, run_passes
 from ..arch import Architecture
 from ..tile.tree import AnalysisTree
 
@@ -42,12 +43,12 @@ def prescreen(tree: AnalysisTree, arch: Architecture,
     Returns at most one compute and one memory violation — the screen
     stops at the first proof of infeasibility per resource class, since
     one is enough to reject.  Pass ``context`` to share work with a
-    subsequent full evaluation of the same tree (the pipeline resumes
-    where the screen stopped).
+    subsequent full evaluation of the same tree (it resumes where the
+    screen stopped).
     """
     ctx = context if context is not None else AnalysisContext(tree, arch)
     ctx.check_memory = check_memory
-    PRESCREEN_PIPELINE.run(ctx)
+    run_passes(ctx, PRESCREEN_PASSES)
     return list(ctx.get("bound_violations") or ())
 
 
@@ -62,8 +63,7 @@ def rejected_result(tree: AnalysisTree, arch: Architecture,
         tree_name=tree.name, arch_name=arch.name,
         latency_cycles=0.0, energy_pj=0.0,
         total_ops=tree.workload.total_ops,
-        traffic={}, resources=ResourceUsage(), violations=list(violations),
-        partial=True, completed_passes=PRESCREEN_PIPELINE.names())
+        traffic={}, resources=ResourceUsage(), violations=list(violations))
 
 
 def is_prescreened(result: EvaluationResult) -> bool:

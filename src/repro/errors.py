@@ -44,21 +44,6 @@ class ForeignNodeError(TileFlowError):
     """
 
 
-class ResourceExceededError(TileFlowError):
-    """Raised (or recorded) when a mapping exceeds memory capacity or PEs.
-
-    The analysis normally *records* violations in the result so mappers can
-    penalize them; strict evaluation raises this error instead.
-    """
-
-    def __init__(self, message: str, level: str = "", required: float = 0.0,
-                 available: float = 0.0):
-        super().__init__(message)
-        self.level = level
-        self.required = required
-        self.available = available
-
-
 class MappingError(TileFlowError):
     """Raised when a mapper encoding cannot be decoded into a valid tree."""
 

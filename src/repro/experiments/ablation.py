@@ -69,9 +69,8 @@ def movement_rule_ablation(rule: str, shape_name: str = "Bert-S",
     for name, template in ATTENTION_DATAFLOWS.items():
         tree_a = template(workload, arch)
         tree_b = template(workload, arch)
-        # The rows read cycles + DRAM words only — stop after latency.
-        fr = full.evaluate(tree_a, until="latency")
-        ar = ablated.evaluate(tree_b, until="latency")
+        fr = full.evaluate(tree_a)
+        ar = ablated.evaluate(tree_b)
         rows.append(AblationRow(
             dataflow=name,
             full_cycles=fr.latency_cycles, full_dram=fr.dram_words(),
@@ -97,8 +96,7 @@ def binding_ablation(shape_name: str = "Bert-S",
         for node in tree.nodes():
             if isinstance(node, FusionNode) and len(node.children) > 1:
                 node.binding = binding
-        out[binding.value] = model.evaluate(
-            tree, until="latency").latency_cycles
+        out[binding.value] = model.evaluate(tree).latency_cycles
     return out
 
 

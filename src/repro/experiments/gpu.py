@@ -59,11 +59,8 @@ def gpu_evaluation(models: Optional[Sequence[str]] = None,
             for df_label, df_name in (("baseline", "flat_rgran"),
                                       ("TileFlow", "tileflow")):
                 tree = ATTENTION_DATAFLOWS[df_name](workload, arch)
-                # Table 8 reads violations (OOM) and latency only, and
-                # reports no latency for OOM rows — so evaluation stops
-                # at the resource pass for them and never runs energy.
-                result = model.evaluate(tree, until="latency",
-                                        stop_on_violation=True)
+                # Table 8 reports no latency for OOM rows.
+                result = model.evaluate(tree)
                 oom = any(v.startswith("memory") for v in result.violations)
                 rows.append(GpuRow(
                     model=name, seq_len=seq, dataflow=df_label,

@@ -74,9 +74,7 @@ def bandwidth_sensitivity(shape_name: str = "CC1",
                 "L1", bandwidth_gbs=bw / base_arch.level(l1_index).fanout)
             model = TileFlowModel(arch)
             tree = CONV_DATAFLOWS[name](workload, arch)
-            # The sweep reads only the slow-down (a latency-pass
-            # artifact); the energy pass is skipped.
-            res = model.evaluate(tree, until="latency")
+            res = model.evaluate(tree)
             trace.append(res.slowdown.get(l1_index, 1.0))
         sweep.slowdown[name] = trace
     return sweep
@@ -114,8 +112,7 @@ def pe_size_sweep(sizes: Sequence[int] = (8, 16, 32, 64, 128, 256),
         for label, name in (("baseline", "flat_rgran"),
                             ("tileflow", "tileflow")):
             tree = ATTENTION_DATAFLOWS[name](workload, arch)
-            row[label] = model.evaluate(
-                tree, until="latency").latency_cycles / 1e6
+            row[label] = model.evaluate(tree).latency_cycles / 1e6
         out[side] = row
     return out
 

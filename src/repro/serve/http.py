@@ -168,7 +168,10 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         raw = self.rfile.read(n)
         try:
             obj = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:
+            # ValueError covers bad UTF-8, bad syntax and integer
+            # literals over the int-conversion digit limit;
+            # RecursionError, arrays/objects nested past the stack.
             self._error(400, f"body is not valid JSON: {exc}")
             return None
         if not isinstance(obj, dict):

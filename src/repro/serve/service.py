@@ -92,7 +92,7 @@ def _positive(spec: Dict[str, Any], key: str, default: int,
               bound: int) -> int:
     try:
         value = int(spec.get(key, default))
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise SpecError(f"spec field {key!r} must be an integer")
     if not 1 <= value <= bound:
         raise SpecError(f"spec field {key!r} must be in [1, {bound}]")
@@ -277,7 +277,7 @@ class EvaluationService:
             out["samples"] = _positive(spec, "samples", 10, MAX_SAMPLES)
             try:
                 out["seed"] = int(spec.get("seed", 0))
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise SpecError("spec field 'seed' must be an integer")
         return out
 

@@ -37,8 +37,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import arch, workloads
-from repro.analysis import AnalysisContext, TileFlowModel
-from repro.analysis.pipeline import PRESCREEN_PIPELINE
+from repro.analysis import (PRESCREEN_PASSES, AnalysisContext,
+                            TileFlowModel, run_passes)
 from repro.dataflows import dataflow_for, dataflow_names
 from repro.engine import (EvaluationEngine, GenomePlan, SubtreeArtifactCache,
                           prescreen)
@@ -134,7 +134,7 @@ def test_plan_prices_every_point_like_a_fresh_tree(
 def _assert_same_geometry(ctx, fresh_ctx):
     """Every node's slices, and fills and updates where ``ctx`` ran the
     data movement, equal ``fresh_ctx``'s, in the same key order."""
-    if not ctx.has("slices"):  # the point failed validation
+    if "slices" not in ctx.completed:  # the point failed validation
         return
     movement = ctx.get("movement")
     for node, ref in zip(ctx.tree.nodes(), fresh_ctx.tree.nodes()):
@@ -171,10 +171,10 @@ def _points(space, rng):
 
 def _compiled_results(model, ctx):
     """The validation error, or the repr (exact for floats) of the
-    bounds, resources and latency artifacts the full pipeline leaves in
-    ``ctx``."""
+    bounds, resources and latency artifacts the prescreen and full passes
+    leave in ``ctx``."""
     try:
-        PRESCREEN_PIPELINE.run(ctx)
+        run_passes(ctx, PRESCREEN_PASSES)
     except TreeValidationError as exc:
         return str(exc)
     model.evaluate(ctx.tree, context=ctx)

@@ -29,8 +29,8 @@ from repro.analysis import (AnalysisContext, DataMovementAnalysis,
 from repro.analysis.context import NodeTensors, _path_coverage
 from repro.analysis.datamovement import Crossing, Side, _Walk, moves_of
 from repro.analysis.pipeline import (DataMovementPass, EnergyPass,
-                                     LatencyPass, Pipeline, ResourcesPass,
-                                     SlicesPass, ValidatePass)
+                                     LatencyPass, ResourcesPass, SlicesPass,
+                                     ValidatePass)
 from repro.ir import TensorAccess
 from repro.tile.bindings import Binding
 from repro.tile.loops import Loop
@@ -422,20 +422,12 @@ class TreeLatencyPass(LatencyPass):
             ctx.tree, ctx.arch, ctx.get("movement"), context=ctx).run())
 
 
-#: The full §5 pipeline over the tree-walking passes (same pass names).
-REFERENCE_PIPELINE = Pipeline((ValidatePass(), SlicesPass(),
-                               TreeDataMovementPass(), TreeResourcesPass(),
-                               TreeLatencyPass(), EnergyPass()))
-
-
 class ReferenceModel(TileFlowModel):
     """:class:`TileFlowModel` over :class:`TreeContext` and the
-    tree-walking passes."""
+    tree-walking passes (same pass names)."""
 
-    def __init__(self, arch, model_eviction: bool = True,
-                 model_rmw: bool = True):
-        super().__init__(arch, model_eviction=model_eviction,
-                         model_rmw=model_rmw, pipeline=REFERENCE_PIPELINE)
+    passes = (ValidatePass(), SlicesPass(), TreeDataMovementPass(),
+              TreeResourcesPass(), TreeLatencyPass(), EnergyPass())
 
     def context(self, tree, artifact_cache=None) -> TreeContext:
         assert artifact_cache is None, "the reference keeps no shared store"

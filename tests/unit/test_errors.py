@@ -2,25 +2,16 @@
 
 import pytest
 
-from repro.errors import (ArchitectureError, MappingError, NotationError,
-                          ResourceExceededError, SimulationError,
-                          TileFlowError, TreeValidationError, WorkloadError)
+from repro.errors import (ArchitectureError, ForeignNodeError, MappingError,
+                          NotationError, SimulationError, TileFlowError,
+                          TreeValidationError, WorkloadError)
 
 
 def test_all_derive_from_base():
     for exc in (WorkloadError, NotationError, TreeValidationError,
-                ArchitectureError, ResourceExceededError, MappingError,
+                ArchitectureError, ForeignNodeError, MappingError,
                 SimulationError):
         assert issubclass(exc, TileFlowError)
-
-
-def test_resource_exceeded_payload():
-    e = ResourceExceededError("too big", level="L1", required=10.0,
-                              available=4.0)
-    assert e.level == "L1"
-    assert e.required == 10.0
-    assert e.available == 4.0
-    assert "too big" in str(e)
 
 
 def test_catchable_as_base():

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.analysis import TileFlowModel
+from repro import obs
+from repro.analysis import DEFAULT_PASSES, TileFlowModel
 from repro.arch import edge, validation_accelerator
 from repro.ir import Operator, Tensor, Workload, simple_access
 from repro.tile import (AnalysisTree, Binding, FusionNode, OpTile, spatial,
@@ -138,9 +139,14 @@ class TestEnergy:
         assert r.latency_seconds == pytest.approx(
             r.latency_cycles / (edge().frequency_ghz * 1e9))
 
-    def test_strict_mode_raises(self):
-        from repro.errors import ResourceExceededError
+    def test_infeasible_full_evaluation_runs_every_pass(self):
         wl, tree = _pair(Binding.PIPE)
         spec = edge().with_(pe_count=8, vector_pe_count=8)
-        with pytest.raises(ResourceExceededError):
-            TileFlowModel(spec).evaluate(tree, strict=True)
+        with obs.capture() as sink:
+            r = TileFlowModel(spec).evaluate(tree)
+        assert r.violations and not r.feasible
+        assert r.latency_cycles > 0 and r.energy_pj > 0
+        spans = [rec.name for rec in sink.records if rec.type == "span"]
+        assert spans.count("model.evaluate") == 1
+        for p in DEFAULT_PASSES:
+            assert spans.count(f"model.pass.{p.name}") == 1

@@ -13,6 +13,7 @@ from repro.obs import events
 from repro.serve import (EvaluationService, InvalidTransition, JobQueue,
                          QueueClosed, QueueFull, SpecError, UnknownJob,
                          make_server)
+from repro.serve.http import DEFAULT_MAX_BODY
 
 
 @pytest.fixture(autouse=True)
@@ -490,6 +491,17 @@ def _request(httpd, method, path, body=None):
     return resp.status, payload, dict(resp.getheaders())
 
 
+def _post_raw(httpd, path, raw: bytes):
+    conn = http.client.HTTPConnection("127.0.0.1",
+                                      httpd.server_address[1], timeout=30)
+    conn.request("POST", path, body=raw,
+                 headers={"Content-Type": "application/json"})
+    resp = conn.getresponse()
+    payload = json.loads(resp.read())
+    conn.close()
+    return resp.status, payload
+
+
 class TestHTTPAPI:
     def test_healthz_and_stats(self, server):
         httpd, _svc = server
@@ -696,6 +708,31 @@ class TestHTTPAPI:
         assert resp.status == 400
         assert "Content-Length" in json.loads(resp.read())["error"]
         conn.close()
+
+    @pytest.mark.parametrize("raw", [
+        b"[" * 30000 + b"]" * 30000,
+        b'{"kind": "search", "spec": {"seed": ' + b"1" * 5000 + b"}}",
+    ], ids=["nested-30000-deep", "integer-5000-digits"])
+    def test_unparseable_json_within_the_cap_is_400(self, server, raw):
+        httpd, svc = server
+        httpd.max_body = DEFAULT_MAX_BODY
+        assert len(raw) <= httpd.max_body
+        status, payload = _post_raw(httpd, "/jobs", raw)
+        assert status == 400
+        assert "body is not valid JSON" in payload["error"]
+        assert _request(httpd, "GET", "/jobs")[1] == {"jobs": []}
+        assert _request(httpd, "GET", "/healthz")[0] == 200
+
+    @pytest.mark.parametrize("field,literal", [
+        ("generations", b"1e400"), ("population", b"1e400"),
+        ("samples", b"-1e400"), ("seed", b"Infinity")])
+    def test_infinite_integer_field_is_400(self, server, field, literal):
+        httpd, svc = server
+        raw = (b'{"kind": "search", "spec": {"workload": "Bert-S", "'
+               + field.encode() + b'": ' + literal + b"}}")
+        status, payload = _post_raw(httpd, "/jobs", raw)
+        assert status == 400 and field in payload["error"]
+        assert _request(httpd, "GET", "/jobs")[1] == {"jobs": []}
 
     def test_queue_full_returns_429(self, server):
         httpd, svc = server

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import TileFlowModel
+from repro.analysis import DataMovementAnalysis, TileFlowModel
 from repro.arch import validation_accelerator
 from repro.dataflows import attention_dataflow
 from repro.sim import SimulatedAccelerator, lower
@@ -15,7 +15,7 @@ def setup():
     wl = self_attention(4, 128, 256, expand_softmax=True)
     tree = attention_dataflow("flat_rgran", wl, spec)
     model = TileFlowModel(spec)
-    movement = model.movement(tree)
+    movement = DataMovementAnalysis(tree, spec).run()
     return spec, wl, tree, model, movement
 
 
