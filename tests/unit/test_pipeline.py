@@ -10,6 +10,10 @@ from repro.analysis import (DEFAULT_PASSES, PRESCREEN_PASSES,
                             TileFlowModel, run_passes)
 from repro.baselines.graphbased import GraphBasedModel
 from repro.dataflows import attention_dataflow
+from repro.engine.prescreen import is_prescreened, prescreen, rejected_result
+from repro.errors import TreeValidationError
+from repro.ir import Operator, Tensor, Workload, simple_access
+from repro.tile import AnalysisTree, FusionNode, OpTile, temporal
 from repro.workloads import self_attention
 from tree_reference import num_pe_demand
 
@@ -42,8 +46,11 @@ class TestWiringCheck:
             "validate", "slices", "resource_bounds")
 
 
-class TestFullEvaluation:
-    def test_full_run_completes_every_pass(self, tree, spec):
+class TestPartialEvaluation:
+    """No evaluation stops part-way any more; what stops early is the
+    engine's prescreen (a prefix of the pass sequence) and validation."""
+
+    def test_full_run_is_not_partial(self, tree, spec):
         model = TileFlowModel(spec)
         ctx = model.context(tree)
         with obs.capture() as sink:
@@ -55,6 +62,65 @@ class TestFullEvaluation:
         assert not result.violations
         assert result.latency_cycles > 0 and result.energy_pj > 0
 
+    def test_stop_on_violation_feasible_runs_everything(self, tree, spec):
+        """A feasible tree passes the prescreen and its full evaluation
+        resumes on the same context through energy."""
+        model = TileFlowModel(spec)
+        ctx = model.context(tree)
+        assert prescreen(tree, spec, context=ctx) == []
+        result = model.evaluate(tree, context=ctx)
+        assert not result.violations
+        assert ctx.completed == ["validate", "slices", "resource_bounds",
+                                 "datamovement", "resources", "latency",
+                                 "energy"]
+        assert result.energy_pj > 0
+
+    def test_stop_on_violation_skips_latency_and_energy(self, tree):
+        """The prescreen rejects a cramped mapping having run only its
+        prefix; the placeholder result carries no latency or energy."""
+        cramped = arch.edge().with_level("L1", capacity_bytes=256)
+        ctx = AnalysisContext(tree, cramped)
+        with obs.capture() as sink:
+            violations = prescreen(tree, cramped, context=ctx)
+        assert violations
+        assert ctx.completed == [p.name for p in PRESCREEN_PASSES]
+        names = spans(sink)
+        assert "model.pass.resource_bounds" in names
+        assert "model.pass.latency" not in names
+        assert "model.pass.energy" not in names
+        result = rejected_result(tree, cramped, violations)
+        assert is_prescreened(result)
+        assert result.latency_cycles == 0.0 and result.energy_pj == 0.0
+        # The full model agrees the mapping is infeasible.
+        assert TileFlowModel(cramped).evaluate(tree).violations
+
+    def test_strict_raises_before_latency_runs(self, spec):
+        """A malformed tree raises in the validate pass; no later pass
+        runs."""
+        a, b, c = Tensor("A", (8, 8)), Tensor("B", (8, 8)), Tensor("C", (8,))
+        p = Operator("p", {"i": 8, "k": 8}, [simple_access(a, "i", "k")],
+                     simple_access(b, "i", "k"))
+        q = Operator("q", {"i": 8, "k": 8}, [simple_access(b, "i", "k")],
+                     simple_access(c, "i"))
+        wl = Workload("w", [p, q])
+        under = OpTile(p, [temporal("i", 2)], level=0)  # i not covered
+        full = OpTile(q, [temporal(d, n) for d, n in q.dims.items()],
+                      level=0)
+        bad = AnalysisTree(wl, FusionNode([], level=1,
+                                          children=[under, full]))
+        model = TileFlowModel(spec)
+        ctx = model.context(bad)
+        with obs.capture() as sink:
+            with pytest.raises(TreeValidationError):
+                model.evaluate(bad, context=ctx)
+        assert ctx.completed == []
+        names = spans(sink)
+        for later in ("slices", "datamovement", "resources", "latency",
+                      "energy"):
+            assert f"model.pass.{later}" not in names
+
+
+class TestFullEvaluation:
     def test_infeasible_tree_runs_every_pass(self, tree):
         cramped = arch.edge().with_level("L1", capacity_bytes=256)
         with obs.capture() as sink:
