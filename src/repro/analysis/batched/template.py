@@ -323,8 +323,8 @@ class GroupTemplate:
         ``mult`` keeps the scalar multiplication order — the float
         multiplier product replays it element for element.
         """
-        walk = WalkRecipe(self.ctx, node, tensor_name, access, home).walk()
-        return walk.loops, walk.multiplied
+        return WalkRecipe(self.ctx, node, tensor_name, access,
+                          home).loops(self.ctx.splits())
 
     # -- evaluation -----------------------------------------------------
     def evaluate(self, plan: CohortPlan, positions: Sequence[int],

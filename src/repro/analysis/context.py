@@ -2,20 +2,21 @@
 
 :class:`AnalysisContext` is the blackboard one run of the §5 passes
 (:mod:`repro.analysis.pipeline`) writes its artifacts into, and the one
-place the §5 passes read a tree's structure from.  On first use it
-compiles, for any tree, what the passes derive from the tree's
-structure alone:
+place the §5 passes read a tree's structure from.  Its tables are
+indexed by *plan position*, a node's index in the pre-order
+:meth:`~repro.tile.tree.AnalysisTree.nodes`.  On first use it compiles,
+for any tree, what the passes derive from the tree's structure alone:
 
-* **slice rows** — per node and tensor, every (leaf, access) pair below
-  it as per-tensor-dim ``(iteration dim, |coefficient|)`` terms.  A
-  point's extent is ``1 + sum(|c| * (cov_d - 1))`` over the leaf's path
-  coverage, max-merged over the pairs — what
+* **slice rows** — per position and tensor, every (leaf, access) pair
+  below the node as per-tensor-dim ``(iteration dim, |coefficient|)``
+  terms.  A point's extent is ``1 + sum(|c| * (cov_d - 1))`` over the
+  leaf's path coverage, max-merged over the pairs — what
   :meth:`AffineExpr.extent_over` and :func:`merged_extents` give.
-* **walk recipes** — per node, the tensors crossing into its buffer,
-  each with its first reader's and first writer's ordered walk segments
-  of §5.1.1/§5.1.2
+* **walk recipes** — per position, the tensors crossing into its
+  buffer, each with its first reader's and first writer's walked
+  positions and multiplied segments of §5.1.1/§5.1.2
   (:class:`~repro.analysis.datamovement.WalkRecipe`), compiled by the
-  data-movement pass into :attr:`AnalysisContext.walk_recipes`.
+  data-movement pass into :attr:`AnalysisContext.crossings`.
 * **fusion rules** — per fusion node, the dims its loops may iterate
   (those of the operators below it) and the §4.1 reduction dims they may
   not; :meth:`AnalysisContext.validate` checks the loops against them and
@@ -25,12 +26,15 @@ structure alone:
   resource and latency passes walk instead of the tree (children before
   parents for the bottom-up recursions).
 
-The tree's current loops are then substituted into those tables: per
-leaf its coverage along its path, per node its ``NumPE`` demand and
-execution count, all exact integer arithmetic.  The tensor-residency
-facts — each tensor's LCA home node, the Seq eviction verdicts — are
-memoized too, and each plan node records the tensors crossing into its
-buffer.
+A point's loops enter as one :class:`~repro.tile.loops.LoopSplit` per
+position — handed over by a per-genome tune
+(:meth:`AnalysisContext.rearm`), read off the tree's nodes otherwise.
+From them come, all exact integer arithmetic, per leaf its coverage
+along its path (validation and the slice table both read it), per
+position its slices, and in one :class:`LoopState` sweep per position
+its ``NumPE`` demand and execution count.  The tensor-residency facts
+— each tensor's LCA home node, the Seq eviction verdicts — are memoized
+too, and each plan node records the tensors crossing into its buffer.
 
 A context is valid for exactly one ``(tree, arch)`` pair:
 
@@ -53,12 +57,14 @@ compiled tables, so trees that share subtrees share that work.
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, List, Optional, Tuple
+from typing import (Any, Dict, FrozenSet, Iterable, List, Optional,
+                    Sequence, Tuple)
 
 from ..arch import Architecture
 from ..errors import ForeignNodeError
 from ..ir import TensorAccess
 from ..tile.bindings import Binding
+from ..tile.loops import LoopSplit
 from ..tile.tree import AnalysisTree, FusionNode, OpTile, TileNode
 from ..tile.validate import fused_producers, raise_invalid, structure_verdict
 from .fingerprint import cache_namespace, node_fingerprints
@@ -69,20 +75,21 @@ AccessPairs = List[Tuple[OpTile, TensorAccess]]
 class NodeTensors:
     """The leaf accesses below one tree node, grouped by tensor.
 
-    ``tensors`` is sorted so every float accumulation over it is
-    deterministic; ``readers``/``writers`` hold the ``(leaf, access)``
-    pairs reading/writing each tensor and ``accesses`` all of them, in
-    leaf order.  Reads no loops: a context keeps it across loop
-    changes (:meth:`AnalysisContext.invalidate`).
+    Built from the node's ``leaves``, in leaf order.  ``tensors`` is
+    sorted so every float accumulation over it is deterministic;
+    ``readers``/``writers`` hold the ``(leaf, access)`` pairs
+    reading/writing each tensor and ``accesses`` all of them, in leaf
+    order.  Reads no loops: a context keeps it across loop changes
+    (:meth:`AnalysisContext.invalidate`).
     """
 
     __slots__ = ("readers", "writers", "accesses", "tensors")
 
-    def __init__(self, node: TileNode):
+    def __init__(self, leaves: Iterable[OpTile]):
         self.readers: Dict[str, AccessPairs] = {}
         self.writers: Dict[str, AccessPairs] = {}
         self.accesses: Dict[str, AccessPairs] = {}
-        for leaf in node.leaves():
+        for leaf in leaves:
             for pairs, accesses in ((self.readers, leaf.op.inputs),
                                     (self.writers, (leaf.op.output,))):
                 for access in accesses:
@@ -188,12 +195,55 @@ class PlanNode:
         self.ops_per_point = op.ops_per_point if op is not None else 0.0
 
 
+class LoopState:
+    """What one point's loops give each plan position, from the
+    position's :class:`~repro.tile.loops.LoopSplit` and its relatives'.
+
+    ``executions[i]`` is how many times the subtree at position ``i``
+    runs over the execution, the exact integer product of all its
+    ancestors' trip counts (its own loops are *inside* one execution),
+    parents first; ``demands[i]`` the ``(MAC PEs, vector PEs)`` the
+    subtree uses concurrently (§5.2), children first: concurrent
+    siblings (``Para``/``Pipe``) add their demands, time-shared siblings
+    (``Seq``/``Shar``) take the max, spatial loops multiply.
+    """
+
+    __slots__ = ("executions", "demands")
+
+    def __init__(self, table: Sequence[PlanNode],
+                 splits: Sequence[LoopSplit]):
+        n = len(table)
+        executions = self.executions = [1] * n
+        demands = self.demands = [(0, 0)] * n
+        for i, entry in enumerate(table):
+            if entry.children:
+                split = splits[i]
+                runs = (executions[i] * split.temporal_trip
+                        * split.spatial_trip)
+                for c in entry.children:
+                    executions[c] = runs
+        for i in range(n - 1, -1, -1):
+            entry = table[i]
+            sp = splits[i].spatial_trip
+            if entry.leaf:
+                demands[i] = (sp, 0) if entry.mac else (0, sp)
+                continue
+            mac = vec = 0  # demands are >= 0: max from 0 is exact
+            for c in entry.children:
+                m, v = demands[c]
+                if not entry.shares_time:
+                    mac, vec = mac + m, vec + v
+                else:
+                    mac, vec = max(mac, m), max(vec, v)
+            demands[i] = (sp * mac, sp * vec)
+
+
 class AnalysisContext:
     """Blackboard, compiled tables and memo store for one tree.
 
     Passes communicate exclusively through :meth:`put`/:meth:`get`
-    artifacts; the memoized accessors below are shared computation, not
-    artifacts, and may be called by any pass.
+    artifacts; the memoized tables below are shared computation, not
+    artifacts, and may be read by any pass.
 
     ``artifact_cache`` (duck-typed: ``store(namespace, kind)`` returning
     a dict-backed store, see
@@ -222,20 +272,21 @@ class AnalysisContext:
         #: Names of passes that have finished, in execution order.
         self.completed: List[str] = []
         self._artifacts: Dict[str, Any] = {}
-        #: id(node) -> structural fingerprint (with a shared store only).
-        self._fps: Optional[Dict[int, str]] = None
+        #: Structural fingerprints by position (with a shared store only).
+        self._fps: Optional[List[str]] = None
         self._ns: Optional[str] = None
         #: kind -> bound KindStore of ``artifact_cache`` (lazy).
         self._kind_stores: Dict[str, Any] = {}
         #: Context-local slice memo hits (served from this context's own
-        #: dict, as opposed to the shared store or a fresh compute) —
+        #: table, as opposed to the shared store or a fresh compute) —
         #: ``repro explain`` provenance attribution.
         self.memo_hits = 0
-        #: :meth:`fingerprint` -> this point's slices.
-        self._slices: Dict[Any, NodeSlices] = {}
+        #: Fingerprint -> slices (with a shared store only).
+        self._slices: Dict[str, NodeSlices] = {}
         # Structure-only memos (no loop counts), ``id``-keyed; a
         # loops-only :meth:`invalidate` keeps them.
-        self._tensors: Dict[int, NodeTensors] = {}
+        #: Per position, its :class:`NodeTensors` (built on first use).
+        self._tensors: Optional[List[NodeTensors]] = None
         self._homes: Dict[str, Optional[TileNode]] = {}
         self._homes_built = False
         #: id(home) -> strict descendant ids.
@@ -254,36 +305,47 @@ class AnalysisContext:
         #: id(node) -> pre-order position.
         self._position: Dict[int, int] = {
             id(n): i for i, n in enumerate(tree.nodes())}
-        #: Per leaf, in leaf order: its op's dims and its path, leaf to
-        #: root; its op's ``(dim, size)`` pairs (root coverage); and per
-        #: (leaf, path node) the node's depth on the path.
+        #: Per position, its parent's position (-1 at the root).
+        self.parents: List[int] = [
+            -1 if n.parent is None else self._position[id(n.parent)]
+            for n in tree.nodes()]
+        #: Every dim of the workload's operators, in operator order.
+        self.workload_dims: Tuple[str, ...] = tuple(dict.fromkeys(
+            d for op in tree.workload.operators for d in op.dims))
+        #: Per leaf, in leaf order: its op's dims and its path's
+        #: positions, leaf to root; and its op's ``(dim, size)`` pairs
+        #: (root coverage).
         self._paths: Optional[List[Tuple[Tuple[str, ...],
-                                         List[TileNode]]]] = None
+                                         Tuple[int, ...]]]] = None
         self._sizes: List[Tuple[Tuple[str, int], ...]] = []
-        self._leaf_index: Dict[int, int] = {}
-        self._depth: Dict[Tuple[int, int], int] = {}
-        #: id(node) -> ((tensor, slice rows), ...) in tensor order.
-        self._rows: Dict[int, Tuple[Tuple[str, Tuple[SliceRow, ...]],
-                                    ...]] = {}
-        #: id(access) -> its :func:`_slice_terms` (shared by the rows of
-        #: every node on its leaf's path).
-        self._terms: Dict[int, Tuple[Any, Any]] = {}
-        #: (fusion node, allowed loop dims, forbidden loop dims).
+        #: Per position: its tensors and ((tensor, slice rows), ...) in
+        #: tensor order.
+        self._rows: Optional[List[Tuple[Tuple[str, ...], Tuple[
+            Tuple[str, Tuple[SliceRow, ...]], ...]]]] = None
+        #: (position, allowed loop dims, forbidden loop dims) per fusion
+        #: node.
         self._fusion_rules: Optional[List[Tuple[
-            TileNode, FrozenSet[str], FrozenSet[str]]]] = None
-        #: id(node) -> its crossing tensors with their compiled walk
-        #: recipes (:data:`~repro.analysis.datamovement.Crossing` list).
-        self.walk_recipes: Dict[int, Any] = {}
-        #: id(access) -> the access's walk moves per dim, shared by its
-        #: recipes (:class:`~repro.analysis.datamovement.WalkRecipe`).
-        self.access_moves: Dict[int, Dict[str, Any]] = {}
+            int, FrozenSet[str], FrozenSet[str]]]] = None
+        #: Per position, its crossing tensors with their compiled walk
+        #: recipes (:data:`~repro.analysis.datamovement.Crossing` tuple),
+        #: compiled by the data-movement pass.
+        self.crossings: Optional[List[Any]] = None
+        #: id(access) -> the access's walk moves per dim and the dims
+        #: that move it, shared by its recipes
+        #: (:class:`~repro.analysis.datamovement.WalkRecipe`).
+        self.access_moves: Dict[int, Tuple[Dict[str, Any],
+                                           FrozenSet[str]]] = {}
         self._plan_nodes: Optional[Tuple[PlanNode, ...]] = None
-        # Per point (this point's loops; built on first use): per leaf
-        # the coverage at each node of its path and at the root, and per
-        # node position its NumPE demand and execution count.
+        # Per point (this point's loops; built on first use): per
+        # position its loop split, then per leaf the coverage at each
+        # node of its path and at the root, the loop state and per
+        # position the slices.
+        self._splits: Optional[Sequence[LoopSplit]] = None
         self._coverage: Optional[List[List[Dict[str, int]]]] = None
-        self._demands: Optional[List[Tuple[int, int]]] = None
-        self._executions_at: Optional[List[int]] = None
+        self._state: Optional[LoopState] = None
+        self._staged: Optional[List[float]] = None
+        self._slice_table: Optional[List[Optional[NodeSlices]]] = None
+        self._slices_ready = False
 
     # -- artifacts -------------------------------------------------------
     def put(self, name: str, value: Any) -> None:
@@ -293,7 +355,7 @@ class AnalysisContext:
         return self._artifacts.get(name, default)
 
     # -- node identity / shared cache ------------------------------------
-    def _at(self, node: TileNode) -> int:
+    def position(self, node: TileNode) -> int:
         """The node's pre-order position.
 
         Raises :class:`ForeignNodeError` for nodes outside this
@@ -316,12 +378,17 @@ class AnalysisContext:
         Raises :class:`ForeignNodeError` for nodes outside this
         context's tree.
         """
-        self._at(node)
+        i = self.position(node)
         if self.artifact_cache is None:
             return id(node)
-        if self._fps is None:
-            self._fps = node_fingerprints(self.tree.root)
-        return self._fps[id(node)]
+        return self._fingerprints()[i]
+
+    def _fingerprints(self) -> List[str]:
+        fps = self._fps
+        if fps is None:
+            by_id = node_fingerprints(self.tree.root)
+            fps = self._fps = [by_id[id(n)] for n in self.tree.nodes()]
+        return fps
 
     def shared_store(self, kind: str) -> Any:
         """The bound per-kind store of the artifact cache (None without).
@@ -348,20 +415,20 @@ class AnalysisContext:
         """Re-arm the context after an in-place mutation of its tree.
 
         Drops pass artifacts, completed-pass bookkeeping and this
-        point's path coverage, ``NumPE`` demands and execution counts
-        (they depend on *ancestor* loops).  Slices survive where the
-        mutation cannot have reached them: fingerprint-keyed with a
-        shared store, so untouched subtrees keep their keys; ``id``-keyed
-        without one, so the entries of ``subtree``, its descendants and
-        ancestors (all of them when ``subtree`` is None) are dropped.
+        point's loop state and path coverage (they depend on *ancestor*
+        loops).  Slices survive where the mutation cannot have reached
+        them: fingerprint-keyed with a shared store, so untouched
+        subtrees keep their keys; by position without one, so the
+        entries of ``subtree``, its descendants and ancestors (all of
+        them when ``subtree`` is None) are dropped.
 
         ``loops_only=True`` promises that only loops changed, not levels
         or bindings: tensor homes, descendant sets,
         Seq-eviction decisions, :class:`NodeTensors`, walk recipes, plan
         nodes and the loop-free §4 verdict then survive too — a
         per-genome tune re-prices one tree at every factor point this
-        way.  Slice rows and fusion rules read only the operator->leaf
-        structure, which every mutation must keep.
+        way (:meth:`rearm`).  Slice rows and fusion rules read only the
+        operator->leaf structure, which every mutation must keep.
 
         ``subtree`` must belong to this context's tree (checked via
         parent pointers).  Splicing different *operators* in needs a new
@@ -378,22 +445,63 @@ class AnalysisContext:
                     f"context's own tree")
         self._artifacts.clear()
         self.completed.clear()
-        self._coverage = self._demands = self._executions_at = None
+        self._splits = self._coverage = self._state = self._staged = None
+        self._slices_ready = False
+        table = self._slice_table
         if self.artifact_cache is not None:
             self._fps = None
+            self._slice_table = None
         elif subtree is None:
-            self._slices.clear()
-        else:
+            self._slice_table = None
+        elif table is not None:
             for node in (*subtree.walk(), *subtree.ancestors()):
-                self._slices.pop(id(node), None)
+                table[self._position[id(node)]] = None
         if not loops_only:
             self._homes = {}
             self._homes_built = False
             self._descendants.clear()
             self._evictions.clear()
             self.structure_ok = None
-            self.walk_recipes.clear()
+            self.crossings = None
             self._plan_nodes = None
+
+    def rearm(self, splits: Sequence[LoopSplit],
+              changed: Iterable[int]) -> None:
+        """Re-arm loops-only (:meth:`invalidate`) for a point whose
+        per-position splits the caller already holds — the nodes' loops
+        must equal them — and which differ from the last point's only at
+        the ``changed`` positions.
+
+        A node's slices read only its own and its descendants' loops, so
+        without a shared store the slices of every position that is
+        neither changed nor above a changed one stay in the table.
+        """
+        table = self._slice_table
+        self.invalidate(loops_only=True)
+        self._splits = splits
+        if table is not None and self.artifact_cache is None:
+            parent = self.parents
+            for i in changed:
+                # Dropped entries are closed upward: stop at the first.
+                while i >= 0 and table[i] is not None:
+                    table[i] = None
+                    i = parent[i]
+            self._slice_table = table
+
+    # -- this point's loops ----------------------------------------------
+    def splits(self) -> Sequence[LoopSplit]:
+        """This point's :class:`LoopSplit` per position."""
+        splits = self._splits
+        if splits is None:
+            splits = self._splits = [n.split for n in self.tree.nodes()]
+        return splits
+
+    def loop_state(self) -> LoopState:
+        """This point's :class:`LoopState` (one sweep, on first use)."""
+        state = self._state
+        if state is None:
+            state = self._state = LoopState(self.plan_nodes, self.splits())
+        return state
 
     # -- compiled tables -------------------------------------------------
     @property
@@ -406,22 +514,15 @@ class AnalysisContext:
                 for node in self.tree.nodes())
         return table
 
-    def plan_node(self, node: TileNode) -> PlanNode:
-        """The node's :class:`PlanNode`."""
-        return self.plan_nodes[self._at(node)]
-
     def _compile_leaves(self) -> List[Tuple[Tuple[str, ...],
-                                            List[TileNode]]]:
-        """Each leaf's op dims and path, and the slice rows' indexes."""
-        paths: List[Tuple[Tuple[str, ...], List[TileNode]]] = []
+                                            Tuple[int, ...]]]:
+        """Each leaf's op dims and path positions."""
+        position = self._position
+        paths = self._paths = []
         for leaf in self.tree.root.leaves():
-            self._leaf_index[id(leaf)] = len(paths)
-            path = [leaf, *leaf.ancestors()]
-            self._depth.update(((id(leaf), id(n)), i)
-                               for i, n in enumerate(path))
-            paths.append((tuple(leaf.op.dims), path))
+            paths.append((tuple(leaf.op.dims), tuple(
+                position[id(n)] for n in (leaf, *leaf.ancestors()))))
             self._sizes.append(tuple(leaf.op.dims.items()))
-        self._paths = paths
         return paths
 
     def _leaf_coverage(self) -> List[List[Dict[str, int]]]:
@@ -431,27 +532,38 @@ class AnalysisContext:
             paths = self._paths
             if paths is None:
                 paths = self._compile_leaves()
-            coverage = self._coverage = [_path_coverage(dims, path)
-                                         for dims, path in paths]
+            at = self.splits().__getitem__
+            coverage = self._coverage = [
+                _path_coverage(dims, map(at, path)) for dims, path in paths]
         return coverage
 
-    def _compile_rows(self, node: TileNode) -> Tuple[
-            Tuple[str, Tuple[SliceRow, ...]], ...]:
-        """The node's slice rows, in tensor order."""
+    def _slice_rows(self):
+        """Every position's tensors and slice rows, in tensor order."""
+        rows = self._rows
+        if rows is not None:
+            return rows
         if self._paths is None:
             self._compile_leaves()
-        index, depth, terms = self._leaf_index, self._depth, self._terms
-        tensors = self.node_tensors(node)
-        for pairs in tensors.accesses.values():
-            for _, access in pairs:
-                if id(access) not in terms:
-                    terms[id(access)] = _slice_terms(access)
-        rows = self._rows[id(node)] = tuple(
-            (name, tuple(
-                (index[id(leaf)], depth[id(leaf), id(node)])
-                + terms[id(access)]
-                for leaf, access in tensors.accesses[name]))
-            for name in tensors.tensors)
+        leaf_index: Dict[int, int] = {}
+        depth: Dict[Tuple[int, int], int] = {}
+        for i, leaf in enumerate(self.tree.root.leaves()):
+            leaf_index[id(leaf)] = i
+            depth.update(((id(leaf), id(n)), d) for d, n in
+                         enumerate((leaf, *leaf.ancestors())))
+        terms: Dict[int, Tuple[Any, Any]] = {}
+        rows = self._rows = []
+        for node in self.tree.nodes():
+            tensors = self.node_tensors(node)
+            for pairs in tensors.accesses.values():
+                for _, access in pairs:
+                    if id(access) not in terms:
+                        terms[id(access)] = _slice_terms(access)
+            rows.append((tensors.tensors, tuple(
+                (name, tuple(
+                    (leaf_index[id(leaf)], depth[id(leaf), id(node)])
+                    + terms[id(access)]
+                    for leaf, access in tensors.accesses[name]))
+                for name in tensors.tensors)))
         return rows
 
     # -- validation ------------------------------------------------------
@@ -469,16 +581,17 @@ class AnalysisContext:
         rules = self._fusion_rules
         if rules is None:
             rules = self._fusion_rules = []
-            for node in self.tree.nodes():
+            for i, node in enumerate(self.tree.nodes()):
                 if isinstance(node, FusionNode):
                     ops = node.subtree_ops()
                     rules.append((
-                        node, frozenset(d for op in ops for d in op.dims),
+                        i, frozenset(d for op in ops for d in op.dims),
                         frozenset(d for op in fused_producers(
                             self.tree.workload, ops)
                             for d in op.reduction_dims)))
-        for node, allowed, forbidden in rules:
-            for lp in node.loops:
+        splits = self.splits()
+        for i, allowed, forbidden in rules:
+            for lp in splits[i].loops:
                 if lp.dim not in allowed or lp.dim in forbidden:
                     return False
         for covs, sizes in zip(self._leaf_coverage(), self._sizes):
@@ -488,122 +601,114 @@ class AnalysisContext:
                     return False
         return True
 
-    # -- memoized per-node intermediates ---------------------------------
+    # -- slices ----------------------------------------------------------
+    def slices(self) -> List[NodeSlices]:
+        """This point's :class:`NodeSlices` per position: the slices
+        pass fills the table, later passes read it from the memo."""
+        table = self._slice_table
+        if table is not None and self._slices_ready:
+            self.memo_hits += len(table)
+            return table
+        return self._fill_slices()
+
     def node_slices(self, node: TileNode) -> NodeSlices:
-        """The node's slice geometry at this point: from the context's
-        memo, else the shared store, else its compiled slice rows."""
-        if self.artifact_cache is None:
-            cached = self._slices.get(id(node))
-            if cached is not None:
-                self.memo_hits += 1
-                return cached
-            self._at(node)  # a foreign node raises
-            cached = self._slices[id(node)] = self._compute_slices(node)
-            return cached
-        key = self.fingerprint(node)
-        cached = self._slices.get(key)
-        if cached is not None:
+        """The node's slice geometry at this point (see :meth:`slices`)."""
+        i = self.position(node)
+        table = self._slice_table
+        if table is not None and self._slices_ready:
             self.memo_hits += 1
-            return cached
-        store = self.shared_store("slices")
-        cached = store.data.get(key)
-        if cached is None:
-            store.miss()
-            cached = self._compute_slices(node)
-            store.put(key, cached)
-        else:
-            store.touch(key)
-        self._slices[key] = cached
-        return cached
+            return table[i]
+        return self._fill_slices()[i]
 
-    def _compute_slices(self, node: TileNode) -> NodeSlices:
-        """The node's slices from its slice rows (compiled on first
-        use) and this point's leaf coverage."""
-        rows = self._rows.get(id(node))
-        if rows is None:
-            rows = self._compile_rows(node)
-        coverage = self._leaf_coverage()
-        extents: Dict[str, Tuple[int, ...]] = {}
-        staged_words: Dict[str, float] = {}
-        for name, pairs in rows:
-            merged: Optional[List[int]] = None
-            for leaf, depth, plain, terms in pairs:
-                cov = coverage[leaf][depth]
-                if plain is not None:
-                    ext = list(map(cov.__getitem__, plain))
+    def _fill_slices(self) -> List[NodeSlices]:
+        """Fill the slices table: by position from the context's memo,
+        else (fingerprint-keyed) the shared store, else the compiled
+        slice rows and this point's leaf coverage."""
+        rows = self._slice_rows()
+        if self.artifact_cache is None:
+            table = self._slice_table
+            if table is None:
+                table = self._slice_table = [None] * len(rows)
+            coverage = self._leaf_coverage()
+            for i, kept in enumerate(table):
+                if kept is None:
+                    table[i] = _compute_slices(rows[i], coverage)
                 else:
-                    ext = []
-                    for row in terms:
-                        e = 1
-                        for d, c in row:
-                            e += c * (cov[d] - 1)
-                        ext.append(e)
-                merged = ext if merged is None else [
-                    a if a >= b else b for a, b in zip(merged, ext)]
-            extents[name] = box = tuple(merged)
-            volume = 1
-            for e in box:
-                volume *= e
-            staged_words[name] = float(volume)
-        return NodeSlices(self._tensors[id(node)].tensors, extents,
-                          staged_words)
+                    self.memo_hits += 1
+        else:
+            memo = self._slices
+            store = self.shared_store("slices")
+            table = self._slice_table = []
+            for i, key in enumerate(self._fingerprints()):
+                cached = memo.get(key)
+                if cached is not None:
+                    self.memo_hits += 1
+                else:
+                    cached = store.data.get(key)
+                    if cached is None:
+                        store.miss()
+                        cached = _compute_slices(rows[i],
+                                                 self._leaf_coverage())
+                        store.put(key, cached)
+                    else:
+                        store.touch(key)
+                    memo[key] = cached
+                table.append(cached)
+        self._slices_ready = True
+        return table
 
+    def staged_bytes(self) -> List[float]:
+        """Per position, the bytes one buffer instance of the node
+        stages at this point: its tensors' staged words, crossing
+        tensors double-buffered (:attr:`PlanNode.staged`).
+
+        The resource-bounds pass reads them as per-instance floors and
+        the resource analysis as each node's own footprint; the
+        buffering factor is 1 or 2, so either pass's order of the
+        product gives these exact floats.
+        """
+        staged = self._staged
+        if staged is None:
+            staged = self._staged = []
+            for entry, slices in zip(self.plan_nodes, self.slices()):
+                words = slices.staged_words
+                total = 0.0
+                for name, word_bytes, factor in entry.staged:
+                    total += factor * words[name] * word_bytes
+                staged.append(total)
+        return staged
+
+    # -- memoized per-node intermediates ---------------------------------
     def node_tensors(self, node: TileNode) -> NodeTensors:
         """The node's :class:`NodeTensors` (structure only, memoized)."""
-        tensors = self._tensors.get(id(node))
-        if tensors is None:
-            tensors = self._tensors[id(node)] = NodeTensors(node)
-        return tensors
+        table = self._tensors
+        if table is None:
+            # One sweep up every leaf's path gives each node its leaves
+            # in leaf order.
+            leaves: List[List[OpTile]] = [[] for _ in self.parents]
+            for leaf in self.tree.root.leaves():
+                i = self._position[id(leaf)]
+                while i >= 0:
+                    leaves[i].append(leaf)
+                    i = self.parents[i]
+            table = self._tensors = [NodeTensors(below) for below in leaves]
+        return table[self.position(node)]
 
     def num_pe(self, node: TileNode) -> Tuple[int, int]:
-        """(MAC PEs, vector PEs) used concurrently by the subtree (§5.2).
-
-        The paper's ``NumPE`` recursion over the plan nodes, children
-        first: concurrent siblings (``Para``/``Pipe``) add their
-        demands, time-shared siblings (``Seq``/``Shar``) take the max,
-        spatial loops multiply.  Purely structural — it needs no
-        data-movement information — so the feasibility bounds and the
-        resource analysis share it.
+        """(MAC PEs, vector PEs) used concurrently by the subtree (§5.2):
+        the paper's ``NumPE`` recursion (:class:`LoopState`).  Purely
+        structural — it needs no data-movement information — so the
+        feasibility bounds and the resource analysis share it.
         """
-        demands = self._demands
-        if demands is None:
-            table = self.plan_nodes
-            demands = self._demands = [(0, 0)] * len(table)
-            for i in range(len(table) - 1, -1, -1):
-                entry = table[i]
-                sp = entry.node.spatial_trip_count
-                if entry.leaf:
-                    demands[i] = (sp, 0) if entry.mac else (0, sp)
-                    continue
-                mac = vec = 0  # demands are >= 0: max from 0 is exact
-                for c in entry.children:
-                    m, v = demands[c]
-                    if not entry.shares_time:
-                        mac, vec = mac + m, vec + v
-                    else:
-                        mac, vec = max(mac, m), max(vec, v)
-                demands[i] = (sp * mac, sp * vec)
-        return demands[self._at(node)]
+        return self.loop_state().demands[self.position(node)]
 
     def executions(self, node: TileNode) -> int:
-        """How many times the node's subtree runs over the execution.
-
-        The exact integer product of all ancestors' trip counts (the
-        node's own loops are *inside* one execution).  Context-local
-        only — the value depends on the node's ancestors, so an
-        unchanged subtree fingerprint is no licence to reuse it across
-        trees; :meth:`invalidate` drops it.
+        """How many times the node's subtree runs over the execution
+        (:class:`LoopState`).  Context-local only — the value depends on
+        the node's ancestors, so an unchanged subtree fingerprint is no
+        licence to reuse it across trees; :meth:`invalidate` drops it.
         """
-        counts = self._executions_at
-        if counts is None:
-            table = self.plan_nodes
-            counts = self._executions_at = [1] * len(table)
-            for i, entry in enumerate(table):
-                if entry.children:
-                    n = counts[i] * entry.node.trip_count
-                    for c in entry.children:
-                        counts[c] = n
-        return counts[self._at(node)]
+        return self.loop_state().executions[self.position(node)]
 
     def subtree_uses(self, node: TileNode, tensor_name: str) -> bool:
         """Whether any leaf below ``node`` reads or writes the tensor."""
@@ -677,44 +782,58 @@ class AnalysisContext:
                 id(n) for n in home.walk() if n is not home)
         return below
 
-    def staged_bytes_lower_bound(self, node: TileNode) -> float:
-        """Byte floor of one buffer instance of ``node``.
 
-        Crossing tensors are double-buffered by the resource analysis;
-        with the :meth:`tensor_crossing` predicate this sum equals the
-        full model's own-node staged bytes exactly, and the full
-        footprint only *adds* child contributions on top — so the bound
-        is sound for the feasibility screen while catching mappings
-        that only violate capacity through double-buffered crossing
-        tensors.
-        """
-        words = self.node_slices(node).staged_words
-        total = 0.0
-        for name, word_bytes, factor in self.plan_node(node).staged:
-            total += factor * words[name] * word_bytes
-        return total
+def _compute_slices(rows, coverage: List[List[Dict[str, int]]]
+                    ) -> NodeSlices:
+    """One position's slices from its slice rows and this point's leaf
+    coverage."""
+    tensors, rows = rows
+    extents: Dict[str, Tuple[int, ...]] = {}
+    staged_words: Dict[str, float] = {}
+    for name, pairs in rows:
+        merged: Optional[List[int]] = None
+        for leaf, depth, plain, terms in pairs:
+            cov = coverage[leaf][depth]
+            if plain is not None:
+                ext = list(map(cov.__getitem__, plain))
+            else:
+                ext = []
+                for row in terms:
+                    e = 1
+                    for d, c in row:
+                        e += c * (cov[d] - 1)
+                    ext.append(e)
+            merged = ext if merged is None else [
+                a if a >= b else b for a, b in zip(merged, ext)]
+        extents[name] = box = tuple(merged)
+        volume = 1
+        for e in box:
+            volume *= e
+        staged_words[name] = float(volume)
+    return NodeSlices(tensors, extents, staged_words)
 
 
 def _path_coverage(dims: Tuple[str, ...],
-                   path: List[TileNode]) -> List[Dict[str, int]]:
-    """``slice_coverage(node, leaf)`` at every node of a leaf's ``path``
-    (leaf first, with the leaf op's ``dims``), in path order, then the
-    root coverage the §4 rule checks: each node applies its unit-step
-    spatial loops to the coverage below it, then all its loops for the
-    next node up (``apply_loops``' arithmetic, inner loops first)."""
+                   path: Iterable[LoopSplit]) -> List[Dict[str, int]]:
+    """``slice_coverage(node, leaf)`` at every node of a leaf's path
+    (the splits of its nodes, leaf first, with the leaf op's ``dims``),
+    in path order, then the root coverage the §4 rule checks: each node
+    applies its unit-step spatial loops to the coverage below it, then
+    all its loops for the next node up (``apply_loops``' arithmetic,
+    inner loops first)."""
     below = dict.fromkeys(dims, 1)
     out: List[Dict[str, int]] = []
-    for node in path:
+    for split in path:
         here = below
-        for lp in reversed(node.spatial_loops):
+        for lp in reversed(split.spatial):
             if lp.step == 1 and lp.dim in here:
                 if here is below:
                     here = dict(below)
                 here[lp.dim] += lp.count - 1
         out.append(here)
-        if node.loops:
+        if split.loops:
             below = dict(below)
-            for lp in reversed(node.loops):
+            for lp in reversed(split.loops):
                 if lp.dim in below:
                     below[lp.dim] += lp.step * (lp.count - 1)
     out.append(below)

@@ -26,16 +26,18 @@ The result records per-level fill/read/update word counts (the paper's
 Fig. 10d breakdown) and per-node load/store totals for the latency model.
 
 Each (node, tensor, access) walk is a :class:`WalkRecipe` the
-context compiles once: which nodes' temporal loops are walked and which
-loops multiply are fixed by the tree's structure, so a run only gathers
-the nodes' current loops, and the walk's volume is
-:func:`recursion_volume` over the access's precomputed per-dim
-:data:`Moves`.
+context compiles once: which plan positions' temporal loops are walked
+and which loops multiply are fixed by the tree's structure, and so is
+how each dim's loops move the access's slice (its :data:`Moves`).  A
+run is then one flat pass over the plan table: per crossing it reads
+the walked positions' current reuse loops straight into the
+``(count, step, moves)`` terms of :func:`recursion_volume`, and the
+read-modify-write ideal walk of a writer filters those same terms.
 
 When the context carries a shared artifact cache, that integer
 recursion is cached across evaluations as a **projected-walk volume**,
 keyed by the walk *projected onto the dims the access actually reads*
-(:meth:`DataMovementAnalysis._projected_walk`): loops over dims an
+(:func:`projected_walk`): loops over dims an
 access does not reference displace its slice only through inner
 wrap-around, which is itself zero unless a referenced loop sits inside
 — so maximal runs of irrelevant loops collapse to their trip product
@@ -51,16 +53,15 @@ from-scratch run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (Dict, FrozenSet, Iterable, List, Mapping, Optional,
-                    Sequence, Tuple)
+from typing import (Dict, FrozenSet, Iterable, List, Optional, Sequence,
+                    Tuple)
 
 from ..arch import Architecture
 from ..ir import TensorAccess
-from ..tile.loops import Loop
+from ..tile.loops import Loop, LoopSplit
 from ..tile.tree import AnalysisTree, TileNode
 from .context import AnalysisContext
 from .metrics import LevelTraffic
-from .slices import box_volume
 
 
 @dataclass
@@ -76,39 +77,29 @@ class NodeFlows:
     staged_words: Dict[str, float] = field(default_factory=dict)
 
 
-@dataclass
 class DataMovementResult:
-    """Output of the data-movement analysis."""
+    """Output of the data-movement analysis: per-level traffic and, by
+    plan position, every node's :class:`NodeFlows`."""
 
-    traffic: Dict[int, LevelTraffic]
-    node_flows: Dict[int, NodeFlows]  # keyed by id(node)
+    __slots__ = ("traffic", "flows_at", "_by_id")
+
+    def __init__(self, traffic: Dict[int, LevelTraffic],
+                 flows_at: List[NodeFlows]):
+        self.traffic = traffic
+        self.flows_at = flows_at
+        self._by_id: Optional[Dict[int, NodeFlows]] = None
 
     def flows(self, node: TileNode) -> NodeFlows:
-        return self.node_flows[id(node)]
+        by_id = self._by_id
+        if by_id is None:
+            by_id = self._by_id = {id(f.node): f for f in self.flows_at}
+        return by_id[id(node)]
 
 
 #: How one step of a loop moves an access's slice: the nonzero
 #: ``(tensor dim, coefficient)`` pairs of the loop's dim, or None when
 #: it does not move the slice.
 Moves = Optional[Tuple[Tuple[int, int], ...]]
-
-
-class _Walk:
-    """The truncated ancestor loop walk for one (node, tensor) pair."""
-
-    __slots__ = ("loops", "multiplier", "multiplied", "moves", "moved")
-
-    def __init__(self, loops: List[Loop], multiplier: float,
-                 multiplied: List[Loop],
-                 moves: Optional[Mapping[str, Moves]]):
-        self.loops = loops  # outer -> inner
-        self.multiplier = multiplier
-        #: Loops folded into the multiplier, in multiplication order.
-        self.multiplied = multiplied
-        #: The access's :data:`Moves` per dim.
-        self.moves = moves
-        #: The boundary recursion over ``loops`` once computed.
-        self.moved: Optional[int] = None
 
 
 def moves_of(access: TensorAccess, dim: str) -> Moves:
@@ -129,90 +120,124 @@ class WalkRecipe:
     The tree's bindings and the tensor's home decide which nodes'
     temporal loops are walked and which loops multiply; only the loops
     themselves change between the points of a per-genome tune.  A
-    recipe records those decisions once, in walk order:
+    recipe records those decisions once, by plan position:
 
-    * ``walked`` — the nodes whose temporal loops are walked, outer to
-      inner: the node itself (unless a Seq node evicts the tensor
-      between its own iterations) and its ancestors up to the first
-      Seq eviction or the tensor's LCA home;
-    * ``multiplied`` — ``(node, kind)`` segments in multiplication
+    * ``walked`` — the positions whose temporal loops are walked, outer
+      to inner (``inner_first`` reversed): the node itself (unless a Seq
+      node evicts the tensor between its own iterations) and its
+      ancestors up to the first Seq eviction or the tensor's LCA home;
+    * ``multiplied`` — ``(position, kind)`` segments in multiplication
       order: the node's evicted temporal loops, its displacing block
       spatial loops, then per ancestor its displacing spatial loops and,
       past the stop, its temporal loops;
 
-    plus the access's :data:`Moves` per dim.  :meth:`walk` gathers the
-    nodes' current loops into a :class:`_Walk` (property-tested on every
-    registry tree against a walk built node by node).
+    plus the access's :data:`Moves` per dim, the dims that move its
+    slice (``moving``) and, for a writer, its leaf operator's reduction
+    dims (``reduction``, which the read-modify-write ideal walk drops).
+    :meth:`loops` gathers the walk at one point's loops
+    (property-tested on every registry tree against a walk built node
+    by node); the data-movement pass reads the same fields directly.
     """
 
-    __slots__ = ("walked", "multiplied", "moves")
+    __slots__ = ("access", "walked", "inner_first", "multiplied", "moves",
+                 "moving", "reduction")
 
     def __init__(self, ctx: AnalysisContext, node: TileNode,
                  tensor_name: str, access: TensorAccess,
-                 home: Optional[TileNode]):
-        walked: List[TileNode] = []  # inner -> outer
-        multiplied: List[Tuple[TileNode, int]] = []
+                 home: Optional[TileNode],
+                 reduction: FrozenSet[str] = frozenset()):
+        at = ctx.position(node)
+        walked: List[int] = []  # inner -> outer
+        multiplied: List[Tuple[int, int]] = []
         if ctx.self_evicts(node, tensor_name):
-            multiplied.append((node, _TEMPORAL))
+            multiplied.append((at, _TEMPORAL))
         else:
-            walked.append(node)
-        multiplied.append((node, _BLOCKS))
+            walked.append(at)
+        multiplied.append((at, _BLOCKS))
         stopped = False
         current = node
         while current.parent is not None:
             parent = current.parent
-            multiplied.append((parent, _SPATIAL))
+            at = ctx.parents[at]
+            multiplied.append((at, _SPATIAL))
             if (not stopped and ctx.model_eviction
                     and ctx.evicted_at(parent, current, tensor_name)):
                 stopped = True
             if stopped:
-                multiplied.append((parent, _TEMPORAL))
+                multiplied.append((at, _TEMPORAL))
             else:
-                walked.append(parent)
+                walked.append(at)
             if parent is home:
                 stopped = True
             current = parent
-        walked.reverse()
-        self.walked: Tuple[TileNode, ...] = tuple(walked)
-        self.multiplied: Tuple[Tuple[TileNode, int], ...] = tuple(multiplied)
+        self.access = access
+        self.inner_first: Tuple[int, ...] = tuple(walked)
+        self.walked: Tuple[int, ...] = self.inner_first[::-1]
+        self.multiplied: Tuple[Tuple[int, int], ...] = tuple(multiplied)
         moves = ctx.access_moves.get(id(access))
         if moves is None:
             # Only the dims the access reads move its slice.
-            moves = dict.fromkeys(
-                d for op in ctx.tree.workload.operators for d in op.dims)
+            moves = dict.fromkeys(ctx.workload_dims)
             for d in access.signature()[1]:
                 moves[d] = moves_of(access, d)
-            ctx.access_moves[id(access)] = moves
-        self.moves: Dict[str, Moves] = moves
+            moving = frozenset(d for d, m in moves.items() if m is not None)
+            moves = ctx.access_moves[id(access)] = (moves, moving)
+        self.moves: Dict[str, Moves] = moves[0]
+        self.moving: FrozenSet[str] = moves[1]
+        self.reduction = frozenset(reduction)
 
-    def walk(self) -> _Walk:
-        """The walk over the nodes' current loops."""
-        loops: List[Loop] = []
-        for node in self.walked:
-            loops.extend(node.temporal_loops)
+    def loops(self, splits: Sequence[LoopSplit]
+              ) -> Tuple[List[Loop], List[Loop]]:
+        """The walk at the point whose per-position ``splits`` are given:
+        its walked temporal loops, outer to inner, and the loops folded
+        into its multiplier, in multiplication order."""
+        walked = [lp for pos in self.walked for lp in splits[pos].temporal]
         multiplied: List[Loop] = []
-        moves = self.moves
-        for node, kind in self.multiplied:
+        moving = self.moving
+        for pos, kind in self.multiplied:
+            split = splits[pos]
             if kind == _TEMPORAL:
-                multiplied.extend(node.temporal_loops)
+                multiplied.extend(split.temporal)
                 continue
-            for lp in node.spatial_loops:
-                if moves[lp.dim] is not None and (kind == _SPATIAL
-                                                  or lp.step != 1):
+            for lp in split.spatial:
+                if lp.dim in moving and (kind == _SPATIAL or lp.step != 1):
                     multiplied.append(lp)
-        multiplier = 1.0
-        for lp in multiplied:
-            multiplier *= lp.count
-        return _Walk(loops, multiplier, multiplied, moves)
+        return walked, multiplied
 
 
-#: One side of a :data:`Crossing`: the access, its compiled
-#: :class:`WalkRecipe` and the leaf operator's reduction dims.
-Side = Tuple[TensorAccess, WalkRecipe, FrozenSet[str]]
 #: A tensor crossing into a node's buffer: its name, then the
-#: :data:`Side` of its first reader and of its first writer (None
+#: :class:`WalkRecipe` of its first reader and of its first writer (None
 #: without one).
-Crossing = Tuple[str, Optional[Side], Optional[Side]]
+Crossing = Tuple[str, Optional[WalkRecipe], Optional[WalkRecipe]]
+
+
+def compile_crossings(ctx: AnalysisContext) -> List[Tuple[Crossing, ...]]:
+    """Per position, the tensors whose slices cross into the node's
+    buffer from a higher level (§5.1; only they get fills/updates), in
+    tensor order, with the walk recipes of their first reader and first
+    writer — kept in ``ctx.crossings`` until a structural re-arm."""
+    table = ctx.crossings
+    if table is not None:
+        return table
+    table = []
+    for node, entry in zip(ctx.tree.nodes(), ctx.plan_nodes):
+        tensors = ctx.node_tensors(node)
+        crossings = []
+        for name in entry.crossing:
+            home = ctx.home(name)
+            reader = writer = None
+            pairs = tensors.readers.get(name)
+            if pairs:
+                reader = WalkRecipe(ctx, node, name, pairs[0][1], home)
+            pairs = tensors.writers.get(name)
+            if pairs:
+                leaf, access = pairs[0]
+                writer = WalkRecipe(ctx, node, name, access, home,
+                                    leaf.op.reduction_dims)
+            crossings.append((name, reader, writer))
+        table.append(tuple(crossings))
+    ctx.crossings = table
+    return table
 
 
 def recursion_volume(extents: Sequence[int],
@@ -234,9 +259,11 @@ def recursion_volume(extents: Sequence[int],
     that moves only dim ``k`` by ``still`` with ``free[k]`` swapped for
     dim ``k``'s shifted overlap.
     """
-    volume = box_volume(extents)
-    back = [0] * len(extents)
     free = [e if e > 0 else 0 for e in extents]
+    volume = 1
+    for x in free:
+        volume *= x  # box_volume(extents)
+    back = [0] * len(extents)
     still = volume
     s = 0
     for count, step, moves in terms:
@@ -244,8 +271,15 @@ def recursion_volume(extents: Sequence[int],
             overlap = still
         elif len(moves) == 1 and free[moves[0][0]]:
             k, c = moves[0]
+            fk = free[k]
             x = extents[k] - abs(c * step - back[k])
-            overlap = still // free[k] * x if x > 0 else 0
+            overlap = still // fk * x if x > 0 else 0
+            if count != 1:
+                # Only dim k's overlap changes: ``still`` swaps it.
+                back[k] += c * (count - 1) * step
+                x = extents[k] - abs(back[k])
+                free[k] = x = x if x > 0 else 0
+                still = still // fk * x
         else:
             shifted = list(back)
             for k, c in moves:
@@ -254,17 +288,54 @@ def recursion_volume(extents: Sequence[int],
             for e, b in zip(extents, shifted):
                 x = e - abs(b)
                 overlap *= x if x > 0 else 0
-        if moves is not None and count != 1:
-            wrap = (count - 1) * step
-            for k, c in moves:
-                back[k] += c * wrap
-                x = extents[k] - abs(back[k])
-                free[k] = x if x > 0 else 0
-            still = 1
-            for x in free:
-                still *= x
+            if count != 1:
+                wrap = (count - 1) * step
+                for k, c in moves:
+                    back[k] += c * wrap
+                    x = extents[k] - abs(back[k])
+                    free[k] = x if x > 0 else 0
+                still = 1
+                for x in free:
+                    still *= x
         s = (count - 1) * (volume - overlap + s) + s
     return volume + s
+
+
+def projected_walk(referenced: FrozenSet[str],
+                   loops: Sequence[Loop]) -> str:
+    """Canonical form of a walk (``loops`` outer to inner) as an access
+    reading the dims ``referenced`` sees it.
+
+    Two walks with equal projections yield equal boundary-recursion
+    results, exactly:
+
+    * a loop over an unreferenced dim has zero forward displacement,
+      contributes nothing to outer wrap-around, and its boundary
+      delta equals that of any other unreferenced loop at the same
+      position — the recursion step ``s' = c*s + (c-1)*d`` composes
+      so that adjacent unreferenced loops merge into their trip
+      product;
+    * trip-count-1 loops neither move the slice nor wrap, and drop
+      out;
+    * an innermost run of unreferenced loops multiplies ``s = 0``
+      and drops out entirely.
+
+    All steps are integer-exact, so cached volumes replay
+    byte-identically.
+    """
+    parts: List[str] = []
+    pending = 1
+    for lp in loops:  # outer -> inner
+        if lp.dim in referenced:
+            if pending != 1:
+                parts.append(f"*{pending}")
+                pending = 1
+            if lp.count != 1:
+                parts.append(f"{lp.dim}:{lp.count}x{lp.step}")
+        elif lp.count != 1:
+            pending *= lp.count
+    # The trailing (innermost) unreferenced run multiplies s == 0.
+    return ",".join(parts)
 
 
 class DataMovementAnalysis:
@@ -275,7 +346,8 @@ class DataMovementAnalysis:
     read-modify-write accounting); the ablation benches quantify what
     each rule contributes to the model's predictions.
 
-    Slice geometry, tensor homes, and loop products come from a shared
+    Slice geometry, tensor homes, walk recipes and this point's loops
+    come from a shared
     :class:`~repro.analysis.context.AnalysisContext`; pass one to reuse
     intermediates across pipeline passes, or omit it for a standalone
     run (a private context is created, and the ablation flags above
@@ -291,202 +363,171 @@ class DataMovementAnalysis:
             tree, arch, model_eviction=model_eviction, model_rmw=model_rmw)
         self.model_eviction = self.ctx.model_eviction
         self.model_rmw = self.ctx.model_rmw
-        #: Bound "walkvol" store of the shared artifact cache (or None);
-        #: probed directly — this is the hottest lookup in the system.
-        self._volumes = self.ctx.shared_store("walkvol")
 
     # ------------------------------------------------------------------
     def run(self) -> DataMovementResult:
+        """One pass over the plan table, in pre-order: float
+        accumulation order is part of the byte-identity contract.
+
+        Per crossing tensor, a reader's walk fills the node's buffer
+        (read from its source level) and a writer's walk updates the
+        source.  Read-modify-write: any update traffic beyond the
+        reduction-free ideal is a partial sum written back early (an
+        outer reduction loop displaced the slice), and each such
+        writeback is refetched before accumulation resumes.
+        """
+        ctx = self.ctx
         traffic: Dict[int, LevelTraffic] = {
             i: LevelTraffic() for i in range(self.arch.num_levels)}
-        # Pre-order: float accumulation order is part of the
-        # byte-identity contract.
-        node_flows = {id(node): self._analyze_node(node, traffic)
-                      for node in self.tree.nodes()}
-        self._add_compute_accesses(traffic)
-        return DataMovementResult(traffic=traffic, node_flows=node_flows)
+        slices = ctx.slices()
+        splits = ctx.splits()
+        volumes = self._volumes_at(splits)
+        model_rmw = self.model_rmw
+        flows_at: List[NodeFlows] = []
+        for entry, here, crossings in zip(ctx.plan_nodes, slices,
+                                          compile_crossings(ctx)):
+            # Residency equals the slice geometry verbatim; the dict is
+            # shared read-only (NodeSlices instances may be cache entries).
+            flows = NodeFlows(entry.node, staged_words=here.staged_words)
+            flows_at.append(flows)
+            if not crossings:
+                continue
+            fills, updates = flows.fills, flows.updates
+            filled = traffic[entry.level].fill
+            source = traffic[entry.source_level]
+            read, updated = source.read, source.update
+            for name, reader, writer in crossings:
+                # A slice is one buffer instance's residency: loops below
+                # the node plus its unit-step (PE-lane) spatial loops.
+                # Block-distributing spatial loops multiply traffic in
+                # the walk.
+                extents = here.extents[name]
+                if reader is not None:
+                    words = volumes(reader, extents, False)[0]
+                    fills[name] = fills.get(name, 0.0) + words
+                    filled[name] = filled.get(name, 0.0) + words
+                    read[name] = read.get(name, 0.0) + words
+                if writer is not None:
+                    words, ideal = volumes(writer, extents, True)
+                    updates[name] = updates.get(name, 0.0) + words
+                    updated[name] = updated.get(name, 0.0) + words
+                    rmw = max(0.0, words - ideal) if model_rmw else 0.0
+                    if rmw > 0:
+                        fills[name] = fills.get(name, 0.0) + rmw
+                        filled[name] = filled.get(name, 0.0) + rmw
+                        read[name] = read.get(name, 0.0) + rmw
+        self._add_compute_accesses(traffic, splits)
+        return DataMovementResult(traffic=traffic, flows_at=flows_at)
 
-    def _analyze_node(self, node: TileNode,
-                      traffic: Dict[int, LevelTraffic]) -> NodeFlows:
-        """One node's flows; its traffic is added to ``traffic``."""
-        flows = NodeFlows(node=node)
-        source_level = (node.parent.level if node.parent is not None
-                        else self.arch.dram_index)
-        target, source = traffic[node.level], traffic[source_level]
-        slices = self.ctx.node_slices(node)
-        # Residency equals the slice geometry verbatim; the dict is
-        # shared read-only (NodeSlices instances may be cache entries).
-        flows.staged_words = slices.staged_words
-        for tensor_name, reader, writer in self._crossings(node):
-            # A slice is one buffer instance's residency: loops below the
-            # node plus its unit-step (PE-lane) spatial loops.  Block-
-            # distributing spatial loops multiply traffic in the walk.
-            extents = slices.extents[tensor_name]
-            if reader is not None:
-                access = reader[0]
-                walk = self._walk(node, tensor_name, reader)
-                words = self._walk_volume(extents, access, walk)
-                flows.fills[tensor_name] = (
-                    flows.fills.get(tensor_name, 0.0) + words)
-                target.add("fill", tensor_name, words)
-                source.add("read", tensor_name, words)
-            if writer is not None:
-                access = writer[0]
-                walk = self._walk(node, tensor_name, writer)
-                words = self._walk_volume(extents, access, walk)
-                flows.updates[tensor_name] = (
-                    flows.updates.get(tensor_name, 0.0) + words)
-                source.add("update", tensor_name, words)
-                # Read-modify-write: any update traffic beyond the
-                # reduction-free ideal is a partial sum written back early
-                # (an outer reduction loop displaced the slice), and each
-                # such writeback is refetched before accumulation resumes.
-                ideal = self._ideal_update_volume(extents, access, walk,
-                                                  writer[2])
-                rmw = max(0.0, words - ideal) if self.model_rmw else 0.0
-                if rmw > 0:
-                    flows.fills[tensor_name] = (
-                        flows.fills.get(tensor_name, 0.0) + rmw)
-                    target.add("fill", tensor_name, rmw)
-                    source.add("read", tensor_name, rmw)
-        return flows
-
-    def _crossings(self, node: TileNode) -> Sequence[Crossing]:
-        """The tensors whose slices cross into ``node``'s buffer from a
-        higher level (§5.1; only they get fills/updates), in tensor
-        order, with their first reader and first writer, compiled once
-        per node into the context's walk recipes."""
-        ctx = self.ctx
-        crossings = ctx.walk_recipes.get(id(node))
-        if crossings is not None:
-            return crossings
-        tensors = ctx.node_tensors(node)
-        crossings = []
-        for name in ctx.plan_node(node).crossing:
-            sides: List[Optional[Side]] = []
-            for pairs in (tensors.readers.get(name),
-                          tensors.writers.get(name)):
-                if not pairs:
-                    sides.append(None)
-                    continue
-                leaf, access = pairs[0]
-                recipe = WalkRecipe(ctx, node, name, access, ctx.home(name))
-                sides.append((access, recipe, leaf.op.reduction_dims))
-            crossings.append((name, sides[0], sides[1]))
-        ctx.walk_recipes[id(node)] = crossings
-        return crossings
-
-    def _ideal_update_volume(self, extents, access, walk: "_Walk",
-                             reduction_dims) -> float:
-        """Update volume if no reduction loop ever displaced the slice."""
-        loops = [lp for lp in walk.loops if lp.dim not in reduction_dims]
-        mult_red = 1.0
-        for lp in walk.multiplied:
-            if lp.dim in reduction_dims:
-                mult_red *= lp.count
-        ideal_walk = _Walk(loops, walk.multiplier / max(1.0, mult_red), [],
-                           walk.moves)
-        if len(loops) == len(walk.loops):
-            ideal_walk.moved = walk.moved  # the same recursion
-        return self._walk_volume(extents, access, ideal_walk)
-
-    # ------------------------------------------------------------------
-    def _walk(self, node: TileNode, tensor_name: str, side: Side) -> _Walk:
-        """The walk of one (node, tensor, access), from its recipe."""
-        return side[1].walk()
-
-    def _walk_volume(self, extents: Sequence[int], access: TensorAccess,
-                     walk: _Walk) -> float:
-        """Moved words for one (tensor, walk).
+    def _volumes_at(self, splits: Sequence[LoopSplit]):
+        """``volumes(recipe, extents, ideal)``: the walk's moved words
+        at this point and, with ``ideal``, those of its
+        read-modify-write ideal walk (else None).
 
         The boundary recursion is :func:`recursion_volume` over the
-        walk's :data:`Moves`, without the trip-count-1 loops, computed
-        once per walk (the RMW ideal walk reuses it when no loop was
-        dropped).  It is integer arithmetic, so caching its result
-        (pre-multiplier) in the shared store and re-applying the float
-        ``walk.multiplier`` reproduces the uncached float bit-for-bit.
-        The cache key projects the walk onto the access's referenced
-        dims — see :meth:`_projected_walk` for why that projection is
-        exact.
+        walked positions' reuse loops, computed once per walk (the ideal
+        walk, which drops the reduction loops and the reduction part of
+        the multiplier, reuses it when no loop was dropped).  It is
+        integer arithmetic, so caching its result (pre-multiplier) in
+        the shared ``walkvol`` store and re-applying the float
+        multiplier reproduces the uncached float bit-for-bit.  The cache
+        key projects the walk onto the access's referenced dims — see
+        :func:`projected_walk` for why that projection is exact.
         """
-        store = self._volumes
-        if store is None:
-            moved = walk.moved
-            if moved is None:
-                moved = self._moved(extents, walk)
-            return moved * walk.multiplier
-        key = (access.signature()[0], tuple(extents),
-               self._projected_walk(access, walk.loops))
-        moved = store.data.get(key)
-        if moved is None:
-            store.miss()
-            moved = walk.moved
-            if moved is None:
-                moved = self._moved(extents, walk)
-            store.put(key, moved)
-        else:
-            store.touch(key)
-        return moved * walk.multiplier
+        store = self.ctx.shared_store("walkvol")
 
-    @staticmethod
-    def _moved(extents: Sequence[int], walk: _Walk) -> int:
-        """The walk's boundary recursion, kept on the walk."""
-        moves = walk.moves
-        moved = walk.moved = recursion_volume(extents, [
-            (lp.count, lp.step, moves[lp.dim])
-            for lp in reversed(walk.loops) if lp.count != 1])
-        return moved
+        def volumes(recipe: WalkRecipe, extents: Sequence[int],
+                    ideal: bool) -> Tuple[float, Optional[float]]:
+            moves = recipe.moves
+            terms = [(count, step, moves[dim])
+                     for pos in recipe.inner_first
+                     for count, step, dim in splits[pos].reuse]
+            # The float multiplier and its reduction loops' part, each a
+            # product of loop counts in multiplication order.
+            multiplier = reduced = 1.0
+            moving, reduction = recipe.moving, recipe.reduction
+            for pos, kind in recipe.multiplied:
+                split = splits[pos]
+                if kind == _TEMPORAL:
+                    for lp in split.temporal:
+                        multiplier *= lp.count
+                        if lp.dim in reduction:
+                            reduced *= lp.count
+                    continue
+                for lp in split.spatial:
+                    if lp.dim in moving and (kind == _SPATIAL
+                                             or lp.step != 1):
+                        multiplier *= lp.count
+                        if lp.dim in reduction:
+                            reduced *= lp.count
+            if store is None:
+                moved = recursion_volume(extents, terms)
+                if not ideal:
+                    return moved * multiplier, None
+                kept_moved = moved
+                if reduction:
+                    kept = [(count, step, moves[dim])
+                            for pos in recipe.inner_first
+                            for count, step, dim in splits[pos].reuse
+                            if dim not in reduction]
+                    if len(kept) != len(terms):
+                        kept_moved = recursion_volume(extents, kept)
+                return (moved * multiplier,
+                        kept_moved * (multiplier / max(1.0, reduced)))
+            access = recipe.access
+            signature, referenced = access.signature()
+            walked = recipe.loops(splits)[0]
+            moved = _stored(store, (signature, tuple(extents),
+                                    projected_walk(referenced, walked)),
+                            lambda: recursion_volume(extents, terms))
+            if not ideal:
+                return moved * multiplier, None
+            loops = [lp for lp in walked if lp.dim not in reduction]
+            kept_moved = _stored(
+                store, (signature, tuple(extents),
+                        projected_walk(referenced, loops)),
+                lambda: recursion_volume(extents, [
+                    (lp.count, lp.step, moves[lp.dim])
+                    for lp in reversed(loops) if lp.count != 1]))
+            return (moved * multiplier,
+                    kept_moved * (multiplier / max(1.0, reduced)))
 
-    def _projected_walk(self, access: TensorAccess,
-                        loops: Sequence[Loop]) -> str:
-        """Canonical form of a walk as one access sees it.
-
-        Two walks with equal projections yield equal boundary-recursion
-        results, exactly:
-
-        * a loop over an unreferenced dim has zero forward displacement,
-          contributes nothing to outer wrap-around, and its boundary
-          delta equals that of any other unreferenced loop at the same
-          position — the recursion step ``s' = c*s + (c-1)*d`` composes
-          so that adjacent unreferenced loops merge into their trip
-          product;
-        * trip-count-1 loops neither move the slice nor wrap, and drop
-          out;
-        * an innermost run of unreferenced loops multiplies ``s = 0``
-          and drops out entirely.
-
-        All steps are integer-exact, so cached volumes replay
-        byte-identically.
-        """
-        referenced = access.signature()[1]
-        parts: List[str] = []
-        pending = 1
-        for lp in loops:  # outer -> inner
-            if lp.dim in referenced:
-                if pending != 1:
-                    parts.append(f"*{pending}")
-                    pending = 1
-                if lp.count != 1:
-                    parts.append(f"{lp.dim}:{lp.count}x{lp.step}")
-            elif lp.count != 1:
-                pending *= lp.count
-        # The trailing (innermost) unreferenced run multiplies s == 0.
-        return ",".join(parts)
+        return volumes
 
     # ------------------------------------------------------------------
-    def _add_compute_accesses(self, traffic: Dict[int, LevelTraffic]) -> None:
+    def _add_compute_accesses(self, traffic: Dict[int, LevelTraffic],
+                              splits: Sequence[LoopSplit]) -> None:
         """Operand/accumulator accesses at the innermost level.
 
         Each iteration point reads its input operands from and writes its
         accumulator to the leaf-level buffer (registers); these are the
         "Reg" accesses of the paper's energy breakdown (Fig. 13).
         """
-        for entry in self.ctx.plan_nodes:
+        executions = self.ctx.loop_state().executions
+        for i, entry in enumerate(self.ctx.plan_nodes):
             if not entry.leaf:
                 continue
-            leaf = entry.node
-            points = leaf.trip_count * self.ctx.executions(leaf)
-            level = traffic[leaf.level]
-            for access in leaf.op.inputs:
-                level.add("read", access.tensor.name, float(points))
-            level.add("update", leaf.op.output.tensor.name, float(points))
+            op = entry.node.op
+            split = splits[i]
+            points = float(split.temporal_trip * split.spatial_trip
+                           * executions[i])
+            level = traffic[entry.level]
+            read, updated = level.read, level.update
+            for access in op.inputs:
+                name = access.tensor.name
+                read[name] = read.get(name, 0.0) + points
+            name = op.output.tensor.name
+            updated[name] = updated.get(name, 0.0) + points
+
+
+def _stored(store, key, compute) -> int:
+    """The boundary recursion under ``key`` in the shared store,
+    computed (and stored) on a miss."""
+    moved = store.data.get(key)
+    if moved is None:
+        store.miss()
+        moved = compute()
+        store.put(key, moved)
+    else:
+        store.touch(key)
+    return moved

@@ -33,9 +33,9 @@ class LatencyAnalysis:
     """Computes total cycles and per-level slow-down for a mapping.
 
     The composition runs over the shared :class:`AnalysisContext`'s plan
-    nodes, with per-node execution counts (ancestor loop products) from
-    the context, so they are computed once per evaluation rather than
-    per analysis.
+    nodes, with per-position trip and execution counts (ancestor loop
+    products) from its loop state, so they are computed once per
+    evaluation rather than per analysis.
     """
 
     def __init__(self, tree: AnalysisTree, arch: Architecture,
@@ -66,13 +66,14 @@ class LatencyAnalysis:
         (half duplex), and both overlap with its children's execution
         under double buffering.
         """
-        ctx = self.ctx
-        flows_of = self.movement.node_flows
+        splits = self.ctx.splits()
+        executions_at = self.ctx.loop_state().executions
+        flows_at = self.movement.flows_at
         n = len(table)
         concurrency = [1.0] * n
         for i, entry in enumerate(table):
             if entry.children:
-                below = concurrency[i] * entry.node.spatial_trip_count
+                below = concurrency[i] * splits[i].spatial_trip
                 for c in entry.children:
                     concurrency[c] = below
         latency = [0.0] * n
@@ -80,11 +81,11 @@ class LatencyAnalysis:
         io_total = [0.0] * n
         for i in range(n - 1, -1, -1):
             entry = table[i]
-            node = entry.node
+            split = splits[i]
             io_cycles = 0.0
             if entry.level < entry.source_level:
-                flows = flows_of[id(node)]
-                executions = max(1.0, float(ctx.executions(node)))
+                flows = flows_at[i]
+                executions = max(1.0, float(executions_at[i]))
                 loaded = self._bytes(flows.fills)
                 stored = self._bytes(flows.updates)
                 bw = max(1e-9, entry.source_bandwidth
@@ -92,23 +93,22 @@ class LatencyAnalysis:
                 io_cycles = (loaded / executions + stored / executions) / bw
                 io_total[i] = (loaded + stored) / executions / bw
             if entry.leaf:
-                waves = max(1.0, node.spatial_trip_count / entry.pool)
-                inner = (node.temporal_trip_count * waves
+                waves = max(1.0, split.spatial_trip / entry.pool)
+                inner = (split.temporal_trip * waves
                          * entry.ops_per_point)
             elif not entry.fusion:
-                inner = node.temporal_trip_count * latency[entry.children[0]]
+                inner = split.temporal_trip * latency[entry.children[0]]
             else:
                 lats = [latency[c] for c in entry.children]
                 if entry.shares_time:
-                    inner = node.temporal_trip_count * sum(lats)
+                    inner = split.temporal_trip * sum(lats)
                 else:
                     # Concurrent siblings (Para/Pipe) overlap in time but
                     # share the staging level's bandwidth, so the
                     # iteration takes the slowest child or the aggregate
                     # sibling IO, whichever is longer.
                     io_sum = sum(io_total[c] for c in entry.children)
-                    inner = node.temporal_trip_count * max(max(lats),
-                                                           io_sum)
+                    inner = split.temporal_trip * max(max(lats), io_sum)
             latency[i] = max(io_cycles, inner)
         return latency[0]
 

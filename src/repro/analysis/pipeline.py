@@ -55,13 +55,13 @@ class ValidatePass(AnalysisPass):
 
 
 class SlicesPass(AnalysisPass):
-    """Populate per-node slice geometry (extents, staged words)."""
+    """Fill the context's per-position slice geometry (extents, staged
+    words) from the leaf coverage validation computed."""
 
     name = "slices"
 
     def run(self, ctx: AnalysisContext) -> None:
-        for node in ctx.tree.nodes():
-            ctx.node_slices(node)
+        ctx.slices()
 
 
 class DataMovementPass(AnalysisPass):
@@ -84,7 +84,9 @@ class ResourceBoundsPass(AnalysisPass):
       tensors double-buffered exactly as the full resource analysis
       does (``AnalysisContext.tensor_crossing``), lower-bound its
       level's final per-instance footprint: the footprint recursion
-      only *adds* child contributions on top.
+      only *adds* child contributions on top.  So the bound is sound
+      for the feasibility screen while catching mappings that only
+      violate capacity through double-buffered crossing tensors.
 
     Both are conservative: a mapping rejected here would also be
     rejected by the full resource analysis (property-tested in
@@ -111,12 +113,10 @@ class ResourceBoundsPass(AnalysisPass):
                 f"{ctx.arch.vector_pe_count} available {PRESCREEN_TAG}")
             codes.append(f"compute.vector:{vec}>{ctx.arch.vector_pe_count}")
         if ctx.check_memory:
-            for entry in ctx.plan_nodes:
+            for entry, used in zip(ctx.plan_nodes, ctx.staged_bytes()):
                 level = entry.memory
-                if level.capacity_bytes is None:
-                    continue
-                used = ctx.staged_bytes_lower_bound(entry.node)
-                if used > level.capacity_bytes:
+                if (level.capacity_bytes is not None
+                        and used > level.capacity_bytes):
                     problems.append(
                         f"memory: level {level.name} needs at least "
                         f"{used / 1024:.1f} KB per instance "

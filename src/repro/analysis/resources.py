@@ -34,7 +34,7 @@ class ResourceAnalysis:
     The ``NumPE`` demand is the context's
     (:meth:`~repro.analysis.context.AnalysisContext.num_pe`, shared with
     the feasibility bounds pass); the footprint and instance recursions
-    run over its plan nodes.
+    run over its plan nodes, slices table and loop state.
     """
 
     def __init__(self, tree: AnalysisTree, arch: Architecture,
@@ -71,16 +71,14 @@ class ResourceAnalysis:
           which NumPE accounts for).  Only spatial loops multiply the
           instance demand.
         """
-        words_of = self.ctx.node_slices
+        staged = self.ctx.staged_bytes()
+        splits = self.ctx.splits()
         feet: List[Dict[int, float]] = [{}] * len(table)
         counts: List[Dict[int, int]] = [{}] * len(table)
         for i in range(len(table) - 1, -1, -1):
             entry = table[i]
-            node, level = entry.node, entry.level
-            words = words_of(node).staged_words
-            own = 0.0
-            for name, word_bytes, factor in entry.staged:
-                own += words[name] * word_bytes * factor
+            level = entry.level
+            own = staged[i]
             if entry.leaf:
                 feet[i] = {level: own}
                 counts[i] = {level: 1}
@@ -101,7 +99,7 @@ class ResourceAnalysis:
                 used_by = dict(counts[entry.children[0]])
             usage[level] = usage.get(level, 0.0) + own
             used_by[level] = max(used_by.get(level, 0), 1)
-            sp = node.spatial_trip_count
+            sp = splits[i].spatial_trip
             feet[i] = usage
             counts[i] = {lvl: n * sp for lvl, n in used_by.items()}
         return feet[0], counts[0]

@@ -525,15 +525,17 @@ class EvaluationEngine:
 class GenomePlan:
     """One genome's tree and analysis context, re-armed per MCTS point.
 
-    The tree is built once; a point takes every node's loops from the
-    genome's :class:`~repro.mapper.encoding.GenomeLoops` (the skeleton
-    :func:`build_genome_tree` uses too), which interns them, and only
-    the nodes whose loops changed are assigned (and drop their cached
-    loop split).  The context is then re-armed loops-only, keeping
-    every structure-only fact for the whole tune: its slice rows, walk
-    recipes, fusion rules and plan nodes are compiled once per plan, so
-    a point only substitutes the nodes' current loops into them.  They
-    die with the plan.
+    The tree is built once; a point takes every node's
+    :class:`~repro.tile.loops.LoopSplit` from the genome's
+    :class:`~repro.mapper.encoding.GenomeLoops` (the skeleton
+    :func:`build_genome_tree` uses too), which interns their loops, and
+    only the nodes whose loops changed are assigned.  The context is then
+    re-armed loops-only with those splits, keeping every structure-only
+    fact for the whole tune: its slice rows, walk recipes, fusion rules
+    and plan nodes are compiled once per plan, so a point only
+    substitutes the nodes' current loops into them, and recomputes the
+    slices of the changed nodes and their ancestors only.  They die
+    with the plan.
     """
 
     __slots__ = ("skeleton", "tree", "context")
@@ -541,7 +543,7 @@ class GenomePlan:
     def __init__(self, engine: EvaluationEngine, genome: Genome):
         self.skeleton = GenomeLoops(engine.workload, engine.arch, genome)
         self.tree = build_genome_tree(engine.workload, engine.arch,
-                                      genome, {})
+                                      genome, {}, self.skeleton)
         self.context = AnalysisContext(
             self.tree, engine.arch,
             model_eviction=engine.model.model_eviction,
@@ -549,11 +551,13 @@ class GenomePlan:
 
     def rearm(self, factors: Mapping[str, int]) -> AnalysisContext:
         """The context, re-armed for ``factors``' loops."""
-        for node, loops in zip(self.tree.nodes(),
-                               self.skeleton.loops(factors)):
-            if node.loops != loops:  # interned: equal loops are `is`
-                node.loops = loops
-        self.context.invalidate(loops_only=True)
+        splits = self.skeleton.splits(factors)
+        changed = []
+        for i, (node, split) in enumerate(zip(self.tree.nodes(), splits)):
+            if node.loops != split.loops:  # interned: equal loops are `is`
+                node.split = split
+                changed.append(i)
+        self.context.rearm(splits, changed)
         return self.context
 
 

@@ -30,7 +30,7 @@ from ..arch import Architecture
 from ..errors import MappingError
 from ..ir import Operator, Workload
 from ..tile.bindings import Binding
-from ..tile.loops import Loop, spatial, temporal
+from ..tile.loops import Loop, LoopSplit, spatial, temporal
 from ..tile.tree import AnalysisTree, FusionNode, OpTile, TileNode
 from ..tile.validate import fused_producers
 from .factors import FactorSpace
@@ -216,8 +216,9 @@ class GenomeLoops:
     ``groups`` holds, per fusion group, its tileable ``(dim, size,
     factor name)`` triples and, per operator chain, ``(op, mid, leaf)``
     — the ``(dim, size, extent)`` its mid loops divide and its leaf
-    loops (factor-independent, shared by every point).  :meth:`loops`
-    then yields the loops of every node, in pre-order, for one point.
+    loops (factor-independent, shared by every point).  :meth:`splits`
+    then yields the :class:`~repro.tile.loops.LoopSplit` of every node,
+    in pre-order, for one point, and :meth:`loops` their loops.
     """
 
     def __init__(self, workload: Workload, arch: Architecture,
@@ -243,8 +244,8 @@ class GenomeLoops:
                 share = (mac_chains if mac else vec_chains) if pipe else 1
                 sp, tp = _generic_leaf(op, max(4, budget // share) if mac
                                        else max(2, vector_budget // share))
-                leaf = tuple([temporal(d, n, 1) for d, n in tp.items()]
-                             + [spatial(d, n, 1) for d, n in sp.items()])
+                leaf = LoopSplit([temporal(d, n, 1) for d, n in tp.items()]
+                                 + [spatial(d, n, 1) for d, n in sp.items()])
                 mid = tuple((d, size, sp.get(d, 1) * tp.get(d, 1))
                             for d, size in op.dims.items())
                 chains.append((op, mid, leaf))
@@ -255,9 +256,15 @@ class GenomeLoops:
         #: Loop object sits at two nodes of one tree (the batched
         #: layer maps loops to factor slots by identity).
         self._interned: Dict[Tuple[int, str, int, int, bool], Loop] = {}
+        self._root = LoopSplit(())
 
     def loops(self, factors: Mapping[str, int]) -> List[Tuple[Loop, ...]]:
-        """The loops of every node for ``factors``, in pre-order.
+        """The loops of every node for ``factors``, in pre-order."""
+        return [split.loops for split in self.splits(factors)]
+
+    def splits(self, factors: Mapping[str, int]) -> List[LoopSplit]:
+        """The :class:`LoopSplit` of every node for ``factors``, in
+        pre-order.
 
         Fusion groups tile their shared tileable dims at the outermost
         on-chip level (factor ``g{i}_{dim}``, spatially split over the
@@ -268,7 +275,7 @@ class GenomeLoops:
         node's old and new loops compares identities until they differ.
         """
         make = self._loop
-        out: List[Tuple[Loop, ...]] = [()] if self.root else []
+        out: List[LoopSplit] = [self._root] if self.root else []
         for dims, chains in self.groups:
             at = len(out)
             tile: Dict[str, int] = {}
@@ -286,13 +293,13 @@ class GenomeLoops:
                     spatial_budget = max(1, spatial_budget // split)
                 if blocks > 1:
                     loops.append(make(at, d, blocks, step, False))
-            out.append(tuple(loops))
+            out.append(LoopSplit(loops))
             for _, mid, leaf in chains:
                 at = len(out)
-                out.append(tuple(
+                out.append(LoopSplit([
                     make(at, d, count, ext, False) for d, size, ext in mid
                     for count in (_ceil(min(size, tile.get(d, size)), ext),)
-                    if count > 1))
+                    if count > 1]))
                 out.append(leaf)
         return out
 
@@ -319,17 +326,20 @@ def genome_loops(workload: Workload, arch: Architecture, genome: Genome,
 
 
 def build_genome_tree(workload: Workload, arch: Architecture,
-                      genome: Genome,
-                      factors: Mapping[str, int]) -> AnalysisTree:
+                      genome: Genome, factors: Mapping[str, int],
+                      skeleton: Optional[GenomeLoops] = None
+                      ) -> AnalysisTree:
     """Construct the analysis tree for a genome plus tiling factors.
 
     Fusion groups become fusion nodes at the outermost on-chip level;
     singleton groups become plain operator chains.  Groups are children
     of a Seq root at the DRAM level.  Loops come from the genome's
-    :class:`GenomeLoops`, as :func:`genome_loops` gives them.
+    :class:`GenomeLoops` (``skeleton``, if the caller holds it), as
+    :func:`genome_loops` gives them.
     """
     top_level = arch.num_levels - 2
-    skeleton = GenomeLoops(workload, arch, genome)
+    if skeleton is None:
+        skeleton = GenomeLoops(workload, arch, genome)
     loops = iter(skeleton.loops(factors))
     root_loops = next(loops) if skeleton.root else None
     group_nodes: List[TileNode] = []

@@ -35,7 +35,7 @@ construction behind :func:`is_enabled`.
 Every record type and event kind has a JSON Schema (draft-07 subset),
 generated by :func:`event_schema`, checked in at
 ``tests/data/event_schema.json`` and enforced by CI on smoke-run trace
-files (``python -m repro.obs.events --validate trace.jsonl --schema
+files (``python -m repro.obs --validate trace.jsonl --schema
 tests/data/event_schema.json``).
 
 Determinism contract (property-tested in
@@ -720,7 +720,7 @@ def validate_jsonl(path_or_file: Union[str, IO[str]]) -> List[str]:
 
 
 def main(argv: Optional[List[str]] = None) -> int:  # pragma: no cover
-    """CI entry point: ``python -m repro.obs.events --validate F [...]``."""
+    """CI entry point: ``python -m repro.obs --validate F [...]``."""
     import argparse
 
     parser = argparse.ArgumentParser(

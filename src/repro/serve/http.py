@@ -13,10 +13,12 @@ Routes (all JSON unless noted)::
     POST   /admin/cache/clear   empty the shared artifact cache
                                 (body optional: {"reset_counters": true})
 
-Status codes: 400 malformed body/kind/spec, 404 unknown job or path,
-409 cancel of a non-queued job, 411 missing Content-Length, 413 body
-over the configured cap, 429 queue full (backpressure), 503 +
-``Retry-After`` while draining.  A connection is closed without a
+Status codes: 400 malformed body/kind/spec or a ``Content-Length`` that
+is not one run of ASCII digits (or repeats with differing values), 404
+unknown job or path, 409 cancel of a non-queued job, 411 missing
+Content-Length, 413 body over the configured cap, 429 queue full
+(backpressure), 501 any ``Transfer-Encoding``, 503 + ``Retry-After``
+while draining.  A connection is closed without a
 response when its request line, headers and body have not all arrived
 :data:`SOCKET_TIMEOUT_S` after it opened (a body shorter than its
 ``Content-Length``, a client trickling bytes in), or when one write
@@ -148,23 +150,54 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
                headers: Optional[Dict[str, str]] = None) -> None:
         self._send_json(code, {"error": message}, headers)
 
-    def _read_body(self) -> Optional[Dict[str, Any]]:
-        """The request's JSON object, or None after an error response."""
-        length = self.headers.get("Content-Length")
-        if length is None:
-            self._error(411, "Content-Length required")
+    def _body_length(self, required: bool = True) -> Optional[int]:
+        """The request body's byte count, or None after an error
+        response.
+
+        The length comes from one ``Content-Length`` of ASCII digits;
+        repeats must carry the same value.  A request with any
+        ``Transfer-Encoding`` gets 501 (bodies are read by length only),
+        one without a length 411 when a body is ``required`` (else its
+        length is 0), a malformed or conflicting length 400 and one over
+        the cap 413 — all before any body byte is read.
+        """
+        if self.headers.get("Transfer-Encoding") is not None:
+            self._error(501, "Transfer-Encoding is not supported; send "
+                             "the body with a Content-Length")
             return None
-        try:
-            n = int(length)
-        except ValueError:
-            n = -1
-        if n < 0:  # rfile.read(-1) would block until the client closes
+        values = {v.strip() for v in self.headers.get_all("Content-Length",
+                                                          ())}
+        if not values:
+            if required:
+                self._error(411, "Content-Length required")
+                return None
+            return 0
+        if len(values) > 1:
+            self._error(400, f"conflicting Content-Length headers "
+                             f"{sorted(values)!r}")
+            return None
+        length = values.pop()
+        # int() would also take "+16", "1_6" and non-ASCII digits.
+        if not (length.isascii() and length.isdigit()):
             self._error(400, f"bad Content-Length {length!r}")
             return None
+        n = int(length)
         if n > self.server.max_body:
             self._error(413, f"request body over the "
                              f"{self.server.max_body} byte cap")
             return None
+        return n
+
+    def _read_body(self, required: bool = True
+                   ) -> Optional[Dict[str, Any]]:
+        """The request's JSON object, or None after an error response;
+        an optional body (``required=False``) that is absent or empty
+        reads as ``{}``."""
+        n = self._body_length(required)
+        if n is None:
+            return None
+        if n == 0 and not required:
+            return {}
         raw = self.rfile.read(n)
         try:
             obj = json.loads(raw.decode("utf-8"))
@@ -260,12 +293,9 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         optional (unlike job submission — there is nothing required to
         say), so a missing or zero Content-Length means an empty
         options object, not a 411."""
-        payload: Dict[str, Any] = {}
-        if self.headers.get("Content-Length", "0").strip() not in ("", "0"):
-            body = self._read_body()
-            if body is None:
-                return
-            payload = body
+        payload = self._read_body(required=False)
+        if payload is None:
+            return
         outcome = self.service.clear_cache(
             reset_counters=bool(payload.get("reset_counters")))
         self._send_json(200 if outcome.get("cleared") else 503, outcome)

@@ -87,6 +87,41 @@ def split_spatial(loops: Sequence[Loop]) -> Tuple[List[Loop], List[Loop]]:
     return t, s
 
 
+class LoopSplit:
+    """One loop assignment of a node, split by binding.
+
+    ``temporal`` and ``spatial`` keep the loops' order and
+    ``temporal_trip``/``spatial_trip`` are their trip products.
+    ``reuse`` holds ``(count, step, dim)`` of the temporal loops of more
+    than one trip, innermost first: the loops a §5.1 reuse walk steps
+    through (trip-count-1 loops neither move a slice nor wrap).
+    Read-only once built; a node keeps it until its loops change.
+    """
+
+    __slots__ = ("loops", "temporal", "spatial", "temporal_trip",
+                 "spatial_trip", "reuse")
+
+    def __init__(self, loops: Sequence[Loop]):
+        self.loops: Tuple[Loop, ...] = tuple(loops)
+        spatial: List[Loop] = []
+        t_trip = s_trip = 1
+        for lp in self.loops:
+            if lp.spatial:
+                spatial.append(lp)
+                s_trip *= lp.count
+            else:
+                t_trip *= lp.count
+        self.temporal: Tuple[Loop, ...] = (
+            tuple([lp for lp in self.loops if not lp.spatial]) if spatial
+            else self.loops)
+        self.spatial: Tuple[Loop, ...] = tuple(spatial)
+        self.temporal_trip = t_trip
+        self.spatial_trip = s_trip
+        self.reuse: Tuple[Tuple[int, int, str], ...] = tuple([
+            (lp.count, lp.step, lp.dim) for lp in reversed(self.temporal)
+            if lp.count != 1])
+
+
 def auto_steps(level_loops: Sequence[Sequence[Tuple[str, int, bool]]]
                ) -> List[List[Loop]]:
     """Assign steps to a per-level loop specification.

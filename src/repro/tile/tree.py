@@ -22,7 +22,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 from ..errors import TreeValidationError
 from ..ir import Operator, Workload
 from .bindings import Binding
-from .loops import Loop, product_of_counts, split_spatial
+from .loops import Loop, LoopSplit
 
 
 class TileNode:
@@ -33,7 +33,7 @@ class TileNode:
         if level < 0:
             raise TreeValidationError(f"node level must be >= 0, got {level}")
         self._loops: Tuple[Loop, ...] = tuple(loops)
-        self._split: Optional[Tuple[List[Loop], List[Loop], int, int]] = None
+        self._split: Optional[LoopSplit] = None
         self.level = int(level)
         self.name = name
         self.parent: Optional["TileNode"] = None
@@ -48,6 +48,25 @@ class TileNode:
         # must drop the cached temporal/spatial split.
         self._loops = tuple(loops)
         self._split = None
+
+    @property
+    def split(self) -> LoopSplit:
+        """The node's :class:`~repro.tile.loops.LoopSplit`, memoized.
+
+        The split is asked for by every analysis that touches the node;
+        computing it once per loop assignment instead of per query is a
+        measurable win on the mapper's hot path.  The ``loops`` setter
+        clears the memo; assigning a split sets the loops with it.
+        """
+        split = self._split
+        if split is None:
+            split = self._split = LoopSplit(self._loops)
+        return split
+
+    @split.setter
+    def split(self, split: LoopSplit) -> None:
+        self._loops = split.loops
+        self._split = split
 
     # -- structure ------------------------------------------------------
     def children_nodes(self) -> Tuple["TileNode", ...]:
@@ -83,41 +102,26 @@ class TileNode:
         return tuple(seen.values())
 
     # -- loops ----------------------------------------------------------
-    def _splits(self) -> Tuple[List[Loop], List[Loop], int, int]:
-        """(temporal, spatial, temporal trip, spatial trip), memoized.
-
-        The split is asked for by every analysis that touches the node
-        (walk building, NumPE, executions); computing it once per loop
-        assignment instead of per query is a measurable win on the
-        mapper's hot path.  The ``loops`` setter clears the memo.
-        """
-        split = self._split
-        if split is None:
-            t, s = split_spatial(self._loops)
-            split = self._split = (t, s, product_of_counts(t),
-                                   product_of_counts(s))
-        return split
+    @property
+    def temporal_loops(self) -> Tuple[Loop, ...]:
+        return self.split.temporal
 
     @property
-    def temporal_loops(self) -> List[Loop]:
-        return self._splits()[0]
-
-    @property
-    def spatial_loops(self) -> List[Loop]:
-        return self._splits()[1]
+    def spatial_loops(self) -> Tuple[Loop, ...]:
+        return self.split.spatial
 
     @property
     def temporal_trip_count(self) -> int:
-        return self._splits()[2]
+        return self.split.temporal_trip
 
     @property
     def spatial_trip_count(self) -> int:
-        return self._splits()[3]
+        return self.split.spatial_trip
 
     @property
     def trip_count(self) -> int:
-        split = self._splits()
-        return split[2] * split[3]
+        split = self.split
+        return split.temporal_trip * split.spatial_trip
 
     def label(self) -> str:
         return self.name or self.__class__.__name__

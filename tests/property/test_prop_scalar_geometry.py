@@ -11,7 +11,8 @@
 * On every registry tree, with and without Seq eviction, the walk a
   ``WalkRecipe`` gathers equals the walk the tree reference builds node
   by node for every (node, tensor, access), before and after the tree's
-  loops change, and so does the volume priced from it.
+  loops change, and so do the volume and the read-modify-write ideal
+  volume the data-movement pass prices from the recipe.
 * The tree reference's ``path_coverage`` (one upward walk per leaf)
   equals ``slice_coverage(node, leaf)`` for every (node, leaf) pair of
   every registry dataflow tree, and slice geometry built from it, or
@@ -140,8 +141,11 @@ def _all_registry_trees():
 
 def _assert_recipes_rebuild_every_walk(ctx, recipes):
     """Gather every (node, tensor, access) walk from ``recipes``
-    (compiled on first use) and compare it with the reference walk."""
-    dm = DataMovementAnalysis(ctx.tree, ctx.arch, context=ctx)
+    (compiled on first use) and compare it, and the volumes the
+    data-movement pass prices from it, with the reference walk."""
+    splits = ctx.splits()
+    volumes = DataMovementAnalysis(ctx.tree, ctx.arch,
+                                   context=ctx)._volumes_at(splits)
     tree_dm = TreeDataMovementAnalysis(ctx.tree, ctx.arch, context=ctx)
     walks = 0
     for node in ctx.tree.nodes():
@@ -149,18 +153,22 @@ def _assert_recipes_rebuild_every_walk(ctx, recipes):
         for name in slices.tensors:
             home = ctx.home(name)
             extents = slices.extents[name]
-            for _leaf, access in ctx.node_tensors(node).accesses[name]:
+            for leaf, access in ctx.node_tensors(node).accesses[name]:
                 walks += 1
                 key = (id(node), id(access))
+                reduction = leaf.op.reduction_dims
                 if key not in recipes:
-                    recipes[key] = WalkRecipe(ctx, node, name, access, home)
-                gathered = recipes[key].walk()
+                    recipes[key] = WalkRecipe(ctx, node, name, access, home,
+                                              reduction)
+                recipe = recipes[key]
+                walked, multiplied = recipe.loops(splits)
                 built = tree_dm._build_walk(node, name, access, home)
-                assert gathered.loops == built.loops
-                assert gathered.multiplier == built.multiplier
-                assert gathered.multiplied == built.multiplied
-                assert (dm._walk_volume(extents, access, gathered)
-                        == tree_dm._walk_volume(extents, access, built))
+                assert walked == built.loops
+                assert multiplied == built.multiplied
+                words, ideal = volumes(recipe, extents, True)
+                assert words == tree_dm._walk_volume(extents, access, built)
+                assert ideal == tree_dm._ideal_update_volume(
+                    extents, access, built, reduction)
     return walks
 
 

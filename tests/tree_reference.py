@@ -8,9 +8,9 @@ each walking the tree node by node, as an independent reference for the
 property tests.  Nothing under ``src/`` imports it.
 
 * :class:`TreeContext` — an analysis context whose validation, slice
-  geometry, ``NumPE`` demand, execution counts and staged-bytes bound
-  walk the tree (per-leaf upward coverage walks, recursive ``NumPE`` and
-  ancestor products);
+  geometry, ``NumPE`` demand and execution counts walk the tree
+  (per-leaf upward coverage walks, recursive ``NumPE`` and ancestor
+  products);
 * :class:`TreeDataMovementAnalysis`, :class:`TreeResourceAnalysis` and
   :class:`TreeLatencyAnalysis` — the §5.1–§5.3 passes building each walk
   afresh and recursing over the tree;
@@ -20,14 +20,16 @@ property tests.  Nothing under ``src/`` imports it.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, FrozenSet, List, Optional,
+                    Sequence, Tuple)
 
 from repro.analysis import (AnalysisContext, DataMovementAnalysis,
-                            LatencyAnalysis, NodeSlices, ResourceAnalysis,
-                            ResourceUsage, TileFlowModel, box_volume,
-                            merged_extents, recursion_volume)
+                            DataMovementResult, LatencyAnalysis,
+                            LevelTraffic, NodeFlows, NodeSlices,
+                            ResourceAnalysis, ResourceUsage, TileFlowModel,
+                            box_volume, merged_extents, recursion_volume)
 from repro.analysis.context import NodeTensors, _path_coverage
-from repro.analysis.datamovement import Crossing, Side, _Walk, moves_of
+from repro.analysis.datamovement import moves_of
 from repro.analysis.pipeline import (DataMovementPass, EnergyPass,
                                      LatencyPass, ResourcesPass, SlicesPass,
                                      ValidatePass)
@@ -44,6 +46,25 @@ from repro.tile.validate import (_apply, _check_fusion_loops,
 PathCoverage = Dict[int, Dict[str, int]]
 #: Node-local rules that read loops (coverage is whole-tree).
 LOOP_RULES = (_check_fusion_loops, _check_reduction_rule)
+#: One side of a crossing: the access, no recipe, and the leaf
+#: operator's reduction dims.
+Side = Tuple[TensorAccess, None, FrozenSet[str]]
+#: A tensor crossing into a node's buffer: its name, then the side of
+#: its first reader and of its first writer (None without one).
+Crossing = Tuple[str, Optional[Side], Optional[Side]]
+
+
+class Walk:
+    """The truncated ancestor loop walk for one (node, tensor) pair."""
+
+    __slots__ = ("loops", "multiplier", "multiplied")
+
+    def __init__(self, loops: List[Loop], multiplier: float,
+                 multiplied: List[Loop]):
+        self.loops = loops  # outer -> inner
+        self.multiplier = multiplier
+        #: Loops folded into the multiplier, in multiplication order.
+        self.multiplied = multiplied
 
 
 def tree_node_slices(node: TileNode,
@@ -52,7 +73,7 @@ def tree_node_slices(node: TileNode,
     """The node's slice geometry, merged pair by pair from each leaf's
     path coverage."""
     if tensors is None:
-        tensors = NodeTensors(node)
+        tensors = NodeTensors(node.leaves())
     extents: Dict[str, Tuple[int, ...]] = {}
     staged_words: Dict[str, float] = {}
     key = id(node)
@@ -103,6 +124,7 @@ class TreeContext(AnalysisContext):
                  model_rmw: bool = True, check_memory: bool = True):
         super().__init__(tree, arch, model_eviction=model_eviction,
                          model_rmw=model_rmw, check_memory=check_memory)
+        self._tree_slices: Dict[int, NodeSlices] = {}
         self._num_pe: Dict[int, Tuple[int, int]] = {}
         self._executions: Dict[int, int] = {}
         self._path_cov: Dict[int, PathCoverage] = {}
@@ -110,6 +132,7 @@ class TreeContext(AnalysisContext):
     def invalidate(self, subtree: Optional[TileNode] = None, *,
                    loops_only: bool = False) -> None:
         super().invalidate(subtree, loops_only=loops_only)
+        self._tree_slices.clear()
         self._num_pe.clear()
         self._executions.clear()
         self._path_cov.clear()
@@ -125,11 +148,14 @@ class TreeContext(AnalysisContext):
                 return
         raise_invalid(self.tree)
 
+    def slices(self) -> List[NodeSlices]:
+        return [self.node_slices(n) for n in self.tree.nodes()]
+
     def node_slices(self, node: TileNode) -> NodeSlices:
         key = self.fingerprint(node)
-        cached = self._slices.get(key)
+        cached = self._tree_slices.get(key)
         if cached is None:
-            cached = self._slices[key] = tree_node_slices(
+            cached = self._tree_slices[key] = tree_node_slices(
                 node, self.path_coverage, self.node_tensors(node))
         else:
             self.memo_hits += 1
@@ -143,7 +169,8 @@ class TreeContext(AnalysisContext):
             path = [leaf, *leaf.ancestors()]
             # zip drops the trailing root coverage.
             covs = self._path_cov[id(leaf)] = dict(zip(
-                map(id, path), _path_coverage(tuple(leaf.op.dims), path)))
+                map(id, path), _path_coverage(tuple(leaf.op.dims),
+                                              [n.split for n in path])))
         return covs
 
     def num_pe(self, node: TileNode) -> Tuple[int, int]:
@@ -166,18 +193,62 @@ class TreeContext(AnalysisContext):
     def subtree_uses(self, node: TileNode, tensor_name: str) -> bool:
         return tensor_name in self.node_slices(node).tensors
 
-    def staged_bytes_lower_bound(self, node: TileNode) -> float:
-        slices = self.node_slices(node)
-        total = 0.0
-        for tensor_name in slices.tensors:
-            factor = 2.0 if self.tensor_crossing(node, tensor_name) else 1.0
-            total += (factor * slices.staged_words[tensor_name]
-                      * self.tree.workload.tensor(tensor_name).word_bytes)
-        return total
-
 
 class TreeDataMovementAnalysis(DataMovementAnalysis):
-    """§5.1 with every walk built afresh from the tree."""
+    """§5.1 node by node, with every walk built afresh from the tree."""
+
+    def run(self) -> DataMovementResult:
+        traffic: Dict[int, LevelTraffic] = {
+            i: LevelTraffic() for i in range(self.arch.num_levels)}
+        flows_at = [self._analyze_node(node, traffic)
+                    for node in self.tree.nodes()]
+        self._add_compute_accesses(traffic)
+        return DataMovementResult(traffic=traffic, flows_at=flows_at)
+
+    def _analyze_node(self, node: TileNode,
+                      traffic: Dict[int, LevelTraffic]) -> NodeFlows:
+        """One node's flows; its traffic is added to ``traffic``."""
+        source_level = (node.parent.level if node.parent is not None
+                        else self.arch.dram_index)
+        target, source = traffic[node.level], traffic[source_level]
+        slices = self.ctx.node_slices(node)
+        flows = NodeFlows(node, staged_words=slices.staged_words)
+        for tensor_name, reader, writer in self._crossings(node):
+            extents = slices.extents[tensor_name]
+            if reader is not None:
+                walk = self._walk(node, tensor_name, reader)
+                words = self._walk_volume(extents, reader[0], walk)
+                flows.fills[tensor_name] = (
+                    flows.fills.get(tensor_name, 0.0) + words)
+                target.add("fill", tensor_name, words)
+                source.add("read", tensor_name, words)
+            if writer is not None:
+                access = writer[0]
+                walk = self._walk(node, tensor_name, writer)
+                words = self._walk_volume(extents, access, walk)
+                flows.updates[tensor_name] = (
+                    flows.updates.get(tensor_name, 0.0) + words)
+                source.add("update", tensor_name, words)
+                ideal = self._ideal_update_volume(extents, access, walk,
+                                                  writer[2])
+                rmw = max(0.0, words - ideal) if self.model_rmw else 0.0
+                if rmw > 0:
+                    flows.fills[tensor_name] = (
+                        flows.fills.get(tensor_name, 0.0) + rmw)
+                    target.add("fill", tensor_name, rmw)
+                    source.add("read", tensor_name, rmw)
+        return flows
+
+    def _ideal_update_volume(self, extents, access, walk: Walk,
+                             reduction_dims) -> float:
+        """Update volume if no reduction loop ever displaced the slice."""
+        loops = [lp for lp in walk.loops if lp.dim not in reduction_dims]
+        mult_red = 1.0
+        for lp in walk.multiplied:
+            if lp.dim in reduction_dims:
+                mult_red *= lp.count
+        return self._walk_volume(extents, access, Walk(
+            loops, walk.multiplier / max(1.0, mult_red), []))
 
     def _crossings(self, node: TileNode) -> Sequence[Crossing]:
         ctx = self.ctx
@@ -197,13 +268,13 @@ class TreeDataMovementAnalysis(DataMovementAnalysis):
             crossings.append((name, sides[0], sides[1]))
         return crossings
 
-    def _walk(self, node: TileNode, tensor_name: str, side: Side) -> _Walk:
+    def _walk(self, node: TileNode, tensor_name: str, side: Side) -> Walk:
         return self._build_walk(node, tensor_name, side[0],
                                 self.ctx.home(tensor_name))
 
     def _build_walk(self, node: TileNode, tensor_name: str,
                     access: TensorAccess,
-                    home: Optional[TileNode]) -> _Walk:
+                    home: Optional[TileNode]) -> Walk:
         """Ancestor loop walk with Seq-eviction and LCA truncation."""
         walk_inner_to_outer: List[Loop] = []
         multiplied: List[Loop] = []
@@ -242,7 +313,7 @@ class TreeDataMovementAnalysis(DataMovementAnalysis):
         multiplier = 1.0
         for lp in multiplied:
             multiplier *= lp.count
-        return _Walk(walk_inner_to_outer, multiplier, multiplied, None)
+        return Walk(walk_inner_to_outer, multiplier, multiplied)
 
     def _loop_displaces(self, access: TensorAccess, lp: Loop) -> bool:
         """Whether one step of ``lp`` moves the access's slice."""
@@ -250,7 +321,7 @@ class TreeDataMovementAnalysis(DataMovementAnalysis):
         return any(access.coefficients(lp.dim))
 
     def _walk_volume(self, extents: Sequence[int], access: TensorAccess,
-                     walk: _Walk) -> float:
+                     walk: Walk) -> float:
         return (self._recursion_volume(extents, access, walk.loops)
                 * walk.multiplier)
 

@@ -2,7 +2,10 @@
 
 import io
 import json
+import os
 import pickle
+import subprocess
+import sys
 
 import pytest
 
@@ -136,7 +139,44 @@ class TestSchema:
             checked_in = json.load(fh)
         assert checked_in == events.event_schema(), (
             "tests/data/event_schema.json is stale; regenerate with "
-            "`python -m repro.obs.events --print-schema`")
+            "`python -m repro.obs --print-schema`")
+
+    def test_module_entry_point_runs_under_runtime_warnings_as_errors(
+            self, tmp_path):
+        # ``python -m repro.obs.events`` re-executed a module the package
+        # had already imported, which warns on every run; the package
+        # entry point must run cleanly with such warnings made errors.
+        root = os.path.dirname(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (os.path.join(root, "src"), env.get("PYTHONPATH"))
+            if p)
+        trace = tmp_path / "trace.jsonl"
+        sink = events.JsonlSink(str(trace))
+        events.enable(sinks=[sink])
+        try:
+            events.emit("run.start", command="search", label="test")
+        finally:
+            events.disable()
+            sink.close()
+
+        def run(*args):
+            return subprocess.run(
+                [sys.executable, "-W", "error::RuntimeWarning", "-m",
+                 "repro.obs", *args], capture_output=True, text=True,
+                env=env, cwd=root, timeout=120)
+
+        printed = run("--print-schema")
+        assert printed.returncode == 0, printed.stderr
+        assert json.loads(printed.stdout) == events.event_schema()
+        checked = run("--validate", str(trace), "--schema",
+                      "tests/data/event_schema.json")
+        assert checked.returncode == 0, checked.stderr
+        assert checked.stderr == ""
+        assert checked.stdout.splitlines() == [
+            "tests/data/event_schema.json: matches the record registry",
+            f"{trace}: OK"]
 
     def test_every_kind_has_known_category(self):
         for kind, (category, fields) in events.EVENT_TYPES.items():

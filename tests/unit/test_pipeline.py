@@ -4,15 +4,17 @@ import inspect
 
 import pytest
 
-from repro import arch, obs
+from repro import arch, obs, workloads
 from repro.analysis import (DEFAULT_PASSES, PRESCREEN_PASSES,
                             AnalysisContext, DataMovementAnalysis,
                             TileFlowModel, run_passes)
 from repro.baselines.graphbased import GraphBasedModel
 from repro.dataflows import attention_dataflow
+from repro.engine import EvaluationEngine
 from repro.engine.prescreen import is_prescreened, prescreen, rejected_result
 from repro.errors import TreeValidationError
 from repro.ir import Operator, Tensor, Workload, simple_access
+from repro.mapper import Genome
 from repro.tile import AnalysisTree, FusionNode, OpTile, temporal
 from repro.workloads import self_attention
 from tree_reference import num_pe_demand
@@ -212,3 +214,28 @@ class TestMovementEntryPoint:
             other = direct.traffic[level]
             assert (lt.fill, lt.read, lt.update) == (
                 other.fill, other.read, other.update)
+
+
+class TestTunePathAttribution:
+    def test_profiled_tune_spans_every_pass_once_per_point(self):
+        """A genome tune prices every point on one re-armed context;
+        under a profile each pass still records its own span, once per
+        point that reaches it."""
+        workload, spec = workloads.by_name("Bert-S"), arch.edge()
+        engine = EvaluationEngine(workload, spec)
+        with obs.capture() as sink:
+            engine.tune_genome(Genome.unfused(workload), seed=3,
+                               samples=20)
+        names = spans(sink)
+        stats = engine.stats
+        assert stats.evaluations > 0 and stats.prescreen_rejects > 0
+        passes = {p.name for p in (*DEFAULT_PASSES, *PRESCREEN_PASSES)}
+        assert len(passes) == 7
+        for name in passes:
+            assert f"model.pass.{name}" in names, name
+        for name in ("datamovement", "resources", "latency", "energy"):
+            assert (names.count(f"model.pass.{name}")
+                    == stats.evaluations), name
+        screened = stats.evaluations + stats.prescreen_rejects
+        for name in ("validate", "slices", "resource_bounds"):
+            assert names.count(f"model.pass.{name}") == screened, name

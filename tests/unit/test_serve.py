@@ -709,6 +709,68 @@ class TestHTTPAPI:
         assert "Content-Length" in json.loads(resp.read())["error"]
         conn.close()
 
+    def _post_with_headers(self, httpd, path, headers, body):
+        """(status, payload) of a POST carrying exactly ``headers``
+        (repeats included) and ``body``."""
+        conn = http.client.HTTPConnection(
+            "127.0.0.1", httpd.server_address[1], timeout=10)
+        conn.putrequest("POST", path)
+        for name, value in headers:
+            conn.putheader(name, value)
+        conn.endheaders(body)
+        resp = conn.getresponse()
+        payload = json.loads(resp.read())
+        conn.close()
+        return resp.status, payload
+
+    _JOB = json.dumps({"kind": "evaluate",
+                       "spec": {"workload": "Bert-S",
+                                "dataflow": "layerwise"}}).encode()
+
+    @pytest.mark.parametrize("path", ["/jobs", "/admin/cache/clear"])
+    @pytest.mark.parametrize("lengths", [
+        lambda n: [f"+{n}"],
+        lambda n: ["_".join(str(n))],
+        lambda n: [f"{n}.0"],
+        lambda n: [str(n), str(n + 1)],
+        lambda n: [str(n), ""],
+    ], ids=["plus-sign", "underscores", "decimal", "conflicting-repeat",
+            "empty-repeat"])
+    def test_malformed_content_length_is_400(self, server, path, lengths):
+        # int() reads "+70" and "7_0" as 70, and the first of two
+        # differing headers used to win: each is refused before any
+        # body byte is read, and no job is queued.
+        httpd, svc = server
+        status, payload = self._post_with_headers(
+            httpd, path, [("Content-Length", v)
+                          for v in lengths(len(self._JOB))], self._JOB)
+        assert status == 400
+        assert "Content-Length" in payload["error"]
+        assert _request(httpd, "GET", "/jobs")[1] == {"jobs": []}
+
+    def test_equal_repeated_content_length_is_accepted(self, server):
+        httpd, svc = server
+        n = str(len(self._JOB))
+        status, payload = self._post_with_headers(
+            httpd, "/jobs", [("Content-Length", n), ("Content-Length", n)],
+            self._JOB)
+        assert status == 202 and payload["kind"] == "evaluate"
+        assert svc.wait_drained(timeout=30)
+
+    @pytest.mark.parametrize("path", ["/jobs", "/admin/cache/clear"])
+    @pytest.mark.parametrize("with_length", [True, False])
+    def test_transfer_encoding_is_501(self, server, path, with_length):
+        httpd, _svc = server
+        chunked = b"%x\r\n%s\r\n0\r\n\r\n" % (len(self._JOB), self._JOB)
+        headers = [("Transfer-Encoding", "chunked")]
+        if with_length:
+            headers.append(("Content-Length", str(len(self._JOB))))
+        status, payload = self._post_with_headers(httpd, path, headers,
+                                                  chunked)
+        assert status == 501
+        assert "Transfer-Encoding" in payload["error"]
+        assert _request(httpd, "GET", "/jobs")[1] == {"jobs": []}
+
     @pytest.mark.parametrize("raw", [
         b"[" * 30000 + b"]" * 30000,
         b'{"kind": "search", "spec": {"seed": ' + b"1" * 5000 + b"}}",
