@@ -464,10 +464,10 @@ def cmd_client(args) -> int:
         raise SystemExit(f"service error: {exc}")
     except BrokenPipeError:  # our stdout closed, e.g. `... | head`
         raise
+    except TimeoutError as exc:  # an OSError: caught before the next
+        raise SystemExit(str(exc))
     except (ConnectionError, OSError) as exc:
         raise SystemExit(f"cannot reach {args.url}: {exc}")
-    except TimeoutError as exc:
-        raise SystemExit(str(exc))
 
 
 class _CommandParser(argparse.ArgumentParser):

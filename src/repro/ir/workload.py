@@ -68,6 +68,9 @@ class Workload:
         #: tensor name -> the operators reading it, in operator order.
         self._consumers: Dict[str, Tuple[Operator, ...]] = {
             t: tuple(ops) for t, ops in consumers.items()}
+        #: Arithmetic operations for one full execution of every
+        #: operator (the operators never change, so summed once).
+        self.total_ops: float = sum(op.total_ops for op in self.operators)
 
     # ------------------------------------------------------------------
     # Lookup
@@ -122,11 +125,6 @@ class Workload:
     # ------------------------------------------------------------------
     # Aggregate properties
     # ------------------------------------------------------------------
-    @property
-    def total_ops(self) -> float:
-        """Arithmetic operations for one full execution of every operator."""
-        return sum(op.total_ops for op in self.operators)
-
     def dependency_chain(self) -> List[Tuple[str, str, str]]:
         """(producer, tensor, consumer) triples, in operator order."""
         chain = []

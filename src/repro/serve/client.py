@@ -1,19 +1,26 @@
-"""Thin urllib client for the evaluation service.
+"""Keep-alive HTTP/1.1 client for the evaluation service.
 
 :class:`ServiceClient` wraps the HTTP API in plain method calls —
 ``repro client submit|status|watch|result|stats`` is built on it, and
-tests/benchmarks drive servers through it.  Stdlib only (urllib); error
-responses surface as :class:`ServiceError` carrying the HTTP status and
-the server's JSON ``error`` message.
+tests/benchmarks drive servers through it.  Stdlib only
+(:mod:`http.client`); error responses surface as :class:`ServiceError`
+carrying the HTTP status and the server's JSON ``error`` message.
+
+Requests reuse idle connections, so a client's jobs (submit, event
+stream, status) normally travel over one connection.  Threads may share
+one client: each request takes a connection off a lock-guarded stack of
+idle ones (or opens a new one) and puts it back only once its response
+has been read to the end.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
+import threading
 import time
-import urllib.error
-import urllib.request
-from typing import Any, Dict, Iterator, Optional
+from typing import Any, Dict, Iterator, List, Optional, Tuple
+from urllib.parse import urlsplit
 
 from .jobs import TERMINAL_STATES
 
@@ -33,31 +40,90 @@ class ServiceClient:
     def __init__(self, base_url: str, timeout: float = 30.0):
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
+        url = urlsplit(self.base_url)
+        self._connection_class = (http.client.HTTPSConnection
+                                  if url.scheme == "https"
+                                  else http.client.HTTPConnection)
+        self._host = url.netloc
+        self._prefix = url.path
+        self._idle: List[http.client.HTTPConnection] = []
+        self._lock = threading.Lock()
 
     # -- transport -------------------------------------------------------
+    def _send(self, method: str, path: str, body: Optional[bytes],
+              timeout: float
+              ) -> Tuple[http.client.HTTPConnection,
+                         http.client.HTTPResponse]:
+        """Send one request; returns its connection and the response,
+        whose body the caller reads.
+
+        A reused connection the server has closed meanwhile (it drops
+        idle ones) fails before any response byte arrives: the request
+        is then sent once more, on a fresh connection.
+        """
+        headers = ({"Content-Type": "application/json"}
+                   if body is not None else {})
+        with self._lock:
+            conn = self._idle.pop() if self._idle else None
+        if conn is None:
+            conn = self._connection_class(self._host, timeout=timeout)
+        while True:
+            reused = conn.sock is not None
+            if reused:
+                conn.sock.settimeout(timeout)
+            else:
+                conn.timeout = timeout
+            try:
+                conn.request(method, self._prefix + path, body, headers)
+                return conn, conn.getresponse()
+            except ConnectionError:
+                conn.close()
+                if not reused:
+                    raise
+            except BaseException:
+                conn.close()
+                raise
+
+    def _release(self, conn: http.client.HTTPConnection,
+                 resp: http.client.HTTPResponse) -> None:
+        """Keep ``conn`` for reuse if ``resp`` was read to its end and
+        the server left the connection open; else close it."""
+        if resp.isclosed() and conn.sock is not None:
+            with self._lock:
+                self._idle.append(conn)
+        else:
+            conn.close()
+
     def _request(self, method: str, path: str,
                  body: Optional[Dict[str, Any]] = None,
                  timeout: Optional[float] = None) -> Dict[str, Any]:
-        data = (json.dumps(body).encode()
-                if body is not None else None)
-        req = urllib.request.Request(
-            self.base_url + path, data=data, method=method,
-            headers={"Content-Type": "application/json"}
-            if data is not None else {})
+        data = json.dumps(body).encode() if body is not None else None
+        conn, resp = self._send(method, path, data, self.timeout
+                                if timeout is None else timeout)
         try:
-            with urllib.request.urlopen(
-                    req, timeout=self.timeout
-                    if timeout is None else timeout) as resp:
-                return json.loads(resp.read().decode())
-        except urllib.error.HTTPError as exc:
-            raise ServiceError(exc.code, self._error_message(exc))
+            raw = resp.read()
+        except BaseException:
+            conn.close()
+            raise
+        self._release(conn, resp)
+        if resp.status >= 400:
+            raise ServiceError(resp.status,
+                               self._error_message(raw, resp.reason))
+        return json.loads(raw.decode())
 
     @staticmethod
-    def _error_message(exc: urllib.error.HTTPError) -> str:
+    def _error_message(raw: bytes, reason: str) -> str:
         try:
-            return str(json.loads(exc.read().decode()).get("error", ""))
+            return str(json.loads(raw.decode()).get("error", ""))
         except Exception:  # noqa: BLE001 - non-JSON error body
-            return exc.reason or "request failed"
+            return reason or "request failed"
+
+    def close(self) -> None:
+        """Close the connections that are idle now."""
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
 
     # -- API -------------------------------------------------------------
     def health(self) -> Dict[str, Any]:
@@ -88,41 +154,61 @@ class ServiceClient:
         return self._request("POST", "/admin/cache/clear",
                              {"reset_counters": bool(reset_counters)})
 
-    def result(self, job_id: str, timeout: float = 120.0,
-               poll_s: float = 0.2) -> Dict[str, Any]:
+    def result(self, job_id: str, timeout: float = 120.0
+               ) -> Dict[str, Any]:
         """Block until the job is terminal; returns its full status.
 
-        Raises :class:`TimeoutError` if the job is still live after
-        ``timeout`` seconds and :class:`ServiceError` on HTTP errors.
+        Follows the job's event stream to its end (which the server
+        sends when the job is terminal), then fetches the status once.
+        A stream that goes quiet for the client's socket timeout is
+        re-opened past the events already read.  Raises
+        :class:`TimeoutError` if the job is still live after ``timeout``
+        seconds and :class:`ServiceError` on HTTP errors.
         """
         deadline = time.monotonic() + timeout
+        since = 0
         while True:
+            left = deadline - time.monotonic()
+            if left > 0:
+                try:
+                    for _ in self._events(job_id, since, True,
+                                          min(left, self.timeout)):
+                        since += 1
+                except TimeoutError:
+                    continue
             status = self.status(job_id)
             if status.get("state") in TERMINAL_STATES:
                 return status
-            if time.monotonic() >= deadline:
+            if left <= 0:
                 raise TimeoutError(
                     f"job {job_id} still {status.get('state')!r} after "
                     f"{timeout}s")
-            time.sleep(poll_s)
 
     def watch(self, job_id: str, since: int = 0,
               follow: bool = True) -> Iterator[Dict[str, Any]]:
         """Yield the job's events as decoded dicts.
 
         With ``follow`` (default) the stream tracks the job live and
-        ends when the job reaches a terminal state (the server closes
-        the connection); ``follow=False`` returns only what is already
-        buffered.
+        ends when the job reaches a terminal state; ``follow=False``
+        returns only what is already buffered.  A generator left before
+        the end of its stream closes its connection.
         """
-        url = (f"{self.base_url}/jobs/{job_id}/events"
-               f"?since={since}&follow={'1' if follow else '0'}")
-        req = urllib.request.Request(url)
+        return self._events(job_id, since, follow, self.timeout)
+
+    def _events(self, job_id: str, since: int, follow: bool,
+                timeout: float) -> Iterator[Dict[str, Any]]:
+        conn, resp = self._send(
+            "GET", f"/jobs/{job_id}/events?since={since}"
+                   f"&follow={'1' if follow else '0'}", None, timeout)
         try:
-            with urllib.request.urlopen(req, timeout=self.timeout) as resp:
-                for line in resp:
-                    line = line.strip()
-                    if line:
-                        yield json.loads(line.decode())
-        except urllib.error.HTTPError as exc:
-            raise ServiceError(exc.code, self._error_message(exc))
+            if resp.status >= 400:
+                raise ServiceError(resp.status, self._error_message(
+                    resp.read(), resp.reason))
+            for line in resp:
+                line = line.strip()
+                if line:
+                    yield json.loads(line.decode())
+        except BaseException:
+            conn.close()
+            raise
+        self._release(conn, resp)

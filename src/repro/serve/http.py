@@ -16,24 +16,31 @@ Routes (all JSON unless noted)::
 Status codes: 400 malformed body/kind/spec or a ``Content-Length`` that
 is not one run of ASCII digits (or repeats with differing values), 404
 unknown job or path, 409 cancel of a non-queued job, 411 missing
-Content-Length, 413 body over the configured cap, 429 queue full
-(backpressure), 501 any ``Transfer-Encoding``, 503 + ``Retry-After``
-while draining.  A connection is closed without a
-response when its request line, headers and body have not all arrived
-:data:`SOCKET_TIMEOUT_S` after it opened (a body shorter than its
-``Content-Length``, a client trickling bytes in), or when one write
-stalls that long (an events reader that stops reading).
+Content-Length, 413 body over the configured cap, 414 a request line
+over 65,536 bytes, 429 queue full (backpressure), 431 over 100 headers
+or a header line over 65,536 bytes, 501 any ``Transfer-Encoding``,
+503 + ``Retry-After`` while draining.  A connection is closed without a
+response when a request's line, headers and body have not all arrived
+:data:`SOCKET_TIMEOUT_S` after the previous response (or the connect),
+which also closes a kept-alive connection left idle that long, or when
+one write stalls that long (an events reader that stops reading).
 
-Built on :class:`http.server.ThreadingHTTPServer` with HTTP/1.0
-connection-per-request semantics: the events endpoint streams NDJSON
-lines as the job produces them and signals completion by closing the
-connection — no chunked encoding, readable with bare ``urllib``.
+Built on :class:`http.server.ThreadingHTTPServer` speaking HTTP/1.1: a
+client's requests share one kept-alive connection and its handler
+thread.  The connection closes after any error response, and after any
+request whose body the handler did not read to its end (the unread
+bytes must never parse as the next request).  The events endpoint
+streams NDJSON lines as the job produces them; a kept-alive HTTP/1.1
+connection gets them in chunked framing, ended by the last chunk, and
+an HTTP/1.0 or ``Connection: close`` client gets a stream that ends
+when the server closes the connection, readable with bare ``urllib``.
 
 Each JSON response goes out in one socket write (status line, headers
 and body together), and the events stream sends each batch of fresh
 events in one write, the first batch together with the headers: every
 write is a syscall the handler thread makes without the GIL and must
-then wait to get back.
+then wait to get back.  Nagle's algorithm is off, so a small write is
+not held back waiting for the client's delayed ACK of the previous one.
 """
 
 from __future__ import annotations
@@ -55,16 +62,18 @@ DEFAULT_MAX_BODY = 64 * 1024
 #: Seconds a draining server advertises in ``Retry-After``.
 RETRY_AFTER_S = 5
 #: Seconds a request (line, headers and body together) may take to
-#: arrive, and any one socket write may stall, before the handler drops
-#: the connection (the stdlib's ``handle_one_request`` closes it on
-#: ``TimeoutError``): a client that sends fewer body bytes than its
-#: ``Content-Length``, or sends them a byte at a time, would otherwise
-#: pin a handler thread.
+#: arrive, counted from the end of the previous request on the
+#: connection, and any one socket write may stall, before the handler
+#: drops the connection (the stdlib's ``handle_one_request`` closes it
+#: on ``TimeoutError``): an idle kept-alive connection, or a client that
+#: sends fewer body bytes than its ``Content-Length``, or sends them a
+#: byte at a time, would otherwise pin a handler thread.
 SOCKET_TIMEOUT_S = 30.0
 
 
 class _DeadlineReader(io.RawIOBase):
-    """A connection's reads under one deadline, ``seconds`` from now.
+    """A connection's reads under a deadline, ``seconds`` after the last
+    :meth:`restart`.
 
     Each ``recv`` waits at most for the time left, so a request that
     trickles in is dropped when the deadline passes, however often a
@@ -75,7 +84,10 @@ class _DeadlineReader(io.RawIOBase):
     def __init__(self, sock: socket.socket, seconds: float):
         self._sock = sock
         self._seconds = seconds
-        self._deadline = time.monotonic() + seconds
+        self.restart()
+
+    def restart(self) -> None:
+        self._deadline = time.monotonic() + self._seconds
 
     def readable(self) -> bool:
         return True
@@ -107,8 +119,8 @@ class ServiceHTTPServer(ThreadingHTTPServer):
 
 
 class ServiceRequestHandler(BaseHTTPRequestHandler):
-    # Connection-close semantics: streamed responses end at EOF.
-    protocol_version = "HTTP/1.0"
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
     timeout = SOCKET_TIMEOUT_S
     server: ServiceHTTPServer
 
@@ -117,8 +129,33 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         super().setup()
         # The request line, the headers and the body share one deadline.
         self.rfile.close()
-        self.rfile = io.BufferedReader(
-            _DeadlineReader(self.connection, self.timeout))
+        self._reader = _DeadlineReader(self.connection, self.timeout)
+        self.rfile = io.BufferedReader(self._reader)
+
+    def handle_one_request(self) -> None:
+        self._reader.restart()
+        #: A body the request announced and the handler has not read.
+        self._body_unread = False
+        super().handle_one_request()
+
+    def parse_request(self) -> bool:
+        if not super().parse_request():
+            return False
+        if self.request_version != "HTTP/1.1":
+            self.close_connection = True  # no keep-alive before 1.1
+        self._body_unread = (
+            self.headers.get("Transfer-Encoding") is not None
+            or any(v.strip() != "0"
+                   for v in self.headers.get_all("Content-Length", ())))
+        return True
+
+    def _keep_alive(self, code: int = 200) -> bool:
+        """Whether the connection stays open after this response; an
+        error, or a request body left unread, closes it, and the
+        response's headers say so."""
+        if code >= 400 or self._body_unread:
+            self.send_header("Connection", "close")
+        return not self.close_connection
 
     def log_message(self, fmt: str, *args: Any) -> None:
         """Quiet by default; the CLI owns user-facing output."""
@@ -144,6 +181,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         for name, value in (headers or {}).items():
             self.send_header(name, value)
+        self._keep_alive(code)
         self._end_headers_with(body)
 
     def _error(self, code: int, message: str,
@@ -199,6 +237,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         if n == 0 and not required:
             return {}
         raw = self.rfile.read(n)
+        self._body_unread = False
         try:
             obj = json.loads(raw.decode("utf-8"))
         except (ValueError, RecursionError) as exc:
@@ -322,6 +361,9 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         follow = query.get("follow", ["1"])[0] not in ("0", "false")
         self.send_response(200)
         self.send_header("Content-Type", "application/x-ndjson")
+        chunked = self._keep_alive()
+        if chunked:
+            self.send_header("Transfer-Encoding", "chunked")
         head_sent = False
         try:
             while True:
@@ -331,15 +373,20 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
                                            allow_nan=False) + "\n"
                                 for event in fresh).encode()
                 since += len(fresh)
+                last = done or not follow
+                if chunked:  # an empty chunk would end the stream
+                    batch = ((b"%x\r\n%s\r\n" % (len(batch), batch)
+                              if batch else b"")
+                             + (b"0\r\n\r\n" if last else b""))
                 if not head_sent:
                     self._end_headers_with(batch)
                     head_sent = True
                 elif batch:
                     self.wfile.write(batch)
-                if done or not follow:
+                if last:
                     return
         except (BrokenPipeError, ConnectionResetError):
-            return  # client went away mid-stream
+            self.close_connection = True  # client went away mid-stream
 
 
 def make_server(host: str, port: int, service: EvaluationService,

@@ -281,3 +281,29 @@ class TestClientClosedStdout:
         assert proc.returncode == 141, err
         assert b"cannot reach" not in err
         assert b"Traceback" not in err
+
+
+class TestClientResultTimeout:
+    def test_live_job_past_the_timeout_is_reported_as_such(self):
+        """`repro client result --timeout` on a job that is still live
+        names the job's state, not an unreachable server (the
+        TimeoutError it raises is an OSError too)."""
+        import threading
+
+        from repro.serve import EvaluationService, make_server
+
+        svc = EvaluationService(workers=1)  # never started: stays queued
+        job = svc.submit("evaluate", {"workload": "Bert-S",
+                                      "dataflow": "layerwise"})
+        httpd = make_server("127.0.0.1", 0, svc)
+        threading.Thread(target=httpd.serve_forever, daemon=True).start()
+        try:
+            with pytest.raises(SystemExit) as exc:
+                main(["client", "result", job.id, "--timeout", "0.3",
+                      "--url",
+                      f"http://127.0.0.1:{httpd.server_address[1]}"])
+        finally:
+            httpd.shutdown()
+            httpd.server_close()
+        assert "still 'queued'" in str(exc.value.code)
+        assert "cannot reach" not in str(exc.value.code)

@@ -11,8 +11,8 @@ import pytest
 from repro.engine.cache import SubtreeArtifactCache
 from repro.obs import events
 from repro.serve import (EvaluationService, InvalidTransition, JobQueue,
-                         QueueClosed, QueueFull, SpecError, UnknownJob,
-                         make_server)
+                         QueueClosed, QueueFull, ServiceClient, SpecError,
+                         UnknownJob, make_server)
 from repro.serve.http import DEFAULT_MAX_BODY
 
 
@@ -843,6 +843,296 @@ class TestHTTPAPI:
         else:  # tiny race: the worker claimed it first
             assert status == 409
         svc.wait_drained(timeout=60)
+
+
+# ---------------------------------------------------------------------------
+# Keep-alive: one connection per client, and what must close it.
+
+def _count_connections(httpd):
+    """The list of client addresses the server accepts from now on."""
+    accepted = []
+    get_request = httpd.get_request
+
+    def counting():
+        request = get_request()
+        accepted.append(request[1])
+        return request
+
+    httpd.get_request = counting
+    return accepted
+
+
+def _client(httpd, **kwargs) -> ServiceClient:
+    return ServiceClient(f"http://127.0.0.1:{httpd.server_address[1]}",
+                         **kwargs)
+
+
+def _exchange(httpd, raw: bytes) -> bytes:
+    """Send ``raw`` on a fresh socket; everything received until the
+    server closes the connection (a reset after it ends the read too)."""
+    import socket
+
+    sock = socket.create_connection(
+        ("127.0.0.1", httpd.server_address[1]), timeout=10)
+    received = b""
+    try:
+        sock.sendall(raw)
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            received += chunk
+    except ConnectionResetError:
+        pass
+    finally:
+        sock.close()
+    return received
+
+
+@pytest.fixture
+def idle_server():
+    """An HTTP server over a service whose workers never start, so a
+    submitted job stays queued."""
+    svc = EvaluationService(workers=1, max_queue=4)
+    httpd = make_server("127.0.0.1", 0, svc, max_body=2048)
+    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+    thread.start()
+    yield httpd, svc
+    httpd.shutdown()
+    httpd.server_close()
+    svc.stop(timeout=5)
+
+
+class TestKeepAlive:
+    def test_one_client_thread_uses_one_connection(self, server):
+        httpd, _svc = server
+        accepted = _count_connections(httpd)
+        client = _client(httpd)
+        for _ in range(5):
+            job = client.submit("evaluate", dict(_EVAL_SPEC))
+            kinds = [e["kind"] for e in client.watch(job["id"])]
+            assert kinds[0] == "run.start" and kinds[-1] == "run.end"
+            assert client.status(job["id"])["state"] == "done"
+        client.close()
+        assert len(accepted) == 1
+
+    def test_events_stream_is_chunked_on_a_kept_alive_connection(
+            self, server):
+        httpd, svc = server
+        _status, job, _ = _request(httpd, "POST", "/jobs", {
+            "kind": "evaluate", "spec": dict(_EVAL_SPEC)})
+        assert svc.wait_drained(timeout=30)
+        accepted = _count_connections(httpd)
+        conn = http.client.HTTPConnection(
+            "127.0.0.1", httpd.server_address[1], timeout=30)
+        conn.request("GET", f"/jobs/{job['id']}/events")
+        resp = conn.getresponse()
+        assert resp.getheader("Transfer-Encoding") == "chunked"
+        lines = [json.loads(line) for line in resp.read().splitlines()]
+        assert lines[0]["kind"] == "run.start"
+        assert lines[-1]["kind"] == "run.end"
+        conn.request("GET", f"/jobs/{job['id']}")
+        resp = conn.getresponse()
+        assert json.loads(resp.read())["state"] == "done"
+        conn.close()
+        assert len(accepted) == 1
+
+    def test_http10_events_reader_gets_a_stream_ending_at_eof(
+            self, server):
+        httpd, svc = server
+        _status, job, _ = _request(httpd, "POST", "/jobs", {
+            "kind": "evaluate", "spec": dict(_EVAL_SPEC)})
+        assert svc.wait_drained(timeout=30)
+        raw = _exchange(httpd, f"GET /jobs/{job['id']}/events HTTP/1.0"
+                               f"\r\n\r\n".encode())
+        head, _, body = raw.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 200")
+        assert b"Transfer-Encoding" not in head
+        kinds = [json.loads(line)["kind"] for line in body.splitlines()]
+        assert kinds[0] == "run.start" and kinds[-1] == "run.end"
+
+    def test_unread_get_body_is_not_run_as_a_request(self, idle_server):
+        """A GET whose body holds a complete DELETE request: the GET is
+        answered, the connection closes, and the queued job stays
+        queued."""
+        httpd, svc = idle_server
+        job = svc.submit("evaluate", dict(_EVAL_SPEC))
+        smuggled = (f"DELETE /jobs/{job.id} HTTP/1.1\r\n"
+                    f"Host: x\r\n\r\n").encode()
+        raw = _exchange(httpd, b"GET /healthz HTTP/1.1\r\nHost: x\r\n"
+                        + f"Content-Length: {len(smuggled)}\r\n\r\n"
+                        .encode() + smuggled)
+        assert raw.startswith(b"HTTP/1.1 200")
+        assert raw.count(b"HTTP/1.1") == 1
+        assert b"Connection: close" in raw
+        assert svc.queue.get(job.id).state == "queued"
+
+    def test_unread_post_body_closes_the_connection(self, server):
+        """``POST /admin/drain`` does not read its body: the 202 closes
+        the connection."""
+        httpd, svc = server
+        raw = _exchange(httpd, b"POST /admin/drain HTTP/1.1\r\nHost: x"
+                               b"\r\nContent-Length: 2\r\n\r\n{}")
+        assert raw.startswith(b"HTTP/1.1 202")
+        assert b"Connection: close" in raw
+        assert svc.draining
+
+    def test_error_response_closes_the_connection(self, server):
+        httpd, _svc = server
+        raw = _exchange(httpd, b"GET /nope HTTP/1.1\r\nHost: x\r\n\r\n"
+                               b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+        assert raw.startswith(b"HTTP/1.1 404")
+        assert raw.count(b"HTTP/1.1") == 1
+        assert b"Connection: close" in raw
+
+    def test_idle_connection_is_closed_and_the_client_reconnects(
+            self, server, monkeypatch):
+        import select
+
+        from repro.serve.http import ServiceRequestHandler
+
+        monkeypatch.setattr(ServiceRequestHandler, "timeout", 0.3)
+        httpd, _svc = server
+        accepted = _count_connections(httpd)
+        client = _client(httpd)
+        # Each request restarts the deadline: a connection in use for
+        # twice the timeout stays open.
+        for _ in range(6):
+            assert client.health() == {"status": "ok"}
+            time.sleep(0.1)
+        assert len(accepted) == 1
+        (idle,) = client._idle
+        sock = idle.sock
+        start = time.monotonic()
+        assert select.select([sock], [], [], 5)[0] == [sock]
+        assert sock.recv(1) == b""  # the server closed it
+        assert 0.2 < time.monotonic() - start < 5
+        assert client.health() == {"status": "ok"}
+        client.close()
+        assert len(accepted) == 2
+
+    def test_threads_sharing_a_client_never_share_a_connection(
+            self, server):
+        """Stress: more threads than cores share one client under a
+        tiny switch interval.  Each request holds its connection alone,
+        so no response goes astray and no more connections open than
+        threads."""
+        import sys
+
+        httpd, svc = server
+        job = svc.submit("evaluate", dict(_EVAL_SPEC))
+        assert svc.wait_drained(timeout=30)
+        accepted = _count_connections(httpd)
+        client = _client(httpd)
+        errors = []
+
+        def user(n):
+            try:
+                for _ in range(25):
+                    if n % 2:
+                        assert client.status(job.id)["id"] == job.id
+                    else:
+                        events = list(client.watch(job.id))
+                        assert events[-1]["kind"] == "run.end"
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=user, args=(n,))
+                       for n in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(accepted) <= 6
+        assert len(set(map(id, client._idle))) == len(client._idle) <= 6
+        client.close()
+
+
+# ---------------------------------------------------------------------------
+# Fault injection: oversized requests.
+
+class TestOversizedRequests:
+    _BODY = json.dumps({"kind": "evaluate", "spec": {
+        "workload": "Bert-S", "dataflow": "layerwise"}}).encode()
+
+    @pytest.mark.parametrize("line,headers,status", [
+        (b"POST /jobs?pad=" + b"x" * 65536 + b" HTTP/1.1", [], 414),
+        (b"POST /jobs HTTP/1.1", [b"X-Pad-%d: x" % i for i in range(101)],
+         431),
+        (b"POST /jobs HTTP/1.1", [b"X-Pad: " + b"x" * 65536], 431),
+    ], ids=["request-line-over-65536", "101-headers",
+            "header-line-over-65536"])
+    def test_oversized_request_is_refused_and_closed(
+            self, server, line, headers, status):
+        httpd, svc = server
+        raw = _exchange(httpd, b"\r\n".join(
+            [line, b"Host: x", *headers,
+             b"Content-Length: %d" % len(self._BODY), b""])
+            + b"\r\n" + self._BODY)
+        assert raw.startswith(b"HTTP/1.1 %d" % status)
+        assert b"Connection: close" in raw
+        assert svc.queue.jobs() == []
+        assert _request(httpd, "GET", "/healthz")[0] == 200
+
+
+# ---------------------------------------------------------------------------
+# ServiceClient.result follows the event stream instead of polling.
+
+class TestClientResult:
+    @staticmethod
+    def _slow_evaluate(monkeypatch, seconds):
+        run_evaluate = EvaluationService._run_evaluate
+
+        def slow(self, job):
+            time.sleep(seconds)
+            return run_evaluate(self, job)
+
+        monkeypatch.setattr(EvaluationService, "_run_evaluate", slow)
+
+    def test_result_returns_when_the_job_ends(self, server, monkeypatch):
+        httpd, _svc = server
+        client = _client(httpd)
+        warm = client.submit("evaluate", dict(_EVAL_SPEC))
+        assert client.result(warm["id"])["state"] == "done"
+        self._slow_evaluate(monkeypatch, 0.05)
+        start = time.perf_counter()
+        job = client.submit("evaluate", dict(_EVAL_SPEC))
+        status = client.result(job["id"])
+        elapsed = time.perf_counter() - start
+        client.close()
+        assert status["state"] == "done" and status["result"]
+        assert 0.05 <= elapsed < 0.15
+
+    def test_quiet_stream_is_reopened_until_the_job_ends(
+            self, server, monkeypatch):
+        httpd, _svc = server
+        self._slow_evaluate(monkeypatch, 0.8)
+        client = _client(httpd, timeout=0.2)
+        job = client.submit("evaluate", dict(_EVAL_SPEC))
+        accepted = _count_connections(httpd)
+        status = client.result(job["id"], timeout=30)
+        client.close()
+        assert status["state"] == "done"
+        assert len(accepted) >= 2  # each socket timeout re-opened it
+
+    def test_result_times_out_on_a_live_job(self, server, monkeypatch):
+        httpd, svc = server
+        self._slow_evaluate(monkeypatch, 1.0)
+        client = _client(httpd)
+        job = client.submit("evaluate", dict(_EVAL_SPEC))
+        start = time.monotonic()
+        with pytest.raises(TimeoutError, match="still"):
+            client.result(job["id"], timeout=0.3)
+        assert time.monotonic() - start < 0.9
+        client.close()
+        assert svc.wait_drained(timeout=30)
 
 
 # ---------------------------------------------------------------------------
