@@ -160,29 +160,20 @@ class ServiceClient:
 
         Follows the job's event stream to its end (which the server
         sends when the job is terminal), then fetches the status once.
-        A stream that goes quiet for the client's socket timeout is
-        re-opened past the events already read.  Raises
-        :class:`TimeoutError` if the job is still live after ``timeout``
-        seconds and :class:`ServiceError` on HTTP errors.
+        Raises :class:`TimeoutError` if the job is still live after
+        ``timeout`` seconds and :class:`ServiceError` on HTTP errors.
         """
-        deadline = time.monotonic() + timeout
-        since = 0
-        while True:
-            left = deadline - time.monotonic()
-            if left > 0:
-                try:
-                    for _ in self._events(job_id, since, True,
-                                          min(left, self.timeout)):
-                        since += 1
-                except TimeoutError:
-                    continue
-            status = self.status(job_id)
-            if status.get("state") in TERMINAL_STATES:
-                return status
-            if left <= 0:
-                raise TimeoutError(
-                    f"job {job_id} still {status.get('state')!r} after "
-                    f"{timeout}s")
+        try:
+            for _ in self._events(job_id, 0, True,
+                                  time.monotonic() + timeout):
+                pass
+        except TimeoutError:
+            pass  # the deadline passed first; the status says how far
+        status = self.status(job_id)
+        if status.get("state") in TERMINAL_STATES:
+            return status
+        raise TimeoutError(f"job {job_id} still {status.get('state')!r} "
+                           f"after {timeout}s")
 
     def watch(self, job_id: str, since: int = 0,
               follow: bool = True) -> Iterator[Dict[str, Any]]:
@@ -193,22 +184,44 @@ class ServiceClient:
         returns only what is already buffered.  A generator left before
         the end of its stream closes its connection.
         """
-        return self._events(job_id, since, follow, self.timeout)
+        return self._events(job_id, since, follow)
 
     def _events(self, job_id: str, since: int, follow: bool,
-                timeout: float) -> Iterator[Dict[str, Any]]:
+                deadline: Optional[float] = None
+                ) -> Iterator[Dict[str, Any]]:
+        """The event stream; with a ``deadline`` (a :func:`time.monotonic`
+        value) each read waits only for the time left, and
+        :class:`TimeoutError` is raised once it has passed, however
+        often events arrive."""
+        def time_left() -> float:
+            left = deadline - time.monotonic()
+            if left <= 0:
+                raise TimeoutError(f"events of job {job_id}: deadline "
+                                   "passed")
+            return left
+
         conn, resp = self._send(
             "GET", f"/jobs/{job_id}/events?since={since}"
-                   f"&follow={'1' if follow else '0'}", None, timeout)
+                   f"&follow={'1' if follow else '0'}", None,
+            self.timeout if deadline is None else time_left())
+        sock = conn.sock  # None when the response owns it (no keep-alive)
         try:
             if resp.status >= 400:
                 raise ServiceError(resp.status, self._error_message(
                     resp.read(), resp.reason))
-            for line in resp:
+            while True:
+                if deadline is not None:
+                    left = time_left()
+                    if sock is not None:
+                        sock.settimeout(left)
+                line = resp.readline()
+                if not line:
+                    break
                 line = line.strip()
                 if line:
                     yield json.loads(line.decode())
         except BaseException:
+            resp.close()
             conn.close()
             raise
         self._release(conn, resp)

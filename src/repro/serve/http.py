@@ -34,6 +34,8 @@ streams NDJSON lines as the job produces them; a kept-alive HTTP/1.1
 connection gets them in chunked framing, ended by the last chunk, and
 an HTTP/1.0 or ``Connection: close`` client gets a stream that ends
 when the server closes the connection, readable with bare ``urllib``.
+While the job is quiet the stream checks every half second whether its
+client has closed the connection, and ends if so.
 
 Each JSON response goes out in one socket write (status line, headers
 and body together), and the events stream sends each batch of fresh
@@ -47,6 +49,7 @@ from __future__ import annotations
 
 import io
 import json
+import select
 import socket
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -151,11 +154,18 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
 
     def _keep_alive(self, code: int = 200) -> bool:
         """Whether the connection stays open after this response; an
-        error, or a request body left unread, closes it, and the
-        response's headers say so."""
-        if code >= 400 or self._body_unread:
+        error, a request body left unread, or a request that did not ask
+        for keep-alive closes it, and the response's headers say so."""
+        if code >= 400 or self._body_unread or self.close_connection:
             self.send_header("Connection", "close")
         return not self.close_connection
+
+    def _client_gone(self) -> bool:
+        """Whether the client has closed its end of the connection: a
+        quiet events stream writes nothing, so only a read can tell."""
+        readable, _, _ = select.select([self.connection], [], [], 0)
+        return bool(readable) and not self.connection.recv(
+            1, socket.MSG_PEEK)
 
     def log_message(self, fmt: str, *args: Any) -> None:
         """Quiet by default; the CLI owns user-facing output."""
@@ -384,6 +394,9 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
                 elif batch:
                     self.wfile.write(batch)
                 if last:
+                    return
+                if not fresh and self._client_gone():
+                    self.close_connection = True
                     return
         except (BrokenPipeError, ConnectionResetError):
             self.close_connection = True  # client went away mid-stream

@@ -951,6 +951,22 @@ class TestKeepAlive:
         kinds = [json.loads(line)["kind"] for line in body.splitlines()]
         assert kinds[0] == "run.start" and kinds[-1] == "run.end"
 
+    def test_connection_close_events_reader_is_told_the_stream_ends_at_eof(
+            self, server):
+        httpd, svc = server
+        _status, job, _ = _request(httpd, "POST", "/jobs", {
+            "kind": "evaluate", "spec": dict(_EVAL_SPEC)})
+        assert svc.wait_drained(timeout=30)
+        raw = _exchange(httpd, f"GET /jobs/{job['id']}/events HTTP/1.1\r\n"
+                               f"Host: x\r\nConnection: close\r\n\r\n"
+                               .encode())
+        head, _, body = raw.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 200")
+        assert b"Connection: close" in head
+        assert b"Transfer-Encoding" not in head
+        kinds = [json.loads(line)["kind"] for line in body.splitlines()]
+        assert kinds[0] == "run.start" and kinds[-1] == "run.end"
+
     def test_unread_get_body_is_not_run_as_a_request(self, idle_server):
         """A GET whose body holds a complete DELETE request: the GET is
         answered, the connection closes, and the queued job stays
@@ -1108,19 +1124,7 @@ class TestClientResult:
         elapsed = time.perf_counter() - start
         client.close()
         assert status["state"] == "done" and status["result"]
-        assert 0.05 <= elapsed < 0.15
-
-    def test_quiet_stream_is_reopened_until_the_job_ends(
-            self, server, monkeypatch):
-        httpd, _svc = server
-        self._slow_evaluate(monkeypatch, 0.8)
-        client = _client(httpd, timeout=0.2)
-        job = client.submit("evaluate", dict(_EVAL_SPEC))
-        accepted = _count_connections(httpd)
-        status = client.result(job["id"], timeout=30)
-        client.close()
-        assert status["state"] == "done"
-        assert len(accepted) >= 2  # each socket timeout re-opened it
+        assert 0.05 <= elapsed < 0.2  # the old poll interval
 
     def test_result_times_out_on_a_live_job(self, server, monkeypatch):
         httpd, svc = server
@@ -1132,6 +1136,46 @@ class TestClientResult:
             client.result(job["id"], timeout=0.3)
         assert time.monotonic() - start < 0.9
         client.close()
+        assert svc.wait_drained(timeout=30)
+
+    def test_result_times_out_on_a_job_that_keeps_sending_events(
+            self, server, monkeypatch):
+        httpd, svc = server
+        run_evaluate = EvaluationService._run_evaluate
+
+        def chatty(self, job):
+            for tick in range(20):  # one event every 50 ms for 1 s
+                job.append_event({"kind": "test.tick", "tick": tick})
+                time.sleep(0.05)
+            return run_evaluate(self, job)
+
+        monkeypatch.setattr(EvaluationService, "_run_evaluate", chatty)
+        client = _client(httpd)
+        job = client.submit("evaluate", dict(_EVAL_SPEC))
+        start = time.monotonic()
+        with pytest.raises(TimeoutError, match="still"):
+            client.result(job["id"], timeout=0.3)
+        assert time.monotonic() - start < 0.7
+        client.close()
+        assert svc.wait_drained(timeout=30)
+
+    def test_stream_handler_ends_when_the_client_leaves_a_quiet_job(
+            self, server, monkeypatch):
+        httpd, svc = server
+        self._slow_evaluate(monkeypatch, 3.0)
+        client = _client(httpd)
+        job = client.submit("evaluate", dict(_EVAL_SPEC))
+        with pytest.raises(TimeoutError):
+            client.result(job["id"], timeout=0.3)
+        client.close()
+        deadline = time.monotonic() + 2.0
+        while time.monotonic() < deadline and any(
+                t.name.endswith("(process_request_thread)")
+                for t in threading.enumerate()):
+            time.sleep(0.05)
+        assert svc.queue.get(job["id"]).state == "running"
+        assert not any(t.name.endswith("(process_request_thread)")
+                       for t in threading.enumerate())
         assert svc.wait_drained(timeout=30)
 
 
