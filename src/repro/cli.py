@@ -64,9 +64,9 @@ class OutputWriter:
         if not (self.quiet or self.json_mode):
             print(text, file=self.stream)
 
-    def emit_json(self, payload: Any) -> None:
+    def emit_json(self, payload: Any, indent: Optional[int] = 2) -> None:
         if self.json_mode:
-            json.dump(payload, self.stream, indent=2, allow_nan=False)
+            json.dump(payload, self.stream, indent=indent, allow_nan=False)
             self.stream.write("\n")
 
 
@@ -186,7 +186,10 @@ def cmd_validate(args) -> int:
     accel = validate_against_accelerator(limit=min(131, args.mappings))
     text = format_validation(poly, accel)
     args.writer.emit(text)
-    args.writer.emit_json({"experiment": "fig8", "output": text})
+    args.writer.emit_json({"experiment": "fig8", "output": text,
+                           "data": {"polyhedron": poly.to_dict(),
+                                    "accelerator": accel.to_dict()}},
+                          indent=None)
     return 0
 
 
@@ -195,66 +198,100 @@ _EXPERIMENTS = ("fig8", "fig9", "fig10", "fig11", "fig12", "fig13",
 
 
 def cmd_experiment(args) -> int:
+    """Print one experiment's blocks; ``--json`` prints them as
+    ``output`` next to the numbers behind them as ``data``, on one line
+    (the payload is data for tools; ``python -m json.tool`` indents it)."""
+    from .experiments import ablation, comparison as cmp, gpu
+    from .experiments import energy_breakdown as energy, exploration as ex
+    from .experiments import sensitivity as sens
     w = args.writer
     eid = args.id.lower()
-
-    def finish(blocks: List[str]) -> int:
-        for block in blocks:
-            w.emit(block)
-        w.emit_json({"experiment": eid, "output": "\n".join(blocks)})
-        return 0
-
     if eid == "fig8":
         return cmd_validate(argparse.Namespace(mappings=1152, writer=w))
     if eid == "fig9":
-        from .experiments.exploration import (factor_tuning_trace,
-                                              format_traces)
-        traces = factor_tuning_trace(samples=40)
-        return finish([format_traces(traces, "Figure 9a")])
-    if eid in ("fig10", "fig11"):
-        from .experiments.comparison import (attention_comparison,
-                                             format_normalized_cycles)
-        spec = arch_mod.edge() if eid == "fig10" else arch_mod.cloud()
-        result = attention_comparison(spec)
-        return finish([format_normalized_cycles(result,
-                                                f"Figure {eid[3:]}a")])
-    if eid == "fig12":
-        from .experiments.comparison import (conv_comparison,
-                                             format_normalized_cycles)
-        return finish([format_normalized_cycles(conv_comparison(),
-                                                "Figure 12a")])
-    if eid == "fig13":
-        from .experiments.energy_breakdown import (energy_breakdown,
-                                                   format_breakdown)
-        return finish([format_breakdown(energy_breakdown())])
-    if eid == "fig14":
-        from .experiments.sensitivity import (bandwidth_sensitivity,
-                                              format_bandwidth_sweep)
-        return finish([format_bandwidth_sweep(bandwidth_sensitivity(shape))
-                       for shape in ("CC1", "CC2")])
-    if eid == "tab6":
-        from .experiments.sensitivity import format_pe_sweep, pe_size_sweep
-        return finish([format_pe_sweep(pe_size_sweep())])
-    if eid == "tab7":
-        from .experiments.sensitivity import (format_granularity,
-                                              granularity_study)
-        return finish([format_granularity(scenario,
-                                          granularity_study(scenario))
-                       for scenario in ("fixed", "explored", "limited")])
-    if eid == "tab8":
-        from .experiments.gpu import format_gpu, gpu_evaluation
-        return finish([format_gpu(gpu_evaluation())])
-    if eid == "ablation":
-        from .experiments.ablation import (binding_ablation,
-                                           format_binding_ablation,
-                                           format_rule_ablation,
-                                           movement_rule_ablation)
-        blocks = [format_rule_ablation(rule, movement_rule_ablation(rule))
-                  for rule in ("eviction", "rmw")]
-        blocks.append(format_binding_ablation(binding_ablation()))
-        return finish(blocks)
-    raise SystemExit(f"unknown experiment {args.id!r}; "
-                     f"choose from {_EXPERIMENTS}")
+        budget = dict(generations=4, population=6, mcts_samples=10)
+        traces = {
+            "9a": ex.factor_tuning_trace(samples=40),
+            "9b": ex.space_exploration_trace(ex.attention_space_workloads(
+                ("Bert-S", "Bert-B", "ViT/14-B")), **budget),
+            "9c": ex.space_exploration_trace(ex.conv_space_workloads(
+                ("CC3", "CC4")), **budget)}
+        titles = ("Figure 9a", "Figure 9b: 3D-space tuning (self-attention)",
+                  "Figure 9c: 3D-space tuning (conv chains)")
+        blocks = [ex.format_traces(t, title)
+                  for t, title in zip(traces.values(), titles)]
+        data = {fig: t.to_dict() for fig, t in traces.items()}
+    elif eid in ("fig10", "fig11"):
+        result = cmp.attention_comparison(
+            arch_mod.edge() if eid == "fig10" else arch_mod.cloud())
+        blocks = [cmp.format_normalized_cycles(result, f"Figure {eid[3:]}a")]
+        if eid == "fig10":
+            blocks += [
+                cmp.format_dram_movement(
+                    result, "Figure 10b: normalized DRAM data movement"),
+                cmp.format_onchip_movement(
+                    result, 1, "Figure 10c: normalized L1 data movement"),
+                cmp.format_l1_breakdown(
+                    result, "Bert-B",
+                    "Figure 10d: L1 movement breakdown (Bert-B)")]
+        else:
+            blocks += [
+                cmp.format_onchip_movement(
+                    result, 2, "Figure 11b: normalized L2 data movement"),
+                cmp.format_onchip_movement(
+                    result, 1, "Figure 11c: normalized L1 data movement"),
+                cmp.format_utilization(
+                    result, "Figure 11d: level-1 instances occupied")]
+        data = result.to_dict()
+    elif eid == "fig12":
+        result = cmp.conv_comparison()
+        blocks = [cmp.format_normalized_cycles(result, "Figure 12a"),
+                  cmp.format_dram_movement(
+                      result, "Figure 12b: normalized DRAM access")]
+        data = result.to_dict()
+    elif eid == "fig13":
+        breakdown = energy.energy_breakdown()
+        blocks, data = ([energy.format_breakdown(breakdown)],
+                        breakdown.to_dict())
+    elif eid == "fig14":
+        sweeps = [sens.bandwidth_sensitivity(shape) for shape in ("CC1",
+                                                                  "CC2")]
+        blocks = [sens.format_bandwidth_sweep(s) for s in sweeps]
+        data = {s.shape: s.to_dict() for s in sweeps}
+    elif eid == "tab6":
+        data = sens.pe_size_sweep()
+        blocks = [sens.format_pe_sweep(data)]
+    elif eid == "tab7":
+        tables = {scenario: sens.granularity_study(scenario)
+                  for scenario in ("fixed", "explored", "limited")}
+        blocks = [sens.format_granularity(scenario, rows)
+                  for scenario, rows in tables.items()]
+        data = {scenario: {r.dataflow: r.to_dict() for r in rows}
+                for scenario, rows in tables.items()}
+    elif eid == "tab8":
+        rows = gpu.gpu_evaluation()
+        blocks, data = [gpu.format_gpu(rows)], {}
+        for r in rows:
+            data.setdefault(r.model, {}).setdefault(
+                r.dataflow, {})[str(r.seq_len)] = r.to_dict()
+    elif eid == "ablation":
+        rules = {rule: ablation.movement_rule_ablation(rule)
+                 for rule in ("eviction", "rmw")}
+        binding = ablation.binding_ablation()
+        blocks = [ablation.format_rule_ablation(rule, rows)
+                  for rule, rows in rules.items()]
+        blocks.append(ablation.format_binding_ablation(binding))
+        data = {rule: {r.dataflow: r.to_dict() for r in rows}
+                for rule, rows in rules.items()}
+        data["binding"] = binding
+    else:
+        raise SystemExit(f"unknown experiment {args.id!r}; "
+                         f"choose from {_EXPERIMENTS}")
+    for block in blocks:
+        w.emit(block)
+    w.emit_json({"experiment": eid, "output": "\n".join(blocks),
+                 "data": data}, indent=None)
+    return 0
 
 
 def cmd_stats(args) -> int:

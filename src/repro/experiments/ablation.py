@@ -48,6 +48,13 @@ class AblationRow:
         return (self.ablated_cycles / self.full_cycles
                 if self.full_cycles else 1.0)
 
+    def to_dict(self) -> Dict[str, float]:
+        return {"full_cycles": self.full_cycles, "full_dram": self.full_dram,
+                "ablated_cycles": self.ablated_cycles,
+                "ablated_dram": self.ablated_dram,
+                "dram_ratio": self.dram_ratio,
+                "cycle_ratio": self.cycle_ratio}
+
 
 @obs.traced()
 def movement_rule_ablation(rule: str, shape_name: str = "Bert-S",

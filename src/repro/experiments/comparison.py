@@ -72,6 +72,36 @@ class ComparisonResult:
                                if name in d])
                 for name in sorted(names)}
 
+    def to_dict(self) -> Dict[str, object]:
+        """The numbers behind every sub-figure: per shape and dataflow,
+        cycles, speedup, DRAM words (and their ratio to Layerwise),
+        on-chip words per level index, the L1 read/fill/update shares
+        and the L1 instances used; geomean speedups and mean DRAM
+        ratios over the shapes."""
+        speedups = self.speedups()
+        shapes: Dict[str, Dict[str, object]] = {}
+        for shape, per_df in self.by_shape().items():
+            base_dram = per_df["layerwise"].result.dram_words()
+            shares = l1_breakdown(self, shape)
+            shapes[shape] = {name: {
+                "cycles": row.result.latency_cycles,
+                "speedup": speedups[shape][name],
+                "dram_words": row.result.dram_words(),
+                "dram_ratio": row.result.dram_words() / base_dram,
+                "onchip_words": {
+                    str(lvl): row.result.onchip_words(lvl)
+                    for lvl in sorted(row.result.traffic)[:-1]},
+                "l1_shares": shares.get(name),
+                "l1_instances":
+                    row.result.resources.instances_used.get(1, 0),
+            } for name, row in per_df.items()}
+        geomeans = self.geomean_speedups()
+        return {"arch": self.arch_name, "geomean_speedups": geomeans,
+                "mean_dram_ratios": {
+                    name: sum(d[name]["dram_ratio"] for d in shapes.values())
+                    / len(shapes) for name in geomeans},
+                "shapes": shapes}
+
 
 def _evaluate_all(workload_of: Callable[[str], Workload],
                   shapes: Sequence[str],
@@ -137,20 +167,26 @@ def conv_comparison(arch: Optional[Architecture] = None,
 # ----------------------------------------------------------------------
 # Formatting: the figure series
 # ----------------------------------------------------------------------
+def _normalized_rows(result: ComparisonResult, names: Sequence[str],
+                     value: Callable[[EvaluationResult], float]
+                     ) -> List[List[str]]:
+    """Per shape, each dataflow's ``value`` over Layerwise's."""
+    rows = []
+    for shape, per_df in result.by_shape().items():
+        norm = normalize({n: value(per_df[n].result) for n in names
+                          if n in per_df}, "layerwise")
+        rows.append([shape] + [f"{norm.get(n, float('nan')):.3f}"
+                               for n in names])
+    return rows
+
+
 def format_normalized_cycles(result: ComparisonResult,
                              title: str) -> str:
     """Fig. 10a / 11a / 12a: normalized cycle per shape per dataflow."""
-    table = result.by_shape()
     names = sorted({r.dataflow for r in result.rows},
                    key=lambda n: (ATTENTION_ORDER + CONV_ORDER).index(n)
                    if n in ATTENTION_ORDER + CONV_ORDER else 99)
-    rows = []
-    for shape, per_df in table.items():
-        cycles = {n: per_df[n].result.latency_cycles for n in names
-                  if n in per_df}
-        norm = normalize(cycles, "layerwise")
-        rows.append([shape] + [f"{norm.get(n, float('nan')):.3f}"
-                               for n in names])
+    rows = _normalized_rows(result, names, lambda r: r.latency_cycles)
     gm = result.geomean_speedups()
     rows.append(["geomean speedup"] + [f"{gm.get(n, 0):.2f}x"
                                        for n in names])
@@ -159,31 +195,17 @@ def format_normalized_cycles(result: ComparisonResult,
 
 def format_dram_movement(result: ComparisonResult, title: str) -> str:
     """Fig. 10b / 12b: normalized DRAM data movement."""
-    table = result.by_shape()
     names = sorted({r.dataflow for r in result.rows})
-    rows = []
-    for shape, per_df in table.items():
-        dm = {n: per_df[n].result.dram_words() for n in names
-              if n in per_df}
-        norm = normalize(dm, "layerwise")
-        rows.append([shape] + [f"{norm.get(n, float('nan')):.3f}"
-                               for n in names])
-    return format_table(title, ["shape"] + list(names), rows)
+    return format_table(title, ["shape"] + names, _normalized_rows(
+        result, names, EvaluationResult.dram_words))
 
 
 def format_onchip_movement(result: ComparisonResult, level: int,
                            title: str) -> str:
     """Fig. 10c / 11b / 11c: normalized on-chip data movement."""
-    table = result.by_shape()
     names = sorted({r.dataflow for r in result.rows})
-    rows = []
-    for shape, per_df in table.items():
-        dm = {n: per_df[n].result.onchip_words(level) for n in names
-              if n in per_df}
-        norm = normalize(dm, "layerwise")
-        rows.append([shape] + [f"{norm.get(n, float('nan')):.3f}"
-                               for n in names])
-    return format_table(title, ["shape"] + list(names), rows)
+    return format_table(title, ["shape"] + names, _normalized_rows(
+        result, names, lambda r: r.onchip_words(level)))
 
 
 def l1_breakdown(result: ComparisonResult, shape: str,
@@ -214,18 +236,10 @@ def format_l1_breakdown(result: ComparisonResult, shape: str,
 def format_utilization(result: ComparisonResult, title: str,
                        level: int = 1) -> str:
     """Fig. 11d: sub-core (level-1 instance) occupancy per dataflow."""
-    table = result.by_shape()
     names = sorted({r.dataflow for r in result.rows})
     rows = []
-    for shape, per_df in table.items():
-        cells = []
-        for n in names:
-            row = per_df.get(n)
-            if row is None:
-                cells.append("-")
-                continue
-            inst = row.result.resources.instances_used.get(level, 0)
-            fanout = 1
-            cells.append(f"{inst}")
-        rows.append([shape] + cells)
-    return format_table(title, ["shape"] + list(names), rows)
+    for shape, per_df in result.by_shape().items():
+        rows.append([shape] + [
+            str(per_df[n].result.resources.instances_used.get(level, 0))
+            if n in per_df else "-" for n in names])
+    return format_table(title, ["shape"] + names, rows)

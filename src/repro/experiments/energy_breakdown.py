@@ -40,6 +40,13 @@ class BreakdownResult:
         return {k: sum(r.get(k, 0.0) for r in rows) / len(rows)
                 for k in keys}
 
+    def to_dict(self) -> Dict[str, Dict[str, object]]:
+        """Per L1 size ("200KB", "1024KB"): shares per shape and their
+        average."""
+        return {f"{l1 // KB}KB": {"shapes": per_shape,
+                                  "average": self.average(l1)}
+                for l1, per_shape in self.shares.items()}
+
 
 @obs.traced()
 def energy_breakdown(shapes: Optional[Sequence[str]] = None,

@@ -9,6 +9,7 @@
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -29,9 +30,8 @@ class ExplorationTraces:
 
     series: Dict[str, List[float]] = field(default_factory=dict)
 
-    def final_costs(self) -> Dict[str, float]:
-        return {name: trace[-1] for name, trace in self.series.items()
-                if trace}
+    def to_dict(self) -> Dict[str, List[float]]:
+        return {name: list(trace) for name, trace in self.series.items()}
 
 
 @obs.traced()
@@ -67,8 +67,10 @@ def space_exploration_trace(workloads: Dict[str, Workload],
     arch = arch or edge()
     traces = ExplorationTraces()
     for name, workload in workloads.items():
+        # A stable per-series seed: ``hash(str)`` varies per process.
         mapper = TileFlowMapper(workload, arch, respect_memory=False,
-                                seed=hash(name) & 0xFFFF, workers=workers)
+                                seed=zlib.crc32(name.encode()) & 0xFFFF,
+                                workers=workers)
         result = mapper.explore(generations=generations,
                                 population=population,
                                 mcts_samples=mcts_samples)

@@ -41,6 +41,9 @@ class GpuRow:
     runtime_ms: Optional[float]    # None = OOM
     oom: bool
 
+    def to_dict(self) -> Dict[str, object]:
+        return {"runtime_ms": self.runtime_ms, "oom": self.oom}
+
 
 @obs.traced()
 def gpu_evaluation(models: Optional[Sequence[str]] = None,

@@ -50,6 +50,13 @@ class BandwidthSweep:
                 return bw
         return None
 
+    def to_dict(self) -> Dict[str, object]:
+        return {"bandwidths_gbs": list(self.bandwidths_gbs),
+                "slowdown": {name: list(trace)
+                             for name, trace in self.slowdown.items()},
+                "suitable_gbs": {name: self.suitable_bandwidth(name)
+                                 for name in self.slowdown}}
+
 
 @obs.traced()
 def bandwidth_sensitivity(shape_name: str = "CC1",
@@ -143,6 +150,11 @@ class GranularityRow:
     l1_used_mb: Optional[float]
     l2_used_mb: Optional[float]
     oom: bool = False
+
+    def to_dict(self) -> Dict[str, object]:
+        """The row's cells; an OOM row's are ``None``."""
+        return {"cycles_1e6": self.cycles_1e6, "l1_used_mb": self.l1_used_mb,
+                "l2_used_mb": self.l2_used_mb, "oom": self.oom}
 
 
 @obs.traced()

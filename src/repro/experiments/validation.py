@@ -58,6 +58,18 @@ class CorrelationResult:
     def energy_error(self) -> float:
         return mean_abs_error(self.reference_energy, self.model_energy)
 
+    def to_dict(self) -> Dict[str, object]:
+        """Mapping count, cycle and energy R^2 and mean error, and each
+        extra model's cycle error."""
+        return {"mappings": self.count,
+                "cycle_r2": self.cycle_r2(),
+                "cycle_error": self.cycle_error(),
+                "energy_r2": self.energy_r2(),
+                "energy_error": self.energy_error(),
+                "extra_cycle_errors": {
+                    name: mean_abs_error(self.reference_cycles, cycles)
+                    for name, cycles in self.extra_cycles.items()}}
+
 
 # ----------------------------------------------------------------------
 # Fig. 8a / 8b

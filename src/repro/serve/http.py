@@ -19,11 +19,14 @@ unknown job or path, 409 cancel of a non-queued job, 411 missing
 Content-Length, 413 body over the configured cap, 414 a request line
 over 65,536 bytes, 429 queue full (backpressure), 431 over 100 headers
 or a header line over 65,536 bytes, 501 any ``Transfer-Encoding``,
-503 + ``Retry-After`` while draining.  A connection is closed without a
-response when a request's line, headers and body have not all arrived
-:data:`SOCKET_TIMEOUT_S` after the previous response (or the connect),
-which also closes a kept-alive connection left idle that long, or when
-one write stalls that long (an events reader that stops reading).
+503 + ``Retry-After`` while draining.  A request sent with ``Expect:
+100-continue`` gets ``100 Continue`` only once its body is accepted; one
+refused before that gets just its final status.  A connection is closed
+without a response when a request's line, headers and body have not all
+arrived :data:`SOCKET_TIMEOUT_S` after the previous response (or the
+connect), which also closes a kept-alive connection left idle that long,
+or when one write stalls that long (an events reader that stops
+reading).
 
 Built on :class:`http.server.ThreadingHTTPServer` speaking HTTP/1.1: a
 client's requests share one kept-alive connection and its handler
@@ -139,7 +142,15 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         self._reader.restart()
         #: A body the request announced and the handler has not read.
         self._body_unread = False
+        #: ``Expect: 100-continue`` awaits its interim response.
+        self._expect_continue = False
         super().handle_one_request()
+
+    def handle_expect_100(self) -> bool:
+        """Defer ``100 Continue`` until :meth:`_read_body` accepts the
+        body (see the module docstring)."""
+        self._expect_continue = True
+        return True
 
     def parse_request(self) -> bool:
         if not super().parse_request():
@@ -246,6 +257,9 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             return None
         if n == 0 and not required:
             return {}
+        if self._expect_continue:
+            self.send_response_only(100)
+            self.end_headers()
         raw = self.rfile.read(n)
         self._body_unread = False
         try:

@@ -7,6 +7,7 @@ from repro.analysis import TileFlowModel
 from repro.experiments.ablation import (binding_ablation,
                                         movement_rule_ablation)
 from repro.dataflows import conv_dataflow
+from repro.tile import Binding
 from repro.workloads import conv_chain
 
 
@@ -24,15 +25,20 @@ class TestMovementAblation:
             movement_rule_ablation("telepathy")
 
     def test_eviction_matters_for_seq_conv(self):
-        """conv layerwise-style Seq trees move more with eviction on."""
+        """§5.1.2: a Seq node with temporal loops evicts each conv's
+        weights when the other conv runs, so every iteration of its
+        loops refills them; without the rule they are reused."""
         wl = conv_chain(16, 28, 28, 32, 32)
         spec = arch.edge()
-        tree_full = conv_dataflow("layerwise", wl, spec)
-        tree_abl = conv_dataflow("layerwise", wl, spec)
-        full = TileFlowModel(spec).evaluate(tree_full)
-        ablated = TileFlowModel(spec,
-                                model_eviction=False).evaluate(tree_abl)
-        assert ablated.dram_words() <= full.dram_words()
+
+        def dram_words(model_eviction):
+            tree = conv_dataflow("fused_layer", wl, spec)
+            tree.root.binding = Binding.SEQ
+            assert tree.root.split.temporal
+            model = TileFlowModel(spec, model_eviction=model_eviction)
+            return model.evaluate(tree).dram_words()
+
+        assert dram_words(False) < dram_words(True)
 
 
 class TestBindingAblation:

@@ -1098,6 +1098,40 @@ class TestOversizedRequests:
         assert _request(httpd, "GET", "/healthz")[0] == 200
 
 
+class TestExpectContinue:
+    """``Expect: 100-continue`` gets its interim response only for a
+    body the server goes on to read."""
+
+    @pytest.mark.parametrize("headers,status", [
+        ([], 411),
+        ([b"Content-Length: 1e3"], 400),
+        ([b"Content-Length: 4096"], 413),
+        ([b"Transfer-Encoding: chunked"], 501),
+    ], ids=["no-length", "bad-length", "over-the-cap", "transfer-encoding"])
+    def test_refused_request_gets_only_its_final_status(
+            self, server, headers, status):
+        httpd, svc = server
+        raw = _exchange(httpd, b"\r\n".join(
+            [b"POST /jobs HTTP/1.1", b"Host: x",
+             b"Expect: 100-continue", *headers, b""]) + b"\r\n")
+        assert raw.startswith(b"HTTP/1.1 %d" % status)
+        assert b" 100 " not in raw
+        assert svc.queue.jobs() == []
+
+    def test_accepted_request_gets_100_continue_before_its_final_status(
+            self, server):
+        httpd, svc = server
+        body = json.dumps({"kind": "evaluate",
+                           "spec": dict(_EVAL_SPEC)}).encode()
+        raw = _exchange(httpd, b"POST /jobs HTTP/1.1\r\nHost: x\r\n"
+                               b"Connection: close\r\nExpect: 100-continue"
+                               b"\r\nContent-Length: %d\r\n\r\n%s"
+                               % (len(body), body))
+        assert raw.startswith(b"HTTP/1.1 100 Continue\r\n\r\n"
+                              b"HTTP/1.1 202")
+        assert len(svc.queue.jobs()) == 1
+
+
 # ---------------------------------------------------------------------------
 # ServiceClient.result follows the event stream instead of polling.
 
