@@ -14,9 +14,43 @@ from repro.workloads import (ATTENTION_SHAPES, CONV_CHAIN_SHAPES,
 
 
 class TestPaperHeadlines:
-    """A §7 claim on a configuration no experiment pins: the Fig. 10
-    claims are checked on ``repro experiment fig10``'s output by
-    ``test_paper_claims.py``."""
+    """The qualitative claims of §7, end to end."""
+
+    @pytest.fixture(scope="class")
+    def edge_results(self):
+        wl = attention_from_shape(ATTENTION_SHAPES["Bert-S"])
+        spec = arch.edge()
+        model = TileFlowModel(spec)
+        return {name: model.evaluate(tmpl(wl, spec))
+                for name, tmpl in ATTENTION_DATAFLOWS.items()}
+
+    def test_fusion_beats_layerwise_on_edge(self, edge_results):
+        base = edge_results["layerwise"].latency_cycles
+        for name in ("flat_hgran", "flat_rgran", "chimera", "tileflow"):
+            assert edge_results[name].latency_cycles < base
+
+    def test_tileflow_dataflow_wins(self, edge_results):
+        best = min(r.latency_cycles for r in edge_results.values())
+        assert edge_results["tileflow"].latency_cycles == best
+
+    def test_fusion_cuts_dram_by_most(self, edge_results):
+        base = edge_results["layerwise"].dram_words()
+        assert edge_results["flat_rgran"].dram_words() < 0.2 * base
+
+    def test_onchip_movement_stays_high_under_fusion(self, edge_results):
+        # DRAM movement collapses under fusion while L1 movement stays on
+        # the same order: reuse migrates on-chip (Fig. 10b/10c's point).
+        base_l1 = edge_results["layerwise"].onchip_words(1)
+        base_dram = edge_results["layerwise"].dram_words()
+        fused = edge_results["flat_rgran"]
+        assert fused.dram_words() / base_dram < 0.2
+        assert fused.onchip_words(1) / base_l1 > 0.3
+
+    def test_read_dominates_l1_breakdown(self, edge_results):
+        traffic = edge_results["flat_rgran"].traffic[1]
+        shares = {k: v / traffic.total_words
+                  for k, v in traffic.breakdown().items()}
+        assert shares["read"] > 0.5  # paper: 80.9%
 
     def test_conv_fused_layer_cuts_dram(self):
         wl = conv_chain_from_shape(CONV_CHAIN_SHAPES["CC3"])

@@ -1013,13 +1013,15 @@ class TestKeepAlive:
         client = _client(httpd)
         # Each request restarts the deadline: a connection in use for
         # twice the timeout stays open.
+        assert client.health() == {"status": "ok"}
         for _ in range(6):
-            assert client.health() == {"status": "ok"}
             time.sleep(0.1)
+            assert client.health() == {"status": "ok"}
+        # The connection goes idle with the last response.
+        start = time.monotonic()
         assert len(accepted) == 1
         (idle,) = client._idle
         sock = idle.sock
-        start = time.monotonic()
         assert select.select([sock], [], [], 5)[0] == [sock]
         assert sock.recv(1) == b""  # the server closed it
         assert 0.2 < time.monotonic() - start < 5
