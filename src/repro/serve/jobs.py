@@ -75,7 +75,8 @@ class Job:
         self.finished: Optional[float] = None
         self.result: Optional[Dict[str, Any]] = None
         self.error: Optional[str] = None
-        #: Ledger run id when the job was persisted (``runs/<id>/``).
+        #: Ledger run id of the job's result (``runs/<id>/``): its own
+        #: run, or for a repeat evaluate job its slot's first run.
         self.run_id: Optional[str] = None
         #: The job's event stream (JSON-safe dicts, emission order): the
         #: first :data:`MAX_JOB_EVENTS` events, then only ``run.end``.

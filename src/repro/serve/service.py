@@ -5,24 +5,26 @@ exposes over HTTP: a pool of worker threads executes ``evaluate`` /
 ``search`` / ``sweep`` jobs against the registry workloads and
 architectures, all on *persistent* :class:`~repro.engine.EvaluationEngine`
 instances — one per (workload, arch) pair — that share a single
-:class:`~repro.engine.cache.SubtreeArtifactCache`.  Artifacts one job
-discovers (slice geometry, data-movement flows, subtree latencies) stay
-resident and warm every later job touching the same subtrees; the
-cache's namespacing by workload/arch/model-flag fingerprints keeps
-artifact families apart, and each engine's hit/miss attribution is
-scoped to its own namespace, so per-job counter deltas are exact even
-while jobs on *different* engines run concurrently.
+:class:`~repro.engine.cache.SubtreeArtifactCache`.  The artifacts one
+job computes (the ``slices`` and ``walkvol`` kinds) stay resident and
+warm every later job touching the same subtrees; the cache's
+namespacing by workload/arch/model-flag fingerprints keeps artifact
+families apart, and each engine's hit/miss attribution is scoped to its
+own namespace, so per-job counter deltas are exact even while jobs on
+*different* engines run concurrently.
 
 Each engine's slot (:class:`EngineSlot`) also keeps, per dataflow, the
 tree and the :class:`~repro.analysis.metrics.EvaluationResult` of the
-first job that named it.  The §5 model is a deterministic function of
-the tree and the architecture, so later ``evaluate`` jobs and ``sweep``
-rows on that slot reuse the kept result and skip the engine: they
-report a zero counter delta and the lookup's ``wall_s``, and still
-write their own ledger manifest.  The registry bounds slots ×
-dataflows, so the kept results need no size bound.  ``POST
-/admin/cache/clear`` drops them together with the shared cache, so the
-next job runs cold.
+first job that named it, and the ledger run id of the first ``evaluate``
+job that recorded it.  The §5 model is a deterministic function of the
+tree and the architecture, so later ``evaluate`` jobs and ``sweep`` rows
+on that slot reuse the kept result and skip the engine: they report a
+zero counter delta and the lookup's ``wall_s``.  A repeat ``evaluate``
+job carries its slot's first run id and writes no manifest.  The
+registry bounds slots × dataflows, so the kept results need no size
+bound.  ``POST /admin/cache/clear`` drops them and their run ids
+together with the shared cache, so the next job runs cold and records
+a new run.
 
 Each job runs with a **thread-local event bus** (a
 :class:`~repro.obs.events.CallbackSink` appending to the job's buffer),
@@ -33,10 +35,11 @@ stream holds only ``run``, ``search`` and ``cache`` events: spans and
 counters go to the process-global bus, which ``repro serve --trace``
 installs.
 
-Completed jobs are persisted to the run ledger
-(``runs/<id>/manifest.json``) through the same manifest builders the
-CLI uses, so ``repro runs list|show|diff`` and ``repro explain --run``
-consume service output unchanged.
+Each search job, and each slot's first ``evaluate`` job of a dataflow,
+is persisted to the run ledger (``runs/<id>/manifest.json``) through
+the same manifest builders the CLI uses, so ``repro runs list|show|diff``
+and ``repro explain --run`` consume service output unchanged.  The
+ledger grows by first evaluations and search jobs only.
 
 Lifecycle: :meth:`begin_drain` stops admissions (the HTTP layer then
 answers 503 + ``Retry-After``), in-flight jobs run to completion,
@@ -102,16 +105,21 @@ def _positive(spec: Dict[str, Any], key: str, default: int,
 class EngineSlot:
     """One persistent engine, the lock its jobs run under, and its
     dataflow trees and their evaluation results, each made once on
-    first use.  The registry bounds how many there can be.  Read and
-    fill :attr:`trees` and :attr:`results` only under :attr:`lock`."""
+    first use, with the ledger run id that recorded each result.  The
+    registry bounds how many there can be.  Read and fill
+    :attr:`trees`, :attr:`results` and :attr:`run_ids` only under
+    :attr:`lock`."""
 
-    __slots__ = ("engine", "lock", "trees", "results")
+    __slots__ = ("engine", "lock", "trees", "results", "run_ids")
 
     def __init__(self, engine: EvaluationEngine):
         self.engine = engine
         self.lock = threading.Lock()
         self.trees: Dict[str, AnalysisTree] = {}
         self.results: Dict[str, EvaluationResult] = {}
+        #: Dataflow -> the ledger run of the first evaluate job that
+        #: recorded its kept result (absent until one is written).
+        self.run_ids: Dict[str, str] = {}
 
     def result(self, dataflow: str) -> EvaluationResult:
         """The engine's evaluation of named dataflow ``dataflow``: run
@@ -329,6 +337,7 @@ class EvaluationService:
             else:
                 result = self._run_sweep(job)
             outcome = "ok"
+            job.run_id = result["run_id"]
             return result
         finally:
             bus.emit("run.end", command=job.kind, outcome=outcome,
@@ -337,11 +346,15 @@ class EvaluationService:
             bus.close()
 
     def _record(self, job: Job, manifest_of) -> Optional[str]:
-        """Persist a completed job as a ledger run (when configured).
+        """Persist a completed job as a ledger run and return its id
+        (``None`` when the service keeps no ledger).
 
-        Called after the engine lock is released: a manifest reads only
-        the engine's digests and configuration, and the run id is unique
-        per job.
+        A search job calls it after the engine lock is released: a
+        manifest reads only the engine's digests and configuration, and
+        the run id is unique per job.  An evaluate job calls it under
+        the slot lock, and only while its kept result has no run id, so
+        two jobs of one spec never both write; a ``LedgerError`` fails
+        the job and leaves no run id kept.
         """
         if self.ledger is None:
             return None
@@ -349,7 +362,6 @@ class EvaluationService:
             run_id = self.ledger.new_run_id(
                 salt=f"{job.spec.get('workload')}-{job.id}")
             self.ledger.record(manifest_of(run_id))
-        job.run_id = run_id
         return run_id
 
     def _run_evaluate(self, job: Job) -> Dict[str, Any]:
@@ -363,10 +375,14 @@ class EvaluationService:
                 result = slot.result(spec["dataflow"])
             wall_s = time.perf_counter() - start
             counters = _delta(before, engine.stats.to_dict())
-        run_id = self._record(job, lambda rid: evaluate_run_manifest(
-            run_id=rid, engine=engine, dataflow=spec["dataflow"],
-            result=result, wall_s=wall_s, counters=counters,
-            extra={"job": job.id}))
+            run_id = slot.run_ids.get(spec["dataflow"])
+            if run_id is None:
+                run_id = self._record(job, lambda rid: evaluate_run_manifest(
+                    run_id=rid, engine=engine, dataflow=spec["dataflow"],
+                    result=result, wall_s=wall_s, counters=counters,
+                    extra={"job": job.id}))
+                if run_id is not None:
+                    slot.run_ids[spec["dataflow"]] = run_id
         return {
             "workload": spec["workload"], "arch": spec["arch"],
             "dataflow": spec["dataflow"],
@@ -447,8 +463,8 @@ class EvaluationService:
     def clear_cache(self, reset_counters: bool = False,
                     timeout: float = 30.0) -> Dict[str, Any]:
         """Safely empty the shared artifact cache and every slot's kept
-        results (``POST /admin/cache/clear``), so the next job runs
-        cold.
+        results with their run ids (``POST /admin/cache/clear``), so the
+        next job runs cold and records a new run.
 
         "Safely" means no job observes the cache shrinking mid-run:
         every per-engine job lock is acquired (in a stable order) before
@@ -473,6 +489,7 @@ class EvaluationService:
             results = sum(len(slot.results) for slot in slots)
             for slot in slots:
                 slot.results.clear()
+                slot.run_ids.clear()
         finally:
             for lock in acquired:
                 lock.release()

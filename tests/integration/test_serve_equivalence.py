@@ -116,10 +116,10 @@ class TestCrossJobCacheWarmth:
     def test_second_concurrent_job_runs_warm(self, tmp_path):
         """Two identical evaluate jobs through a 2-worker server: the
         engine lock serializes them; whichever runs first evaluates the
-        slot's tree and keeps the result, and the other reuses it with
-        a zero counter delta.  Which one is first shows only in the
-        counters: the ledger write runs after the lock is released, so
-        the cold job may finish last."""
+        slot's tree, keeps the result and records the one ledger run,
+        and the other reuses both with a zero counter delta.  Then 16
+        concurrent jobs of another spec leave one more manifest, whose
+        run id all 16 carry."""
         svc = EvaluationService(workers=2,
                                 ledger_root=str(tmp_path / "runs")).start()
         httpd = make_server("127.0.0.1", 0, svc)
@@ -127,6 +127,7 @@ class TestCrossJobCacheWarmth:
         thread.start()
         client = ServiceClient(
             f"http://127.0.0.1:{httpd.server_address[1]}")
+        ledger = ledger_mod.RunLedger(str(tmp_path / "runs"))
         try:
             spec = {"workload": "Bert-S", "arch": "edge",
                     "dataflow": "layerwise"}
@@ -146,16 +147,33 @@ class TestCrossJobCacheWarmth:
             # ...yet answered exactly as the first did.
             for key in ("latency_cycles", "energy_pj", "feasible", "cost"):
                 assert warm[key] == cold[key], key
-            # Both jobs are recorded, each with its own counters.
-            assert cold["run_id"] and warm["run_id"]
-            assert cold["run_id"] != warm["run_id"]
-            ledger = ledger_mod.RunLedger(str(tmp_path / "runs"))
-            assert ledger.load(warm["run_id"])["counters"] == \
-                warm["counters"]
+            # Both jobs carry the one run the cold job recorded.
+            assert cold["run_id"]
+            assert {r["run_id"] for r in results} == {cold["run_id"]}
+            assert {r["result"]["run_id"] for r in results} == {
+                cold["run_id"]}
+            assert ledger.run_ids() == [cold["run_id"]]
+            assert ledger.load(cold["run_id"])["counters"] == \
+                cold["counters"]
             # GET /stats shows one engine evaluation for two done jobs.
             stats = client.stats()
             assert stats["engines"]["Bert-S/edge"]["evaluations"] == 1
             assert stats["jobs"]["done"] == 2
+
+            # 16 jobs of a fresh spec, queued back to back for the two
+            # workers: one writes, every job carries its run id.
+            spec = dict(spec, dataflow="tileflow")
+            ids = [client.submit("evaluate", spec)["id"]
+                   for _ in range(16)]
+            results = [client.result(jid, timeout=60) for jid in ids]
+            assert all(r["state"] == "done" for r in results)
+            run_ids = {r["run_id"] for r in results}
+            assert len(run_ids) == 1 and None not in run_ids
+            (run_id,) = run_ids
+            assert {r["result"]["run_id"] for r in results} == run_ids
+            assert sorted(ledger.run_ids()) == sorted(
+                [cold["run_id"], run_id])
+            assert ledger.load(run_id)["counters"]["evaluations"] == 1
         finally:
             httpd.shutdown()
             httpd.server_close()
@@ -188,24 +206,37 @@ class TestCrossJobCacheWarmth:
 
 class TestServiceLedgerRuns:
     def test_service_runs_consumable_by_runs_cli(self, tmp_path, capsys):
-        """Two service evaluate runs diff via `repro runs diff
-        --fail-on-regression` exactly like CLI-produced runs."""
+        """A cache clear starts a new run: the evaluate jobs before and
+        after it record two cold manifests, which diff via `repro runs
+        diff --fail-on-regression` exactly like CLI-produced runs."""
         runs = str(tmp_path / "runs")
         svc = EvaluationService(workers=1, ledger_root=runs).start()
         try:
             spec = {"workload": "Bert-S", "arch": "edge",
                     "dataflow": "layerwise"}
             j1 = svc.submit("evaluate", spec)
-            svc.wait_drained(timeout=30)
+            repeat = svc.submit("evaluate", spec)
+            assert svc.wait_drained(timeout=30)
+            assert svc.clear_cache()["cleared"] is True
             j2 = svc.submit("evaluate", spec)
             assert svc.wait_drained(timeout=30)
-            assert j1.run_id and j2.run_id
         finally:
             svc.stop(timeout=5)
+        assert j1.run_id and repeat.run_id == j1.run_id
+        assert j2.run_id and j2.run_id != j1.run_id
+        ledger = ledger_mod.RunLedger(runs)
+        assert sorted(ledger.run_ids()) == sorted([j1.run_id, j2.run_id])
+        for job in (j1, j2):
+            counters = ledger.load(job.run_id)["counters"]
+            assert counters == job.result["counters"]
+            assert counters["evaluations"] == 1
+            assert counters["subtree_misses"] > 0
         rc = main(["runs", "diff", j1.run_id, j2.run_id, "--root", runs,
                    "--fail-on-regression", "--json"])
         assert rc == 0  # identical dataflow: no champion regression
         diff = json.loads(capsys.readouterr().out)
+        assert (diff["run_a"], diff["run_b"]) == (j1.run_id, j2.run_id)
+        assert diff["counters"] == {}  # both runs are cold
         assert diff["champion"]["regressed"] is False
         assert diff["comparable"] is True
         rc = main(["runs", "list", "--root", runs, "--quiet"])

@@ -3,6 +3,7 @@ cache-counter thread-safety, and explain-on-service-runs."""
 
 import http.client
 import json
+import sys
 import threading
 import time
 
@@ -1323,6 +1324,137 @@ class TestCacheAdmin:
         assert resp.status == 200
         assert json.loads(resp.read())["cleared"] is True
         conn.close()
+
+
+# ---------------------------------------------------------------------------
+# Ledger runs of repeat evaluate jobs: a slot's first evaluation of a
+# dataflow is recorded once; every later job of that spec carries its
+# run id and writes nothing.
+
+class TestRepeatJobRuns:
+    def test_repeat_jobs_share_one_run(self, tmp_path, capsys):
+        from repro.cli import main
+        from repro.obs.ledger import RunLedger
+
+        runs = str(tmp_path / "runs")
+        tileflow = dict(_EVAL_SPEC, dataflow="tileflow")
+        svc = EvaluationService(workers=1, ledger_root=runs).start()
+        try:
+            jobs = [svc.submit("evaluate", dict(_EVAL_SPEC))
+                    for _ in range(5)]
+            # A sweep keeps a result but records no run; the first
+            # evaluate job of that dataflow records it.
+            sweep = svc.submit("sweep", {"workload": "Bert-S",
+                                         "dataflows": ["tileflow"]})
+            later = [svc.submit("evaluate", dict(tileflow))
+                     for _ in range(2)]
+            searches = [svc.submit("search", {
+                "workload": "Bert-S", "generations": 1, "population": 4,
+                "samples": 3}) for _ in range(2)]
+            assert svc.wait_drained(timeout=120)
+        finally:
+            svc.stop(timeout=5)
+        for job in jobs + [sweep] + later + searches:
+            assert job.state == "done", job.error
+        ledger = RunLedger(runs)
+        run_id = jobs[0].run_id
+        assert run_id
+        assert {job.result["run_id"] for job in jobs} == {run_id}
+        assert {job.to_dict()["run_id"] for job in jobs} == {run_id}
+        assert ledger.load(run_id)["counters"] == jobs[0].result["counters"]
+        assert sweep.run_id is None
+        assert later[0].result["counters"]["evaluations"] == 0
+        assert later[0].run_id and later[1].run_id == later[0].run_id
+        assert (ledger.load(later[0].run_id)["counters"]
+                == later[0].result["counters"])
+        # One manifest per first evaluation, one per search job.
+        assert len({job.run_id for job in searches}) == 2
+        assert sorted(ledger.run_ids()) == sorted(
+            [run_id, later[0].run_id] + [job.run_id for job in searches])
+        assert main(["explain", "--run", run_id, "--root", runs,
+                     "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["workload"] == "Bert-S"
+
+    def test_concurrent_first_jobs_write_once(self, tmp_path):
+        """More workers than cores and a short switch interval: however
+        jobs of one spec interleave, each spec is recorded once."""
+        from repro.obs.ledger import RunLedger
+
+        names = ["layerwise", "tileflow", "flat_hgran"]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        svc = EvaluationService(workers=6, ledger_root=str(
+            tmp_path / "runs")).start()
+        try:
+            jobs = [svc.submit("evaluate", dict(_EVAL_SPEC, dataflow=name))
+                    for _ in range(8) for name in names]
+            assert svc.wait_drained(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+            svc.stop(timeout=5)
+        by_name = {}
+        for job in jobs:
+            assert job.state == "done", job.error
+            by_name.setdefault(job.spec["dataflow"], set()).add(job.run_id)
+        assert all(len(ids) == 1 and None not in ids
+                   for ids in by_name.values())
+        assert sorted(RunLedger(str(tmp_path / "runs")).run_ids()) == \
+            sorted(ids.pop() for ids in by_name.values())
+
+    def test_failed_ledger_write_keeps_no_run_id(self, tmp_path,
+                                                 monkeypatch):
+        from repro.obs.ledger import LedgerError, RunLedger
+
+        record = RunLedger.record
+        calls = []
+
+        def fail_once(ledger, manifest):
+            calls.append(manifest["run_id"])
+            if len(calls) == 1:
+                raise LedgerError("cannot write manifest: disk full")
+            return record(ledger, manifest)
+
+        monkeypatch.setattr(RunLedger, "record", fail_once)
+        runs = str(tmp_path / "runs")
+        svc = EvaluationService(workers=2, ledger_root=runs).start()
+        try:
+            first = svc.submit("evaluate", dict(_EVAL_SPEC))
+            assert svc.wait_drained(timeout=60)
+            assert svc.engine_for("Bert-S", "edge").run_ids == {}
+            jobs = [svc.submit("evaluate", dict(_EVAL_SPEC))
+                    for _ in range(6)]
+            assert svc.wait_drained(timeout=60)
+        finally:
+            svc.stop(timeout=5)
+        # The first job fails with the ledger error and carries no run.
+        assert first.state == "failed"
+        assert first.error == "LedgerError: cannot write manifest: disk full"
+        assert first.run_id is None
+        # The next job reuses the kept result, writes the manifest and
+        # publishes its id; the rest carry that id and write nothing.
+        assert len(calls) == 2
+        for job in jobs:
+            assert job.state == "done", job.error
+            assert set(job.result["counters"].values()) == {0}
+        ledger = RunLedger(runs)
+        assert ledger.run_ids() == [calls[1]]
+        assert {job.run_id for job in jobs} == {calls[1]}
+        # No job carries the id of a run the ledger cannot read.
+        for job in [first] + jobs:
+            assert job.run_id is None or ledger.load(job.run_id)
+
+    def test_ledgerless_service_reports_no_run(self):
+        svc = EvaluationService(workers=1).start()
+        try:
+            jobs = [svc.submit("evaluate", dict(_EVAL_SPEC))
+                    for _ in range(2)]
+            assert svc.wait_drained(timeout=30)
+            assert svc.engine_for("Bert-S", "edge").run_ids == {}
+        finally:
+            svc.stop(timeout=5)
+        for job in jobs:
+            assert job.state == "done", job.error
+            assert job.run_id is None and job.result["run_id"] is None
 
 
 # ---------------------------------------------------------------------------
