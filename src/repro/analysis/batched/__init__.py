@@ -21,15 +21,10 @@ identical (cross-check mismatch, int64 overflow) fall back to the scalar
 path member by member — batching is purely a performance layer.
 
 NumPy is an optional dependency of this package alone; everything else
-in the repo stays NumPy-free.  ``HAVE_NUMPY`` gates the engine wiring.
+in the repo stays NumPy-free.
+
+No engine path calls this package: every genome tune prices its points
+on its compiled ``GenomePlan``.  It stays, with its tests, only while
+the benchmark still wraps ``CohortEvaluator.mcts_hook`` (ROADMAP:
+deleted after the next benchmark change).
 """
-
-from __future__ import annotations
-
-try:  # pragma: no cover - exercised implicitly by every import
-    import numpy  # noqa: F401
-    HAVE_NUMPY = True
-except Exception:  # pragma: no cover - numpy-free environments
-    HAVE_NUMPY = False
-
-__all__ = ["HAVE_NUMPY"]

@@ -85,9 +85,7 @@ DEFAULT_MIN_MISSES = 2
 #: sibling cohort up front (including per-class template builds and a
 #: scalar cross-check), so it only pays once the tuner revisits enough
 #: of the priced space; measured on the GA fitness path, sub-1k-sample
-#: tunes of fresh genomes lose time to probe sweeps while 1k+ budgets
-#: break even or win.  Below this budget the engine leaves the search
-#: purely scalar.
+#: tunes of fresh genomes lose time to probe sweeps.
 BATCH_MIN_SAMPLES = 1024
 #: Sweep credit: an evaluator starts with this many free sweeps; each
 #: covered request earns ``CREDIT_PER_HIT`` more.  Searches whose

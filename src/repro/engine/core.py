@@ -15,15 +15,17 @@ long they live and whether a shared memo sits on top:
   per point, so the compiled tables serve the whole tune.  It touches
   no shared store.
 * Every other evaluation (template tunes, pre-built trees, the
-  champion's ``full=True`` evaluation, the batched cross-check) builds
-  a tree and a fresh context, with the engine's persistent
+  champion's ``full=True`` evaluation) builds a tree and a fresh
+  context, with the engine's persistent
   :class:`~repro.engine.cache.SubtreeArtifactCache` attached: slice
   geometry and walk volumes are looked up there, under structural
   subtree fingerprints and projected walks, before they are computed.
 
 Results are byte-identical either way (property-tested).  Repeated
 points need no engine-level memo: the MCTS tuner already dedups the
-points of each tune.
+points of each tune.  Every tune prices its points on its plan,
+whatever its sample budget: the engine never loads
+:mod:`repro.analysis.batched` or NumPy.
 
 ``workers > 1`` adds process-level parallelism for GA populations: each
 genome's MCTS factor tune is an independent task (the per-genome seeds
@@ -37,7 +39,6 @@ serial path transparently.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, fields
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -58,19 +59,6 @@ from .signature import (arch_fingerprint, cache_namespace, digest,
                         workload_fingerprint)
 
 TemplateFn = Callable[..., AnalysisTree]
-
-#: Bound on the per-engine genome -> CohortEvaluator registry.
-_COHORT_REGISTRY_SIZE = 64
-
-_UNSET = object()
-
-
-def _have_numpy() -> bool:
-    try:
-        from ..analysis.batched import HAVE_NUMPY
-        return HAVE_NUMPY
-    except Exception:  # pragma: no cover - defensive
-        return False
 
 _OBJECTIVES: Dict[str, Callable[[EvaluationResult, bool], Cost]] = {
     "latency": latency_cost,
@@ -108,14 +96,13 @@ class EngineStats:
     #: Always 0: there is no disk tier any more, but perfbench still
     #: reads this key (ROADMAP: dropped with the next benchmark change).
     subtree_l3_hits: int = 0
-    #: Candidates priced by the batched cohort layer (array-native
-    #: structure-class sweeps; each would otherwise be a scalar walk).
+    #: Always 0 on every engine path, since no tune sweeps cohorts, but
+    #: perfbench still reads these keys (ROADMAP: dropped with the next
+    #: benchmark change).  A
+    #: :class:`~repro.analysis.batched.sweep.CohortEvaluator` built
+    #: directly on an engine still counts its sweeps here.
     batched_evaluations: int = 0
-    #: Candidates handed to the batched layer for pricing (sweep input
-    #: size; ``batched_evaluations / batch_fill`` is the batch yield).
     batch_fill: int = 0
-    #: Batched candidates returned to the scalar path (unbatchable
-    #: structure class, int64 overflow, or cross-check mismatch).
     batch_fallbacks: int = 0
 
     def to_dict(self) -> Dict[str, int]:
@@ -151,11 +138,6 @@ class EvaluationEngine:
     objective:
         ``"latency"`` or ``"edp"`` — named so worker processes can
         reconstruct the engine from picklable configuration.
-    batched:
-        Price sibling factor candidates of long MCTS tunes in vectorized
-        cohort sweeps (:mod:`repro.analysis.batched`); engaged only for
-        the latency objective under ``respect_memory`` with NumPy
-        available.  Costs are bit-identical to the scalar path.
     subtree_cache_size:
         Entry bound of the persistent :class:`SubtreeArtifactCache`
         kept across evaluations of built trees (genome tunes never use
@@ -176,7 +158,6 @@ class EvaluationEngine:
                  prescreen: bool = True,
                  model_eviction: bool = True,
                  model_rmw: bool = True, objective: str = "latency",
-                 batched: bool = True,
                  subtree_cache_size: int = DEFAULT_SUBTREE_CACHE_SIZE,
                  subtree_cache: Optional[SubtreeArtifactCache] = None):
         if objective not in _OBJECTIVES:
@@ -221,18 +202,6 @@ class EvaluationEngine:
         self._templates: Dict[int, Tuple[str, TemplateFn]] = {}
         self._pool = None
         self._pool_broken = False
-        #: Batched cohort layer (``analysis.batched``): prices sibling
-        #: factor candidates in one vectorized sweep.  Only engaged for
-        #: the plain latency-under-memory search objective — the only
-        #: cost contract the array templates mirror — and only when
-        #: NumPy is importable; otherwise every path stays scalar.
-        self.batched = bool(batched)
-        self._batch_enabled = (self.batched and objective == "latency"
-                               and respect_memory and _have_numpy())
-        #: genome -> CohortEvaluator (or None when construction failed);
-        #: bounded, evaluators keep per-genome cost tables warm across
-        #: GA generations.
-        self._cohorts: "OrderedDict" = OrderedDict()
 
     # -- configuration ---------------------------------------------------
     def config(self) -> Dict[str, object]:
@@ -243,7 +212,6 @@ class EvaluationEngine:
             "model_eviction": self.model.model_eviction,
             "model_rmw": self.model.model_rmw,
             "objective": self.objective,
-            "batched": self.batched,
             "subtree_cache_size": self._subtree_cache_size,
         }
 
@@ -403,40 +371,9 @@ class EvaluationEngine:
         tuner = MCTSTuner(space,
                           lambda point: self.genome_cost(genome, point,
                                                          plan=plan),
-                          seed=seed,
-                          batch=self._cohort_hook(genome, space, samples))
+                          seed=seed)
         point, cost = tuner.search(samples)
         return cost, (point or {})
-
-    def _cohort_hook(self, genome: Genome, space, samples: int):
-        """The batched layer's tuner hook for ``genome`` (or ``None``).
-
-        Evaluators are cached per genome so a GA re-tuning the same
-        genome next generation reuses both its structure-class
-        templates and every already-swept sibling cost.  Short tunes
-        (``samples`` below the batched layer's break-even budget) stay
-        purely scalar: a sweep prices a whole sibling cohort up front,
-        and a search that asks for a few dozen points will never visit
-        enough of them to amortize the sweep.
-        """
-        if not self._batch_enabled:
-            return None
-        from ..analysis.batched.sweep import BATCH_MIN_SAMPLES
-        if samples < BATCH_MIN_SAMPLES:
-            return None
-        evaluator = self._cohorts.get(genome, _UNSET)
-        if evaluator is _UNSET:
-            try:
-                from ..analysis.batched.sweep import CohortEvaluator
-                evaluator = CohortEvaluator(self, genome, space)
-            except Exception:
-                evaluator = None
-            self._cohorts[genome] = evaluator
-            while len(self._cohorts) > _COHORT_REGISTRY_SIZE:
-                self._cohorts.popitem(last=False)
-        else:
-            self._cohorts.move_to_end(genome)
-        return evaluator.mcts_hook if evaluator is not None else None
 
     def tune_population(self, genomes: Sequence[Genome],
                         seeds: Sequence[int],

@@ -100,8 +100,8 @@ class MapperResult:
 class TileFlowMapper:
     """Full 3D design-space exploration for one workload/architecture.
 
-    ``workers``, ``prescreen`` and ``batched`` configure the evaluation
-    engine backing the search; alternatively pass a pre-built ``engine``
+    ``workers`` and ``prescreen`` configure the evaluation engine
+    backing the search; alternatively pass a pre-built ``engine``
     (it is then shared and *not* shut down by :meth:`explore`, so its
     subtree cache persists across searches).
     """
@@ -109,16 +109,13 @@ class TileFlowMapper:
     def __init__(self, workload: Workload, arch: Architecture,
                  respect_memory: bool = True, seed: int = 0,
                  workers: int = 1, prescreen: bool = True,
-                 batched: bool = True, engine=None):
+                 engine=None):
         self.workload = workload
         self.arch = arch
         self.respect_memory = respect_memory
         self.seed = seed
         self.workers = workers
         self.prescreen = prescreen
-        #: Batched cohort pricing inside the engine's MCTS factor tuner
-        #: (also purely a performance knob — results are bit-identical).
-        self.batched = batched
         self._engine = engine
 
     # ------------------------------------------------------------------
@@ -126,8 +123,7 @@ class TileFlowMapper:
         from ..engine import EvaluationEngine
         return EvaluationEngine(
             self.workload, self.arch, respect_memory=self.respect_memory,
-            workers=self.workers, prescreen=self.prescreen,
-            batched=self.batched)
+            workers=self.workers, prescreen=self.prescreen)
 
     def explore(self, generations: int = 8, population: int = 12,
                 mcts_samples: int = 30) -> MapperResult:

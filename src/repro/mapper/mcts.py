@@ -62,10 +62,7 @@ class MCTSTuner:
     """Tunes a :class:`FactorSpace` against a cost evaluator."""
 
     def __init__(self, space: FactorSpace, evaluator: Evaluator,
-                 exploration: float = 0.7, seed: int = 0,
-                 batch: Optional[Callable[[Tuple[int, ...]],
-                                          Optional[Dict[Tuple[int, ...],
-                                                        Cost]]]] = None):
+                 exploration: float = 0.7, seed: int = 0):
         self.space = space
         self.evaluator = evaluator
         self.exploration = exploration
@@ -75,12 +72,6 @@ class MCTSTuner:
         self.best_cost: Cost = FAILURE_COST
         self.history: List[Cost] = []
         self._cache: Dict[Tuple[int, ...], Cost] = {}
-        #: Optional cohort hook (engine batched layer): called on every
-        #: tuner-cache miss with the candidate's index tuple; may return
-        #: ``indices -> cost`` entries to prefill the cache.  Any
-        #: exception disables the hook for the rest of this search —
-        #: batching never changes results, only who computes them.
-        self._batch = batch
 
     # ------------------------------------------------------------------
     def search(self, samples: int) -> Tuple[Optional[Dict[str, int]], Cost]:
@@ -144,20 +135,6 @@ class MCTSTuner:
         if cached is not None:
             obs.count("mcts.cache_hits")
             return cached
-        if self._batch is not None:
-            try:
-                entries = self._batch(indices)
-            except Exception:
-                entries = None
-                self._batch = None
-            if entries:
-                for idx, cost in entries.items():
-                    self._cache.setdefault(tuple(idx), cost)
-                cost = self._cache.get(indices)
-                if cost is not None:
-                    if cost == FAILURE_COST:
-                        obs.count("mcts.infeasible")
-                    return cost
         point = self.space.point_at(indices)
         try:
             cost = float(self.evaluator(point))

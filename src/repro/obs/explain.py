@@ -117,22 +117,12 @@ def explain_tree(tree: AnalysisTree, arch: Architecture, *,
                            context=pre_ctx)
     codes = list(pre_ctx.get("bound_violation_codes") or ())
 
-    # Batched-sweep attribution over the engine's lifetime: single-tree
-    # evaluations never sweep, so these counters are zero on a fresh
-    # engine and only move when a shared engine's MCTS tuners priced
-    # factor cohorts through the array-native batched kernels.
-    stats_now = engine.stats.to_dict()
-    batched = {name: stats_now.get(name, 0)
-               for name in ("batched_evaluations", "batch_fill",
-                            "batch_fallbacks")}
-
     result = results["warm"]
     return {
         "tree": tree.name,
         "workload": tree.workload.name,
         "arch": arch.name,
         "rounds": rounds,
-        "batched": batched,
         "provenance": {
             "context_memo_hits": context_memo_hits,
             "cold": rounds["cold"]["subtree_by_kind"],
@@ -242,13 +232,6 @@ def render_explain(report: Dict[str, Any]) -> str:
                 f"{w.get('hits', 0):>7d}/{w.get('misses', 0):<8d}")
     lines.append(f"context-memo repeat lookups absorbed : "
                  f"{prov['context_memo_hits']}")
-    batched = report.get("batched") or {}
-    if batched.get("batch_fill"):
-        lines.append(
-            f"batched cohort pricing (engine lifetime): "
-            f"{batched.get('batched_evaluations', 0)} of "
-            f"{batched['batch_fill']} swept candidates committed, "
-            f"{batched.get('batch_fallbacks', 0)} scalar fallbacks")
 
     lines.append("")
     pre = report["prescreen"]

@@ -119,23 +119,14 @@ def incremental_effectiveness(counts: Optional[Mapping[str, float]]
     counts = counts or {}
     hits = counts.get("engine.subtree_hits", 0)
     misses = counts.get("engine.subtree_misses", 0)
-    batched = counts.get("engine.batched_evaluations", 0)
-    batch_fill = counts.get("engine.batch_fill", 0)
     lookups = hits + misses
-    if lookups == 0 and batch_fill == 0:
+    if lookups == 0:
         return None
     out: Dict[str, float] = {
         "subtree_hits": hits,
         "subtree_misses": misses,
-        "subtree_hit_rate": hits / lookups if lookups else 0.0,
+        "subtree_hit_rate": hits / lookups,
         "subtree_evictions": counts.get("engine.subtree_evictions", 0),
-        # Batched cohort sweeps: candidates priced by the array-native
-        # kernels (committed / attempted) and members bounced back to
-        # the scalar path.  ``batch_yield`` is committed over attempted.
-        "batched_evaluations": batched,
-        "batch_fill": batch_fill,
-        "batch_fallbacks": counts.get("engine.batch_fallbacks", 0),
-        "batch_yield": batched / batch_fill if batch_fill else 0.0,
     }
     prefix = "engine.subtree_evictions."
     for name in sorted(counts):
@@ -204,13 +195,6 @@ def render_profile(records: Iterable[Record], top: int = 20) -> str:
                 f"{'subtree cache evictions':40s} "
                 f"{inc['subtree_evictions']:>12g}"
                 + (f"  ({by_kind})" if by_kind else ""))
-        if inc.get("batch_fill"):
-            lines.append(
-                f"{'batched candidate pricing':40s} "
-                f"{inc['batch_yield'] * 100:11.1f}% "
-                f"({inc['batched_evaluations']:g} of "
-                f"{inc['batch_fill']:g} swept candidates committed, "
-                f"{inc['batch_fallbacks']:g} scalar fallbacks)")
     return "\n".join(lines)
 
 

@@ -506,14 +506,6 @@ class EvaluationService:
                                    namespace=slot.engine.namespace_digest)
                 for (wl, ar), slot in self._engines.items()
             }
-        # Batched cohort pricing, aggregated across engines: how many
-        # search candidates the array-native sweeps committed vs bounced
-        # back to the scalar path since the service started.
-        batched = {
-            name: sum(stats.get(name, 0) for stats in engines.values())
-            for name in ("batched_evaluations", "batch_fill",
-                         "batch_fallbacks")
-        }
         cache = self.subtree_cache
         return {
             "status": "draining" if self._draining else "ok",
@@ -525,7 +517,6 @@ class EvaluationService:
                       "rejected_full": self.queue.rejected_full,
                       "rejected_closed": self.queue.rejected_closed},
             "engines": engines,
-            "batched": batched,
             "subtree_cache": {
                 "hits": cache.hits, "misses": cache.misses,
                 "evictions": cache.eviction_count,

@@ -36,7 +36,7 @@ def _evaluator(seed):
     """A (engine, genome, evaluator) triple for the first batchable
     genome of the seeded stream (None when none of the first few are)."""
     rng = random.Random(seed)
-    engine = EvaluationEngine(WL, SPEC, batched=True)
+    engine = EvaluationEngine(WL, SPEC)
     for _ in range(8):
         genome = Genome.random(WL, rng)
         try:
@@ -63,7 +63,7 @@ def test_batched_costs_equal_scalar_element_for_element(seed, count):
     rng = random.Random(seed ^ 0x5EED)
     members = _members(evaluator, rng, count)
     costs = evaluator.costs_for(members)
-    scalar = EvaluationEngine(WL, SPEC, batched=False)
+    scalar = EvaluationEngine(WL, SPEC)
     priced = 0
     for member, cost in costs.items():
         if cost is None:  # scalar fallback: nothing committed to check
@@ -108,7 +108,7 @@ def test_cohort_of_one_equals_scalar(seed):
     costs = evaluator.costs_for([member])
     cost = costs[member]
     assume(cost is not None)
-    scalar = EvaluationEngine(WL, SPEC, batched=False)
+    scalar = EvaluationEngine(WL, SPEC)
     expected = scalar.cost_of(scalar.evaluate_genome(
         genome, evaluator.planner.point_at(member)))
     assert float(cost) == float(expected)

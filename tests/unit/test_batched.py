@@ -2,9 +2,9 @@
 
 Covers the checked int64 kernels (dtype gates, exact overflow
 detection with adversarially large loop bounds), the cohort planner's
-per-group structure keys, the engine integration (sample-budget gate,
-hook exception-disable, stats attribution) and the obs/report
-surfaces.
+per-group structure keys, and the engine stats a directly built
+:class:`CohortEvaluator` attributes its sweeps to.  No engine path
+builds one: genome tunes never sweep.
 """
 
 import random
@@ -18,8 +18,7 @@ from repro.analysis.batched.kernels import (BatchedError,
                                             abs64, add64, as_i8, box64,
                                             cdiv64, movement64, mul64,
                                             sub64)
-from repro.analysis.batched.sweep import (BATCH_MIN_SAMPLES,
-                                          CohortEvaluator)
+from repro.analysis.batched.sweep import CohortEvaluator
 from repro.engine import EvaluationEngine
 from repro.mapper import Genome, genome_factor_space
 from repro.workloads import self_attention
@@ -31,7 +30,7 @@ SPEC = arch.edge()
 def _batchable(seed=11):
     """First batchable (engine, genome, evaluator) of the seeded stream."""
     rng = random.Random(seed)
-    engine = EvaluationEngine(WL, SPEC, batched=True)
+    engine = EvaluationEngine(WL, SPEC)
     while True:
         genome = Genome.random(WL, rng)
         try:
@@ -137,18 +136,8 @@ class TestPlanner:
 # -- engine integration --------------------------------------------------
 
 class TestEngineIntegration:
-    def test_sample_budget_gate(self):
-        engine, genome, _ = _batchable()
-        space = genome_factor_space(WL, genome)
-        assert engine._cohort_hook(genome, space,
-                                   BATCH_MIN_SAMPLES - 1) is None
-        assert engine._cohort_hook(genome, space,
-                                   BATCH_MIN_SAMPLES) is not None
-        off = EvaluationEngine(WL, SPEC, batched=False)
-        assert off._cohort_hook(genome, space, BATCH_MIN_SAMPLES) is None
-
     def test_small_tunes_never_sweep(self):
-        engine = EvaluationEngine(WL, SPEC, batched=True)
+        engine = EvaluationEngine(WL, SPEC)
         genome = Genome.random(WL, random.Random(5))
         engine.tune_genome(genome, seed=1, samples=16)
         stats = engine.stats.to_dict()
@@ -166,75 +155,3 @@ class TestEngineIntegration:
         committed = sum(1 for c in costs.values() if c is not None)
         assert stats["batch_fill"] >= len(members)
         assert stats["batched_evaluations"] >= committed > 0
-
-    def test_tuner_disables_hook_on_exception(self):
-        from repro.mapper.mcts import MCTSTuner
-        genome = Genome.random(WL, random.Random(5))
-        space = genome_factor_space(WL, genome)
-        scalar = EvaluationEngine(WL, SPEC, batched=False)
-
-        calls = {"n": 0}
-
-        def exploding_hook(indices):
-            calls["n"] += 1
-            raise RuntimeError("boom")
-
-        def run(batch):
-            tuner = MCTSTuner(
-                space, lambda p: scalar.cost_of(
-                    scalar.evaluate_genome(genome, p)),
-                seed=3, batch=batch)
-            return tuner.search(40)
-
-        assert run(exploding_hook) == run(None)
-        assert calls["n"] == 1  # disabled permanently after first raise
-
-
-# -- obs/report surfaces -------------------------------------------------
-
-class TestReporting:
-    def test_incremental_effectiveness_batched_keys(self):
-        from repro.obs.report import incremental_effectiveness
-        counts = {
-            "engine.subtree_hits": 10,
-            "engine.subtree_misses": 10,
-            "engine.batched_evaluations": 60,
-            "engine.batch_fill": 80,
-            "engine.batch_fallbacks": 4,
-        }
-        inc = incremental_effectiveness(counts)
-        assert inc["batched_evaluations"] == 60
-        assert inc["batch_fill"] == 80
-        assert inc["batch_fallbacks"] == 4
-        assert inc["batch_yield"] == pytest.approx(0.75)
-        # Batched counters alone keep the section alive...
-        only = incremental_effectiveness({"engine.batch_fill": 5})
-        assert only is not None and only["batch_fill"] == 5
-        # ...but a run with no incremental and no batched activity is None.
-        assert incremental_effectiveness({}) is None
-
-    def test_render_profile_batched_line(self):
-        from repro.obs import events
-        from repro.obs.report import render_profile
-        sink = events.RingSink(capacity=None)
-        bus = events.EventBus([sink])
-        for name, n in (("engine.subtree_hits", 1),
-                        ("engine.subtree_misses", 1),
-                        ("engine.batched_evaluations", 6),
-                        ("engine.batch_fill", 8),
-                        ("engine.batch_fallbacks", 2)):
-            bus.count(name, n)
-        text = render_profile(sink.records)
-        assert "batched candidate pricing" in text
-        assert "6 of 8 swept candidates committed" in text
-
-    def test_serve_stats_batched_block(self):
-        from repro.serve.service import EvaluationService
-        service = EvaluationService(workers=1)
-        try:
-            stats = service.stats()
-            assert stats["batched"] == {"batched_evaluations": 0,
-                                        "batch_fill": 0,
-                                        "batch_fallbacks": 0}
-        finally:
-            service.stop()

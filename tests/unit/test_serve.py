@@ -797,18 +797,29 @@ class TestHTTPAPI:
         assert status == 400 and field in payload["error"]
         assert _request(httpd, "GET", "/jobs")[1] == {"jobs": []}
 
-    def test_queue_full_returns_429(self, server):
+    def test_queue_full_returns_429(self, server, monkeypatch):
         httpd, svc = server
-        # Stall the single worker with a long-ish search, then overfill
-        # the 4-slot queue with cheap jobs.
-        body = {"kind": "search",
-                "spec": {"workload": "Bert-S", "generations": 4,
-                         "population": 6, "samples": 20}}
+        # Hold the single worker on its first job until the POSTs are
+        # done, then overfill the 4-slot queue with cheap jobs.
+        claimed, release = threading.Event(), threading.Event()
+        execute = svc._execute
+
+        def held(job):
+            claimed.set()
+            assert release.wait(timeout=60)
+            return execute(job)
+
+        monkeypatch.setattr(svc, "_execute", held)
         cheap = {"kind": "evaluate",
                  "spec": {"workload": "Bert-S", "dataflow": "layerwise"}}
-        assert _request(httpd, "POST", "/jobs", body)[0] == 202
-        statuses = [_request(httpd, "POST", "/jobs", cheap)[0]
-                    for _ in range(6)]
+        try:
+            assert _request(httpd, "POST", "/jobs", cheap)[0] == 202
+            assert claimed.wait(timeout=30)
+            statuses = [_request(httpd, "POST", "/jobs", cheap)[0]
+                        for _ in range(6)]
+        finally:
+            release.set()
+        assert statuses == [202] * 4 + [429] * 2
         assert 429 in statuses
         assert svc.stats()["queue"]["rejected_full"] >= 1
         svc.wait_drained(timeout=60)
