@@ -424,7 +424,10 @@ def cmd_client(args) -> int:
     from .serve import ServiceClient, ServiceError
 
     w = args.writer
-    client = ServiceClient(args.url)
+    try:
+        client = ServiceClient(args.url)
+    except ValueError as exc:
+        raise SystemExit(f"client: {exc}")
     if args.verb in ("status", "watch", "result") and not args.job_id:
         raise SystemExit(f"client {args.verb}: a job id is required")
     try:

@@ -54,8 +54,8 @@ from ..obs import events
 from ..tile.tree import AnalysisTree
 from .cache import DEFAULT_SUBTREE_CACHE_SIZE, SubtreeArtifactCache
 from .prescreen import prescreen, rejected_result
-from .signature import (arch_fingerprint, cache_namespace, digest,
-                        mapping_signature, template_signature,
+from .signature import (Signature, arch_fingerprint, cache_namespace,
+                        digest, mapping_signature, template_signature,
                         workload_fingerprint)
 
 TemplateFn = Callable[..., AnalysisTree]
@@ -358,8 +358,17 @@ class EvaluationEngine:
         whatever another evaluation left behind.
         """
         return self._evaluate(self._tree_context(tree),
-                              lambda: (self._base, "tree", tree.name),
+                              lambda: self._tree_signature(tree),
                               full=full)
+
+    def _tree_signature(self, tree: AnalysisTree) -> Signature:
+        return (self._base, "tree", tree.name)
+
+    def tree_digest(self, tree: AnalysisTree) -> str:
+        """Stable hex digest of a pre-built tree's identity (the
+        signature :meth:`evaluate_tree` memoizes under) — the run
+        ledger's champion identity of an evaluate run."""
+        return digest(self._tree_signature(tree))
 
     # -- per-genome MCTS tuning ------------------------------------------
     def tune_genome(self, genome: Genome, seed: int,

@@ -69,18 +69,20 @@ def search_run_manifest(*, run_id: str, engine, result: MapperResult,
         extra=extra)
 
 
-def evaluate_run_manifest(*, run_id: str, engine, dataflow: str, result,
-                          wall_s: float,
+def evaluate_run_manifest(*, run_id: str, engine, dataflow: str, tree,
+                          result, wall_s: float,
                           counters: Optional[Mapping[str, Any]] = None,
                           extra: Optional[Mapping[str, Any]] = None
                           ) -> Dict[str, Any]:
     """Ledger manifest for one named-dataflow evaluation (service
     ``evaluate`` jobs).  The champion is the evaluated mapping itself:
-    its cost under the engine's objective and the dataflow name, which
-    ``repro explain --run`` resolves back into a tree."""
+    its cost under the engine's objective, the dataflow name, which
+    ``repro explain --run`` resolves back into a tree, and the digest of
+    that ``tree`` in the engine's namespace as its signature, so two
+    runs of one spec diff as the same champion."""
     champion: Dict[str, Any] = {
         "cost": events_mod.jsonable_cost(engine.cost_of(result)),
-        "signature": None,
+        "signature": engine.tree_digest(tree),
         "dataflow": dataflow,
         "latency_cycles": events_mod.jsonable_cost(result.latency_cycles),
         "energy_pj": events_mod.jsonable_cost(result.energy_pj),

@@ -43,19 +43,23 @@ class _Node:
     def ucb_child(self, num_choices: int, exploration: float,
                   rng: random.Random) -> int:
         """Index of the child to descend into (UCB1 with random ties)."""
-        unvisited = [i for i in range(num_choices) if i not in self.children
-                     or self.children[i].visits == 0]
+        children = self.children
+        unvisited = [i for i in range(num_choices) if i not in children
+                     or children[i].visits == 0]
         if unvisited:
             return rng.choice(unvisited)
-        scores: List[Tuple[float, int]] = []
+        log_visits = math.log(max(2, self.visits))
+        best = -math.inf
+        ties: List[int] = []
         for i in range(num_choices):
-            child = self.children[i]
-            exploit = child.total_reward / child.visits
-            explore = exploration * math.sqrt(
-                math.log(max(2, self.visits)) / child.visits)
-            scores.append((exploit + explore, i))
-        best = max(s for s, _ in scores)
-        return rng.choice([i for s, i in scores if s == best])
+            child = children[i]
+            score = (child.total_reward / child.visits
+                     + exploration * math.sqrt(log_visits / child.visits))
+            if score > best:
+                best, ties = score, [i]
+            elif score == best:
+                ties.append(i)
+        return rng.choice(ties)
 
 
 class MCTSTuner:
@@ -72,6 +76,8 @@ class MCTSTuner:
         self.best_cost: Cost = FAILURE_COST
         self.history: List[Cost] = []
         self._cache: Dict[Tuple[int, ...], Cost] = {}
+        #: Number of choices of the factor at each tree depth.
+        self._counts = [len(space.choices[name]) for name in space.names]
 
     # ------------------------------------------------------------------
     def search(self, samples: int) -> Tuple[Optional[Dict[str, int]], Cost]:
@@ -98,14 +104,14 @@ class MCTSTuner:
 
     # ------------------------------------------------------------------
     def _sample_once(self) -> Cost:
+        counts = self._counts
         path: List[_Node] = [self.root]
         indices: List[int] = []
         node = self.root
         # Selection/expansion down the decided prefix.
-        while node.depth < len(self.space.names):
-            name = self.space.names[node.depth]
-            num = len(self.space.choices[name])
-            idx = node.ucb_child(num, self.exploration, self.rng)
+        while node.depth < len(counts):
+            idx = node.ucb_child(counts[node.depth], self.exploration,
+                                 self.rng)
             child = node.children.get(idx)
             if child is None:
                 child = _Node(node.depth + 1)
@@ -116,9 +122,8 @@ class MCTSTuner:
             if child.visits == 0:
                 break
         # Rollout: random completion of the remaining factors.
-        while len(indices) < len(self.space.names):
-            name = self.space.names[len(indices)]
-            indices.append(self.rng.randrange(len(self.space.choices[name])))
+        while len(indices) < len(counts):
+            indices.append(self.rng.randrange(counts[len(indices)]))
         cost = self._evaluate(tuple(indices))
         if cost < self.best_cost:
             self.best_cost = cost

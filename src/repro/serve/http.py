@@ -13,25 +13,32 @@ Routes (all JSON unless noted)::
     POST   /admin/cache/clear   empty the shared artifact cache
                                 (body optional: {"reset_counters": true})
 
-Status codes: 400 malformed body/kind/spec or a ``Content-Length`` that
-is not one run of ASCII digits (or repeats with differing values), 404
-unknown job or path, 409 cancel of a non-queued job, 411 missing
-Content-Length, 413 body over the configured cap, 414 a request line
-over 65,536 bytes, 429 queue full (backpressure), 431 over 100 headers
-or a header line over 65,536 bytes, 501 any ``Transfer-Encoding``,
-503 + ``Retry-After`` while draining.  A request sent with ``Expect:
-100-continue`` gets ``100 Continue`` only once its body is accepted; one
-refused before that gets just its final status.  A connection is closed
-without a response when a request's line, headers and body have not all
-arrived :data:`SOCKET_TIMEOUT_S` after the previous response (or the
-connect), which also closes a kept-alive connection left idle that long,
-or when one write stalls that long (an events reader that stops
-reading).
+Status codes: 400 a malformed request line or header line (folded, no
+colon, or a bad name), malformed body/kind/spec or a
+``Content-Length`` that is not one run of ASCII digits (or repeats with
+differing values), 404 unknown job or path, 409 cancel of a non-queued
+job, 411 missing Content-Length, 413 body over the configured cap, 414
+a request line over 65,536 bytes, 429 queue full (backpressure), 431
+100 header lines or more (the stdlib's count, which takes in the blank
+line that ends the head) or a header line over 65,536 bytes, 501 any
+``Transfer-Encoding``, 503 + ``Retry-After`` while draining.  A request
+sent with ``Expect: 100-continue`` gets ``100 Continue`` only once its
+body is accepted; one refused before that gets just its final status.
+A connection is closed without a response when a request's line,
+headers and body have not all arrived :data:`SOCKET_TIMEOUT_S` after
+the previous response (or the connect), which also closes a kept-alive
+connection left idle that long, or when one write stalls that long (an
+events reader that stops reading).
 
 Built on :class:`http.server.ThreadingHTTPServer` speaking HTTP/1.1: a
 client's requests share one kept-alive connection and its handler
-thread.  The connection closes after any error response, and after any
-request whose body the handler did not read to its end (the unread
+thread.  The handler parses the request line itself and reads the
+headers with :func:`~repro.serve.wire.read_headers`, the reader the
+client uses for responses, not the stdlib's ``email.parser``: it is
+faster, and it refuses a bad header line where that parser ends the
+headers, which would hide a ``Content-Length`` after it.  The
+connection closes after any error response, and after any request
+whose body the handler did not read to its end (the unread
 bytes must never parse as the next request).  The events endpoint
 streams NDJSON lines as the job produces them; a kept-alive HTTP/1.1
 connection gets them in chunked framing, ended by the last chunk, and
@@ -52,15 +59,18 @@ from __future__ import annotations
 
 import io
 import json
+import re
 import select
 import socket
 import time
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
 from .jobs import QueueClosed, QueueFull, UnknownJob
 from .service import EvaluationService, SpecError
+from .wire import LineTooLong, MalformedHeader, TooManyHeaders, read_headers
 
 #: Default request-body cap (job specs are small; a runaway body must
 #: not balloon the server).
@@ -75,6 +85,8 @@ RETRY_AFTER_S = 5
 #: sends fewer body bytes than its ``Content-Length``, or sends them a
 #: byte at a time, would otherwise pin a handler thread.
 SOCKET_TIMEOUT_S = 30.0
+
+_VERSION = re.compile(r"HTTP/([0-9]{1,10})\.([0-9]{1,10})")
 
 
 class _DeadlineReader(io.RawIOBase):
@@ -146,20 +158,72 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         self._expect_continue = False
         super().handle_one_request()
 
-    def handle_expect_100(self) -> bool:
-        """Defer ``100 Continue`` until :meth:`_read_body` accepts the
-        body (see the module docstring)."""
-        self._expect_continue = True
-        return True
-
     def parse_request(self) -> bool:
-        if not super().parse_request():
+        """Parse the request line and read the head with
+        :func:`~repro.serve.wire.read_headers`; False after an error
+        response.
+
+        The outcomes are the stdlib's: 400 for a bad request line or
+        version, 505 for HTTP/2 and later, 431 for a header line over
+        the limit or too many headers.  A malformed header line gets
+        400.  ``Expect: 100-continue`` is deferred until
+        :meth:`_read_body` accepts the body.
+        """
+        self.command = None  # set in case of error on the first line
+        self.request_version = self.default_request_version
+        self.close_connection = True
+        self.requestline = str(self.raw_requestline,
+                               "iso-8859-1").rstrip("\r\n")
+        words = self.requestline.split()
+        if not words:
             return False
-        if self.request_version != "HTTP/1.1":
-            self.close_connection = True  # no keep-alive before 1.1
+        if len(words) >= 3:  # enough to determine the version
+            version = _VERSION.fullmatch(words[-1])
+            if version is None:
+                self.send_error(HTTPStatus.BAD_REQUEST,
+                                f"Bad request version ({words[-1]!r})")
+                return False
+            number = int(version[1]), int(version[2])
+            if number >= (2, 0):
+                self.send_error(HTTPStatus.HTTP_VERSION_NOT_SUPPORTED,
+                                f"Invalid HTTP version "
+                                f"({words[-1][5:]})")
+                return False
+            self.request_version = words[-1]
+        if not 2 <= len(words) <= 3:
+            self.send_error(HTTPStatus.BAD_REQUEST,
+                            f"Bad request syntax ({self.requestline!r})")
+            return False
+        if len(words) == 2 and words[0] != "GET":
+            self.send_error(HTTPStatus.BAD_REQUEST,
+                            f"Bad HTTP/0.9 request type ({words[0]!r})")
+            return False
+        self.command, self.path = words[:2]
+        try:
+            self.headers = read_headers(self.rfile)
+        except LineTooLong as exc:
+            self.send_error(HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE,
+                            "Line too long", str(exc))
+            return False
+        except TooManyHeaders as exc:
+            self.send_error(HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE,
+                            "Too many headers", str(exc))
+            return False
+        except MalformedHeader as exc:
+            self.send_error(HTTPStatus.BAD_REQUEST, "Bad header line",
+                            str(exc))
+            return False
+        # Keep-alive only for HTTP/1.1, and only if not asked to close.
+        self.close_connection = (
+            self.request_version != "HTTP/1.1"
+            or (self.headers.get("Connection") or "").lower() == "close")
+        self._expect_continue = (
+            self.request_version >= "HTTP/1.1"
+            and (self.headers.get("Expect") or "").lower()
+            == "100-continue")
         self._body_unread = (
             self.headers.get("Transfer-Encoding") is not None
-            or any(v.strip() != "0"
+            or any(v != "0"
                    for v in self.headers.get_all("Content-Length", ())))
         return True
 

@@ -379,7 +379,8 @@ class EvaluationService:
             if run_id is None:
                 run_id = self._record(job, lambda rid: evaluate_run_manifest(
                     run_id=rid, engine=engine, dataflow=spec["dataflow"],
-                    result=result, wall_s=wall_s, counters=counters,
+                    tree=slot.trees[spec["dataflow"]], result=result,
+                    wall_s=wall_s, counters=counters,
                     extra={"job": job.id}))
                 if run_id is not None:
                     slot.run_ids[spec["dataflow"]] = run_id

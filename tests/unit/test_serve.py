@@ -1112,6 +1112,103 @@ class TestOversizedRequests:
         assert _request(httpd, "GET", "/healthz")[0] == 200
 
 
+class TestMalformedHeaders:
+    """A header line a lenient parser takes for the end of the head
+    would hide the ``Content-Length`` after it, and the body would run
+    as the next request: each gets one 400 and the connection closes."""
+
+    @pytest.mark.parametrize("bad", [
+        b"X-Note: one\r\n folded", b"Bad line", b"Content-Type : text/x",
+    ], ids=["folded", "no-colon", "space-before-colon"])
+    def test_bad_header_line_is_400_and_hides_nothing(self, idle_server,
+                                                      bad):
+        httpd, svc = idle_server
+        job = svc.submit("evaluate", dict(_EVAL_SPEC))
+        submit = json.dumps({"kind": "evaluate",
+                             "spec": dict(_EVAL_SPEC)}).encode()
+        smuggled = (f"DELETE /jobs/{job.id} HTTP/1.1\r\nHost: x\r\n\r\n"
+                    f"POST /jobs HTTP/1.1\r\nHost: x\r\n"
+                    f"Connection: close\r\n"
+                    f"Content-Length: {len(submit)}\r\n\r\n"
+                    ).encode() + submit
+        raw = _exchange(httpd, b"GET /healthz HTTP/1.1\r\nHost: x\r\n"
+                        + bad + b"\r\nContent-Length: %d\r\n\r\n"
+                        % len(smuggled) + smuggled)
+        head = raw.partition(b"\r\n\r\n")[0]
+        assert head.startswith(b"HTTP/1.1 400")
+        assert b"\r\nConnection: close\r\n" in head + b"\r\n"
+        assert raw.count(b"HTTP/1.1") == 1
+        assert [j.id for j in svc.queue.jobs()] == [job.id]
+        assert svc.queue.get(job.id).state == "queued"
+
+    def test_lowercase_framing_headers_are_honoured(self, server):
+        httpd, svc = server
+        body = json.dumps({"kind": "evaluate",
+                           "spec": dict(_EVAL_SPEC)}).encode()
+        raw = _exchange(httpd, b"POST /jobs HTTP/1.1\r\nHost: x\r\n"
+                               b"connection: close\r\n"
+                               b"content-length: %d\r\n\r\n%s"
+                               % (len(body), body))
+        assert raw.startswith(b"HTTP/1.1 202")
+        assert len(svc.queue.jobs()) == 1
+        raw = _exchange(httpd, b"POST /jobs HTTP/1.1\r\nHost: x\r\n"
+                               b"transfer-encoding: chunked\r\n\r\n"
+                               b"%x\r\n%s\r\n0\r\n\r\n"
+                               % (len(body), body))
+        assert raw.startswith(b"HTTP/1.1 501")
+        assert len(svc.queue.jobs()) == 1
+        assert svc.wait_drained(timeout=30)
+
+
+class TestReadHeaders:
+    @staticmethod
+    def _read(raw: bytes):
+        import io
+
+        from repro.serve.wire import read_headers
+
+        return read_headers(io.BytesIO(raw))
+
+    def test_names_match_case_insensitively_and_repeats_are_kept(self):
+        headers = self._read(b"Content-Length: 2\r\nX-A:  1 \r\n"
+                             b"x-a:2\r\n\r\nbody")
+        assert headers.get("content-length") == "2"
+        assert headers.get_all("X-A") == ["1", "2"]
+        assert headers.get("Expect") is None
+        assert headers.get_all("Expect", ()) == ()
+
+    @pytest.mark.parametrize("line", [
+        b" folded", b"\tfolded", b"no colon", b": empty name",
+        b"Name : value", b"Two words: value",
+    ])
+    def test_malformed_lines_are_refused(self, line):
+        from repro.serve.wire import MalformedHeader
+
+        with pytest.raises(MalformedHeader):
+            self._read(b"Host: x\r\n" + line + b"\r\n\r\n")
+
+    def test_limits_are_the_stdlib_ones(self):
+        import http.client
+        import io
+
+        from repro.serve.wire import LineTooLong, TooManyHeaders
+
+        for count in (99, 100):
+            raw = b"".join(b"X-%d: x\r\n" % i for i in range(count))
+            raw += b"\r\n"
+            try:
+                http.client.parse_headers(io.BytesIO(raw))
+            except http.client.HTTPException:
+                with pytest.raises(TooManyHeaders):
+                    self._read(raw)
+                assert count == 100
+            else:
+                assert self._read(raw).get("X-98") == "x" and count == 99
+        with pytest.raises(LineTooLong):
+            self._read(b"X: " + b"x" * 65536 + b"\r\n\r\n")
+        assert self._read(b"X: " + b"x" * 65531 + b"\r\n\r\n").get("x")
+
+
 class TestExpectContinue:
     """``Expect: 100-continue`` gets its interim response only for a
     body the server goes on to read."""
@@ -1225,6 +1322,70 @@ class TestClientResult:
         assert not any(t.name.endswith("(process_request_thread)")
                        for t in threading.enumerate())
         assert svc.wait_drained(timeout=30)
+
+
+class TestClientTransport:
+    def test_round_trip_never_parses_with_email(self, server, monkeypatch):
+        import email.parser
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("parsed with email.parser")
+
+        monkeypatch.setattr(http.client, "parse_headers", refuse)
+        monkeypatch.setattr(email.parser.Parser, "parsestr", refuse)
+        httpd, _svc = server
+        client = _client(httpd)
+        job = client.submit("evaluate", dict(_EVAL_SPEC))
+        kinds = [e["kind"] for e in client.watch(job["id"])]
+        assert kinds[0] == "run.start" and kinds[-1] == "run.end"
+        assert client.status(job["id"])["state"] == "done"
+        client.close()
+
+    def test_chunks_splitting_lines_yield_the_same_events(self):
+        """A chunked stream whose chunk boundaries fall inside lines,
+        and one line spread over three chunks."""
+        import socket
+
+        events_sent = [{"kind": "run.start", "seq": 0},
+                       {"kind": "test.tick", "pad": "x" * 40},
+                       {"kind": "run.end", "seq": 2}]
+        body = b"".join(json.dumps(e).encode() + b"\n" for e in events_sent)
+        cuts = [0, 5, 30, 31, 60, len(body)]
+        listener = socket.create_server(("127.0.0.1", 0))
+        requests = []
+
+        def serve():
+            conn, _ = listener.accept()
+            with conn:
+                for _ in range(2):
+                    head = b""
+                    while not head.endswith(b"\r\n\r\n"):
+                        head += conn.recv(1)
+                    requests.append(head)
+                    out = (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked"
+                           b"\r\n\r\n")
+                    for a, b in zip(cuts, cuts[1:]):
+                        out += b"%x\r\n%s\r\n" % (b - a, body[a:b])
+                        conn.sendall(out)
+                        out = b""
+                        time.sleep(0.01)
+                    conn.sendall(b"0\r\n\r\n")
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        client = ServiceClient(
+            f"http://127.0.0.1:{listener.getsockname()[1]}", timeout=10)
+        try:
+            assert list(client.watch("job-1")) == events_sent
+            # Read to its end, the connection is kept and reused.
+            assert len(client._idle) == 1
+            assert list(client.watch("job-1")) == events_sent
+        finally:
+            client.close()
+            listener.close()
+        thread.join(timeout=10)
+        assert [r.split(b" ")[1] for r in requests] == [
+            b"/jobs/job-1/events?since=0&follow=1"] * 2
 
 
 # ---------------------------------------------------------------------------
@@ -1466,6 +1627,42 @@ class TestRepeatJobRuns:
         for job in jobs:
             assert job.state == "done", job.error
             assert job.run_id is None and job.result["run_id"] is None
+
+    def test_runs_of_one_spec_diff_as_the_same_champion(self, tmp_path,
+                                                        capsys):
+        from repro import arch as arch_mod
+        from repro import workloads as workloads_mod
+        from repro.cli import main
+        from repro.dataflows import dataflow_for
+        from repro.engine import EvaluationEngine
+        from repro.obs.ledger import RunLedger
+
+        runs = str(tmp_path / "runs")
+        svc = EvaluationService(workers=1, ledger_root=runs).start()
+        try:
+            first = svc.submit("evaluate", dict(_EVAL_SPEC))
+            assert svc.wait_drained(timeout=60)
+            assert svc.clear_cache()["cleared"]
+            cold = svc.submit("evaluate", dict(_EVAL_SPEC))
+            other = svc.submit("evaluate",
+                               dict(_EVAL_SPEC, dataflow="tileflow"))
+            assert svc.wait_drained(timeout=60)
+        finally:
+            svc.stop(timeout=5)
+        ledger = RunLedger(runs)
+        a, b, c = (ledger.load(job.run_id)["champion"]
+                   for job in (first, cold, other))
+        assert first.run_id != cold.run_id
+        assert a["signature"] is not None
+        assert a["signature"] == b["signature"] != c["signature"]
+        # The digest is the tree's identity, whichever engine takes it.
+        engine = EvaluationEngine(workloads_mod.by_name("Bert-S"),
+                                  arch_mod.by_name("edge"))
+        assert a["signature"] == engine.tree_digest(dataflow_for(
+            engine.workload, "layerwise", engine.arch))
+        assert main(["runs", "diff", first.run_id, cold.run_id,
+                     "--root", runs]) == 0
+        assert "same champion : yes" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------
